@@ -9,8 +9,9 @@ virtual-Z pass.
 import math
 import pathlib
 
-from nuqsim import (OscParams, ScanConfig, build_earth_circuit, dump_circuit,
-                    emit_csv, emit_plot, run_scan, virtual_z_pass)
+from nuqsim import (OscParams, ScanConfig, build_slab_circuit, dump_circuit,
+                    earth_profile, emit_csv, emit_plot, run_scan,
+                    virtual_z_pass)
 
 out = pathlib.Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
@@ -24,7 +25,8 @@ config = ScanConfig.from_dict({
 
 # show what one scan circuit looks like, before and after compilation
 p = OscParams(math.radians(config.theta13_deg), config.dm2_31)
-raw = build_earth_circuit(p, 6.0, theta23=math.radians(config.theta23_deg))
+raw = build_slab_circuit(p, earth_profile(config.ye), 6.0,
+                         theta23=math.radians(config.theta23_deg))
 compiled, report = virtual_z_pass(raw)
 print("uncompiled circuit at 6 GeV:")
 print(dump_circuit(raw))

@@ -9,9 +9,9 @@ from .oscillation import (CONSTANTS, EffectiveParams, MatterLayer,
                           effective_params, matter_potential, phase,
                           prob_constant_density, prob_msw_adiabatic, prob_slab)
 from .builders import (DilationSet, SynthesisParams, build_dilation,
-                       build_earth_circuit, build_msw_circuit,
-                       build_slab_circuit, dilation_from_angles, earth_profile)
-from .optim import FidelityProblem, OptimResult, fidelity, optimize
+                       build_msw_circuit, build_slab_circuit,
+                       dilation_from_angles, earth_profile)
+from .optim import FidelityProblem, OptimResult, optimize
 from .scan import (ConfigError, ScanConfig, ScanPoint, ScanResult, emit_csv,
                    emit_plot, run_scan)
 from .simulator import (ShotResult, apply, apply_matrix, circuit_unitary,

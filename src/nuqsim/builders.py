@@ -50,14 +50,6 @@ def earth_profile(ye: float = 0.5) -> SlabProfile:
     ))
 
 
-def build_earth_circuit(p: OscParams, energy_gev: float,
-                        compile: bool = False, theta23: float | None = None,
-                        ye: float = 0.5) -> Circuit:
-    """Slab circuit for the three-layer earth-crossing profile."""
-    return build_slab_circuit(p, earth_profile(ye), energy_gev,
-                              compile=compile, theta23=theta23)
-
-
 @dataclass(frozen=True)
 class DilationSet:
     """Matrices embedding the non-unitary MSW map for one scan point.

@@ -6,7 +6,7 @@
                 [--csv out.csv] [--svg out.svg] [--dump-circuit]
 
 Flags win over config-file values.  Exit codes: 0 success, 2 config
-error, 3 numerical-domain error.
+or output-file error, 3 numerical-domain error.
 """
 from __future__ import annotations
 
@@ -15,10 +15,12 @@ import sys
 
 import numpy as np
 
+from .builders import build_dilation
 from .compiler import dump_circuit, virtual_z_pass
 from .oscillation import NumericalDomainError
 from .scan import (ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ConfigError,
-                   ScanConfig, emit_csv, emit_plot, run_scan, scenario_circuit)
+                   ScanConfig, emit_csv, emit_plot, msw_setup, run_scan,
+                   scenario_circuit)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,11 +67,7 @@ def _build_config(args: argparse.Namespace) -> ScanConfig:
 
 
 def _print_compile_savings(config: ScanConfig) -> None:
-    from .builders import build_slab_circuit
-    from .scan import _single_qubit_setup
-    p, profile, th23 = _single_qubit_setup(config)
-    raw = build_slab_circuit(p, profile, config.energies[0], compile=False,
-                             theta23=th23)
+    raw = scenario_circuit(config.override(compile=False), config.energies[0])
     _, report = virtual_z_pass(raw)
     print(f"virtual-Z: {report.input_gate_count} gates -> "
           f"{report.output_gate_count} gates, "
@@ -81,12 +79,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if config.dump_circuit:
         if config.scenario == "msw" and config.synthesis == "exact":
-            from .builders import build_dilation
-            from .oscillation import MatterLayer, OscParams
-            import math
-            p = OscParams(math.radians(config.theta12_deg), config.dm2_21)
-            layer = MatterLayer(config.production_rho, config.ye, 0.0)
-            ds = build_dilation(p, layer, config.energies[0])
+            ds = build_dilation(*msw_setup(config), config.energies[0])
             print("# exact mode applies this 4x4 dilation directly:")
             print(np.array2string(ds.u2q, precision=12))
         else:
@@ -129,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalDomainError as exc:
         print(f"numerical-domain error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

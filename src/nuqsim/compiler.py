@@ -69,13 +69,7 @@ def pulse_count(circuit: Circuit) -> int:
     return n
 
 
-def wrap_angle(a: float) -> float:
-    """Fold an angle into [-pi, pi] (IEEE remainder)."""
-    return math.remainder(a, math.tau)
-
-
-def virtual_z_pass(circuit: Circuit, normalize_phases: bool = False
-                   ) -> tuple[Circuit, CompileReport]:
+def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     """Fold all RZ gates of a single-qubit circuit into phase offsets.
 
     Walks the circuit keeping a running offset L: RZ(a) adds a to L and
@@ -83,10 +77,6 @@ def virtual_z_pass(circuit: Circuit, normalize_phases: bool = False
     emitted as U(t, -(L+lam), L+lam) and then adds lam + phi to L;
     X flips the sign of L.  A final RZ(L) is appended unless the next
     op is a measurement (elided) or L is zero.
-
-    ``normalize_phases`` folds emitted offsets into [-pi, pi]; this is
-    exact for the pulse-form gates (2pi-periodic in the offset) and a
-    global sign at most for the trailing RZ.
     """
     if circuit.width != 1:
         raise ValueError("virtual-Z pass supports single-qubit circuits only")
@@ -95,9 +85,6 @@ def virtual_z_pass(circuit: Circuit, normalize_phases: bool = False
     offset = 0.0
     folded = 0
     elided = False
-
-    def emit_offset(val: float) -> float:
-        return wrap_angle(val) if normalize_phases else val
 
     for i, op in enumerate(circuit.ops):
         kind = op.kind
@@ -111,11 +98,10 @@ def virtual_z_pass(circuit: Circuit, normalize_phases: bool = False
             if offset == 0.0:
                 out.append(op)
             else:
-                eff = emit_offset(offset)
-                out.append(u(op.params[0], -eff, eff, op.qubits[0]))
+                out.append(u(op.params[0], -offset, offset, op.qubits[0]))
         elif kind is GateKind.U:
             theta, phi, lam = op.params
-            eff = emit_offset(offset + lam)
+            eff = offset + lam
             out.append(u(theta, -eff, eff, op.qubits[0]))
             offset += lam + phi
         elif kind is GateKind.MEASURE:
@@ -126,7 +112,7 @@ def virtual_z_pass(circuit: Circuit, normalize_phases: bool = False
             raise ValueError(f"virtual-Z pass cannot handle {kind.value}")
     else:
         if offset != 0.0:
-            out.append(rz(emit_offset(offset)))
+            out.append(rz(offset))
 
     compiled = Circuit(circuit.width, tuple(out))
     report = CompileReport(
@@ -134,7 +120,7 @@ def virtual_z_pass(circuit: Circuit, normalize_phases: bool = False
         output_gate_count=len(compiled.gates),
         physical_pulse_count=pulse_count(compiled),
         folded_rz_count=folded,
-        residual_rz=emit_offset(offset) if elided or offset != 0.0 else 0.0,
+        residual_rz=offset if elided or offset != 0.0 else 0.0,
     )
     return compiled, report
 

@@ -5,8 +5,7 @@ the realized circuit unitary matches the target up to a global phase.
 The local step is box-constrained L-BFGS-B with an analytic gradient
 (dRY(a)/da = RY(a + pi)/2); since it can fall into local minima, the
 primary safeguard is a loop of random restarts drawn uniformly from
-``init_range`` on a seed domain separate from measurement sampling.
-A derivative-free compass search is available as a fallback local step.
+``INIT_RANGE`` on a seed domain separate from measurement sampling.
 """
 from __future__ import annotations
 
@@ -17,20 +16,22 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .builders import SynthesisParams
+from .circuits import cnot
 from .rng import optimizer_generator
+from .simulator import gate_matrix, ry_matrix
 
 _DIM = 4
+BOUNDS = (-math.pi, math.pi)       # box on every angle
+INIT_RANGE = (-1.0, 1.0)           # restart draws, uniform per angle
+TOL_INFIDELITY = 1e-9              # a fit with 1 - F <= this has converged
 
 
 @dataclass(frozen=True)
 class FidelityProblem:
-    """Target unitary plus restart/bound configuration."""
+    """Target unitary plus restart budget."""
 
     target: np.ndarray
-    bounds: tuple[float, float] = (-math.pi, math.pi)
     restarts: int = 1000
-    init_range: tuple[float, float] = (-1.0, 1.0)
-    tol_infidelity: float = 1e-9
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=complex)
@@ -51,29 +52,7 @@ class OptimResult:
     converged: bool
 
 
-def _ry(a: float) -> np.ndarray:
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]])
-
-
-_CX = np.array([[1., 0., 0., 0.],
-                [0., 1., 0., 0.],
-                [0., 0., 0., 1.],
-                [0., 0., 1., 0.]])
-
-
-def ansatz_unitary(angles: np.ndarray) -> np.ndarray:
-    """Real 4x4 unitary of the circuit for angles (a1,b1,a2,b2,a3,b3)."""
-    a1, b1, a2, b2, a3, b3 = angles
-    k1 = np.kron(_ry(a1), _ry(b1))
-    k2 = np.kron(_ry(a2), _ry(b2))
-    k3 = np.kron(_ry(a3), _ry(b3))
-    return k3 @ _CX @ k2 @ _CX @ k1
-
-
-def params_to_vector(sp: SynthesisParams) -> np.ndarray:
-    a, b = sp.alpha, sp.beta
-    return np.array([a[0], b[0], a[1], b[1], a[2], b[2]])
+_CX = gate_matrix(cnot(0, 1)).real
 
 
 def vector_to_params(v: np.ndarray) -> SynthesisParams:
@@ -81,19 +60,11 @@ def vector_to_params(v: np.ndarray) -> SynthesisParams:
                            beta=(float(v[1]), float(v[3]), float(v[5])))
 
 
-def fidelity(u_t: np.ndarray, sp: SynthesisParams) -> float:
-    """Overlap fidelity of the realized circuit against a target."""
-    u_r = ansatz_unitary(params_to_vector(sp))
-    t = np.trace(np.asarray(u_t).conj().T @ u_r)
-    return float(abs(t) ** 2) / _DIM ** 2
-
-
 def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
                         ) -> tuple[float, np.ndarray]:
     """1 - F and its analytic gradient in the six angles."""
-    a1, b1, a2, b2, a3, b3 = angles
-    r = [_ry(a1), _ry(b1), _ry(a2), _ry(b2), _ry(a3), _ry(b3)]
-    d = [0.5 * _ry(a + math.pi) for a in angles]
+    r = [ry_matrix(a) for a in angles]
+    d = [0.5 * ry_matrix(a + math.pi) for a in angles]
     k1, k2, k3 = np.kron(r[0], r[1]), np.kron(r[2], r[3]), np.kron(r[4], r[5])
 
     right1 = _CX @ k2 @ _CX @ k1          # U = k3 @ right1
@@ -121,67 +92,32 @@ def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
     return float(1.0 - f), grad
 
 
-def compass_search(u_t: np.ndarray, start: np.ndarray,
-                   bounds: tuple[float, float], tol: float = 1e-12,
-                   max_iter: int = 2000) -> tuple[np.ndarray, float]:
-    """Derivative-free fallback: coordinate steps with halving radius."""
-    lo, hi = bounds
-    current = np.clip(start, lo, hi)
-    f_cur = infidelity_and_grad(u_t, current)[0]
-    step = 0.5
-    it = 0
-    while step > 1e-10 and f_cur > tol and it < max_iter:
-        improved = False
-        for i in range(6):
-            for sgn in (1.0, -1.0):
-                trial = current.copy()
-                trial[i] = min(hi, max(lo, trial[i] + sgn * step))
-                f_try = infidelity_and_grad(u_t, trial)[0]
-                if f_try < f_cur:
-                    current, f_cur = trial, f_try
-                    improved = True
-        if not improved:
-            step *= 0.5
-        it += 1
-    return current, f_cur
-
-
-def optimize(problem: FidelityProblem, seed: int,
-             method: str = "lbfgsb") -> OptimResult:
+def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
     """Best-of-restarts fit of the circuit angles to ``problem.target``.
 
     Initial points are drawn up front from the optimizer RNG stream, so
     the result is a pure function of (problem, seed).  Stops early once
-    the best infidelity reaches ``tol_infidelity``; ties between
+    the best infidelity reaches ``TOL_INFIDELITY``; ties between
     restarts keep the earliest.  Non-convergence is reported through
     ``converged``, never raised.
     """
     rng = optimizer_generator(seed)
-    lo, hi = problem.init_range
-    starts = rng.uniform(lo, hi, size=(problem.restarts, 6))
-    box = [problem.bounds] * 6
+    starts = rng.uniform(*INIT_RANGE, size=(problem.restarts, 6))
+    box = [BOUNDS] * 6
 
     best_val = math.inf
     best_x = starts[0]
     used = 0
     for start in starts:
         used += 1
-        if method == "lbfgsb":
-            res = minimize(lambda v: infidelity_and_grad(problem.target, v),
-                           start, jac=True, method="L-BFGS-B", bounds=box)
-            cand_x, cand_val = res.x, float(res.fun)
-        elif method == "compass":
-            cand_x, cand_val = compass_search(problem.target, start,
-                                              problem.bounds,
-                                              tol=problem.tol_infidelity)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        if cand_val < best_val:
-            best_val, best_x = cand_val, cand_x
-        if best_val <= problem.tol_infidelity:
+        res = minimize(lambda v: infidelity_and_grad(problem.target, v),
+                       start, jac=True, method="L-BFGS-B", bounds=box)
+        if res.fun < best_val:
+            best_val, best_x = float(res.fun), res.x
+        if best_val <= TOL_INFIDELITY:
             break
 
     best_val = max(best_val, 0.0)
-    return OptimResult(params=vector_to_params(np.clip(best_x, *problem.bounds)),
+    return OptimResult(params=vector_to_params(np.clip(best_x, *BOUNDS)),
                        infidelity=best_val, restarts_used=used,
-                       converged=best_val <= problem.tol_infidelity)
+                       converged=best_val <= TOL_INFIDELITY)

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .builders import (ENCODED, build_dilation, build_msw_circuit,
+from .builders import (ENCODED, DilationSet, build_dilation, build_msw_circuit,
                        build_slab_circuit, earth_profile)
-from .oscillation import (MatterLayer, OscParams, SlabProfile,
-                          prob_msw_adiabatic, prob_slab)
+from .circuits import Circuit
+from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
+                          SlabProfile, prob_msw_adiabatic, prob_slab)
 from .optim import FidelityProblem, optimize
 from .rng import scan_point_seed
 from .simulator import apply_matrix, init_state, probabilities, run, sample
@@ -44,6 +46,20 @@ DEFAULT_GRIDS = {
     "slab": (1.0, 25.0, 50),
     "earth": (1.0, 25.0, 50),
     "msw": (0.001, 0.050, 50),
+}
+
+
+_ANGLE = (lambda v: 0.0 <= v <= 90.0, "in [0, 90]")
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0.0, ">= 0")
+# Physical domain (test, description) of every float field of ScanConfig.
+_DOMAINS = {
+    "theta12_deg": _ANGLE, "theta13_deg": _ANGLE, "theta23_deg": _ANGLE,
+    "dm2_21": _POSITIVE, "dm2_31": _POSITIVE,
+    "ye": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "rho1": _NON_NEGATIVE, "rho2": _NON_NEGATIVE,
+    "production_rho": _NON_NEGATIVE,
+    "dx1_km": _NON_NEGATIVE, "dx2_km": _NON_NEGATIVE,
 }
 
 
@@ -88,8 +104,9 @@ class ScanConfig:
                                tuple(float(e) for e in self.energies))
         if len(self.energies) < 1:
             raise ConfigError("field 'energies': needs at least one point")
-        if any(e <= 0 for e in self.energies):
-            raise ConfigError("field 'energies': all energies must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in self.energies):
+            raise ConfigError("field 'energies': all energies must be finite "
+                              "and positive")
         if any(b <= a for a, b in zip(self.energies, self.energies[1:])):
             raise ConfigError("field 'energies': must be strictly ascending")
         if self.shots < 1:
@@ -106,6 +123,13 @@ class ScanConfig:
             raise ConfigError(f"field 'periods': must be >= 1, got {self.periods}")
         if self.restarts < 1:
             raise ConfigError(f"field 'restarts': must be >= 1, got {self.restarts}")
+        for name, (inside, rule) in _DOMAINS.items():
+            value = getattr(self, name)
+            if not (math.isfinite(value) and inside(value)):
+                raise ConfigError(f"field {name!r}: must be finite and {rule}, "
+                                  f"got {value!r}")
+        if self.svg is not None and len(self.energies) < 2:
+            raise ConfigError("field 'svg': a plot needs at least 2 energies")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
@@ -142,34 +166,32 @@ class ScanConfig:
         return replace(self, **updates)
 
 
-_INT_FIELDS = frozenset({"shots", "seed", "periods", "restarts"})
-_FLOAT_FIELDS = frozenset({"theta12_deg", "theta13_deg", "theta23_deg",
-                           "dm2_21", "dm2_31", "ye", "rho1", "rho2",
-                           "dx1_km", "dx2_km", "production_rho"})
-_BOOL_FIELDS = frozenset({"compile", "dump_circuit"})
-_STR_FIELDS = frozenset({"scenario", "synthesis", "angle_mode", "csv", "svg"})
+# Value type of each field, from its annotation with any "| None" dropped.
+_FIELD_TYPES = {name: (typing.get_args(hint) or (hint,))[0]
+                for name, hint in typing.get_type_hints(ScanConfig).items()}
 
 
 def _coerce_field(name: str, value):
     """Check/convert one config value; bad types become ConfigErrors."""
     if value is None or name == "energies":
         return value
-    if name in _INT_FIELDS:
+    kind = _FIELD_TYPES[name]
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"field {name!r}: expected an integer, "
                               f"got {value!r}")
         return value
-    if name in _FLOAT_FIELDS:
+    if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"field {name!r}: expected a number, "
                               f"got {value!r}")
         return float(value)
-    if name in _BOOL_FIELDS:
+    if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"field {name!r}: expected true/false, "
                               f"got {value!r}")
         return value
-    if name in _STR_FIELDS and not isinstance(value, str):
+    if kind is str and not isinstance(value, str):
         raise ConfigError(f"field {name!r}: expected a string, got {value!r}")
     return value
 
@@ -231,17 +253,31 @@ def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
         period_count=config.periods)
 
 
-def scenario_circuit(config: ScanConfig, energy_gev: float):
+def scenario_circuit(config: ScanConfig, energy_gev: float) -> Circuit:
     """The circuit the scan would execute at one energy (for --dump-circuit)."""
+    if config.scenario == "msw":
+        ds = build_dilation(*msw_setup(config), energy_gev)
+        return _fitted_circuit(config, ds, energy_gev, 0)
     p, profile, th23 = _single_qubit_setup(config)
-    if config.scenario in ("slab", "earth"):
-        return build_slab_circuit(p, profile, energy_gev,
-                                  compile=config.compile, theta23=th23)
-    p12 = OscParams(math.radians(config.theta12_deg), config.dm2_21)
-    layer = MatterLayer(config.production_rho, config.ye, 0.0)
-    ds = build_dilation(p12, layer, energy_gev)
+    return build_slab_circuit(p, profile, energy_gev, compile=config.compile,
+                              theta23=th23)
+
+
+def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
+    """1-2 sector parameters and production layer of an msw scan."""
+    return (OscParams(math.radians(config.theta12_deg), config.dm2_21),
+            MatterLayer(config.production_rho, config.ye, 0.0))
+
+
+def _fitted_circuit(config: ScanConfig, ds: DilationSet, energy_gev: float,
+                    index: int) -> Circuit:
+    """Two-CNOT circuit fitted to a dilation; a failed fit raises."""
     res = optimize(FidelityProblem(target=ds.u2q, restarts=config.restarts),
-                   scan_point_seed(config.seed, 0))
+                   scan_point_seed(config.seed, index))
+    if not res.converged:
+        raise NumericalDomainError(
+            f"optimized synthesis at {energy_gev!r} GeV did not converge: "
+            f"1-F = {res.infidelity:.3g} after {res.restarts_used} restart(s)")
     return build_msw_circuit(res.params)
 
 
@@ -283,18 +319,14 @@ def _run_single_qubit_scan(config: ScanConfig) -> list[ScanPoint]:
 
 
 def _run_msw_scan(config: ScanConfig) -> list[ScanPoint]:
-    p = OscParams(math.radians(config.theta12_deg), config.dm2_21)
-    layer = MatterLayer(config.production_rho, config.ye, 0.0)
+    p, layer = msw_setup(config)
     points = []
     for i, e in enumerate(config.energies):
         ds = build_dilation(p, layer, e)
         if config.synthesis == "exact":
             state = apply_matrix(init_state(2), ds.u2q)
         else:
-            res = optimize(
-                FidelityProblem(target=ds.u2q, restarts=config.restarts),
-                scan_point_seed(config.seed, i))
-            state, _ = run(build_msw_circuit(res.params))
+            state, _ = run(_fitted_circuit(config, ds, e, i))
         pee = probabilities(state, ENCODED)[0]
         shot = sample(state, ENCODED, config.shots,
                       scan_point_seed(config.seed, i))

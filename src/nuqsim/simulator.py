@@ -30,6 +30,12 @@ class ShotResult:
     seed: int
 
 
+def ry_matrix(a: float) -> np.ndarray:
+    """Real 2x2 matrix of RY(a) = exp(-i a Y/2)."""
+    c, s = math.cos(a / 2), math.sin(a / 2)
+    return np.array([[c, -s], [s, c]])
+
+
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Exact unitary of a gate op (2x2, or 4x4 for CNOT).
 
@@ -41,8 +47,7 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     if kind is GateKind.X:
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if kind is GateKind.RY:
-        c, s = math.cos(op.params[0] / 2), math.sin(op.params[0] / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return ry_matrix(op.params[0]).astype(complex)
     if kind is GateKind.RZ:
         half = op.params[0] / 2
         return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])

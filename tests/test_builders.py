@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from nuqsim.builders import (SynthesisParams, build_dilation,
-                             build_earth_circuit, build_msw_circuit,
-                             build_slab_circuit, dilation_from_angles,
-                             earth_profile)
+                             build_msw_circuit, build_slab_circuit,
+                             dilation_from_angles, earth_profile)
 from nuqsim.circuits import GateKind, measure, ry, rz, x
 from nuqsim.compiler import pulse_count
 from nuqsim.oscillation import (MatterLayer, OscParams, SlabProfile,
@@ -83,7 +82,8 @@ def test_earth_compiled_cumulative_offsets():
     """Compiled earth circuit: X, RY, then five pulse gates whose offsets
     accumulate as phi1, phi1, phi1+phi2, phi1+phi2, 2*phi1+phi2."""
     e = 6.0
-    circ = build_earth_circuit(P13, e, compile=True, theta23=TH23)
+    circ = build_slab_circuit(P13, earth_profile(), e, compile=True,
+                              theta23=TH23)
     params = slab_layer_params(P13, earth_profile(), e, TH23)
     (t1, f1), (t2, f2), _ = params
     kinds = [op.kind for op in circ.ops]
@@ -110,7 +110,7 @@ def test_zero_phase_layers_give_identity_evolution():
 def test_earth_circuit_matches_oracle_over_grid():
     prof = earth_profile()
     for e in np.linspace(1.0, 25.0, 40):
-        circ = build_earth_circuit(P13, e, compile=True, theta23=TH23)
+        circ = build_slab_circuit(P13, prof, e, compile=True, theta23=TH23)
         oracle = prob_slab(P13, prof, e, "mu", TH23)
         assert abs(exact_p0(circ) - oracle) < 1e-12
 

@@ -7,7 +7,7 @@ import pytest
 from nuqsim.circuits import Circuit, GateKind, cnot, measure, ry, rz, u, x
 from nuqsim.compiler import (dump_circuit, is_sx, lower_to_native,
                              parse_circuit, pulse, pulse_count, sx,
-                             virtual_z_pass, wrap_angle)
+                             virtual_z_pass)
 from nuqsim.simulator import (circuit_unitary, gate_matrix, probabilities,
                               run, unitaries_equal_up_to_phase)
 
@@ -123,32 +123,6 @@ def test_idempotent_pulse_count():
         once, _ = virtual_z_pass(circ)
         twice, _ = virtual_z_pass(once)
         assert pulse_count(once) == pulse_count(twice)
-
-
-def test_normalized_phases_equivalent():
-    circ = Circuit(1, tuple(op for k in range(12)
-                            for op in (rz(2.1 + k), ry(0.3 * k + 0.1))))
-    plain, _ = virtual_z_pass(circ)
-    norm, _ = virtual_z_pass(circ, normalize_phases=True)
-    for op in norm.ops:
-        # normalization applies to phase offsets, not rotation angles
-        if op.kind is GateKind.U:
-            offsets = op.params[1:]
-        elif op.kind is GateKind.RZ:
-            offsets = op.params
-        else:
-            offsets = ()
-        for p in offsets:
-            assert -math.pi <= p <= math.pi
-    assert unitaries_equal_up_to_phase(circuit_unitary(norm),
-                                       circuit_unitary(plain), 1e-12)
-
-
-def test_wrap_angle_mod_2pi():
-    for a in RNG.uniform(-50, 50, 200):
-        w = wrap_angle(a)
-        assert -math.pi <= w <= math.pi
-        assert abs(math.remainder(w - a, math.tau)) < 1e-12
 
 
 def test_pass_rejects_two_qubit():

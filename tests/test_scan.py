@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nuqsim.cli as cli
+from nuqsim import optim, scan
 from nuqsim.builders import earth_profile
 from nuqsim.oscillation import (MatterLayer, NumericalDomainError, OscParams,
                                 prob_msw_adiabatic, prob_slab)
@@ -348,3 +349,54 @@ def test_cli_dump_msw_exact_shows_matrix(capsys):
                      "0.002:0.02:2", "--shots", "8", "--dump-circuit"])
     assert code == 0
     assert "4x4 dilation" in capsys.readouterr().out
+
+
+BAD_INPUTS = [
+    # (config fields, text stderr must contain); each must exit 2
+    ({"energies": [1.0, float("nan")]}, "energies"),
+    ({"energies": [1.0, float("inf")]}, "energies"),
+    ({"theta12_deg": -1.0}, "theta12_deg"),
+    ({"theta13_deg": 120}, "theta13_deg"),
+    ({"theta23_deg": float("nan")}, "theta23_deg"),
+    ({"dm2_21": 0}, "dm2_21"),
+    ({"dm2_31": float("inf")}, "dm2_31"),
+    ({"ye": 0}, "ye"),
+    ({"ye": 1.5}, "ye"),
+    ({"rho1": -1}, "rho1"),
+    ({"rho2": float("-inf")}, "rho2"),
+    ({"production_rho": -150.0}, "production_rho"),
+    ({"dx1_km": -500.0}, "dx1_km"),
+    ({"dx2_km": float("nan")}, "dx2_km"),
+    ({"energies": [2.0], "svg": "{tmp}/one.svg"}, "svg"),
+    ({"csv": "{tmp}/missing/out.csv"}, "missing/out.csv"),
+    ({"svg": "{tmp}/missing/out.svg"}, "missing/out.svg"),
+]
+
+
+@pytest.mark.parametrize("bad, named", BAD_INPUTS)
+def test_cli_bad_input_exit_2(tmp_path, capsys, bad, named):
+    cfg = {"scenario": "slab", "energies": [1.0, 2.0], "shots": 8}
+    cfg.update({k: v.format(tmp=tmp_path) if isinstance(v, str) else v
+                for k, v in bad.items()})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_cli_failed_fit_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(optim, "TOL_INFIDELITY", -1.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
+                                "energies": [0.002, 0.02], "restarts": 2}))
+    assert cli.main(["scan", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "0.002 GeV did not converge" in err
+    assert "1-F = " in err and "after 2 restart(s)" in err
+
+
+def test_every_float_field_has_a_domain():
+    floats = {name for name, kind in scan._FIELD_TYPES.items() if kind is float}
+    assert set(scan._DOMAINS) == floats
