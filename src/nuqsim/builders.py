@@ -6,6 +6,12 @@ the fraction of |0> outcomes is P(nu_mu -> nu_e)).  The adiabatic MSW
 scenario embeds the non-unitary product Q = W_vac W_mat into a 4x4
 orthogonal dilation acting on an ancilla + encoded qubit pair, either
 applied directly or synthesized as a two-CNOT / six-RY circuit.
+
+A scan builds one template per profile: given an energy array of shape
+``(n,)``, ``build_slab_circuit`` returns one circuit whose angles are
+``(n,)`` arrays, ``build_dilation`` returns ``(n, 4, 4)`` stacks, and
+``build_msw_circuit`` takes per-point angle arrays.  Given one energy
+(or float angles) they return a single circuit and 4x4 matrices.
 """
 from __future__ import annotations
 
@@ -22,17 +28,19 @@ from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
 ANCILLA, ENCODED = 0, 1   # dilation circuit qubit roles (q_A, q_B)
 
 
-def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev: float,
+def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
                        compile: bool = False,
                        theta23: float | None = None) -> Circuit:
-    """Single-qubit circuit propagating nu_mu through a slab profile.
+    """Single-qubit circuit propagating nu_mu through a slab profile, at
+    one energy or, for an energy array, as a template over the grid.
 
     With ``compile`` set, the virtual-Z pass folds every RZ(phi_k) into
     the phase offsets of the following rotations, leaving 2N+1 pulses
     for N layers.
     """
     ops = [x(0)]
-    for theta_k, phi_k in slab_layer_params(p, profile, energy_gev, theta23):
+    angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
+    for theta_k, phi_k in zip(angles, phases):
         ops += [ry(-2.0 * theta_k), rz(phi_k), ry(2.0 * theta_k)]
     ops.append(measure(0))
     circuit = Circuit(1, tuple(ops))
@@ -52,11 +60,12 @@ def earth_profile(ye: float = 0.5) -> SlabProfile:
 
 @dataclass(frozen=True)
 class DilationSet:
-    """Matrices embedding the non-unitary MSW map for one scan point.
+    """Matrices embedding the non-unitary MSW map, per scan point.
 
     w_vac and w_mat are the phase-averaged (doubly stochastic) mixing
     matrices, q = w_vac @ w_mat, and u2q is the orthogonal dilation
     [[Q, S], [S, -Q]] with S = sqrt(I - Q^2), indexed by the ancilla.
+    Over an angle or energy array each is a stack, e.g. u2q (n, 4, 4).
     """
 
     w_vac: np.ndarray
@@ -65,12 +74,14 @@ class DilationSet:
     u2q: np.ndarray
 
 
-def _w_matrix(theta: float) -> np.ndarray:
-    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    return np.array([[c2, s2], [s2, c2]])
+def _w_matrix(theta) -> np.ndarray:
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    w = np.empty(np.shape(theta) + (2, 2))
+    w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1] = c2, s2, s2, c2
+    return w
 
 
-def dilation_from_angles(theta: float, theta_m: float) -> DilationSet:
+def dilation_from_angles(theta, theta_m) -> DilationSet:
     """Dilation built directly from the vacuum and matter angles.
 
     Q shares the fixed eigenbasis (1,1)/sqrt2, (1,-1)/sqrt2 of every
@@ -80,43 +91,48 @@ def dilation_from_angles(theta: float, theta_m: float) -> DilationSet:
     w_vac = _w_matrix(theta)
     w_mat = _w_matrix(theta_m)
     q = w_vac @ w_mat
-    lam_sym = q[0, 0] + q[0, 1]       # eigenvalue on (1,1):  always 1
-    lam_asym = q[0, 0] - q[0, 1]      # eigenvalue on (1,-1): cos2t*cos2tm
+    lam_sym = q[..., 0, 0] + q[..., 0, 1]    # eigenvalue on (1,1):  always 1
+    lam_asym = q[..., 0, 0] - q[..., 0, 1]   # eigenvalue on (1,-1): cos2t*cos2tm
     for lam in (lam_sym, lam_asym):
-        if abs(lam) > 1.0 + 1e-12:
+        if np.any(np.abs(lam) > 1.0 + 1e-12):
             raise NumericalDomainError(
-                f"Q eigenvalue {lam} exceeds 1; dilation undefined")
-    s_val = math.sqrt(max(0.0, 1.0 - lam_asym ** 2))
-    s = 0.5 * s_val * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    u2q = np.block([[q, s], [s, -q]])
+                f"Q eigenvalue {np.max(np.abs(lam))} exceeds 1; "
+                "dilation undefined")
+    s_val = np.sqrt(np.maximum(0.0, 1.0 - lam_asym ** 2))
+    s = 0.5 * s_val[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    u2q = np.concatenate([np.concatenate([q, s], axis=-1),
+                          np.concatenate([s, -q], axis=-1)], axis=-2)
     return DilationSet(w_vac=w_vac, w_mat=w_mat, q=q, u2q=u2q)
 
 
 def build_dilation(p: OscParams, production_layer: MatterLayer,
-                   energy_gev: float) -> DilationSet:
-    """Dilation for a production layer and energy (theta_m from matter)."""
+                   energy_gev) -> DilationSet:
+    """Dilation for a production layer at one energy or an energy array
+    (theta_m from matter)."""
     ep = effective_params(p, production_layer, energy_gev)
     return dilation_from_angles(p.theta, ep.theta_m)
 
 
 @dataclass(frozen=True)
 class SynthesisParams:
-    """Six RY angles (three per qubit) of the two-CNOT dilation circuit."""
+    """Six RY angles (three per qubit) of the two-CNOT dilation circuit;
+    each a float, or an ``(n,)`` array with one fitted angle per point."""
 
-    alpha: tuple[float, float, float]   # ancilla rotations
-    beta: tuple[float, float, float]    # encoded-qubit rotations
+    alpha: tuple   # ancilla rotations
+    beta: tuple    # encoded-qubit rotations
 
     def __post_init__(self):
         for name, angles in (("alpha", self.alpha), ("beta", self.beta)):
             if len(angles) != 3:
                 raise ValueError(f"{name} needs exactly 3 angles")
             for a in angles:
-                if not abs(a) <= math.pi:
+                if not np.all(np.abs(a) <= math.pi):
                     raise ValueError(f"{name} angle {a} outside [-pi, pi]")
 
 
 def build_msw_circuit(sp: SynthesisParams) -> Circuit:
-    """Two-qubit circuit (RY x RY) CX (RY x RY) CX (RY x RY), measure q_B."""
+    """Two-qubit circuit (RY x RY) CX (RY x RY) CX (RY x RY), measure q_B;
+    a template when the angles are arrays."""
     a1, a2, a3 = sp.alpha
     b1, b2, b3 = sp.beta
     ops = (

@@ -4,12 +4,20 @@ Gate set: X, RY, RZ, U (generic three-angle single-qubit rotation),
 CNOT, MEASURE.  Qubit 0 is the most significant bit of the basis index,
 so a two-qubit basis state reads |q0 q1>.  MEASURE ops may only appear
 at the tail of a circuit.  Circuits and ops are immutable values.
+
+An angle is a float or a read-only ``(n,)`` array.  A circuit whose
+angles are arrays is a template: one circuit per grid point, all of
+the same shape, executed as one batch (``batch_shape == (n,)``).  A
+circuit of float angles is a single circuit (``batch_shape == ()``);
+``Circuit.point(i)`` cuts the single circuit of point i from a template.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 
 class GateKind(Enum):
@@ -40,11 +48,11 @@ class GateOp:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(map(_angle, self.params)))
         if len(self.params) != N_PARAMS[self.kind]:
             raise ValueError(f"{self.kind.value} takes {N_PARAMS[self.kind]} "
                              f"angle(s), got {len(self.params)}")
-        if not all(math.isfinite(p) for p in self.params):
+        if not all(map(_finite, self.params)):
             raise ValueError(f"non-finite angle in {self.kind.value} op")
         if any(q < 0 for q in self.qubits):
             raise ValueError("negative qubit index")
@@ -52,20 +60,35 @@ class GateOp:
             raise ValueError("CNOT control and target must differ")
 
 
+def _angle(p) -> float | np.ndarray:
+    """A float, or a read-only copy of a 1-D angle array."""
+    if not isinstance(p, np.ndarray) or p.ndim == 0:
+        return float(p)
+    a = np.array(p, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"an angle array must be 1-D, got shape {a.shape}")
+    a.flags.writeable = False
+    return a
+
+
+def _finite(p: float | np.ndarray) -> bool:
+    return math.isfinite(p) if type(p) is float else bool(np.isfinite(p).all())
+
+
 def x(qubit: int = 0) -> GateOp:
     return GateOp(GateKind.X, (qubit,))
 
 
-def ry(angle: float, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.RY, (qubit,), (float(angle),))
+def ry(angle, qubit: int = 0) -> GateOp:
+    return GateOp(GateKind.RY, (qubit,), (angle,))
 
 
-def rz(angle: float, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.RZ, (qubit,), (float(angle),))
+def rz(angle, qubit: int = 0) -> GateOp:
+    return GateOp(GateKind.RZ, (qubit,), (angle,))
 
 
-def u(theta: float, phi: float, lam: float, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.U, (qubit,), (float(theta), float(phi), float(lam)))
+def u(theta, phi, lam, qubit: int = 0) -> GateOp:
+    return GateOp(GateKind.U, (qubit,), (theta, phi, lam))
 
 
 def cnot(control: int, target: int) -> GateOp:
@@ -82,6 +105,8 @@ class Circuit:
 
     width: int
     ops: tuple[GateOp, ...] = field(default_factory=tuple)
+    batch_shape: tuple[int, ...] = field(init=False, compare=False,
+                                         repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -98,6 +123,19 @@ class Circuit:
                 seen_measure.add(op.qubits[0])
             elif seen_measure:
                 raise ValueError("gate after MEASURE; measures must be at the tail")
+        shapes = {p.shape for op in self.ops for p in op.params
+                  if type(p) is not float}
+        if len(shapes) > 1:
+            raise ValueError(f"angle arrays of shapes {sorted(shapes)} "
+                             "in one circuit")
+        object.__setattr__(self, "batch_shape", shapes.pop() if shapes else ())
+
+    def point(self, i: int) -> "Circuit":
+        """The single circuit of grid point i of a template."""
+        return Circuit(self.width, tuple(
+            GateOp(op.kind, op.qubits,
+                   tuple(p if np.ndim(p) == 0 else p[i] for p in op.params))
+            for op in self.ops))
 
     @property
     def gates(self) -> tuple[GateOp, ...]:

@@ -77,18 +77,17 @@ def _print_compile_savings(config: ScanConfig) -> None:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    result = run_scan(config)
     if config.dump_circuit:
-        if config.scenario == "msw" and config.synthesis == "exact":
+        if result.circuit is None:
             ds = build_dilation(*msw_setup(config), config.energies[0])
             print("# exact mode applies this 4x4 dilation directly:")
             print(np.array2string(ds.u2q, precision=12))
         else:
-            print(dump_circuit(scenario_circuit(config, config.energies[0])),
-                  end="")
+            print(dump_circuit(result.circuit.point(0)), end="")
     if config.compile and config.scenario in ("slab", "earth"):
         _print_compile_savings(config)
 
-    result = run_scan(config)
     print(f"{config.scenario}: {len(config.energies)} energies, "
           f"{config.shots} shots, seed {config.seed}")
     if config.csv:

@@ -52,7 +52,7 @@ class CompileReport:
     output_gate_count: int
     physical_pulse_count: int    # pulse_count() of the output
     folded_rz_count: int
-    residual_rz: float           # angle of the (kept or elided) trailing RZ
+    residual_rz: float | np.ndarray  # angle of the (kept or elided) trailing RZ
 
 
 def pulse_count(circuit: Circuit) -> int:
@@ -76,7 +76,9 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     is dropped; RY(t) is emitted as U(t, -L, L); U(t, phi, lam) is
     emitted as U(t, -(L+lam), L+lam) and then adds lam + phi to L;
     X flips the sign of L.  A final RZ(L) is appended unless the next
-    op is a measurement (elided) or L is zero.
+    op is a measurement (elided) or L is zero.  On a template, L is an
+    array over the grid, which counts as zero only if every entry is;
+    ``residual_rz`` is then that array.
     """
     if circuit.width != 1:
         raise ValueError("virtual-Z pass supports single-qubit circuits only")
@@ -89,13 +91,13 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     for i, op in enumerate(circuit.ops):
         kind = op.kind
         if kind is GateKind.RZ:
-            offset += op.params[0]
+            offset = offset + op.params[0]
             folded += 1
         elif kind is GateKind.X:
             out.append(op)
             offset = -offset
         elif kind is GateKind.RY:
-            if offset == 0.0:
+            if _is_zero(offset):
                 out.append(op)
             else:
                 out.append(u(op.params[0], -offset, offset, op.qubits[0]))
@@ -103,15 +105,15 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
             theta, phi, lam = op.params
             eff = offset + lam
             out.append(u(theta, -eff, eff, op.qubits[0]))
-            offset += lam + phi
+            offset = offset + (lam + phi)
         elif kind is GateKind.MEASURE:
-            elided = offset != 0.0
+            elided = not _is_zero(offset)
             out.extend(circuit.ops[i:])
             break
         else:
             raise ValueError(f"virtual-Z pass cannot handle {kind.value}")
     else:
-        if offset != 0.0:
+        if not _is_zero(offset):
             out.append(rz(offset))
 
     compiled = Circuit(circuit.width, tuple(out))
@@ -120,9 +122,13 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
         output_gate_count=len(compiled.gates),
         physical_pulse_count=pulse_count(compiled),
         folded_rz_count=folded,
-        residual_rz=offset if elided or offset != 0.0 else 0.0,
+        residual_rz=offset if elided or not _is_zero(offset) else 0.0,
     )
     return compiled, report
+
+
+def _is_zero(offset: float | np.ndarray) -> bool:
+    return not (offset.any() if type(offset) is np.ndarray else offset)
 
 
 # --- native lowering ---------------------------------------------------------
@@ -171,6 +177,7 @@ def lower_to_native(circuit: Circuit) -> Circuit:
     """
     if circuit.width != 1:
         raise ValueError("two-qubit lowering is not supported")
+    _require_single(circuit)
     _check_native_convention()
 
     out: list[GateOp] = []
@@ -195,6 +202,12 @@ def lower_to_native(circuit: Circuit) -> Circuit:
     return Circuit(circuit.width, tuple(out))
 
 
+def _require_single(circuit: Circuit) -> None:
+    if circuit.batch_shape:
+        raise ValueError("a template circuit holds one circuit per grid "
+                         "point; cut one out with Circuit.point(i)")
+
+
 # --- textual dump ------------------------------------------------------------
 
 def dump_circuit(circuit: Circuit) -> str:
@@ -203,6 +216,7 @@ def dump_circuit(circuit: Circuit) -> str:
     Angles use repr() so the dump round-trips bit-exactly through
     ``parse_circuit``.
     """
+    _require_single(circuit)
     lines = [f"# nuqsim-circuit width={circuit.width}"]
     for op in circuit.ops:
         fields = [op.kind.value]

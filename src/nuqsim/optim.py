@@ -63,8 +63,8 @@ def vector_to_params(v: np.ndarray) -> SynthesisParams:
 def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
                         ) -> tuple[float, np.ndarray]:
     """1 - F and its analytic gradient in the six angles."""
-    r = [ry_matrix(a) for a in angles]
-    d = [0.5 * ry_matrix(a + math.pi) for a in angles]
+    r = ry_matrix(angles)
+    d = 0.5 * ry_matrix(angles + math.pi)
     k1, k2, k3 = np.kron(r[0], r[1]), np.kron(r[2], r[3]), np.kron(r[4], r[5])
 
     right1 = _CX @ k2 @ _CX @ k1          # U = k3 @ right1

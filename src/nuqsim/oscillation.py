@@ -18,6 +18,11 @@ Three ground-truth probability oracles are provided:
   (1 + cos 2theta cos 2theta_m)/2 for adiabatic propagation from a
   dense production point to vacuum.
 
+Every energy argument may be one energy or an array of them: the
+oracles then evaluate the whole grid at once, with their own propagator
+formulas.  They never call the circuit simulator, so the circuit path
+and its oracle stay independent code.
+
 The two unit-conversion factors are derived once from CODATA constants
 (Fermi coupling, neutron mass, hbar*c) and self-checked at import:
 
@@ -34,6 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.constants as _sc
+
+
+def _libm(f, *args):
+    """Scalar libm function ``f`` applied elementwise (a float for float
+    arguments).
+
+    numpy's SIMD arctan2, arcsin, hypot and complex abs differ from libm
+    in the last bit for a few percent of inputs, and which SIMD path runs
+    depends on the CPU; with libm the circuit angles, the dumped circuits
+    and the oracle values stay those of the scalar formulas.
+    """
+    return np.array(np.frompyfunc(f, len(args), 1)(*args), dtype=float)[()]
 
 
 class NumericalDomainError(ArithmeticError):
@@ -129,7 +146,8 @@ class SlabProfile:
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Matter-modified mixing angle and splitting for one layer."""
+    """Matter-modified mixing angle and splitting for one layer (arrays
+    over the energies when given an energy array)."""
 
     theta_m: float      # rad, in [0, pi/2]
     dm2_m: float        # eV^2
@@ -137,14 +155,19 @@ class EffectiveParams:
     a_ev2: float        # matter term A
 
 
-def matter_potential(layer: MatterLayer, energy_gev: float) -> float:
+def _check_energy(energy_gev) -> None:
+    if np.any(np.less_equal(energy_gev, 0.0)):
+        raise ValueError(f"energy must be positive, got "
+                         f"{float(np.min(energy_gev))!r}")
+
+
+def matter_potential(layer: MatterLayer, energy_gev):
     """Matter term A = 2 sqrt(2) G_F Ye rho E / m_n, in eV^2."""
-    if energy_gev <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy_gev}")
+    _check_energy(energy_gev)
     return CONSTANTS.matter_factor * layer.ye * layer.rho * energy_gev
 
 
-def effective_params_from_beta(p: OscParams, beta: float) -> EffectiveParams:
+def effective_params_from_beta(p: OscParams, beta) -> EffectiveParams:
     """Effective angle and splitting at a given beta = A/dm2.
 
     sin 2theta_m = sin 2theta / sqrt((cos 2theta - beta)^2 + sin^2 2theta),
@@ -154,108 +177,152 @@ def effective_params_from_beta(p: OscParams, beta: float) -> EffectiveParams:
     """
     s2 = math.sin(2.0 * p.theta)
     c2 = math.cos(2.0 * p.theta)
-    root = math.hypot(c2 - beta, s2)
-    if root == 0.0:
+    root = _libm(math.hypot, c2 - beta, s2)
+    if np.any(root == 0.0):
         raise NumericalDomainError(
             "theta_m undefined: beta = cos 2theta with sin 2theta = 0")
-    theta_m = 0.5 * math.atan2(s2, c2 - beta)
+    theta_m = 0.5 * _libm(math.atan2, s2, c2 - beta)
     return EffectiveParams(theta_m=theta_m, dm2_m=p.dm2 * root,
                            beta=beta, a_ev2=beta * p.dm2)
 
 
 def effective_params(p: OscParams, layer: MatterLayer,
-                     energy_gev: float) -> EffectiveParams:
+                     energy_gev) -> EffectiveParams:
     a = matter_potential(layer, energy_gev)
     return effective_params_from_beta(p, a / p.dm2)
 
 
-def phase(dm2_m: float, length_km: float, energy_gev: float) -> float:
+def phase(dm2_m, length_km: float, energy_gev):
     """Oscillation phase phi = dm2_m * dx / (2E), in radians."""
-    if energy_gev <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy_gev}")
+    _check_energy(energy_gev)
     if length_km < 0.0:
         raise ValueError(f"length must be >= 0, got {length_km}")
     return CONSTANTS.phase_factor * dm2_m * length_km / energy_gev
 
 
-def mixing_rotation(theta: float) -> np.ndarray:
-    """Flavor rotation [[cos t, -sin t], [sin t, cos t]] (= RY(2t))."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def mixing_rotation(theta) -> np.ndarray:
+    """Flavor rotation [[cos t, -sin t], [sin t, cos t]] (= RY(2t)),
+    stacked over an angle array."""
+    c, s = np.cos(theta), np.sin(theta)
+    r = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    r[..., 0, 0], r[..., 0, 1], r[..., 1, 0], r[..., 1, 1] = c, -s, s, c
+    return r
 
 
-def phase_rotation(phi: float) -> np.ndarray:
-    """Mass-basis evolution diag(e^{-i phi/2}, e^{i phi/2}) (= RZ(phi))."""
-    return np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]])
+def phase_rotation(phi) -> np.ndarray:
+    """Mass-basis evolution diag(e^{-i phi/2}, e^{i phi/2}) (= RZ(phi)),
+    stacked over a phase array."""
+    d = np.zeros(np.shape(phi) + (2, 2), dtype=complex)
+    d[..., 0, 0], d[..., 1, 1] = np.exp(-0.5j * phi), np.exp(0.5j * phi)
+    return d
 
 
-def layer_propagator(theta_m: float, phi: float) -> np.ndarray:
+def layer_propagator(theta_m, phi) -> np.ndarray:
     """Flavor-basis propagator R(theta_m) P(phi) R(theta_m)^T for one layer."""
     r = mixing_rotation(theta_m)
-    return r @ phase_rotation(phi) @ r.T
+    return r @ phase_rotation(phi) @ np.swapaxes(r, -1, -2)
 
 
-def atmospheric_effective_angle(theta23: float, theta13_m: float) -> float:
+def atmospheric_effective_angle(theta23: float, theta13_m):
     """Effective two-flavor angle arcsin(sin theta23 * sin 2theta13_m)."""
-    return math.asin(math.sin(theta23) * math.sin(2.0 * theta13_m))
+    return _libm(math.asin, math.sin(theta23) * np.sin(2.0 * theta13_m))
 
 
-def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev: float,
+# Largest accumulated phase (rad) a slab profile may carry at any energy.
+# Below it the float spacing of a phase, and of the virtual-Z offset
+# summed from the phases, is at most 2**-40 ~ 9.1e-13 rad, inside the
+# 1e-12 to which circuit and oracle probabilities are stated; above it
+# the phase no longer fixes the probability to that precision.
+PHASE_LIMIT = 2.0 ** 13
+
+
+def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
                       theta23: float | None = None
-                      ) -> list[tuple[float, float]]:
-    """Per-layer (rotation angle, phase) pairs for a profile.
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-layer rotation angles and phases of a profile.
 
+    Returns ``(angles, phases)``, each of shape ``(layers,) +
+    shape(energy_gev)``: one row per expanded layer, one column per
+    energy.  Each distinct layer is computed once for the whole grid.
     With ``theta23`` given, the per-layer angle is the atmospheric
     effective angle built from the matter-modified theta; otherwise the
     plain matter angle theta_m is used.  The phase always comes from
-    the matter-modified splitting.
+    the matter-modified splitting.  A layer phase or an accumulated
+    phase (the virtual-Z offset of the compiled circuit) not below
+    ``PHASE_LIMIT`` raises NumericalDomainError.
     """
-    out = []
-    for layer in profile.expanded():
-        ep = effective_params(p, layer, energy_gev)
-        phi = phase(ep.dm2_m, layer.length_km, energy_gev)
-        ang = ep.theta_m if theta23 is None else \
-            atmospheric_effective_angle(theta23, ep.theta_m)
-        out.append((ang, phi))
-    return out
+    unique = {}
+    for layer in profile.layers:
+        if layer not in unique:
+            ep = effective_params(p, layer, energy_gev)
+            unique[layer] = (
+                ep.theta_m if theta23 is None else
+                atmospheric_effective_angle(theta23, ep.theta_m),
+                phase(ep.dm2_m, layer.length_km, energy_gev))
+    layers = profile.expanded()
+    angles = np.array([unique[layer][0] for layer in layers])
+    phases = np.array([unique[layer][1] for layer in layers])
+    _check_phase_precision(phases, energy_gev)
+    return angles, phases
 
 
-def prob_constant_density(p: OscParams, layer: MatterLayer, energy_gev: float,
-                          length_km: float) -> float:
+def _check_phase_precision(phases: np.ndarray, energy_gev) -> None:
+    energies = np.ravel(energy_gev)
+    for name, value in (("layer phase", phases.max(axis=0)),
+                        ("accumulated phase", phases.sum(axis=0))):
+        bad = np.ravel(~(value < PHASE_LIMIT))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalDomainError(
+                f"{name} {np.ravel(value)[i]:.6g} rad at "
+                f"{float(energies[i])!r} GeV is not below {PHASE_LIMIT:g} rad, "
+                "where its float spacing stops resolving 1e-12")
+
+
+def prob_constant_density(p: OscParams, layer: MatterLayer, energy_gev,
+                          length_km: float):
     """P(nu_mu -> nu_e) after one uniform layer: sin^2 2theta_m sin^2(phi/2)."""
     ep = effective_params(p, layer, energy_gev)
     phi = phase(ep.dm2_m, length_km, energy_gev)
-    return math.sin(2.0 * ep.theta_m) ** 2 * math.sin(0.5 * phi) ** 2
+    return np.sin(2.0 * ep.theta_m) ** 2 * np.sin(0.5 * phi) ** 2
 
 
 _FLAVOR_INDEX = {"e": 0, "mu": 1}
 
 
-def prob_slab(p: OscParams, profile: SlabProfile, energy_gev: float,
-              initial: str = "mu", theta23: float | None = None) -> float:
-    """P(initial -> nu_e) through a piecewise-constant profile.
+def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
+              initial: str = "mu", theta23: float | None = None):
+    """P(initial -> nu_e) through a piecewise-constant profile, at one
+    energy or over an energy array.
 
-    Multiplies the exact per-layer 2x2 propagators in order and returns
-    the squared nu_e amplitude.
+    Multiplies the exact per-layer 2x2 propagators (one per distinct
+    layer) in order and returns the squared nu_e amplitude.
     """
     try:
         idx = _FLAVOR_INDEX[initial]
     except KeyError:
         raise ValueError(f"initial flavor must be 'e' or 'mu', got {initial!r}")
-    v = np.zeros(2, dtype=complex)
-    v[idx] = 1.0
-    for theta_k, phi_k in slab_layer_params(p, profile, energy_gev, theta23):
-        v = layer_propagator(theta_k, phi_k) @ v
-    return float(abs(v[0]) ** 2)
+    angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
+    v = np.zeros(np.shape(energy_gev) + (2,), dtype=complex)
+    v[..., idx] = 1.0
+    nu_e, nu_mu = v[..., 0], v[..., 1]
+    props = {}
+    for k, layer in enumerate(profile.expanded()):
+        if layer not in props:
+            props[layer] = layer_propagator(angles[k], phases[k])
+        u = props[layer]
+        nu_e, nu_mu = (u[..., 0, 0] * nu_e + u[..., 0, 1] * nu_mu,
+                       u[..., 1, 0] * nu_e + u[..., 1, 1] * nu_mu)
+    return np.square(_libm(abs, nu_e))
 
 
-def msw_survival_from_angles(theta: float, theta_m: float) -> float:
+def msw_survival_from_angles(theta: float, theta_m):
     """Adiabatic, phase-averaged P(nu_e -> nu_e) from the two angles."""
-    return 0.5 * (1.0 + math.cos(2.0 * theta) * math.cos(2.0 * theta_m))
+    return 0.5 * (1.0 + math.cos(2.0 * theta) * np.cos(2.0 * theta_m))
 
 
 def prob_msw_adiabatic(p: OscParams, production_layer: MatterLayer,
-                       energy_gev: float) -> tuple[float, float]:
+                       energy_gev):
     """(P_ee, P_emu) for adiabatic propagation from a dense production point.
 
     theta_m is evaluated at the production layer; the phase information

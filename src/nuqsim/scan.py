@@ -11,9 +11,13 @@ scenarios:
 
 Each grid point records the analytic oracle value, the exact
 statevector probability, and a shot-sampled estimate with its binomial
-standard error.  Per-point sampling seeds are seed XOR point-index, so
-results do not depend on evaluation order and CSV output is
-byte-reproducible for a fixed config and seed.
+standard error.  A scan runs its whole energy grid as one batch: one
+template circuit (or one stack of dilations) for all points, one
+simulator pass, one oracle pass.  Only the per-point optimizer fits of
+msw optimized mode and the shot sampling run point by point.
+Per-point sampling seeds are seed XOR point-index, so results do not
+depend on evaluation order and CSV output is byte-reproducible for a
+fixed config and seed.
 """
 from __future__ import annotations
 
@@ -24,8 +28,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .builders import (ENCODED, DilationSet, build_dilation, build_msw_circuit,
-                       build_slab_circuit, earth_profile)
+from .builders import (ENCODED, DilationSet, SynthesisParams, build_dilation,
+                       build_msw_circuit, build_slab_circuit, earth_profile)
 from .circuits import Circuit
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, prob_msw_adiabatic, prob_slab)
@@ -244,6 +248,8 @@ class ScanResult:
     scenario: str
     shots: int
     points: tuple[ScanPoint, ...]
+    # the template circuit the scan executed (None for msw exact mode)
+    circuit: Circuit | None = None
 
 
 def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
@@ -253,11 +259,9 @@ def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
         period_count=config.periods)
 
 
-def scenario_circuit(config: ScanConfig, energy_gev: float) -> Circuit:
-    """The circuit the scan would execute at one energy (for --dump-circuit)."""
-    if config.scenario == "msw":
-        ds = build_dilation(*msw_setup(config), energy_gev)
-        return _fitted_circuit(config, ds, energy_gev, 0)
+def scenario_circuit(config: ScanConfig, energy_gev) -> Circuit:
+    """The slab or earth circuit of a config at one energy (a template
+    over an energy array)."""
     p, profile, th23 = _single_qubit_setup(config)
     return build_slab_circuit(p, profile, energy_gev, compile=config.compile,
                               theta23=th23)
@@ -269,16 +273,22 @@ def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
             MatterLayer(config.production_rho, config.ye, 0.0))
 
 
-def _fitted_circuit(config: ScanConfig, ds: DilationSet, energy_gev: float,
-                    index: int) -> Circuit:
-    """Two-CNOT circuit fitted to a dilation; a failed fit raises."""
-    res = optimize(FidelityProblem(target=ds.u2q, restarts=config.restarts),
-                   scan_point_seed(config.seed, index))
-    if not res.converged:
-        raise NumericalDomainError(
-            f"optimized synthesis at {energy_gev!r} GeV did not converge: "
-            f"1-F = {res.infidelity:.3g} after {res.restarts_used} restart(s)")
-    return build_msw_circuit(res.params)
+def _fitted_angles(config: ScanConfig, ds: DilationSet) -> SynthesisParams:
+    """Per-point two-CNOT angles fitted to a dilation stack; a failed
+    fit raises."""
+    fits = []
+    for i, energy_gev in enumerate(config.energies):
+        res = optimize(FidelityProblem(target=ds.u2q[i],
+                                       restarts=config.restarts),
+                       scan_point_seed(config.seed, i))
+        if not res.converged:
+            raise NumericalDomainError(
+                f"optimized synthesis at {energy_gev!r} GeV did not converge: "
+                f"1-F = {res.infidelity:.3g} after {res.restarts_used} "
+                "restart(s)")
+        fits.append(res.params)
+    return SynthesisParams(alpha=tuple(np.array([sp.alpha for sp in fits]).T),
+                           beta=tuple(np.array([sp.beta for sp in fits]).T))
 
 
 def _single_qubit_setup(config: ScanConfig):
@@ -291,51 +301,41 @@ def _single_qubit_setup(config: ScanConfig):
 
 
 def run_scan(config: ScanConfig) -> ScanResult:
-    if config.scenario in ("slab", "earth"):
-        points = _run_single_qubit_scan(config)
-    else:
-        points = _run_msw_scan(config)
-    return ScanResult(scenario=config.scenario, shots=config.shots,
-                      points=tuple(points))
-
-
-def _run_single_qubit_scan(config: ScanConfig) -> list[ScanPoint]:
-    p, profile, th23 = _single_qubit_setup(config)
-    points = []
-    for i, e in enumerate(config.energies):
-        circuit = build_slab_circuit(p, profile, e, compile=config.compile,
-                                     theta23=th23)
-        state, measured = run(circuit)
+    energies = np.array(config.energies)
+    msw = config.scenario == "msw"
+    if not msw:
+        p, profile, th23 = _single_qubit_setup(config)
+        circuit = scenario_circuit(config, energies)
+        states, measured = run(circuit)
         qubit = measured[0]
-        p_exact = probabilities(state, qubit)[0]
-        shot = sample(state, qubit, config.shots,
+        theory = prob_slab(p, profile, energies, "mu", th23)
+    else:
+        p, layer = msw_setup(config)
+        ds = build_dilation(p, layer, energies)
+        if config.synthesis == "exact":
+            circuit = None
+            states = apply_matrix(init_state(2), ds.u2q)
+        else:
+            circuit = build_msw_circuit(_fitted_angles(config, ds))
+            states, _ = run(circuit)
+        qubit = ENCODED
+        theory = prob_msw_adiabatic(p, layer, energies)[0]
+    exact = probabilities(states, qubit)[0]
+    points = []
+    for i, (e, th, ex) in enumerate(zip(config.energies, theory.tolist(),
+                                        exact.tolist())):
+        shot = sample(states[i], qubit, config.shots,
                       scan_point_seed(config.seed, i))
         p_hat = shot.counts["0"] / config.shots
-        theory = prob_slab(p, profile, e, "mu", th23)
-        points.append(ScanPoint(
-            energy_gev=e, channel=None, p_theory=theory, p_exact=p_exact,
-            p_sampled=p_hat, stderr_sampled=_binomial_stderr(p_hat, config.shots)))
-    return points
-
-
-def _run_msw_scan(config: ScanConfig) -> list[ScanPoint]:
-    p, layer = msw_setup(config)
-    points = []
-    for i, e in enumerate(config.energies):
-        ds = build_dilation(p, layer, e)
-        if config.synthesis == "exact":
-            state = apply_matrix(init_state(2), ds.u2q)
+        err = _binomial_stderr(p_hat, config.shots)
+        if msw:
+            points.append(ScanPoint(e, "ee", th, ex, p_hat, err))
+            points.append(ScanPoint(e, "emu", 1.0 - th, 1.0 - ex,
+                                    1.0 - p_hat, err))
         else:
-            state, _ = run(_fitted_circuit(config, ds, e, i))
-        pee = probabilities(state, ENCODED)[0]
-        shot = sample(state, ENCODED, config.shots,
-                      scan_point_seed(config.seed, i))
-        pee_hat = shot.counts["0"] / config.shots
-        th_ee, th_emu = prob_msw_adiabatic(p, layer, e)
-        err = _binomial_stderr(pee_hat, config.shots)
-        points.append(ScanPoint(e, "ee", th_ee, pee, pee_hat, err))
-        points.append(ScanPoint(e, "emu", th_emu, 1.0 - pee, 1.0 - pee_hat, err))
-    return points
+            points.append(ScanPoint(e, None, th, ex, p_hat, err))
+    return ScanResult(scenario=config.scenario, shots=config.shots,
+                      points=tuple(points), circuit=circuit)
 
 
 def _binomial_stderr(p_hat: float, shots: int) -> float:

@@ -1,22 +1,29 @@
-"""Exact statevector backend for 1- and 2-qubit circuits.
+"""Exact statevector backend for 1- and 2-qubit circuits, batched over a grid.
 
 States are dense complex vectors of length 2 or 4 with qubit 0 as the
-most significant bit.  Everything here is a pure function; execution of
-a circuit is deterministic, and shot sampling is a single binomial draw
-from ``Generator(PCG64(seed))`` so identical (state, shots, seed) give
-identical counts.
+most significant bit.  Every function works on a stack of them: a
+template circuit (angles of shape ``(n,)``) evolves an ``(n, dim)``
+array of states in one pass over its gates, a single circuit (float
+angles) evolves one ``(dim,)`` state, and both run the same code.
+``gate_matrix`` is the only place gate matrices are built; it returns
+``(n, 2, 2)`` stacks for array angles and plain 2x2 / 4x4 matrices for
+float angles or none, which broadcast over the batch; ``apply_matrix``
+takes ``(n, 4, 4)`` dilation stacks.  A single-qubit gate on a 2-qubit
+register acts on the state reshaped to ``(..., 2, 2)`` (axes q0, q1),
+so no 4x4 embedding is ever formed.
+
+Everything here is a pure function; execution is deterministic, and
+shot sampling is a single binomial draw from ``Generator(PCG64(seed))``
+so identical (state, shots, seed) give identical counts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, GateKind, GateOp
 from .rng import sampling_generator
-
-_EYE2 = np.eye(2, dtype=complex)
 
 _NORM_TOL = 1e-9
 
@@ -30,14 +37,23 @@ class ShotResult:
     seed: int
 
 
-def ry_matrix(a: float) -> np.ndarray:
-    """Real 2x2 matrix of RY(a) = exp(-i a Y/2)."""
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]])
+def _matrix2(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] over the broadcast shape of the entries."""
+    m = np.empty(np.broadcast(a, b, c, d).shape + (2, 2),
+                 np.result_type(a, b, c, d))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
+def ry_matrix(a) -> np.ndarray:
+    """Real RY(a) = exp(-i a Y/2): 2x2, or (n, 2, 2) for an angle array."""
+    c, s = np.cos(a / 2), np.sin(a / 2)
+    return _matrix2(c, -s, s, c)
 
 
 def gate_matrix(op: GateOp) -> np.ndarray:
-    """Exact unitary of a gate op (2x2, or 4x4 for CNOT).
+    """Exact unitary of a gate op (2x2, or 4x4 for CNOT), stacked over
+    the op's angle arrays.
 
     U(theta, phi, lam) = [[cos(t/2),            -e^{i lam} sin(t/2)],
                           [e^{i phi} sin(t/2),  e^{i(phi+lam)} cos(t/2)]]
@@ -50,14 +66,12 @@ def gate_matrix(op: GateOp) -> np.ndarray:
         return ry_matrix(op.params[0]).astype(complex)
     if kind is GateKind.RZ:
         half = op.params[0] / 2
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
+        return _matrix2(np.exp(-1j * half), 0, 0, np.exp(1j * half))
     if kind is GateKind.U:
         theta, phi, lam = op.params
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ])
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        return _matrix2(c, -np.exp(1j * lam) * s,
+                        np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c)
     if kind is GateKind.CNOT:
         m = np.eye(4, dtype=complex)
         if op.qubits == (0, 1):        # control is the MSB
@@ -77,41 +91,58 @@ def init_state(width: int) -> np.ndarray:
     return state
 
 
-def embedded_matrix(op: GateOp, width: int) -> np.ndarray:
-    """Gate unitary expanded to the full register dimension."""
-    m = gate_matrix(op)
-    dim = 2 ** width
-    if m.shape[0] == dim:
-        return m
-    if m.shape[0] == 2 and dim == 4:
-        q = op.qubits[0]
-        return np.kron(m, _EYE2) if q == 0 else np.kron(_EYE2, m)
-    raise ValueError(f"{op.kind.value} does not fit a width-{width} register")
-
-
 def apply(state: np.ndarray, op: GateOp) -> np.ndarray:
-    """Apply one gate op to a state; dimension mismatches raise."""
+    """Apply one gate op to a state or a stack of states; dimension
+    mismatches raise."""
     if op.kind is GateKind.MEASURE:
         raise ValueError("MEASURE cannot be applied to a statevector")
     width = _state_width(state)
-    return embedded_matrix(op, width) @ state
+    m = gate_matrix(op)
+    if m.shape[-1] == state.shape[-1]:
+        return _matvec(m, state)
+    if m.shape[-1] == 2 and width == 2:
+        # rows of the (..., q0, q1) reshape are q1 vectors, columns q0 vectors
+        pairs = state.reshape(state.shape[:-1] + (2, 2))
+        if op.qubits[0] == 1:
+            out = _matvec(m[..., None, :, :], pairs)
+        else:
+            out = np.swapaxes(_matvec(m[..., None, :, :],
+                                      np.swapaxes(pairs, -1, -2)), -1, -2)
+        return out.reshape(out.shape[:-2] + (4,))
+    raise ValueError(f"{op.kind.value} does not fit a width-{width} register")
 
 
 def apply_matrix(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply a raw full-dimension unitary (e.g. a dilation matrix)."""
+    """Apply a raw full-dimension unitary (e.g. a dilation matrix) or a
+    stack of them."""
     matrix = np.asarray(matrix)
-    if matrix.shape != (state.shape[0], state.shape[0]):
+    dim = state.shape[-1]
+    if matrix.shape[-2:] != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not match "
-                         f"state dimension {state.shape[0]}")
-    return matrix @ state
+                         f"state dimension {dim}")
+    return _matvec(matrix, state)
+
+
+def _matvec(m: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Matrix stack times state stack, as whole-array products summed in
+    column order: a few array operations per gate, not one per point."""
+    out = m[..., :, 0] * state[..., None, 0]
+    for k in range(1, state.shape[-1]):
+        out = out + m[..., :, k] * state[..., None, k]
+    return out
 
 
 def run(circuit: Circuit, initial: np.ndarray | None = None
         ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Execute a circuit; returns (final state, measured qubit indices)."""
+    """Execute a circuit; returns (final states, measured qubit indices).
+
+    A template gives ``batch_shape + (dim,)`` states, one per grid
+    point.  ``initial`` (default all-|0>) has shape ``(..., dim)`` and
+    broadcasts against the template's batch.
+    """
     state = init_state(circuit.width) if initial is None else np.asarray(
         initial, dtype=complex)
-    if state.shape != (2 ** circuit.width,):
+    if state.shape[-1:] != (2 ** circuit.width,):
         raise ValueError("initial state does not match circuit width")
     for op in circuit.gates:
         state = apply(state, op)
@@ -119,44 +150,52 @@ def run(circuit: Circuit, initial: np.ndarray | None = None
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Total unitary of the gate part of a circuit (tail measures ignored)."""
+    """Total unitary of the gate part of a circuit (tail measures ignored),
+    stacked over a template's batch."""
     dim = 2 ** circuit.width
-    total = np.eye(dim, dtype=complex)
-    for op in circuit.gates:
-        total = embedded_matrix(op, circuit.width) @ total
-    return total
+    # column k evolves basis state k, on an axis of its own before the batch
+    basis = np.eye(dim, dtype=complex).reshape(
+        (dim,) + (1,) * len(circuit.batch_shape) + (dim,))
+    columns, _ = run(circuit, basis)
+    return np.moveaxis(columns, 0, -1)
 
 
-def probabilities(state: np.ndarray, qubit: int) -> tuple[float, float]:
+def probabilities(state: np.ndarray, qubit: int):
     """Z-basis outcome probabilities (p0, p1) for one qubit.
 
     For a 2-qubit state this is the marginal over the other qubit, i.e.
-    the diagonal of the reduced density matrix.
+    the diagonal of the reduced density matrix.  A stack of states
+    gives arrays over the stack; every row must be normalized.
     """
     width = _state_width(state)
-    norm2 = float(np.sum(np.abs(state) ** 2))
-    if abs(norm2 - 1.0) > _NORM_TOL:
-        raise ValueError(f"state is not normalized (|psi|^2 = {norm2})")
+    probs = np.abs(state) ** 2
+    norm2 = probs.sum(axis=-1)
+    bad = ~(np.abs(norm2 - 1.0) <= _NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"state {i} is not normalized "
+                         f"(|psi|^2 = {np.ravel(norm2)[i]})")
     if not 0 <= qubit < width:
         raise ValueError(f"qubit {qubit} out of range for width {width}")
-    probs = np.abs(state) ** 2
-    if width == 1:
-        return float(probs[0]), float(probs[1])
-    grid = probs.reshape(2, 2)        # axes (q0, q1)
-    marg = grid.sum(axis=1 - qubit)
-    return float(marg[0]), float(marg[1])
+    if width == 2:                    # axes (q0, q1); keep the measured one
+        probs = probs.reshape(probs.shape[:-1] + (2, 2)).sum(
+            axis=-1 if qubit == 0 else -2)
+    return probs[..., 0][()], probs[..., 1][()]
 
 
 def sample(state: np.ndarray, qubit: int, shots: int, seed: int) -> ShotResult:
-    """Draw Z-basis counts for one qubit from the exact distribution.
+    """Draw Z-basis counts for one qubit of one state from the exact
+    distribution.
 
     One binomial(shots, p1) draw from PCG64(seed); bit-reproducible.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if np.ndim(state) != 1:
+        raise ValueError("sample draws from one state, not a stack")
     _, p1 = probabilities(state, qubit)
     rng = sampling_generator(seed)
-    ones = int(rng.binomial(shots, min(max(p1, 0.0), 1.0)))
+    ones = int(rng.binomial(shots, min(max(float(p1), 0.0), 1.0)))
     return ShotResult(shots=shots, counts={"0": shots - ones, "1": ones},
                       seed=seed)
 
@@ -175,8 +214,10 @@ def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray,
 
 
 def _state_width(state: np.ndarray) -> int:
-    if state.shape == (2,):
+    dim = np.shape(state)[-1:]
+    if dim == (2,):
         return 1
-    if state.shape == (4,):
+    if dim == (4,):
         return 2
-    raise ValueError(f"state must have dimension 2 or 4, got shape {state.shape}")
+    raise ValueError(f"state must have dimension 2 or 4, got shape "
+                     f"{np.shape(state)}")

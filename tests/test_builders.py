@@ -84,8 +84,7 @@ def test_earth_compiled_cumulative_offsets():
     e = 6.0
     circ = build_slab_circuit(P13, earth_profile(), e, compile=True,
                               theta23=TH23)
-    params = slab_layer_params(P13, earth_profile(), e, TH23)
-    (t1, f1), (t2, f2), _ = params
+    (t1, t2, _), (f1, f2, _) = slab_layer_params(P13, earth_profile(), e, TH23)
     kinds = [op.kind for op in circ.ops]
     assert kinds == [GateKind.X, GateKind.RY] + [GateKind.U] * 5 + \
         [GateKind.MEASURE]

@@ -7,7 +7,8 @@ import pytest
 
 import nuqsim.cli as cli
 from nuqsim import optim, scan
-from nuqsim.builders import earth_profile
+from nuqsim.builders import build_dilation, build_msw_circuit, earth_profile
+from nuqsim.compiler import dump_circuit
 from nuqsim.oscillation import (MatterLayer, NumericalDomainError, OscParams,
                                 prob_msw_adiabatic, prob_slab)
 from nuqsim.scan import (ConfigError, ScanConfig, ScanPoint, ScanResult,
@@ -400,3 +401,42 @@ def test_cli_failed_fit_exit_3(tmp_path, monkeypatch, capsys):
 def test_every_float_field_has_a_domain():
     floats = {name for name, kind in scan._FIELD_TYPES.items() if kind is float}
     assert set(scan._DOMAINS) == floats
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"dx1_km": 1e300}, "layer phase"),
+    ({"energies": [1e-300, 1.0]}, "layer phase"),
+    ({"dx1_km": 2000.0, "dx2_km": 2000.0, "periods": 50,
+      "energies": [0.1, 1.0]}, "accumulated phase"),
+])
+def test_cli_phase_without_precision_exit_3(tmp_path, capsys, fields, named):
+    cfg = {"scenario": "slab", "energies": [1.0, 2.0], "shots": 8}
+    cfg.update(fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["scan", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert named in err
+    assert f"at {cfg['energies'][0]!r} GeV" in err
+    assert "Traceback" not in err
+
+
+def test_cli_dump_reuses_the_scans_fit(tmp_path, monkeypatch, capsys):
+    """--dump-circuit prints the scan's own fit of point 0: one fit per
+    energy, and the same text an independent fit of point 0 gives."""
+    calls = []
+
+    def counted(problem, seed):
+        calls.append(seed)
+        return optim.optimize(problem, seed)
+    monkeypatch.setattr(scan, "optimize", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
+                                "energies": [0.002, 0.01, 0.02],
+                                "restarts": 64, "seed": 5}))
+    assert cli.main(["scan", "--config", str(path), "--dump-circuit"]) == 0
+    assert calls == [5, 4, 7]               # seed ^ i, once per energy
+    ds = build_dilation(*scan.msw_setup(ScanConfig(scenario="msw")), 0.002)
+    fit = optim.optimize(optim.FidelityProblem(ds.u2q, restarts=64), 5)
+    out = capsys.readouterr().out
+    assert out.startswith(dump_circuit(build_msw_circuit(fit.params)))
