@@ -14,8 +14,8 @@ from .builders import (DilationSet, SynthesisParams, build_dilation,
 from .optim import FidelityProblem, OptimResult, optimize
 from .scan import (ConfigError, ScanConfig, ScanPoint, ScanResult, emit_csv,
                    emit_plot, run_scan)
-from .simulator import (ShotResult, apply, apply_matrix, circuit_unitary,
-                        gate_matrix, init_state, probabilities, run, sample,
+from .simulator import (apply, apply_matrix, circuit_unitary, gate_matrix,
+                        init_state, probabilities, run, sample,
                         states_equal_up_to_phase, unitaries_equal_up_to_phase)
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, cnot, measure, ry, rz, x
-from .compiler import virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, effective_params, slab_layer_params)
 
@@ -29,24 +28,20 @@ ANCILLA, ENCODED = 0, 1   # dilation circuit qubit roles (q_A, q_B)
 
 
 def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
-                       compile: bool = False,
                        theta23: float | None = None) -> Circuit:
     """Single-qubit circuit propagating nu_mu through a slab profile, at
     one energy or, for an energy array, as a template over the grid.
 
-    With ``compile`` set, the virtual-Z pass folds every RZ(phi_k) into
-    the phase offsets of the following rotations, leaving 2N+1 pulses
-    for N layers.
+    ``virtual_z_pass`` of the result folds every RZ(phi_k) into the
+    phase offsets of the following rotations, leaving 2N+1 pulses for N
+    layers.
     """
     ops = [x(0)]
     angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
     for theta_k, phi_k in zip(angles, phases):
         ops += [ry(-2.0 * theta_k), rz(phi_k), ry(2.0 * theta_k)]
     ops.append(measure(0))
-    circuit = Circuit(1, tuple(ops))
-    if compile:
-        circuit, _ = virtual_z_pass(circuit)
-    return circuit
+    return Circuit(1, tuple(ops))
 
 
 def earth_profile(ye: float = 0.5) -> SlabProfile:

@@ -15,12 +15,11 @@ import sys
 
 import numpy as np
 
-from .builders import build_dilation
-from .compiler import dump_circuit, virtual_z_pass
+from .compiler import dump_circuit
 from .oscillation import NumericalDomainError
 from .scan import (ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ConfigError,
-                   ScanConfig, emit_csv, emit_plot, msw_setup, run_scan,
-                   scenario_circuit)
+                   ScanConfig, emit_csv, emit_plot, read_json_config,
+                   run_scan)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,26 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> ScanConfig:
-    overrides = dict(
+    """The config file's fields with the given flags on top, validated
+    once."""
+    data = read_json_config(args.config) if args.config else {}
+    flags = dict(
         scenario=args.scenario, energies=args.energies, shots=args.shots,
         seed=args.seed, compile=args.compile, synthesis=args.synthesis,
         angle_mode=args.angle_mode, csv=args.csv, svg=args.svg,
         dump_circuit=args.dump_circuit)
-    if args.config:
-        return ScanConfig.from_json(args.config).override(**overrides)
-    if args.scenario is None:
-        raise ConfigError("field 'scenario': give --scenario or --config")
-    return ScanConfig.from_dict(
-        {k: v for k, v in overrides.items() if v is not None})
-
-
-def _print_compile_savings(config: ScanConfig) -> None:
-    raw = scenario_circuit(config.override(compile=False), config.energies[0])
-    _, report = virtual_z_pass(raw)
-    print(f"virtual-Z: {report.input_gate_count} gates -> "
-          f"{report.output_gate_count} gates, "
-          f"{report.physical_pulse_count} physical pulses "
-          f"({report.folded_rz_count} RZ folded)")
+    data.update({k: v for k, v in flags.items() if v is not None})
+    return ScanConfig.from_dict(data)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -80,13 +69,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     result = run_scan(config)
     if config.dump_circuit:
         if result.circuit is None:
-            ds = build_dilation(*msw_setup(config), config.energies[0])
             print("# exact mode applies this 4x4 dilation directly:")
-            print(np.array2string(ds.u2q, precision=12))
+            print(np.array2string(result.dilation[0], precision=12))
         else:
             print(dump_circuit(result.circuit.point(0)), end="")
-    if config.compile and config.scenario in ("slab", "earth"):
-        _print_compile_savings(config)
+    if result.report is not None:
+        r = result.report
+        print(f"virtual-Z: {r.input_gate_count} gates -> "
+              f"{r.output_gate_count} gates, "
+              f"{r.physical_pulse_count} physical pulses "
+              f"({r.folded_rz_count} RZ folded)")
 
     print(f"{config.scenario}: {len(config.energies)} energies, "
           f"{config.shots} shots, seed {config.seed}")

@@ -95,21 +95,21 @@ def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
 def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
     """Best-of-restarts fit of the circuit angles to ``problem.target``.
 
-    Initial points are drawn up front from the optimizer RNG stream, so
-    the result is a pure function of (problem, seed).  Stops early once
-    the best infidelity reaches ``TOL_INFIDELITY``; ties between
-    restarts keep the earliest.  Non-convergence is reported through
+    Each restart draws its initial point from the optimizer RNG stream
+    when it begins, so the result is a pure function of (problem, seed)
+    and a restart that never runs costs nothing.  Stops early once the
+    best infidelity reaches ``TOL_INFIDELITY``; ties between restarts
+    keep the earliest.  Non-convergence is reported through
     ``converged``, never raised.
     """
     rng = optimizer_generator(seed)
-    starts = rng.uniform(*INIT_RANGE, size=(problem.restarts, 6))
     box = [BOUNDS] * 6
 
-    best_val = math.inf
-    best_x = starts[0]
-    used = 0
-    for start in starts:
-        used += 1
+    best_val, best_x = math.inf, None
+    for used in range(1, problem.restarts + 1):
+        start = rng.uniform(*INIT_RANGE, size=6)
+        if best_x is None:
+            best_x = start
         res = minimize(lambda v: infidelity_and_grad(problem.target, v),
                        start, jac=True, method="L-BFGS-B", bounds=box)
         if res.fun < best_val:

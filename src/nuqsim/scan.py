@@ -24,13 +24,14 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .builders import (ENCODED, DilationSet, SynthesisParams, build_dilation,
                        build_msw_circuit, build_slab_circuit, earth_profile)
 from .circuits import Circuit
+from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, prob_msw_adiabatic, prob_slab)
 from .optim import FidelityProblem, optimize
@@ -51,6 +52,8 @@ DEFAULT_GRIDS = {
     "earth": (1.0, 25.0, 50),
     "msw": (0.001, 0.050, 50),
 }
+# largest shot count a binomial draw takes (its count is an int64)
+_MAX_SHOTS = 2 ** 63 - 1
 
 
 _ANGLE = (lambda v: 0.0 <= v <= 90.0, "in [0, 90]")
@@ -113,8 +116,9 @@ class ScanConfig:
                               "and positive")
         if any(b <= a for a, b in zip(self.energies, self.energies[1:])):
             raise ConfigError("field 'energies': must be strictly ascending")
-        if self.shots < 1:
-            raise ConfigError(f"field 'shots': must be >= 1, got {self.shots}")
+        if not 1 <= self.shots <= _MAX_SHOTS:
+            raise ConfigError(f"field 'shots': must be in [1, {_MAX_SHOTS}], "
+                              f"got {self.shots}")
         if self.seed < 0:
             raise ConfigError(f"field 'seed': must be >= 0, got {self.seed}")
         if self.synthesis not in SYNTHESIS_MODES:
@@ -150,24 +154,22 @@ class ScanConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ScanConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config {path} line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path}: top level must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_config(path))
 
-    def override(self, **kwargs) -> "ScanConfig":
-        """New config with the given fields replaced (flags win over file)."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        if "energies" in updates:
-            updates["energies"] = _parse_energies(updates["energies"])
-        return replace(self, **updates)
+
+def read_json_config(path: str) -> dict:
+    """The fields of a JSON config file, not yet validated."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path}: top level must be an object")
+    return data
 
 
 # Value type of each field, from its annotation with any "| None" dropped.
@@ -250,6 +252,10 @@ class ScanResult:
     points: tuple[ScanPoint, ...]
     # the template circuit the scan executed (None for msw exact mode)
     circuit: Circuit | None = None
+    # the virtual-Z report of a compiled slab/earth scan
+    report: CompileReport | None = None
+    # the (n, 4, 4) dilation stack msw exact mode applied
+    dilation: np.ndarray | None = None
 
 
 def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
@@ -257,14 +263,6 @@ def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
         (MatterLayer(config.rho1, config.ye, config.dx1_km),
          MatterLayer(config.rho2, config.ye, config.dx2_km)),
         period_count=config.periods)
-
-
-def scenario_circuit(config: ScanConfig, energy_gev) -> Circuit:
-    """The slab or earth circuit of a config at one energy (a template
-    over an energy array)."""
-    p, profile, th23 = _single_qubit_setup(config)
-    return build_slab_circuit(p, profile, energy_gev, compile=config.compile,
-                              theta23=th23)
 
 
 def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
@@ -303,9 +301,12 @@ def _single_qubit_setup(config: ScanConfig):
 def run_scan(config: ScanConfig) -> ScanResult:
     energies = np.array(config.energies)
     msw = config.scenario == "msw"
+    report = dilation = None
     if not msw:
         p, profile, th23 = _single_qubit_setup(config)
-        circuit = scenario_circuit(config, energies)
+        circuit = build_slab_circuit(p, profile, energies, theta23=th23)
+        if config.compile:
+            circuit, report = virtual_z_pass(circuit)
         states, measured = run(circuit)
         qubit = measured[0]
         theory = prob_slab(p, profile, energies, "mu", th23)
@@ -313,20 +314,19 @@ def run_scan(config: ScanConfig) -> ScanResult:
         p, layer = msw_setup(config)
         ds = build_dilation(p, layer, energies)
         if config.synthesis == "exact":
-            circuit = None
-            states = apply_matrix(init_state(2), ds.u2q)
+            circuit, dilation = None, ds.u2q
+            states = apply_matrix(init_state(2), dilation)
         else:
             circuit = build_msw_circuit(_fitted_angles(config, ds))
             states, _ = run(circuit)
         qubit = ENCODED
         theory = prob_msw_adiabatic(p, layer, energies)[0]
-    exact = probabilities(states, qubit)[0]
+    exact, p1 = probabilities(states, qubit)
     points = []
-    for i, (e, th, ex) in enumerate(zip(config.energies, theory.tolist(),
-                                        exact.tolist())):
-        shot = sample(states[i], qubit, config.shots,
-                      scan_point_seed(config.seed, i))
-        p_hat = shot.counts["0"] / config.shots
+    for i, (e, th, ex, p1_i) in enumerate(zip(
+            config.energies, theory.tolist(), exact.tolist(), p1.tolist())):
+        ones = sample(p1_i, config.shots, scan_point_seed(config.seed, i))
+        p_hat = (config.shots - ones) / config.shots
         err = _binomial_stderr(p_hat, config.shots)
         if msw:
             points.append(ScanPoint(e, "ee", th, ex, p_hat, err))
@@ -335,7 +335,8 @@ def run_scan(config: ScanConfig) -> ScanResult:
         else:
             points.append(ScanPoint(e, None, th, ex, p_hat, err))
     return ScanResult(scenario=config.scenario, shots=config.shots,
-                      points=tuple(points), circuit=circuit)
+                      points=tuple(points), circuit=circuit, report=report,
+                      dilation=dilation)
 
 
 def _binomial_stderr(p_hat: float, shots: int) -> float:

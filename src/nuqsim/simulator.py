@@ -14,11 +14,9 @@ so no 4x4 embedding is ever formed.
 
 Everything here is a pure function; execution is deterministic, and
 shot sampling is a single binomial draw from ``Generator(PCG64(seed))``
-so identical (state, shots, seed) give identical counts.
+so identical (p1, shots, seed) give identical counts.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +24,6 @@ from .circuits import Circuit, GateKind, GateOp
 from .rng import sampling_generator
 
 _NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    """Counts from repeated Z-basis measurement of one qubit."""
-
-    shots: int
-    counts: dict[str, int]
-    seed: int
 
 
 def _matrix2(a, b, c, d) -> np.ndarray:
@@ -183,21 +172,17 @@ def probabilities(state: np.ndarray, qubit: int):
     return probs[..., 0][()], probs[..., 1][()]
 
 
-def sample(state: np.ndarray, qubit: int, shots: int, seed: int) -> ShotResult:
-    """Draw Z-basis counts for one qubit of one state from the exact
-    distribution.
+def sample(p1: float, shots: int, seed: int) -> int:
+    """Number of 1 outcomes in ``shots`` Z-basis measurements of a qubit
+    whose exact outcome-1 probability is ``p1`` (from ``probabilities``).
 
-    One binomial(shots, p1) draw from PCG64(seed); bit-reproducible.
+    One binomial(shots, p1) draw from PCG64(seed), with p1 clipped to
+    [0, 1] against rounding; bit-reproducible.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if np.ndim(state) != 1:
-        raise ValueError("sample draws from one state, not a stack")
-    _, p1 = probabilities(state, qubit)
     rng = sampling_generator(seed)
-    ones = int(rng.binomial(shots, min(max(float(p1), 0.0), 1.0)))
-    return ShotResult(shots=shots, counts={"0": shots - ones, "1": ones},
-                      seed=seed)
+    return int(rng.binomial(shots, min(max(float(p1), 0.0), 1.0)))
 
 
 def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray,

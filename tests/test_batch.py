@@ -89,17 +89,17 @@ def per_point_reference(config):
             theory = prob_msw_adiabatic(p, layer, e)[0]
         else:
             p, profile, th23 = _single_qubit_setup(config)
-            circuit = build_slab_circuit(p, profile, one,
-                                         compile=config.compile, theta23=th23)
+            circuit = build_slab_circuit(p, profile, one, theta23=th23)
+            if config.compile:
+                circuit, _ = virtual_z_pass(circuit)
             state, (qubit,) = run(circuit)
             v = np.array([0, 1], dtype=complex)
             for theta_k, phi_k in zip(*slab_layer_params(p, profile, e, th23)):
                 v = layer_propagator(theta_k, phi_k) @ v
             theory = abs(v[0]) ** 2
-        exact = probabilities(state, qubit)[0][0]
-        shot = sample(state[0], qubit, config.shots,
-                      scan_point_seed(config.seed, i))
-        out.append((theory, exact, shot.counts["0"] / config.shots))
+        (exact,), (p1,) = probabilities(state, qubit)
+        ones = sample(p1, config.shots, scan_point_seed(config.seed, i))
+        out.append((theory, exact, (config.shots - ones) / config.shots))
     return out
 
 
@@ -198,11 +198,12 @@ def test_dilation_marginals(angles):
 def test_template_point_is_the_single_circuit():
     cfg = ScanConfig(scenario="earth", energies=(2.0, 6.0, 11.0), compile=True)
     p, profile, th23 = _single_qubit_setup(cfg)
-    template = build_slab_circuit(p, profile, np.array(cfg.energies),
-                                  compile=True, theta23=th23)
+    template, _ = virtual_z_pass(
+        build_slab_circuit(p, profile, np.array(cfg.energies), theta23=th23))
     assert template.batch_shape == (3,)
     for i, e in enumerate(cfg.energies):
-        single = build_slab_circuit(p, profile, e, compile=True, theta23=th23)
+        single, _ = virtual_z_pass(
+            build_slab_circuit(p, profile, e, theta23=th23))
         assert single.batch_shape == ()
         assert template.point(i) == single
         assert dump_circuit(template.point(i)) == dump_circuit(single)
@@ -246,8 +247,3 @@ def test_probabilities_names_the_unnormalized_row():
     states = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="state 1 is not normalized"):
         probabilities(states, 0)
-
-
-def test_sample_takes_one_state():
-    with pytest.raises(ValueError, match="one state"):
-        sample(np.array([[1.0, 0.0]]), 0, 16, seed=0)

@@ -8,7 +8,7 @@ from nuqsim.builders import (SynthesisParams, build_dilation,
                              build_msw_circuit, build_slab_circuit,
                              dilation_from_angles, earth_profile)
 from nuqsim.circuits import GateKind, measure, ry, rz, x
-from nuqsim.compiler import pulse_count
+from nuqsim.compiler import pulse_count, virtual_z_pass
 from nuqsim.oscillation import (MatterLayer, OscParams, SlabProfile,
                                 phase, prob_msw_adiabatic, prob_slab,
                                 slab_layer_params)
@@ -41,7 +41,8 @@ def test_ten_slab_compiled_pulse_count():
     """Five periods of two slabs compile to 2N+1 = 21 physical pulses."""
     profile = SlabProfile((MatterLayer(5.0, 0.5, 500.0),
                            MatterLayer(10.0, 0.5, 1000.0)), period_count=5)
-    circ = build_slab_circuit(P13, profile, 5.0, compile=True, theta23=TH23)
+    circ, _ = virtual_z_pass(
+        build_slab_circuit(P13, profile, 5.0, theta23=TH23))
     assert pulse_count(circ) == 21
     raw = build_slab_circuit(P13, profile, 5.0, theta23=TH23)
     assert pulse_count(raw) == 31
@@ -56,7 +57,7 @@ def test_compiled_equals_uncompiled_probability():
         p = OscParams(RNG.uniform(0.01, math.pi / 2 - 0.01), 2.5e-3)
         e = RNG.uniform(0.5, 30)
         raw = build_slab_circuit(p, profile, e)
-        compiled = build_slab_circuit(p, profile, e, compile=True)
+        compiled, _ = virtual_z_pass(raw)
         assert abs(exact_p0(raw) - exact_p0(compiled)) < 1e-12
 
 
@@ -82,8 +83,8 @@ def test_earth_compiled_cumulative_offsets():
     """Compiled earth circuit: X, RY, then five pulse gates whose offsets
     accumulate as phi1, phi1, phi1+phi2, phi1+phi2, 2*phi1+phi2."""
     e = 6.0
-    circ = build_slab_circuit(P13, earth_profile(), e, compile=True,
-                              theta23=TH23)
+    circ, _ = virtual_z_pass(build_slab_circuit(P13, earth_profile(), e,
+                                                theta23=TH23))
     (t1, t2, _), (f1, f2, _) = slab_layer_params(P13, earth_profile(), e, TH23)
     kinds = [op.kind for op in circ.ops]
     assert kinds == [GateKind.X, GateKind.RY] + [GateKind.U] * 5 + \
@@ -109,7 +110,8 @@ def test_zero_phase_layers_give_identity_evolution():
 def test_earth_circuit_matches_oracle_over_grid():
     prof = earth_profile()
     for e in np.linspace(1.0, 25.0, 40):
-        circ = build_slab_circuit(P13, prof, e, compile=True, theta23=TH23)
+        circ, _ = virtual_z_pass(
+            build_slab_circuit(P13, prof, e, theta23=TH23))
         oracle = prob_slab(P13, prof, e, "mu", TH23)
         assert abs(exact_p0(circ) - oracle) < 1e-12
 

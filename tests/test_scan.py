@@ -1,6 +1,7 @@
 """Scan configuration, CSV/SVG emission, CLI behavior."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_energy_grid_forms():
                               "energies": {"min": 1, "max": 5, "points": 5}})
     b = ScanConfig.from_dict({"scenario": "slab",
                               "energies": [1, 2, 3, 4, 5]})
-    c = ScanConfig(scenario="slab").override(energies="1:5:5")
+    c = ScanConfig.from_dict({"scenario": "slab", "energies": "1:5:5"})
     assert a.energies == b.energies == c.energies == (1, 2, 3, 4, 5)
     with pytest.raises(ConfigError, match="energies"):
         ScanConfig.from_dict({"scenario": "slab", "energies": "1:5"})
@@ -81,14 +82,26 @@ def test_energy_grid_forms():
                               "energies": {"min": 1, "hi": 2}})
 
 
+def _cli_config(*argv):
+    return cli._build_config(cli.build_parser().parse_args(["scan", *argv]))
+
+
 def test_flags_win_over_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "earth", "shots": 128, "seed": 7}))
-    cfg = ScanConfig.from_json(str(path)).override(shots=256, compile=True)
+    cfg = _cli_config("--config", str(path), "--shots", "256", "--compile")
     assert cfg.scenario == "earth"
     assert cfg.shots == 256           # flag wins
     assert cfg.seed == 7              # file value kept
     assert cfg.compile is True
+
+
+def test_scenario_flag_over_file_uses_its_default_grid(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "slab"}))
+    cfg = _cli_config("--config", str(path), "--scenario", "msw")
+    assert cfg.scenario == "msw"
+    assert cfg.energies == ScanConfig(scenario="msw").energies
 
 
 def test_from_json_errors(tmp_path):
@@ -371,6 +384,7 @@ BAD_INPUTS = [
     ({"energies": [2.0], "svg": "{tmp}/one.svg"}, "svg"),
     ({"csv": "{tmp}/missing/out.csv"}, "missing/out.csv"),
     ({"svg": "{tmp}/missing/out.svg"}, "missing/out.svg"),
+    ({"shots": 2 ** 63}, "shots"),
 ]
 
 
@@ -385,6 +399,21 @@ def test_cli_bad_input_exit_2(tmp_path, capsys, bad, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_cli_restart_budget_past_int64(tmp_path):
+    """Each restart draws its start when it begins, so a budget past
+    int64 runs and gives the fits of any budget they converge within."""
+    csv = {}
+    for restarts in (64, 2 ** 63):
+        path = tmp_path / f"{restarts}.json"
+        csv[restarts] = tmp_path / f"{restarts}.csv"
+        path.write_text(json.dumps({
+            "scenario": "msw", "synthesis": "optimized", "shots": 64,
+            "energies": [0.002, 0.02], "restarts": restarts,
+            "csv": str(csv[restarts])}))
+        assert cli.main(["scan", "--config", str(path)]) == 0
+    assert csv[64].read_bytes() == csv[2 ** 63].read_bytes()
 
 
 def test_cli_failed_fit_exit_3(tmp_path, monkeypatch, capsys):
@@ -440,3 +469,37 @@ def test_cli_dump_reuses_the_scans_fit(tmp_path, monkeypatch, capsys):
     fit = optim.optimize(optim.FidelityProblem(ds.u2q, restarts=64), 5)
     out = capsys.readouterr().out
     assert out.startswith(dump_circuit(build_msw_circuit(fit.params)))
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap every nuqsim module's binding of each name; returns the calls."""
+    calls = {name: 0 for name in names}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("nuqsim."):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--scenario", "slab", "--energies", "1:2:3", "--compile"],
+     {"build_slab_circuit": 1, "virtual_z_pass": 1, "build_dilation": 0}),
+    (["--scenario", "msw", "--energies", "0.002:0.02:3"],
+     {"build_slab_circuit": 0, "virtual_z_pass": 0, "build_dilation": 1}),
+])
+def test_cli_scan_builds_each_result_once(monkeypatch, capsys, argv, expected):
+    """The CLI prints the compile report and the dump from the scan's
+    own result instead of building them again."""
+    calls = _count_calls(monkeypatch, list(expected))
+    assert cli.main(["scan", *argv, "--dump-circuit"]) == 0
+    assert calls == expected
+    out = capsys.readouterr().out
+    assert ("virtual-Z:" in out) == ("--compile" in argv)

@@ -183,32 +183,33 @@ def test_circuit_unitary_matches_column_runs():
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_deterministic_outcome():
-    res = sample(init_state(1), 0, 4096, seed=7)
-    assert res.counts == {"0": 4096, "1": 0}
-    assert res.shots == 4096
+    _, p1 = probabilities(init_state(1), 0)
+    assert sample(p1, 4096, seed=7) == 0
+    assert sample(1.0, 4096, seed=7) == 4096
 
 
 def test_sample_same_seed_identical():
-    state = apply(init_state(1), ry(1.1))
-    a = sample(state, 0, 4096, seed=42)
-    b = sample(state, 0, 4096, seed=42)
-    assert a == b
+    _, p1 = probabilities(apply(init_state(1), ry(1.1)), 0)
+    assert sample(p1, 4096, seed=42) == sample(p1, 4096, seed=42)
 
 
 def test_sample_binomial_spread():
-    """p0 = 0.5, 4096 shots: within 5 sigma (~±160 of 2048) for all test seeds."""
-    plus = np.array([1, 1]) / math.sqrt(2)
+    """p1 = 0.5, 4096 shots: within 5 sigma (~±160 of 2048) for all test seeds."""
     for seed in range(1000):
-        res = sample(plus, 0, 4096, seed=seed)
-        assert abs(res.counts["0"] - 2048) <= 160
-        assert res.counts["0"] + res.counts["1"] == 4096
+        assert abs(sample(0.5, 4096, seed=seed) - 2048) <= 160
+
+
+def test_sample_clips_rounded_probabilities():
+    """A probability a rounding step past 0 or 1 is drawn as 0 or 1."""
+    assert sample(-1e-17, 64, seed=3) == 0
+    assert sample(1.0 + 2e-16, 64, seed=3) == 64
 
 
 def test_sample_zero_shots_rejected():
     with pytest.raises(ValueError):
-        sample(init_state(1), 0, 0, seed=0)
+        sample(0.5, 0, seed=0)
 
 
 def test_sample_negative_seed_rejected():
     with pytest.raises(ValueError):
-        sample(init_state(1), 0, 16, seed=-1)
+        sample(0.5, 16, seed=-1)
