@@ -22,7 +22,8 @@ import numpy as np
 
 from .circuits import Circuit, cnot, measure, ry, rz, x
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                          SlabProfile, effective_params, slab_layer_params)
+                          SlabProfile, _libm, effective_params,
+                          slab_layer_params)
 
 ANCILLA, ENCODED = 0, 1   # dilation circuit qubit roles (q_A, q_B)
 
@@ -76,6 +77,12 @@ def _w_matrix(theta) -> np.ndarray:
     return w
 
 
+def _asym_eigenvalues(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues on (1,-1)/sqrt2 of Q (cos2t*cos2tm) and of S."""
+    lam = q[..., 0, 0] - q[..., 0, 1]
+    return lam, np.sqrt(np.maximum(0.0, 1.0 - lam ** 2))
+
+
 def dilation_from_angles(theta, theta_m) -> DilationSet:
     """Dilation built directly from the vacuum and matter angles.
 
@@ -87,17 +94,35 @@ def dilation_from_angles(theta, theta_m) -> DilationSet:
     w_mat = _w_matrix(theta_m)
     q = w_vac @ w_mat
     lam_sym = q[..., 0, 0] + q[..., 0, 1]    # eigenvalue on (1,1):  always 1
-    lam_asym = q[..., 0, 0] - q[..., 0, 1]   # eigenvalue on (1,-1): cos2t*cos2tm
+    lam_asym, s_val = _asym_eigenvalues(q)
     for lam in (lam_sym, lam_asym):
         if np.any(np.abs(lam) > 1.0 + 1e-12):
             raise NumericalDomainError(
                 f"Q eigenvalue {np.max(np.abs(lam))} exceeds 1; "
                 "dilation undefined")
-    s_val = np.sqrt(np.maximum(0.0, 1.0 - lam_asym ** 2))
     s = 0.5 * s_val[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     u2q = np.concatenate([np.concatenate([q, s], axis=-1),
                           np.concatenate([s, -q], axis=-1)], axis=-2)
     return DilationSet(w_vac=w_vac, w_mat=w_mat, q=q, u2q=u2q)
+
+
+def synthesis_angles(theta, theta_m) -> SynthesisParams:
+    """Exact two-CNOT angles of the dilation of (theta, theta_m); per
+    point for angle arrays.
+
+    ``u2q`` depends only on lam = cos 2theta cos 2theta_m, and with
+    a = arccos lam the angles (a1, b1, a2, b2, a3, b3) =
+    (-a/2, pi, -a, -pi, a/2, 0) realize it entry by entry (a real SO(4)
+    gate needs at most two CNOTs: Vatan & Williams, quant-ph/0308006).
+    ``a`` is taken as atan2(sqrt(1 - lam^2), lam) of the dilation's own
+    eigenvalues: near lam = +-1 an arccos of cos 2theta cos 2theta_m
+    misses the dilation's S block by up to 4.5e-11.
+    """
+    lam, s_val = _asym_eigenvalues(_w_matrix(theta) @ _w_matrix(theta_m))
+    a = _libm(math.atan2, s_val, lam)
+    zero = 0.0 * a                     # a float, or zeros shaped like a
+    return SynthesisParams(alpha=(-0.5 * a, -a, 0.5 * a),
+                           beta=(zero + math.pi, zero - math.pi, zero))
 
 
 def build_dilation(p: OscParams, production_layer: MatterLayer,

@@ -6,6 +6,11 @@ The local step is box-constrained L-BFGS-B with an analytic gradient
 (dRY(a)/da = RY(a + pi)/2); since it can fall into local minima, the
 primary safeguard is a loop of random restarts drawn uniformly from
 ``INIT_RANGE`` on a seed domain separate from measurement sampling.
+A problem may carry a warm start: restart 1 then begins at those
+angles instead of a random draw.  Scans start each point at its
+closed-form angles (``builders.synthesis_angles``), where the first
+L-BFGS-B call already meets the tolerance; the random restarts stay
+the safeguard and the whole method when no start is given.
 """
 from __future__ import annotations
 
@@ -28,10 +33,16 @@ TOL_INFIDELITY = 1e-9              # a fit with 1 - F <= this has converged
 
 @dataclass(frozen=True)
 class FidelityProblem:
-    """Target unitary plus restart budget."""
+    """Target unitary, restart budget and an optional warm start.
+
+    ``start`` holds six angles (a1, b1, a2, b2, a3, b3) inside
+    ``BOUNDS`` at which restart 1 begins; without it restart 1 draws
+    from the optimizer stream like every later restart.
+    """
 
     target: np.ndarray
     restarts: int = 1000
+    start: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=complex)
@@ -42,6 +53,12 @@ class FidelityProblem:
             raise ValueError("target is not unitary within 1e-10")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.start is not None:
+            s = np.array(self.start, dtype=float)
+            object.__setattr__(self, "start", s)
+            lo, hi = BOUNDS
+            if s.shape != (6,) or not np.all((lo <= s) & (s <= hi)):
+                raise ValueError(f"start must be six angles in {BOUNDS}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +75,13 @@ _CX = gate_matrix(cnot(0, 1)).real
 def vector_to_params(v: np.ndarray) -> SynthesisParams:
     return SynthesisParams(alpha=(float(v[0]), float(v[2]), float(v[4])),
                            beta=(float(v[1]), float(v[3]), float(v[5])))
+
+
+def params_to_vector(sp: SynthesisParams) -> np.ndarray:
+    """(a1, b1, a2, b2, a3, b3) along the last axis, the inverse of
+    ``vector_to_params``: shape (6,), or (n, 6) for a template."""
+    v = np.array((sp.alpha, sp.beta), dtype=float)
+    return np.moveaxis(v, (1, 0), (-2, -1)).reshape(v.shape[2:] + (6,))
 
 
 def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
@@ -95,7 +119,8 @@ def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
 def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
     """Best-of-restarts fit of the circuit angles to ``problem.target``.
 
-    Each restart draws its initial point from the optimizer RNG stream
+    Restart 1 begins at ``problem.start`` when one is given.  Every
+    other restart draws its initial point from the optimizer RNG stream
     when it begins, so the result is a pure function of (problem, seed)
     and a restart that never runs costs nothing.  Stops early once the
     best infidelity reaches ``TOL_INFIDELITY``; ties between restarts
@@ -107,7 +132,10 @@ def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
 
     best_val, best_x = math.inf, None
     for used in range(1, problem.restarts + 1):
-        start = rng.uniform(*INIT_RANGE, size=6)
+        if used == 1 and problem.start is not None:
+            start = problem.start
+        else:
+            start = rng.uniform(*INIT_RANGE, size=6)
         if best_x is None:
             best_x = start
         res = minimize(lambda v: infidelity_and_grad(problem.target, v),

@@ -23,18 +23,21 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .builders import (ENCODED, DilationSet, SynthesisParams, build_dilation,
-                       build_msw_circuit, build_slab_circuit, earth_profile)
+                       build_msw_circuit, build_slab_circuit, earth_profile,
+                       synthesis_angles)
 from .circuits import Circuit
 from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                          SlabProfile, prob_msw_adiabatic, prob_slab)
-from .optim import FidelityProblem, optimize
+                          SlabProfile, effective_params, prob_msw_adiabatic,
+                          prob_slab)
+from .optim import FidelityProblem, optimize, params_to_vector
 from .rng import scan_point_seed
 from .simulator import apply_matrix, init_state, probabilities, run, sample
 
@@ -54,6 +57,9 @@ DEFAULT_GRIDS = {
 }
 # largest shot count a binomial draw takes (its count is an int64)
 _MAX_SHOTS = 2 ** 63 - 1
+# largest period count whose expanded two-layer profile has an index-sized
+# length
+_MAX_PERIODS = sys.maxsize // 2
 
 
 _ANGLE = (lambda v: 0.0 <= v <= 90.0, "in [0, 90]")
@@ -102,13 +108,9 @@ class ScanConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"field 'scenario': must be one of {SCENARIOS}, "
                               f"got {self.scenario!r}")
-        if self.energies is None:
-            lo, hi, n = DEFAULT_GRIDS[self.scenario]
-            object.__setattr__(self, "energies",
-                               tuple(np.linspace(lo, hi, n)))
-        else:
-            object.__setattr__(self, "energies",
-                               tuple(float(e) for e in self.energies))
+        energies = (np.linspace(*DEFAULT_GRIDS[self.scenario])
+                    if self.energies is None else self.energies)
+        object.__setattr__(self, "energies", tuple(float(e) for e in energies))
         if len(self.energies) < 1:
             raise ConfigError("field 'energies': needs at least one point")
         if not all(math.isfinite(e) and e > 0 for e in self.energies):
@@ -127,8 +129,9 @@ class ScanConfig:
         if self.angle_mode not in ANGLE_MODES:
             raise ConfigError(f"field 'angle_mode': must be one of "
                               f"{ANGLE_MODES}, got {self.angle_mode!r}")
-        if self.periods < 1:
-            raise ConfigError(f"field 'periods': must be >= 1, got {self.periods}")
+        if not 1 <= self.periods <= _MAX_PERIODS:
+            raise ConfigError(f"field 'periods': must be in "
+                              f"[1, {_MAX_PERIODS}], got {self.periods}")
         if self.restarts < 1:
             raise ConfigError(f"field 'restarts': must be >= 1, got {self.restarts}")
         for name, (inside, rule) in _DOMAINS.items():
@@ -271,13 +274,16 @@ def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
             MatterLayer(config.production_rho, config.ye, 0.0))
 
 
-def _fitted_angles(config: ScanConfig, ds: DilationSet) -> SynthesisParams:
-    """Per-point two-CNOT angles fitted to a dilation stack; a failed
-    fit raises."""
+def _fitted_angles(config: ScanConfig, ds: DilationSet, theta: float,
+                   theta_m: np.ndarray) -> SynthesisParams:
+    """Per-point two-CNOT angles fitted to a dilation stack, each fit
+    starting at the point's closed-form angles; a failed fit raises."""
+    starts = params_to_vector(synthesis_angles(theta, theta_m))
     fits = []
     for i, energy_gev in enumerate(config.energies):
         res = optimize(FidelityProblem(target=ds.u2q[i],
-                                       restarts=config.restarts),
+                                       restarts=config.restarts,
+                                       start=starts[i]),
                        scan_point_seed(config.seed, i))
         if not res.converged:
             raise NumericalDomainError(
@@ -317,7 +323,9 @@ def run_scan(config: ScanConfig) -> ScanResult:
             circuit, dilation = None, ds.u2q
             states = apply_matrix(init_state(2), dilation)
         else:
-            circuit = build_msw_circuit(_fitted_angles(config, ds))
+            theta_m = effective_params(p, layer, energies).theta_m
+            circuit = build_msw_circuit(
+                _fitted_angles(config, ds, p.theta, theta_m))
             states, _ = run(circuit)
         qubit = ENCODED
         theory = prob_msw_adiabatic(p, layer, energies)[0]

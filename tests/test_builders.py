@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nuqsim import optim
 from nuqsim.builders import (SynthesisParams, build_dilation,
                              build_msw_circuit, build_slab_circuit,
-                             dilation_from_angles, earth_profile)
+                             dilation_from_angles, earth_profile,
+                             synthesis_angles)
 from nuqsim.circuits import GateKind, measure, ry, rz, x
 from nuqsim.compiler import pulse_count, virtual_z_pass
 from nuqsim.oscillation import (MatterLayer, OscParams, SlabProfile,
@@ -214,6 +218,23 @@ def test_optimized_circuit_reproduces_marginal():
     state, measured = run(build_msw_circuit(res.params))
     p0 = probabilities(state, measured[0])[0]
     assert abs(p0 - ds.q[0, 0]) < 1e-3
+
+
+# theta and theta_m over [0, pi/2], both edges and the midpoint included
+QUARTER_TURN = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
+                         st.floats(0.0, math.pi / 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(QUARTER_TURN, QUARTER_TURN)
+def test_synthesis_angles_realize_the_dilation(theta, theta_m):
+    sp = synthesis_angles(theta, theta_m)
+    total = circuit_unitary(build_msw_circuit(sp))
+    target = dilation_from_angles(theta, theta_m).u2q
+    assert np.max(np.abs(total - target)) <= 1e-14
+    lo, hi = optim.BOUNDS
+    for a in sp.alpha + sp.beta:
+        assert lo <= a <= hi
 
 
 def test_synthesis_params_validation():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from nuqsim import optim
-from nuqsim.builders import build_msw_circuit, dilation_from_angles
+from nuqsim.builders import (build_msw_circuit, dilation_from_angles,
+                             synthesis_angles)
 from nuqsim.optim import (FidelityProblem, infidelity_and_grad, optimize,
-                          vector_to_params)
+                          params_to_vector, vector_to_params)
+from nuqsim.rng import optimizer_generator
 from nuqsim.simulator import circuit_unitary
 
 RNG = np.random.Generator(np.random.PCG64(777))
@@ -156,6 +158,53 @@ def test_nonconvergence_reported_not_raised(monkeypatch):
     assert res.converged is False
 
 
+def test_params_vector_round_trip():
+    """One six-angle row per point, equal to the point's own closed form."""
+    v = random_params_vector()
+    assert np.array_equal(params_to_vector(vector_to_params(v)), v)
+    theta, theta_m = RNG.uniform(0, math.pi / 2, (2, 5))
+    rows = params_to_vector(synthesis_angles(theta, theta_m))
+    assert rows.shape == (5, 6)
+    for i in range(5):
+        one = params_to_vector(synthesis_angles(theta[i], theta_m[i]))
+        assert np.array_equal(rows[i], one)
+
+
+def test_closed_form_start_converges_on_the_first_restart():
+    for _ in range(20):
+        theta, theta_m = RNG.uniform(0, math.pi / 2, 2)
+        start = params_to_vector(synthesis_angles(theta, theta_m))
+        problem = FidelityProblem(dilation_from_angles(theta, theta_m).u2q,
+                                  restarts=1, start=start)
+        res = optimize(problem, seed=0)
+        assert res.converged and res.restarts_used == 1
+        assert res.infidelity <= optim.TOL_INFIDELITY
+
+
+def test_start_takes_no_draw(monkeypatch):
+    """Restart 1 begins at the start without a draw; restart k >= 2
+    begins at draw k - 1 of the optimizer stream."""
+    monkeypatch.setattr(optim, "TOL_INFIDELITY", -1.0)
+    x0s, minimize = [], optim.minimize
+
+    def recorded(fun, x0, **kwargs):
+        x0s.append(np.array(x0))
+        return minimize(fun, x0, **kwargs)
+    start = params_to_vector(synthesis_angles(0.6, 0.2))
+    problem = FidelityProblem(dilation_from_angles(0.6, 0.2).u2q, restarts=3,
+                              start=start)
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "minimize", recorded)
+        res = optimize(problem, seed=9)
+    assert res.restarts_used == 3
+    rng = optimizer_generator(9)
+    expected = [start] + [
+        rng.uniform(*optim.INIT_RANGE, size=6) for _ in range(2)]
+    assert len(x0s) == 3
+    for got, want in zip(x0s, expected):
+        assert np.array_equal(got, want)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         FidelityProblem(target=np.ones((4, 4)))
@@ -163,3 +212,7 @@ def test_problem_validation():
         FidelityProblem(target=np.eye(3))
     with pytest.raises(ValueError):
         FidelityProblem(target=np.eye(4), restarts=0)
+    for start in (np.zeros(5), np.zeros((2, 6)), [0.0] * 5 + [math.nan],
+                  [0.0] * 5 + [math.inf], [0.0] * 5 + [3.2]):
+        with pytest.raises(ValueError, match="start"):
+            FidelityProblem(target=np.eye(4), start=start)

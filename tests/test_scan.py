@@ -8,10 +8,12 @@ import pytest
 
 import nuqsim.cli as cli
 from nuqsim import optim, scan
-from nuqsim.builders import build_dilation, build_msw_circuit, earth_profile
+from nuqsim.builders import (build_dilation, build_msw_circuit, earth_profile,
+                             synthesis_angles)
 from nuqsim.compiler import dump_circuit
 from nuqsim.oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                                prob_msw_adiabatic, prob_slab)
+                                effective_params, prob_msw_adiabatic,
+                                prob_slab)
 from nuqsim.scan import (ConfigError, ScanConfig, ScanPoint, ScanResult,
                          emit_csv, emit_plot, run_scan,
                          slab_profile_from_config)
@@ -28,6 +30,7 @@ def test_defaults():
     assert cfg.energies[0] == 1.0 and cfg.energies[-1] == 25.0
     msw = ScanConfig(scenario="msw")
     assert msw.energies[0] == 0.001 and msw.energies[-1] == 0.050
+    assert all(type(e) is float for e in cfg.energies + msw.energies)
 
 
 def test_bad_fields_are_named():
@@ -166,6 +169,20 @@ def test_msw_optimized_mode_close_to_theory():
     result = run_scan(cfg)
     for pt in result.points:
         assert abs(pt.p_exact - pt.p_theory) < 1e-3
+
+
+def test_default_msw_grid_fits_on_the_first_restart(tmp_path):
+    """Each fit starts at the closed-form angles, so one restart per
+    point converges and the circuit matches the oracle to 1e-12."""
+    csv = tmp_path / "out.csv"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
+                                "restarts": 1, "shots": 64, "csv": str(csv)}))
+    assert cli.main(["scan", "--config", str(path)]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 50
+    for row in rows:
+        assert abs(float(row[2]) - float(row[1])) <= 1e-12
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -385,6 +402,7 @@ BAD_INPUTS = [
     ({"csv": "{tmp}/missing/out.csv"}, "missing/out.csv"),
     ({"svg": "{tmp}/missing/out.svg"}, "missing/out.svg"),
     ({"shots": 2 ** 63}, "shots"),
+    ({"periods": 2 ** 63}, "periods"),
 ]
 
 
@@ -427,6 +445,16 @@ def test_cli_failed_fit_exit_3(tmp_path, monkeypatch, capsys):
     assert "1-F = " in err and "after 2 restart(s)" in err
 
 
+def test_cli_failed_fit_names_a_default_grid_energy(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(optim, "TOL_INFIDELITY", -1.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
+                                "restarts": 1}))
+    assert cli.main(["scan", "--config", str(path)]) == 3
+    assert "at 0.001 GeV did not converge" in capsys.readouterr().err
+
+
 def test_every_float_field_has_a_domain():
     floats = {name for name, kind in scan._FIELD_TYPES.items() if kind is float}
     assert set(scan._DOMAINS) == floats
@@ -465,8 +493,11 @@ def test_cli_dump_reuses_the_scans_fit(tmp_path, monkeypatch, capsys):
                                 "restarts": 64, "seed": 5}))
     assert cli.main(["scan", "--config", str(path), "--dump-circuit"]) == 0
     assert calls == [5, 4, 7]               # seed ^ i, once per energy
-    ds = build_dilation(*scan.msw_setup(ScanConfig(scenario="msw")), 0.002)
-    fit = optim.optimize(optim.FidelityProblem(ds.u2q, restarts=64), 5)
+    p, layer = scan.msw_setup(ScanConfig(scenario="msw"))
+    ds = build_dilation(p, layer, 0.002)
+    start = synthesis_angles(p.theta, effective_params(p, layer, 0.002).theta_m)
+    fit = optim.optimize(optim.FidelityProblem(
+        ds.u2q, restarts=64, start=optim.params_to_vector(start)), 5)
     out = capsys.readouterr().out
     assert out.startswith(dump_circuit(build_msw_circuit(fit.params)))
 
