@@ -213,8 +213,7 @@ def _require_single(circuit: Circuit) -> None:
 def dump_circuit(circuit: Circuit) -> str:
     """One gate per line: kind, angles, qubit indices.
 
-    Angles use repr() so the dump round-trips bit-exactly through
-    ``parse_circuit``.
+    Angles use repr(), so every angle reads back bit-exactly.
     """
     _require_single(circuit)
     lines = [f"# nuqsim-circuit width={circuit.width}"]
@@ -225,29 +224,3 @@ def dump_circuit(circuit: Circuit) -> str:
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
-
-def parse_circuit(text: str) -> Circuit:
-    """Inverse of ``dump_circuit``."""
-    width = None
-    ops: list[GateOp] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "width=" in line:
-                width = int(line.split("width=")[1].split()[0])
-            continue
-        tokens = line.split()
-        try:
-            kind = GateKind(tokens[0])
-        except ValueError:
-            raise ValueError(f"unknown gate kind {tokens[0]!r}") from None
-        from .circuits import N_PARAMS
-        n = N_PARAMS[kind]
-        params = tuple(float(t) for t in tokens[1:1 + n])
-        qubits = tuple(int(t) for t in tokens[1 + n:])
-        ops.append(GateOp(kind, qubits, params))
-    if width is None:
-        width = 1 + max((max(op.qubits) for op in ops), default=0)
-    return Circuit(width, tuple(ops))

@@ -23,8 +23,10 @@ oracles then evaluate the whole grid at once, with their own propagator
 formulas.  They never call the circuit simulator, so the circuit path
 and its oracle stay independent code.
 
-The two unit-conversion factors are derived once from CODATA constants
-(Fermi coupling, neutron mass, hbar*c) and self-checked at import:
+The two unit-conversion factors are derived once from pinned CODATA
+2022 values (Fermi coupling, neutron mass, hbar, c, e; the values
+scipy.constants 1.17.1 ships, which a test checks) and self-checked at
+import:
 
 - matter term  A = matter_factor * Ye * rho * E,
   matter_factor = 2 sqrt(2) G_F (hbar c)^3 / m_n ~ 1.5134e-4 eV^2 per
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants as _sc
 
 
 def _libm(f, *args):
@@ -57,6 +58,14 @@ class NumericalDomainError(ArithmeticError):
     """A physics quantity left its mathematically valid domain."""
 
 
+# CODATA 2022, pinned so that no scan imports scipy.constants.
+G_F = 1.1663787e-05              # Fermi coupling G_F/(hbar c)^3, GeV^-2
+M_N = 1.67492750056e-27          # neutron mass, kg
+HBAR = 1.0545718176461565e-34    # reduced Planck constant, J s
+C_LIGHT = 299792458.0            # speed of light, m/s
+E_CHARGE = 1.602176634e-19       # elementary charge, C
+
+
 @dataclass(frozen=True)
 class PhysConstants:
     """Unit-conversion factors, derived once and frozen."""
@@ -69,12 +78,11 @@ class PhysConstants:
 
     @classmethod
     def derive(cls) -> "PhysConstants":
-        gf = _sc.physical_constants["Fermi coupling constant"][0]
-        mn_g = _sc.m_n * 1e3
-        hbarc = (_sc.hbar * _sc.c / _sc.e) * 1e-9 * 1e2  # J*m -> GeV*cm
-        matter = 2.0 * math.sqrt(2.0) * gf * hbarc ** 3 / mn_g * 1e18
+        mn_g = M_N * 1e3
+        hbarc = (HBAR * C_LIGHT / E_CHARGE) * 1e-9 * 1e2  # J*m -> GeV*cm
+        matter = 2.0 * math.sqrt(2.0) * G_F * hbarc ** 3 / mn_g * 1e18
         phase = 1e-18 * (1e5 / hbarc) / 2.0
-        return cls(gf, mn_g, hbarc, matter, phase)
+        return cls(G_F, mn_g, hbarc, matter, phase)
 
 
 CONSTANTS = PhysConstants.derive()

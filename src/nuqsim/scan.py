@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import typing
 from dataclasses import dataclass, fields
 
@@ -57,9 +56,14 @@ DEFAULT_GRIDS = {
 }
 # largest shot count a binomial draw takes (its count is an int64)
 _MAX_SHOTS = 2 ** 63 - 1
-# largest period count whose expanded two-layer profile has an index-sized
-# length
-_MAX_PERIODS = sys.maxsize // 2
+# Work budget, checked before any grid or layer is allocated: at most
+# MAX_POINTS energies; a slab scan expands to at most MAX_LAYERS layers
+# (2 per period), each three template gates, and to at most
+# MAX_LAYER_POINTS layers x energies, the size of its angle and phase
+# arrays.
+MAX_POINTS = 100_000
+MAX_LAYERS = 10_000
+MAX_LAYER_POINTS = 1_000_000
 
 
 _ANGLE = (lambda v: 0.0 <= v <= 90.0, "in [0, 90]")
@@ -111,8 +115,9 @@ class ScanConfig:
         energies = (np.linspace(*DEFAULT_GRIDS[self.scenario])
                     if self.energies is None else self.energies)
         object.__setattr__(self, "energies", tuple(float(e) for e in energies))
-        if len(self.energies) < 1:
-            raise ConfigError("field 'energies': needs at least one point")
+        if not 1 <= len(self.energies) <= MAX_POINTS:
+            raise ConfigError(f"field 'energies': needs 1 to {MAX_POINTS} "
+                              f"points, got {len(self.energies)}")
         if not all(math.isfinite(e) and e > 0 for e in self.energies):
             raise ConfigError("field 'energies': all energies must be finite "
                               "and positive")
@@ -129,9 +134,15 @@ class ScanConfig:
         if self.angle_mode not in ANGLE_MODES:
             raise ConfigError(f"field 'angle_mode': must be one of "
                               f"{ANGLE_MODES}, got {self.angle_mode!r}")
-        if not 1 <= self.periods <= _MAX_PERIODS:
-            raise ConfigError(f"field 'periods': must be in "
-                              f"[1, {_MAX_PERIODS}], got {self.periods}")
+        if self.periods < 1:
+            raise ConfigError(f"field 'periods': must be >= 1, got {self.periods}")
+        layers, n = 2 * self.periods, len(self.energies)
+        if self.scenario == "slab" and (layers > MAX_LAYERS or
+                                        layers * n > MAX_LAYER_POINTS):
+            raise ConfigError(
+                f"field 'periods': {layers} layers x {n} energies exceed the "
+                f"work budget of {MAX_LAYERS} layers and {MAX_LAYER_POINTS} "
+                "layer-points")
         if self.restarts < 1:
             raise ConfigError(f"field 'restarts': must be >= 1, got {self.restarts}")
         for name, (inside, rule) in _DOMAINS.items():
@@ -215,20 +226,18 @@ def _parse_energies(spec) -> tuple[float, ...]:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"field 'energies': cannot parse {spec!r}") from None
-        if n < 1:
-            raise ConfigError("field 'energies': n must be >= 1")
-        return tuple(np.linspace(lo, hi, n))
+        return _linspace(lo, hi, n)
     if isinstance(spec, dict):
         extra = set(spec) - {"min", "max", "points"}
         if extra:
             raise ConfigError(f"field 'energies': unknown keys {sorted(extra)}")
         try:
-            return tuple(np.linspace(float(spec["min"]), float(spec["max"]),
-                                     int(spec["points"])))
+            lo, hi, n = float(spec["min"]), float(spec["max"]), int(spec["points"])
         except KeyError as exc:
             raise ConfigError(f"field 'energies': missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field 'energies': {exc}") from None
+        return _linspace(lo, hi, n)
     if isinstance(spec, (list, tuple)):
         try:
             return tuple(float(e) for e in spec)
@@ -236,6 +245,14 @@ def _parse_energies(spec) -> tuple[float, ...]:
             raise ConfigError("field 'energies': entries must be numbers") \
                 from None
     raise ConfigError("field 'energies': expected list, object, or 'min:max:n'")
+
+
+def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """n evenly spaced energies, with n checked before they are allocated."""
+    if not 1 <= n <= MAX_POINTS:
+        raise ConfigError(f"field 'energies': n must be in [1, {MAX_POINTS}], "
+                          f"got {n}")
+    return tuple(np.linspace(lo, hi, n))
 
 
 @dataclass(frozen=True)

@@ -185,12 +185,6 @@ def sample(p1: float, shots: int, seed: int) -> int:
     return int(rng.binomial(shots, min(max(float(p1), 0.0), 1.0)))
 
 
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray,
-                             tol: float = 1e-12) -> bool:
-    """True when |<a|b>| = 1 within tol (both assumed normalized)."""
-    return abs(abs(np.vdot(a, b)) - 1.0) <= tol
-
-
 def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray,
                                 tol: float = 1e-12) -> bool:
     """True when |tr(a^H b)|/dim = 1 within tol."""

@@ -181,6 +181,49 @@ def test_closed_form_start_converges_on_the_first_restart():
         assert res.infidelity <= optim.TOL_INFIDELITY
 
 
+def test_start_within_tolerance_skips_lbfgsb(monkeypatch):
+    """A start that meets the tolerance is the fit, bit for bit."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("L-BFGS-B ran")
+    monkeypatch.setattr(optim, "minimize", refuse)
+    start = params_to_vector(synthesis_angles(0.6, 0.2))
+    problem = FidelityProblem(dilation_from_angles(0.6, 0.2).u2q,
+                              restarts=5, start=start)
+    res = optimize(problem, seed=4)
+    assert np.array_equal(params_to_vector(res.params), start)
+    assert res.restarts_used == 1 and res.converged
+    assert res.infidelity == max(infidelity_and_grad(problem.target,
+                                                     start)[0], 0.0)
+
+
+def test_far_start_runs_lbfgsb(monkeypatch):
+    calls, minimize = [], optim.minimize
+
+    def counted(fun, x0, **kwargs):
+        calls.append(1)
+        return minimize(fun, x0, **kwargs)
+    monkeypatch.setattr(optim, "minimize", counted)
+    target = dilation_from_angles(0.6, 0.2).u2q
+    start = 0.8 * params_to_vector(synthesis_angles(0.6, 0.2))
+    assert infidelity_and_grad(target, start)[0] > optim.TOL_INFIDELITY
+    res = optimize(FidelityProblem(target, start=start), seed=4)
+    assert res.converged and calls
+    assert len(calls) == res.restarts_used
+
+
+def test_no_start_runs_lbfgsb_from_the_first_draw(monkeypatch):
+    x0s, minimize = [], optim.minimize
+
+    def recorded(fun, x0, **kwargs):
+        x0s.append(np.array(x0))
+        return minimize(fun, x0, **kwargs)
+    monkeypatch.setattr(optim, "minimize", recorded)
+    res = optimize(FidelityProblem(dilation_from_angles(0.6, 0.2).u2q), seed=4)
+    assert res.converged and len(x0s) == res.restarts_used
+    assert np.array_equal(x0s[0], optimizer_generator(4).uniform(
+        *optim.INIT_RANGE, size=6))
+
+
 def test_start_takes_no_draw(monkeypatch):
     """Restart 1 begins at the start without a draw; restart k >= 2
     begins at draw k - 1 of the optimizer stream."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.constants as sc
 
+from nuqsim import oscillation
 from nuqsim.oscillation import (CONSTANTS, MatterLayer, NumericalDomainError,
                                 OscParams, SlabProfile,
                                 atmospheric_effective_angle, effective_params,
@@ -38,6 +39,16 @@ def test_phase_factor_against_hand_derivation():
     expected = 1e-18 * 1e5 / hbarc_gev_cm / 2.0
     assert abs(CONSTANTS.phase_factor / expected - 1.0) < 1e-12
     assert abs(CONSTANTS.phase_factor - 2.5338653580781973) < 1e-12
+
+
+def test_pinned_codata_values_match_scipy():
+    """The literals the unit factors derive from are scipy's, exactly."""
+    assert oscillation.G_F == sc.physical_constants[
+        "Fermi coupling constant"][0]
+    assert oscillation.M_N == sc.m_n
+    assert oscillation.HBAR == sc.hbar
+    assert oscillation.C_LIGHT == sc.c
+    assert oscillation.E_CHARGE == sc.e
 
 
 def test_matter_potential_vacuum_and_linearity():

@@ -1,6 +1,8 @@
 """Scan configuration, CSV/SVG emission, CLI behavior."""
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -403,6 +405,13 @@ BAD_INPUTS = [
     ({"svg": "{tmp}/missing/out.svg"}, "missing/out.svg"),
     ({"shots": 2 ** 63}, "shots"),
     ({"periods": 2 ** 63}, "periods"),
+    ({"periods": 4611686018427387903}, "periods"),
+    ({"periods": 5001, "energies": [1.0]}, "periods"),
+    ({"periods": 500, "energies": "1:2:1001"}, "periods"),
+    ({"energies": "1:2:10000000000000"}, "energies"),
+    ({"energies": {"min": 1, "max": 2, "points": scan.MAX_POINTS + 1}},
+     "energies"),
+    ({"energies": {"min": 1, "max": 2, "points": float("inf")}}, "energies"),
 ]
 
 
@@ -417,6 +426,40 @@ def test_cli_bad_input_exit_2(tmp_path, capsys, bad, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_work_budget_holds_every_default_grid():
+    """The caps sit far above the default grids and slab profile."""
+    for scenario, (_, _, points) in scan.DEFAULT_GRIDS.items():
+        assert 100 * points <= scan.MAX_POINTS
+    cfg = ScanConfig(scenario="slab")
+    assert 100 * 2 * cfg.periods <= scan.MAX_LAYERS
+    assert 100 * 2 * cfg.periods * len(cfg.energies) <= scan.MAX_LAYER_POINTS
+    at_caps = ScanConfig.from_dict({"scenario": "slab", "energies": "1:2:100",
+                                    "periods": scan.MAX_LAYERS // 2})
+    assert 2 * at_caps.periods * len(at_caps.energies) == scan.MAX_LAYER_POINTS
+
+
+def _modules_after(code: str, cwd) -> set[str]:
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, *paths])))
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("code", [
+    "import nuqsim.cli",
+    "import nuqsim.cli\nassert nuqsim.cli.main(['scan', '--scenario', 'msw', "
+    "'--synthesis', 'optimized', '--csv', 'msw.csv', '--svg', 'msw.svg']) == 0",
+], ids=["import", "msw-optimized-scan"])
+def test_scan_imports_neither_scipy_optimize_nor_constants(tmp_path, code):
+    loaded = _modules_after(code, tmp_path)
+    assert "nuqsim.optim" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.constants"}
 
 
 def test_cli_restart_budget_past_int64(tmp_path):

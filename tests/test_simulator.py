@@ -9,8 +9,7 @@ from nuqsim.oscillation import layer_propagator
 from nuqsim.compiler import virtual_z_pass
 from nuqsim.simulator import (apply, apply_matrix, circuit_unitary,
                               gate_matrix, init_state, probabilities, run,
-                              sample, states_equal_up_to_phase,
-                              unitaries_equal_up_to_phase)
+                              sample, unitaries_equal_up_to_phase)
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -120,7 +119,6 @@ def test_compiled_slab_sequence_matches_matrix_product():
         state = np.array([0, 1], dtype=complex)
         for op in compiled.ops:
             state = apply(state, op)
-        assert states_equal_up_to_phase(state, expected, 1e-12)
         # amplitudes agree exactly with the trailing RZ kept
         assert np.max(np.abs(state - expected)) < 1e-12
 
