@@ -30,9 +30,8 @@ for e in np.linspace(1.0, 12.0, 12):
           f"  {math.sin(2 * ep.theta_m) ** 2:16.6f}")
 
 # resonance energy: beta = cos 2theta
-from nuqsim import CONSTANTS
-e_res = p.dm2 * math.cos(2 * theta13) / (CONSTANTS.matter_factor
-                                         * layer.ye * layer.rho)
+from nuqsim import MATTER_FACTOR
+e_res = p.dm2 * math.cos(2 * theta13) / (MATTER_FACTOR * layer.ye * layer.rho)
 print(f"\nresonance at E = {e_res:.3f} GeV "
       f"(beta = cos 2theta = {math.cos(2 * theta13):.4f})")
 

@@ -35,9 +35,9 @@ res = optimize(FidelityProblem(target=ds.u2q), seed=0)
 print(f"\nsynthesis: infidelity {res.infidelity:.2e} "
       f"after {res.restarts_used} restart(s)")
 print("synthesized circuit:")
-print(dump_circuit(build_msw_circuit(res.params)))
+print(dump_circuit(build_msw_circuit(res.angles)))
 
-state, measured = run(build_msw_circuit(res.params))
+state, measured = run(build_msw_circuit(res.angles))
 pee_circuit = probabilities(state, measured[0])[0]
 pee_theory, _ = prob_msw_adiabatic(p, core, energy)
 print(f"P(nu_e -> nu_e): circuit {pee_circuit:.9f}, "

@@ -5,13 +5,15 @@ nu_mu, then RY(-2t), RZ(phi), RY(2t) per layer, then a Z measurement;
 the fraction of |0> outcomes is P(nu_mu -> nu_e)).  The adiabatic MSW
 scenario embeds the non-unitary product Q = W_vac W_mat into a 4x4
 orthogonal dilation acting on an ancilla + encoded qubit pair, either
-applied directly or synthesized as a two-CNOT / six-RY circuit.
+applied directly or synthesized as a two-CNOT / six-RY circuit whose
+angles are one vector (a1, b1, a2, b2, a3, b3), a_k on the ancilla.
 
 A scan builds one template per profile: given an energy array of shape
 ``(n,)``, ``build_slab_circuit`` returns one circuit whose angles are
 ``(n,)`` arrays, ``build_dilation`` returns ``(n, 4, 4)`` stacks, and
-``build_msw_circuit`` takes per-point angle arrays.  Given one energy
-(or float angles) they return a single circuit and 4x4 matrices.
+``build_msw_circuit`` takes one angle row per point, ``(n, 6)``.  Given
+one energy (or a ``(6,)`` vector) they return a single circuit and 4x4
+matrices.
 """
 from __future__ import annotations
 
@@ -58,14 +60,12 @@ def earth_profile(ye: float = 0.5) -> SlabProfile:
 class DilationSet:
     """Matrices embedding the non-unitary MSW map, per scan point.
 
-    w_vac and w_mat are the phase-averaged (doubly stochastic) mixing
-    matrices, q = w_vac @ w_mat, and u2q is the orthogonal dilation
+    q = W_vac @ W_mat is the product of the phase-averaged (doubly
+    stochastic) mixing matrices, and u2q is the orthogonal dilation
     [[Q, S], [S, -Q]] with S = sqrt(I - Q^2), indexed by the ancilla.
     Over an angle or energy array each is a stack, e.g. u2q (n, 4, 4).
     """
 
-    w_vac: np.ndarray
-    w_mat: np.ndarray
     q: np.ndarray
     u2q: np.ndarray
 
@@ -90,9 +90,7 @@ def dilation_from_angles(theta, theta_m) -> DilationSet:
     W matrix, with eigenvalues 1 and cos 2theta cos 2theta_m, so
     sqrt(I - Q^2) is evaluated in closed form on that basis.
     """
-    w_vac = _w_matrix(theta)
-    w_mat = _w_matrix(theta_m)
-    q = w_vac @ w_mat
+    q = _w_matrix(theta) @ _w_matrix(theta_m)
     lam_sym = q[..., 0, 0] + q[..., 0, 1]    # eigenvalue on (1,1):  always 1
     lam_asym, s_val = _asym_eigenvalues(q)
     for lam in (lam_sym, lam_asym):
@@ -103,12 +101,12 @@ def dilation_from_angles(theta, theta_m) -> DilationSet:
     s = 0.5 * s_val[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     u2q = np.concatenate([np.concatenate([q, s], axis=-1),
                           np.concatenate([s, -q], axis=-1)], axis=-2)
-    return DilationSet(w_vac=w_vac, w_mat=w_mat, q=q, u2q=u2q)
+    return DilationSet(q=q, u2q=u2q)
 
 
-def synthesis_angles(theta, theta_m) -> SynthesisParams:
-    """Exact two-CNOT angles of the dilation of (theta, theta_m); per
-    point for angle arrays.
+def synthesis_angles(theta, theta_m) -> np.ndarray:
+    """Exact two-CNOT angles of the dilation of (theta, theta_m): ``(6,)``,
+    or ``(n, 6)`` with one row per point for angle arrays.
 
     ``u2q`` depends only on lam = cos 2theta cos 2theta_m, and with
     a = arccos lam the angles (a1, b1, a2, b2, a3, b3) =
@@ -121,8 +119,8 @@ def synthesis_angles(theta, theta_m) -> SynthesisParams:
     lam, s_val = _asym_eigenvalues(_w_matrix(theta) @ _w_matrix(theta_m))
     a = _libm(math.atan2, s_val, lam)
     zero = 0.0 * a                     # a float, or zeros shaped like a
-    return SynthesisParams(alpha=(-0.5 * a, -a, 0.5 * a),
-                           beta=(zero + math.pi, zero - math.pi, zero))
+    return np.stack((-0.5 * a, zero + math.pi, -a, zero - math.pi,
+                     0.5 * a, zero), axis=-1)
 
 
 def build_dilation(p: OscParams, production_layer: MatterLayer,
@@ -133,28 +131,16 @@ def build_dilation(p: OscParams, production_layer: MatterLayer,
     return dilation_from_angles(p.theta, ep.theta_m)
 
 
-@dataclass(frozen=True)
-class SynthesisParams:
-    """Six RY angles (three per qubit) of the two-CNOT dilation circuit;
-    each a float, or an ``(n,)`` array with one fitted angle per point."""
-
-    alpha: tuple   # ancilla rotations
-    beta: tuple    # encoded-qubit rotations
-
-    def __post_init__(self):
-        for name, angles in (("alpha", self.alpha), ("beta", self.beta)):
-            if len(angles) != 3:
-                raise ValueError(f"{name} needs exactly 3 angles")
-            for a in angles:
-                if not np.all(np.abs(a) <= math.pi):
-                    raise ValueError(f"{name} angle {a} outside [-pi, pi]")
-
-
-def build_msw_circuit(sp: SynthesisParams) -> Circuit:
-    """Two-qubit circuit (RY x RY) CX (RY x RY) CX (RY x RY), measure q_B;
-    a template when the angles are arrays."""
-    a1, a2, a3 = sp.alpha
-    b1, b2, b3 = sp.beta
+def build_msw_circuit(angles) -> Circuit:
+    """Two-qubit circuit (RY x RY) CX (RY x RY) CX (RY x RY), measure q_B,
+    from the angles (a1, b1, a2, b2, a3, b3): a ``(6,)`` vector, or an
+    ``(n, 6)`` array for a template."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1:] != (6,) or angles.ndim > 2:
+        raise ValueError(f"angles of shape {angles.shape}, not (6,) or (n, 6)")
+    if not np.all(np.abs(angles) <= math.pi):
+        raise ValueError("synthesis angles must lie in [-pi, pi]")
+    a1, b1, a2, b2, a3, b3 = np.moveaxis(angles, -1, 0)
     ops = (
         ry(a1, ANCILLA), ry(b1, ENCODED), cnot(ANCILLA, ENCODED),
         ry(a2, ANCILLA), ry(b2, ENCODED), cnot(ANCILLA, ENCODED),

@@ -31,11 +31,6 @@ from .simulator import gate_matrix, unitaries_equal_up_to_phase
 SX_PARAMS = (math.pi / 2, -math.pi / 2, math.pi / 2)
 
 
-def pulse(theta: float, phi: float, qubit: int = 0) -> GateOp:
-    """Physical-pulse rotation about the equatorial axis (sin phi, cos phi, 0)."""
-    return u(theta, -phi, phi, qubit)
-
-
 def sx(qubit: int = 0) -> GateOp:
     """Native sqrt(X) in pulse form."""
     return u(*SX_PARAMS, qubit)

@@ -1,11 +1,14 @@
-"""Fit the six RY angles of the dilation circuit to a target unitary.
+"""Fit the six RY angles (a1, b1, a2, b2, a3, b3) of the dilation circuit,
+the vector ``builders.build_msw_circuit`` takes, to a target unitary.
 
 Objective: overlap fidelity F = |Tr(U_T^H U_R)|^2 / 16, which is 1 iff
 the realized circuit unitary matches the target up to a global phase.
 The local step is box-constrained L-BFGS-B with an analytic gradient
 (dRY(a)/da = RY(a + pi)/2); since it can fall into local minima, the
 primary safeguard is a loop of random restarts drawn uniformly from
-``INIT_RANGE`` on a seed domain separate from measurement sampling.
+``INIT_RANGE`` by ``PCG64(SeedSequence(seed, spawn_key=(0x6F7074,)))``,
+a seed domain apart from measurement sampling (``simulator.sample``
+seeds ``PCG64(seed)``), so the two never share a stream.
 A problem may carry a warm start: restart 1 then begins at those
 angles instead of a random draw, and a start that already meets
 ``TOL_INFIDELITY`` is accepted as it is.  L-BFGS-B (and with it
@@ -23,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # the package only, whose version bench/worker.py reads
 
-from .builders import SynthesisParams
 from .circuits import cnot
-from .rng import optimizer_generator
 from .simulator import gate_matrix, ry_matrix
 
 _DIM = 4
 BOUNDS = (-math.pi, math.pi)       # box on every angle
 INIT_RANGE = (-1.0, 1.0)           # restart draws, uniform per angle
 TOL_INFIDELITY = 1e-9              # a fit with 1 - F <= this has converged
+_OPTIMIZER_DOMAIN = 0x6F7074       # 'opt', the restart stream's spawn key
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class FidelityProblem:
 
 @dataclass(frozen=True)
 class OptimResult:
-    params: SynthesisParams
+    angles: np.ndarray       # (a1, b1, a2, b2, a3, b3), clipped to BOUNDS
     infidelity: float
     restarts_used: int
     converged: bool
@@ -79,18 +81,6 @@ def minimize(fun, x0, **kwargs):
     """``scipy.optimize.minimize``; the first call imports scipy.optimize."""
     from scipy import optimize
     return optimize.minimize(fun, x0, **kwargs)
-
-
-def vector_to_params(v: np.ndarray) -> SynthesisParams:
-    return SynthesisParams(alpha=(float(v[0]), float(v[2]), float(v[4])),
-                           beta=(float(v[1]), float(v[3]), float(v[5])))
-
-
-def params_to_vector(sp: SynthesisParams) -> np.ndarray:
-    """(a1, b1, a2, b2, a3, b3) along the last axis, the inverse of
-    ``vector_to_params``: shape (6,), or (n, 6) for a template."""
-    v = np.array((sp.alpha, sp.beta), dtype=float)
-    return np.moveaxis(v, (1, 0), (-2, -1)).reshape(v.shape[2:] + (6,))
 
 
 def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
@@ -137,7 +127,8 @@ def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
     between restarts keep the earliest.  Non-convergence is reported
     through ``converged``, never raised.
     """
-    rng = optimizer_generator(seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seed, spawn_key=(_OPTIMIZER_DOMAIN,))))
     box = [BOUNDS] * 6
 
     best_val, best_x = math.inf, None
@@ -160,6 +151,6 @@ def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
             break
 
     best_val = max(best_val, 0.0)
-    return OptimResult(params=vector_to_params(np.clip(best_x, *BOUNDS)),
+    return OptimResult(angles=np.clip(best_x, *BOUNDS),
                        infidelity=best_val, restarts_used=used,
                        converged=best_val <= TOL_INFIDELITY)

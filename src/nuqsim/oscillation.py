@@ -23,16 +23,16 @@ oracles then evaluate the whole grid at once, with their own propagator
 formulas.  They never call the circuit simulator, so the circuit path
 and its oracle stay independent code.
 
-The two unit-conversion factors are derived once from pinned CODATA
-2022 values (Fermi coupling, neutron mass, hbar, c, e; the values
-scipy.constants 1.17.1 ships, which a test checks) and self-checked at
-import:
+The two unit-conversion factors are module floats derived once from
+pinned CODATA 2022 values (Fermi coupling, neutron mass, hbar, c, e;
+the values scipy.constants 1.17.1 ships, which a test checks) and
+self-checked at import:
 
-- matter term  A = matter_factor * Ye * rho * E,
-  matter_factor = 2 sqrt(2) G_F (hbar c)^3 / m_n ~ 1.5134e-4 eV^2 per
+- matter term  A = MATTER_FACTOR * Ye * rho * E,
+  MATTER_FACTOR = 2 sqrt(2) G_F (hbar c)^3 / m_n ~ 1.5134e-4 eV^2 per
   (g/cm^3 * GeV);
-- oscillation phase  phi = phase_factor * dm2 * dx / E,
-  phase_factor = 1 km / (2 hbar c) ~ 2.5339 rad GeV / (eV^2 km).
+- oscillation phase  phi = PHASE_FACTOR * dm2 * dx / E,
+  PHASE_FACTOR = 1 km / (2 hbar c) ~ 2.5339 rad GeV / (eV^2 km).
 """
 from __future__ import annotations
 
@@ -65,32 +65,17 @@ HBAR = 1.0545718176461565e-34    # reduced Planck constant, J s
 C_LIGHT = 299792458.0            # speed of light, m/s
 E_CHARGE = 1.602176634e-19       # elementary charge, C
 
-
-@dataclass(frozen=True)
-class PhysConstants:
-    """Unit-conversion factors, derived once and frozen."""
-
-    gf_gev2: float          # Fermi coupling, GeV^-2
-    mn_g: float             # nucleon (neutron) mass, g
-    hbarc_gev_cm: float     # hbar*c, GeV*cm
-    matter_factor: float    # eV^2 per (g/cm^3 * GeV)
-    phase_factor: float     # rad*GeV per (eV^2 * km)
-
-    @classmethod
-    def derive(cls) -> "PhysConstants":
-        mn_g = M_N * 1e3
-        hbarc = (HBAR * C_LIGHT / E_CHARGE) * 1e-9 * 1e2  # J*m -> GeV*cm
-        matter = 2.0 * math.sqrt(2.0) * G_F * hbarc ** 3 / mn_g * 1e18
-        phase = 1e-18 * (1e5 / hbarc) / 2.0
-        return cls(G_F, mn_g, hbarc, matter, phase)
-
-
-CONSTANTS = PhysConstants.derive()
+_HBARC_GEV_CM = (HBAR * C_LIGHT / E_CHARGE) * 1e-9 * 1e2  # J*m -> GeV*cm
+# eV^2 per (g/cm^3 * GeV), with the neutron mass in g
+MATTER_FACTOR = (2.0 * math.sqrt(2.0) * G_F * _HBARC_GEV_CM ** 3
+                 / (M_N * 1e3) * 1e18)
+# rad*GeV per (eV^2 * km)
+PHASE_FACTOR = 1e-18 * (1e5 / _HBARC_GEV_CM) / 2.0
 
 # import-time self-check against independently hand-derived anchors;
 # loose enough to survive CODATA revisions, tight enough to catch unit slips
-assert abs(CONSTANTS.matter_factor / 1.51338e-4 - 1.0) < 1e-4
-assert abs(CONSTANTS.phase_factor / 2.5338654 - 1.0) < 1e-4
+assert abs(MATTER_FACTOR / 1.51338e-4 - 1.0) < 1e-4
+assert abs(PHASE_FACTOR / 2.5338654 - 1.0) < 1e-4
 
 
 @dataclass(frozen=True)
@@ -160,7 +145,6 @@ class EffectiveParams:
     theta_m: float      # rad, in [0, pi/2]
     dm2_m: float        # eV^2
     beta: float         # A / dm2
-    a_ev2: float        # matter term A
 
 
 def _check_energy(energy_gev) -> None:
@@ -172,7 +156,7 @@ def _check_energy(energy_gev) -> None:
 def matter_potential(layer: MatterLayer, energy_gev):
     """Matter term A = 2 sqrt(2) G_F Ye rho E / m_n, in eV^2."""
     _check_energy(energy_gev)
-    return CONSTANTS.matter_factor * layer.ye * layer.rho * energy_gev
+    return MATTER_FACTOR * layer.ye * layer.rho * energy_gev
 
 
 def effective_params_from_beta(p: OscParams, beta) -> EffectiveParams:
@@ -191,7 +175,7 @@ def effective_params_from_beta(p: OscParams, beta) -> EffectiveParams:
             "theta_m undefined: beta = cos 2theta with sin 2theta = 0")
     theta_m = 0.5 * _libm(math.atan2, s2, c2 - beta)
     return EffectiveParams(theta_m=theta_m, dm2_m=p.dm2 * root,
-                           beta=beta, a_ev2=beta * p.dm2)
+                           beta=beta)
 
 
 def effective_params(p: OscParams, layer: MatterLayer,
@@ -205,7 +189,7 @@ def phase(dm2_m, length_km: float, energy_gev):
     _check_energy(energy_gev)
     if length_km < 0.0:
         raise ValueError(f"length must be >= 0, got {length_km}")
-    return CONSTANTS.phase_factor * dm2_m * length_km / energy_gev
+    return PHASE_FACTOR * dm2_m * length_km / energy_gev
 
 
 def mixing_rotation(theta) -> np.ndarray:

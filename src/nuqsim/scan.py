@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .builders import (ENCODED, DilationSet, SynthesisParams, build_dilation,
+from .builders import (ENCODED, DilationSet, build_dilation,
                        build_msw_circuit, build_slab_circuit, earth_profile,
                        synthesis_angles)
 from .circuits import Circuit
@@ -36,8 +36,7 @@ from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, effective_params, prob_msw_adiabatic,
                           prob_slab)
-from .optim import FidelityProblem, optimize, params_to_vector
-from .rng import scan_point_seed
+from .optim import FidelityProblem, optimize
 from .simulator import apply_matrix, init_state, probabilities, run, sample
 
 
@@ -160,8 +159,6 @@ class ScanConfig:
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
         data = {k: _coerce_field(k, v) for k, v in data.items()}
-        if "energies" in data and data["energies"] is not None:
-            data["energies"] = _parse_energies(data["energies"])
         if "scenario" not in data:
             raise ConfigError("field 'scenario': required")
         return cls(**data)
@@ -181,31 +178,35 @@ def read_json_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:    # not UTF-8, or an integer past 4300 digits
+        raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     return data
 
 
-# Value type of each field, from its annotation with any "| None" dropped.
+# Value type of each field, from its annotation with any "| None" dropped,
+# and the fields whose annotation allows None.
+_HINTS = typing.get_type_hints(ScanConfig)
 _FIELD_TYPES = {name: (typing.get_args(hint) or (hint,))[0]
-                for name, hint in typing.get_type_hints(ScanConfig).items()}
+                for name, hint in _HINTS.items()}
+_NULLABLE = {name for name, hint in _HINTS.items()
+             if type(None) in typing.get_args(hint)}
 
 
 def _coerce_field(name: str, value):
     """Check/convert one config value; bad types become ConfigErrors."""
-    if value is None or name == "energies":
-        return value
+    if value is None:
+        if name in _NULLABLE:
+            return None
+        raise ConfigError(f"field {name!r}: must not be null")
+    if name == "energies":
+        return _parse_energies(value)
     kind = _FIELD_TYPES[name]
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field {name!r}: expected an integer, "
-                              f"got {value!r}")
-        return value
+        return _json_int(value, f"field {name!r}")
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field {name!r}: expected a number, "
-                              f"got {value!r}")
-        return float(value)
+        return _json_float(value, f"field {name!r}")
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"field {name!r}: expected true/false, "
@@ -214,6 +215,23 @@ def _coerce_field(name: str, value):
     if kind is str and not isinstance(value, str):
         raise ConfigError(f"field {name!r}: expected a string, got {value!r}")
     return value
+
+
+def _json_int(value, where: str) -> int:
+    """A JSON integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_float(value, where: str) -> float:
+    """A JSON number (not a bool or string) that fits a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: too large for a double") from None
 
 
 def _parse_energies(spec) -> tuple[float, ...]:
@@ -232,18 +250,14 @@ def _parse_energies(spec) -> tuple[float, ...]:
         if extra:
             raise ConfigError(f"field 'energies': unknown keys {sorted(extra)}")
         try:
-            lo, hi, n = float(spec["min"]), float(spec["max"]), int(spec["points"])
+            lo, hi, n = spec["min"], spec["max"], spec["points"]
         except KeyError as exc:
             raise ConfigError(f"field 'energies': missing key {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"field 'energies': {exc}") from None
-        return _linspace(lo, hi, n)
+        return _linspace(_json_float(lo, "field 'energies' min"),
+                         _json_float(hi, "field 'energies' max"),
+                         _json_int(n, "field 'energies' points"))
     if isinstance(spec, (list, tuple)):
-        try:
-            return tuple(float(e) for e in spec)
-        except (TypeError, ValueError):
-            raise ConfigError("field 'energies': entries must be numbers") \
-                from None
+        return tuple(_json_float(e, "field 'energies' entry") for e in spec)
     raise ConfigError("field 'energies': expected list, object, or 'min:max:n'")
 
 
@@ -292,24 +306,23 @@ def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
 
 
 def _fitted_angles(config: ScanConfig, ds: DilationSet, theta: float,
-                   theta_m: np.ndarray) -> SynthesisParams:
-    """Per-point two-CNOT angles fitted to a dilation stack, each fit
+                   theta_m: np.ndarray) -> np.ndarray:
+    """Two-CNOT angles fitted to a dilation stack, ``(n, 6)``, each fit
     starting at the point's closed-form angles; a failed fit raises."""
-    starts = params_to_vector(synthesis_angles(theta, theta_m))
+    starts = synthesis_angles(theta, theta_m)
     fits = []
     for i, energy_gev in enumerate(config.energies):
         res = optimize(FidelityProblem(target=ds.u2q[i],
                                        restarts=config.restarts,
                                        start=starts[i]),
-                       scan_point_seed(config.seed, i))
+                       config.seed ^ i)
         if not res.converged:
             raise NumericalDomainError(
                 f"optimized synthesis at {energy_gev!r} GeV did not converge: "
                 f"1-F = {res.infidelity:.3g} after {res.restarts_used} "
                 "restart(s)")
-        fits.append(res.params)
-    return SynthesisParams(alpha=tuple(np.array([sp.alpha for sp in fits]).T),
-                           beta=tuple(np.array([sp.beta for sp in fits]).T))
+        fits.append(res.angles)
+    return np.array(fits)
 
 
 def _single_qubit_setup(config: ScanConfig):
@@ -350,7 +363,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     points = []
     for i, (e, th, ex, p1_i) in enumerate(zip(
             config.energies, theory.tolist(), exact.tolist(), p1.tolist())):
-        ones = sample(p1_i, config.shots, scan_point_seed(config.seed, i))
+        ones = sample(p1_i, config.shots, config.seed ^ i)
         p_hat = (config.shots - ones) / config.shots
         err = _binomial_stderr(p_hat, config.shots)
         if msw:

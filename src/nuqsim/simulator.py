@@ -14,14 +14,16 @@ so no 4x4 embedding is ever formed.
 
 Everything here is a pure function; execution is deterministic, and
 shot sampling is a single binomial draw from ``Generator(PCG64(seed))``
-so identical (p1, shots, seed) give identical counts.
+so identical (p1, shots, seed) give identical counts (numpy freezes
+PCG64's stream per seed).  Sampling seeds PCG64 with the seed itself
+(``seed XOR i`` for scan point i); optimizer restarts draw from a
+SeedSequence spawn of it (``optim``), so the two never share a stream.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .circuits import Circuit, GateKind, GateOp
-from .rng import sampling_generator
 
 _NORM_TOL = 1e-9
 
@@ -181,7 +183,9 @@ def sample(p1: float, shots: int, seed: int) -> int:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = sampling_generator(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    rng = np.random.Generator(np.random.PCG64(seed))
     return int(rng.binomial(shots, min(max(float(p1), 0.0), 1.0)))
 
 

@@ -17,7 +17,6 @@ from nuqsim.oscillation import (MatterLayer, OscParams, SlabProfile,
                                 msw_survival_from_angles, prob_msw_adiabatic,
                                 prob_slab)
 from nuqsim.optim import FidelityProblem, optimize
-from nuqsim.rng import scan_point_seed
 from nuqsim.scan import ScanConfig, emit_csv, run_scan
 from nuqsim.simulator import (apply_matrix, circuit_unitary, init_state,
                               probabilities, run, sample,
@@ -104,7 +103,7 @@ def test_criterion_3_earth_curve_and_sampling():
     total = 0
     for s in range(20):
         for i, (p1, theory) in enumerate(points):
-            ones = sample(p1, shots, scan_point_seed(s, i))
+            ones = sample(p1, shots, s ^ i)
             p_hat = (shots - ones) / shots
             sigma = math.sqrt(theory * (1.0 - theory) / shots)
             total += 1
@@ -162,7 +161,7 @@ def test_criterion_6_optimizer_bound():
         res = optimize(FidelityProblem(target=ds.u2q, restarts=1000), seed=i)
         assert res.infidelity < 1e-7
         assert res.restarts_used <= 1000
-        state, measured = run(build_msw_circuit(res.params))
+        state, measured = run(build_msw_circuit(res.angles))
         pee_circuit = probabilities(state, measured[0])[0]
         pee_oracle, _ = prob_msw_adiabatic(p, layer, float(e))
         assert abs(pee_circuit - pee_oracle) <= 1e-3

@@ -19,7 +19,6 @@ from nuqsim.compiler import dump_circuit, lower_to_native, virtual_z_pass
 from nuqsim.oscillation import (NumericalDomainError, layer_propagator,
                                 msw_survival_from_angles, prob_msw_adiabatic,
                                 slab_layer_params)
-from nuqsim.rng import scan_point_seed
 from nuqsim.scan import (ANGLE_MODES, ScanConfig, _single_qubit_setup,
                          msw_setup, run_scan)
 from nuqsim.simulator import (apply_matrix, circuit_unitary, gate_matrix,
@@ -98,7 +97,7 @@ def per_point_reference(config):
                 v = layer_propagator(theta_k, phi_k) @ v
             theory = abs(v[0]) ** 2
         (exact,), (p1,) = probabilities(state, qubit)
-        ones = sample(p1, config.shots, scan_point_seed(config.seed, i))
+        ones = sample(p1, config.shots, config.seed ^ i)
         out.append((theory, exact, (config.shots - ones) / config.shots))
     return out
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuqsim import optim
-from nuqsim.builders import (SynthesisParams, build_dilation,
-                             build_msw_circuit, build_slab_circuit,
-                             dilation_from_angles, earth_profile,
-                             synthesis_angles)
+from nuqsim.builders import (_w_matrix, build_dilation, build_msw_circuit,
+                             build_slab_circuit, dilation_from_angles,
+                             earth_profile, synthesis_angles)
 from nuqsim.circuits import GateKind, measure, ry, rz, x
 from nuqsim.compiler import pulse_count, virtual_z_pass
 from nuqsim.oscillation import (MatterLayer, OscParams, SlabProfile,
@@ -165,8 +164,11 @@ def test_dilation_orthogonal_and_marginal():
 
 
 def test_dilation_w_matrices_stochastic_symmetric():
+    """W_vac, W_mat and their product Q are symmetric, doubly stochastic."""
     ds = dilation_from_angles(0.37, 1.1)
-    for w in (ds.w_vac, ds.w_mat):
+    w_vac, w_mat = _w_matrix(0.37), _w_matrix(1.1)
+    assert np.array_equal(ds.q, w_vac @ w_mat)
+    for w in (w_vac, w_mat, ds.q):
         assert np.max(np.abs(w - w.T)) == 0.0
         assert np.allclose(w.sum(axis=1), [1.0, 1.0], atol=1e-15)
 
@@ -184,15 +186,14 @@ def test_build_dilation_matches_oracle():
 # --- two-CNOT ansatz circuit --------------------------------------------------------
 
 def test_msw_circuit_zero_angles_is_identity():
-    sp = SynthesisParams((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    total = circuit_unitary(build_msw_circuit(sp))
+    total = circuit_unitary(build_msw_circuit(np.zeros(6)))
     assert np.max(np.abs(total - np.eye(4))) < 1e-15
 
 
-# reference angles from an independent fit of one solar-grid dilation
-REFERENCE_ANGLES = SynthesisParams(
-    alpha=(0.89140528, 1.42089489, -0.82929248),
-    beta=(1.57079633, -3.14159265, -1.57079633))
+# reference angles (a1, b1, a2, b2, a3, b3) from an independent fit of
+# one solar-grid dilation
+REFERENCE_ANGLES = (0.89140528, 1.57079633, 1.42089489, -3.14159265,
+                    -0.82929248, -1.57079633)
 
 
 def test_reference_angles_build_real_orthogonal_unitary():
@@ -205,8 +206,7 @@ def test_reference_angles_build_real_orthogonal_unitary():
 def test_msw_circuit_always_real():
     for _ in range(200):
         angles = RNG.uniform(-math.pi, math.pi, 6)
-        sp = SynthesisParams(tuple(angles[:3]), tuple(angles[3:]))
-        total = circuit_unitary(build_msw_circuit(sp))
+        total = circuit_unitary(build_msw_circuit(angles))
         assert np.max(np.abs(total.imag)) < 1e-12
 
 
@@ -215,7 +215,7 @@ def test_optimized_circuit_reproduces_marginal():
     ds = dilation_from_angles(math.radians(33.5), 1.2)
     res = optimize(FidelityProblem(target=ds.u2q, restarts=64), seed=11)
     assert res.infidelity < 1e-7
-    state, measured = run(build_msw_circuit(res.params))
+    state, measured = run(build_msw_circuit(res.angles))
     p0 = probabilities(state, measured[0])[0]
     assert abs(p0 - ds.q[0, 0]) < 1e-3
 
@@ -228,17 +228,38 @@ QUARTER_TURN = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(QUARTER_TURN, QUARTER_TURN)
 def test_synthesis_angles_realize_the_dilation(theta, theta_m):
-    sp = synthesis_angles(theta, theta_m)
-    total = circuit_unitary(build_msw_circuit(sp))
+    angles = synthesis_angles(theta, theta_m)
+    total = circuit_unitary(build_msw_circuit(angles))
     target = dilation_from_angles(theta, theta_m).u2q
     assert np.max(np.abs(total - target)) <= 1e-14
     lo, hi = optim.BOUNDS
-    for a in sp.alpha + sp.beta:
-        assert lo <= a <= hi
+    assert angles.shape == (6,)
+    assert np.all((lo <= angles) & (angles <= hi))
 
 
-def test_synthesis_params_validation():
-    with pytest.raises(ValueError):
-        SynthesisParams((0.0, 0.0), (0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        SynthesisParams((4.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+def test_synthesis_angles_one_row_per_point():
+    """Over angle arrays: one six-angle row per point, bit-equal to the
+    point's own closed form, and a template whose point i is the single
+    circuit of row i."""
+    theta, theta_m = RNG.uniform(0, math.pi / 2, (2, 5))
+    rows = synthesis_angles(theta, theta_m)
+    assert rows.shape == (5, 6)
+    template = build_msw_circuit(rows)
+    assert template.batch_shape == (5,)
+    for i in range(5):
+        one = synthesis_angles(theta[i], theta_m[i])
+        assert np.array_equal(rows[i], one)
+        assert template.point(i) == build_msw_circuit(one)
+
+
+def test_msw_circuit_angle_validation():
+    for shape in ((5,), (7,), (2, 3), (2, 2, 6)):
+        with pytest.raises(ValueError, match="shape"):
+            build_msw_circuit(np.zeros(shape))
+    for bad in (4.0, -3.2, math.nan, math.inf):
+        angles = np.zeros(6)
+        angles[3] = bad
+        with pytest.raises(ValueError, match="pi"):
+            build_msw_circuit(angles)
+        with pytest.raises(ValueError, match="pi"):
+            build_msw_circuit(np.stack([np.zeros(6), angles]))

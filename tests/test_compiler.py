@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nuqsim.circuits import Circuit, GateKind, cnot, measure, ry, rz, u, x
-from nuqsim.compiler import (dump_circuit, is_sx, lower_to_native, pulse,
+from nuqsim.compiler import (dump_circuit, is_sx, lower_to_native,
                              pulse_count, sx, virtual_z_pass)
 from nuqsim.simulator import (circuit_unitary, gate_matrix, probabilities,
                               run, unitaries_equal_up_to_phase)
@@ -39,7 +39,7 @@ def test_pulse_matches_axis_angle_rotation():
     from scipy.linalg import expm
     for _ in range(300):
         theta, phi = RNG.uniform(-2 * math.pi, 2 * math.pi, 2)
-        m = gate_matrix(pulse(theta, phi))
+        m = gate_matrix(u(theta, -phi, phi))
         axis = math.sin(phi) * PAULI_X + math.cos(phi) * PAULI_Y
         assert np.max(np.abs(m - expm(-0.5j * theta * axis))) < 1e-12
 

@@ -1,0 +1,102 @@
+"""The whole config domain through `nuqsim scan`: every JSON value of
+every field ends in exit 0, 2 or 3, never in an escaped exception.
+
+A config error (exit 2) names its field or path.  A numerical-domain
+error (exit 3) comes from a combination of fields and names the grid
+point instead, as "at <energy> GeV", where the scan left the domain.
+"""
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import nuqsim.cli as cli
+from nuqsim.scan import ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ScanConfig
+
+FIELDS = [f.name for f in dataclasses.fields(ScanConfig)]
+PATHS = ("csv", "svg")
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-3, 60), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(),                       # nan, inf and subnormals included
+    st.text(max_size=6))
+VALUES = st.one_of(
+    SCALARS, st.lists(SCALARS, max_size=4),
+    st.fixed_dictionaries({}, optional={"min": SCALARS, "max": SCALARS,
+                                        "points": SCALARS}))
+# Output paths stay inside the example's directory, so a path field
+# draws no string from VALUES.
+NOT_A_PATH = VALUES.filter(lambda v: not isinstance(v, str))
+
+
+def _floats(lo, hi):
+    return st.one_of(st.integers(int(lo), int(hi)), st.floats(lo, hi))
+
+
+# Values of the field's own type and range, most of them valid, so that
+# the mixed draws below meet configs that get as far as a scan.
+TYPED = {
+    "scenario": st.sampled_from(SCENARIOS),
+    "energies": st.one_of(
+        st.sampled_from(["1:25:3", "0.001:0.05:3", "1e-300:1:2"]),
+        st.lists(_floats(1e-3, 30.0), min_size=1, max_size=4),
+        st.fixed_dictionaries({"min": _floats(0.0, 2.0),
+                               "max": _floats(0.0, 30.0),
+                               "points": st.integers(0, 5)})),
+    "shots": st.integers(0, 2 ** 63),
+    "seed": st.integers(0, 10 ** 400),
+    "compile": st.booleans(),
+    "synthesis": st.sampled_from(SYNTHESIS_MODES),
+    "angle_mode": st.sampled_from(ANGLE_MODES),
+    "periods": st.integers(0, 60),
+    "restarts": st.integers(1, 10 ** 400),
+    "csv": st.sampled_from(["{tmp}/out.csv", "{tmp}/no/dir.csv"]),
+    "svg": st.sampled_from(["{tmp}/out.svg", "{tmp}/no/dir.svg"]),
+    "dump_circuit": st.booleans(),
+}
+for _name in ("theta12_deg", "theta13_deg", "theta23_deg"):
+    TYPED[_name] = _floats(0.0, 90.0)
+for _name in ("dm2_21", "dm2_31", "ye"):
+    TYPED[_name] = st.floats(0.0, 1.0)
+for _name in ("rho1", "rho2", "production_rho", "dx1_km", "dx2_km"):
+    TYPED[_name] = _floats(0.0, 1e4)
+assert set(TYPED) == set(FIELDS)
+
+
+@st.composite
+def configs(draw):
+    """Typed values for some fields, then mixed JSON values for a few."""
+    cfg = draw(st.fixed_dictionaries({}, optional=TYPED))
+    cfg.setdefault("scenario", draw(TYPED["scenario"]))
+    for name in draw(st.lists(st.sampled_from(FIELDS), max_size=3,
+                              unique=True)):
+        cfg[name] = draw(NOT_A_PATH if name in PATHS else VALUES)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_config_exits_0_2_or_3(cfg):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = {k: v.replace("{tmp}", tmp) if k in PATHS and
+               isinstance(v, str) else v for k, v in cfg.items()}
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["scan", "--config", path])
+    assert code in (0, 2, 3)
+    message = err.getvalue()
+    if code == 2:
+        assert any(repr(name) in message for name in FIELDS) or tmp in message, \
+            message
+    if code == 3:
+        assert " GeV" in message, message

@@ -15,3 +15,14 @@ def test_demos_reproduce_golden_outputs(tmp_path, capsys):
     for name in golden:
         got = (tmp_path / "out" / name).read_bytes()
         assert got == (DEMOS / "out" / name).read_bytes(), name
+
+
+def test_readme_quick_start_runs():
+    """The README's "Library quick start" block runs against the package
+    namespace as it stands."""
+    readme = (DEMOS.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["p_exact"].shape == (200,)

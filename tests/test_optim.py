@@ -7,12 +7,16 @@ import pytest
 from nuqsim import optim
 from nuqsim.builders import (build_msw_circuit, dilation_from_angles,
                              synthesis_angles)
-from nuqsim.optim import (FidelityProblem, infidelity_and_grad, optimize,
-                          params_to_vector, vector_to_params)
-from nuqsim.rng import optimizer_generator
+from nuqsim.optim import FidelityProblem, infidelity_and_grad, optimize
 from nuqsim.simulator import circuit_unitary
 
 RNG = np.random.Generator(np.random.PCG64(777))
+
+
+def restart_stream(seed):
+    """The optimizer's restart draws: a SeedSequence spawn of the seed."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(0x6F7074,))))
 
 
 def random_params_vector():
@@ -31,7 +35,7 @@ def random_unitary_target():
 
 
 def executed_unitary(v):
-    return circuit_unitary(build_msw_circuit(vector_to_params(v)))
+    return circuit_unitary(build_msw_circuit(v))
 
 
 def brute_infidelity(target, v):
@@ -134,19 +138,20 @@ def test_optimize_deterministic():
     problem = FidelityProblem(target=target, restarts=16)
     a = optimize(problem, seed=123)
     b = optimize(problem, seed=123)
-    assert a.params == b.params
+    assert np.array_equal(a.angles, b.angles)
     assert a.infidelity == b.infidelity
     assert a.restarts_used == b.restarts_used
     c = optimize(problem, seed=124)
-    assert c.params != a.params   # different seed, different restart draws
+    # different seed, different restart draws
+    assert not np.array_equal(c.angles, a.angles)
 
 
 def test_result_params_within_bounds():
     for k in range(10):
         res = optimize(FidelityProblem(target=random_orthogonal_target(),
                                        restarts=8), seed=k)
-        for a in res.params.alpha + res.params.beta:
-            assert -math.pi <= a <= math.pi
+        assert res.angles.shape == (6,)
+        assert np.all((-math.pi <= res.angles) & (res.angles <= math.pi))
 
 
 def test_nonconvergence_reported_not_raised(monkeypatch):
@@ -158,22 +163,10 @@ def test_nonconvergence_reported_not_raised(monkeypatch):
     assert res.converged is False
 
 
-def test_params_vector_round_trip():
-    """One six-angle row per point, equal to the point's own closed form."""
-    v = random_params_vector()
-    assert np.array_equal(params_to_vector(vector_to_params(v)), v)
-    theta, theta_m = RNG.uniform(0, math.pi / 2, (2, 5))
-    rows = params_to_vector(synthesis_angles(theta, theta_m))
-    assert rows.shape == (5, 6)
-    for i in range(5):
-        one = params_to_vector(synthesis_angles(theta[i], theta_m[i]))
-        assert np.array_equal(rows[i], one)
-
-
 def test_closed_form_start_converges_on_the_first_restart():
     for _ in range(20):
         theta, theta_m = RNG.uniform(0, math.pi / 2, 2)
-        start = params_to_vector(synthesis_angles(theta, theta_m))
+        start = synthesis_angles(theta, theta_m)
         problem = FidelityProblem(dilation_from_angles(theta, theta_m).u2q,
                                   restarts=1, start=start)
         res = optimize(problem, seed=0)
@@ -186,11 +179,11 @@ def test_start_within_tolerance_skips_lbfgsb(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("L-BFGS-B ran")
     monkeypatch.setattr(optim, "minimize", refuse)
-    start = params_to_vector(synthesis_angles(0.6, 0.2))
+    start = synthesis_angles(0.6, 0.2)
     problem = FidelityProblem(dilation_from_angles(0.6, 0.2).u2q,
                               restarts=5, start=start)
     res = optimize(problem, seed=4)
-    assert np.array_equal(params_to_vector(res.params), start)
+    assert np.array_equal(res.angles, start)
     assert res.restarts_used == 1 and res.converged
     assert res.infidelity == max(infidelity_and_grad(problem.target,
                                                      start)[0], 0.0)
@@ -204,7 +197,7 @@ def test_far_start_runs_lbfgsb(monkeypatch):
         return minimize(fun, x0, **kwargs)
     monkeypatch.setattr(optim, "minimize", counted)
     target = dilation_from_angles(0.6, 0.2).u2q
-    start = 0.8 * params_to_vector(synthesis_angles(0.6, 0.2))
+    start = 0.8 * synthesis_angles(0.6, 0.2)
     assert infidelity_and_grad(target, start)[0] > optim.TOL_INFIDELITY
     res = optimize(FidelityProblem(target, start=start), seed=4)
     assert res.converged and calls
@@ -220,7 +213,7 @@ def test_no_start_runs_lbfgsb_from_the_first_draw(monkeypatch):
     monkeypatch.setattr(optim, "minimize", recorded)
     res = optimize(FidelityProblem(dilation_from_angles(0.6, 0.2).u2q), seed=4)
     assert res.converged and len(x0s) == res.restarts_used
-    assert np.array_equal(x0s[0], optimizer_generator(4).uniform(
+    assert np.array_equal(x0s[0], restart_stream(4).uniform(
         *optim.INIT_RANGE, size=6))
 
 
@@ -233,14 +226,14 @@ def test_start_takes_no_draw(monkeypatch):
     def recorded(fun, x0, **kwargs):
         x0s.append(np.array(x0))
         return minimize(fun, x0, **kwargs)
-    start = params_to_vector(synthesis_angles(0.6, 0.2))
+    start = synthesis_angles(0.6, 0.2)
     problem = FidelityProblem(dilation_from_angles(0.6, 0.2).u2q, restarts=3,
                               start=start)
     with monkeypatch.context() as patch:
         patch.setattr(optim, "minimize", recorded)
         res = optimize(problem, seed=9)
     assert res.restarts_used == 3
-    rng = optimizer_generator(9)
+    rng = restart_stream(9)
     expected = [start] + [
         rng.uniform(*optim.INIT_RANGE, size=6) for _ in range(2)]
     assert len(x0s) == 3

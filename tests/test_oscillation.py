@@ -6,8 +6,8 @@ import pytest
 import scipy.constants as sc
 
 from nuqsim import oscillation
-from nuqsim.oscillation import (CONSTANTS, MatterLayer, NumericalDomainError,
-                                OscParams, SlabProfile,
+from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, MatterLayer,
+                                NumericalDomainError, OscParams, SlabProfile,
                                 atmospheric_effective_angle, effective_params,
                                 effective_params_from_beta, layer_propagator,
                                 matter_potential, mixing_rotation, phase,
@@ -28,17 +28,17 @@ def test_matter_factor_against_hand_derivation():
     ne_per_gram = 1.0 / (sc.m_n * 1e3)                 # electrons per (Ye g)
     a_gev2 = 2.0 * math.sqrt(2.0) * gf * ne_per_gram * hbarc_gev_cm ** 3
     expected = a_gev2 * 1e18                           # GeV^2 -> eV^2
-    assert abs(CONSTANTS.matter_factor / expected - 1.0) < 1e-12
+    assert abs(MATTER_FACTOR / expected - 1.0) < 1e-12
     # frozen anchor (hand oracle, rho=5 g/cm^3, Ye=0.5, E=10 GeV)
-    assert abs(CONSTANTS.matter_factor - 1.513379933e-4) < 1e-12
+    assert abs(MATTER_FACTOR - 1.513379933e-4) < 1e-12
 
 
 def test_phase_factor_against_hand_derivation():
     hbarc_gev_cm = sc.physical_constants[
         "reduced Planck constant times c in MeV fm"][0] * 1e-3 * 1e-13
     expected = 1e-18 * 1e5 / hbarc_gev_cm / 2.0
-    assert abs(CONSTANTS.phase_factor / expected - 1.0) < 1e-12
-    assert abs(CONSTANTS.phase_factor - 2.5338653580781973) < 1e-12
+    assert abs(PHASE_FACTOR / expected - 1.0) < 1e-12
+    assert abs(PHASE_FACTOR - 2.5338653580781973) < 1e-12
 
 
 def test_pinned_codata_values_match_scipy():
@@ -132,8 +132,8 @@ def test_effective_params_wraps_matter_potential():
     layer = MatterLayer(5.0, 0.5, 0.0)
     ep = effective_params(p, layer, 10.0)
     a = matter_potential(layer, 10.0)
-    assert ep.a_ev2 == pytest.approx(a, rel=1e-15)
     assert ep.beta == pytest.approx(a / p.dm2, rel=1e-15)
+    assert ep.beta * p.dm2 == pytest.approx(a, rel=1e-15)
 
 
 def test_resonance_is_argmax_of_mixing():
@@ -160,10 +160,10 @@ def test_full_conversion_at_resonance_half_period():
     beta_res = math.cos(2 * p.theta)
     # pick E, then the density that lands exactly on resonance at that E
     energy = 5.0
-    rho = beta_res * p.dm2 / (CONSTANTS.matter_factor * 0.5 * energy)
+    rho = beta_res * p.dm2 / (MATTER_FACTOR * 0.5 * energy)
     layer = MatterLayer(rho, 0.5, 0.0)
     ep = effective_params(p, layer, energy)
-    length = math.pi * energy / (CONSTANTS.phase_factor * ep.dm2_m)
+    length = math.pi * energy / (PHASE_FACTOR * ep.dm2_m)
     got = prob_constant_density(p, layer, energy, length)
     assert abs(got - 1.0) < 1e-12
 

@@ -118,6 +118,18 @@ def test_from_json_errors(tmp_path):
         ScanConfig.from_json(str(bad))
 
 
+def test_from_json_undecodable_values(tmp_path):
+    """Bytes that are not UTF-8, and an integer past Python's 4300-digit
+    conversion limit, are config errors naming the file."""
+    for name, data in (("latin1.json", b'{"scenario": "sl\xe4b"}'),
+                       ("digits.json", b'{"scenario": "slab", "seed": '
+                                       + b"9" * 5000 + b"}")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=name):
+            ScanConfig.from_json(str(path))
+
+
 # --- run_scan -----------------------------------------------------------------
 
 def test_earth_scan_exact_matches_oracle():
@@ -412,6 +424,23 @@ BAD_INPUTS = [
     ({"energies": {"min": 1, "max": 2, "points": scan.MAX_POINTS + 1}},
      "energies"),
     ({"energies": {"min": 1, "max": 2, "points": float("inf")}}, "energies"),
+    # null where the field's annotation does not allow None
+    ({"shots": None}, "shots"),
+    ({"periods": None}, "periods"),
+    ({"restarts": None}, "restarts"),
+    ({"theta13_deg": None}, "theta13_deg"),
+    ({"scenario": None}, "scenario"),
+    # integers that do not fit a double
+    ({"theta12_deg": 10 ** 400}, "theta12_deg"),
+    ({"energies": [1.0, 10 ** 400]}, "energies"),
+    ({"energies": {"min": 1, "max": 10 ** 400, "points": 3}}, "energies"),
+    # the energy grammar takes JSON numbers and an integer point count
+    ({"energies": {"min": 1, "max": 2, "points": 2.7}}, "energies"),
+    ({"energies": {"min": 1, "max": 2, "points": True}}, "energies"),
+    ({"energies": {"min": True, "max": 2, "points": 3}}, "energies"),
+    ({"energies": {"min": 1, "max": "2", "points": 3}}, "energies"),
+    ({"energies": [True, 2]}, "energies"),
+    ({"energies": ["1", "2"]}, "energies"),
 ]
 
 
@@ -540,9 +569,9 @@ def test_cli_dump_reuses_the_scans_fit(tmp_path, monkeypatch, capsys):
     ds = build_dilation(p, layer, 0.002)
     start = synthesis_angles(p.theta, effective_params(p, layer, 0.002).theta_m)
     fit = optim.optimize(optim.FidelityProblem(
-        ds.u2q, restarts=64, start=optim.params_to_vector(start)), 5)
+        ds.u2q, restarts=64, start=start), 5)
     out = capsys.readouterr().out
-    assert out.startswith(dump_circuit(build_msw_circuit(fit.params)))
+    assert out.startswith(dump_circuit(build_msw_circuit(fit.angles)))
 
 
 def _count_calls(monkeypatch, names):
