@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, cnot, measure, ry, rz, x
+from .circuits import Circuit, GateOp, cnot, measure, ry, rz, x
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, _libm, effective_params,
                           slab_layer_params)
@@ -131,19 +131,23 @@ def build_dilation(p: OscParams, production_layer: MatterLayer,
     return dilation_from_angles(p.theta, ep.theta_m)
 
 
+def msw_ansatz(angles) -> tuple[GateOp, ...]:
+    """Gates (RY x RY) CX (RY x RY) CX (RY x RY) of the two-CNOT ansatz,
+    from the angles (a1, b1, a2, b2, a3, b3): a ``(6,)`` vector, or a
+    ``(k, 6)`` array for a template.  Any real angles; no measure."""
+    a1, b1, a2, b2, a3, b3 = np.asarray(angles, dtype=float).T
+    return (ry(a1, ANCILLA), ry(b1, ENCODED), cnot(ANCILLA, ENCODED),
+            ry(a2, ANCILLA), ry(b2, ENCODED), cnot(ANCILLA, ENCODED),
+            ry(a3, ANCILLA), ry(b3, ENCODED))
+
+
 def build_msw_circuit(angles) -> Circuit:
-    """Two-qubit circuit (RY x RY) CX (RY x RY) CX (RY x RY), measure q_B,
-    from the angles (a1, b1, a2, b2, a3, b3): a ``(6,)`` vector, or an
-    ``(n, 6)`` array for a template."""
+    """The ``msw_ansatz`` circuit, measure q_B, from the angles (a1, b1,
+    a2, b2, a3, b3) in [-pi, pi]: a ``(6,)`` vector, or an ``(n, 6)``
+    array for a template."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1:] != (6,) or angles.ndim > 2:
         raise ValueError(f"angles of shape {angles.shape}, not (6,) or (n, 6)")
     if not np.all(np.abs(angles) <= math.pi):
         raise ValueError("synthesis angles must lie in [-pi, pi]")
-    a1, b1, a2, b2, a3, b3 = np.moveaxis(angles, -1, 0)
-    ops = (
-        ry(a1, ANCILLA), ry(b1, ENCODED), cnot(ANCILLA, ENCODED),
-        ry(a2, ANCILLA), ry(b2, ENCODED), cnot(ANCILLA, ENCODED),
-        ry(a3, ANCILLA), ry(b3, ENCODED), measure(ENCODED),
-    )
-    return Circuit(2, ops)
+    return Circuit(2, msw_ansatz(angles) + (measure(ENCODED),))

@@ -5,7 +5,8 @@ CNOT, MEASURE.  Qubit 0 is the most significant bit of the basis index,
 so a two-qubit basis state reads |q0 q1>.  MEASURE ops may only appear
 at the tail of a circuit.  Circuits and ops are immutable values.
 
-An angle is a float or a read-only ``(n,)`` array.  A circuit whose
+An angle is a float or a read-only ``(n,)`` array; a circuit checks
+once that all of its angles are finite.  A circuit whose
 angles are arrays is a template: one circuit per grid point, all of
 the same shape, executed as one batch (``batch_shape == (n,)``).  A
 circuit of float angles is a single circuit (``batch_shape == ()``);
@@ -13,7 +14,6 @@ circuit of float angles is a single circuit (``batch_shape == ()``);
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,8 +52,6 @@ class GateOp:
         if len(self.params) != N_PARAMS[self.kind]:
             raise ValueError(f"{self.kind.value} takes {N_PARAMS[self.kind]} "
                              f"angle(s), got {len(self.params)}")
-        if not all(map(_finite, self.params)):
-            raise ValueError(f"non-finite angle in {self.kind.value} op")
         if any(q < 0 for q in self.qubits):
             raise ValueError("negative qubit index")
         if self.kind is GateKind.CNOT and self.qubits[0] == self.qubits[1]:
@@ -69,10 +67,6 @@ def _angle(p) -> float | np.ndarray:
         raise ValueError(f"an angle array must be 1-D, got shape {a.shape}")
     a.flags.writeable = False
     return a
-
-
-def _finite(p: float | np.ndarray) -> bool:
-    return math.isfinite(p) if type(p) is float else bool(np.isfinite(p).all())
 
 
 def x(qubit: int = 0) -> GateOp:
@@ -123,8 +117,10 @@ class Circuit:
                 seen_measure.add(op.qubits[0])
             elif seen_measure:
                 raise ValueError("gate after MEASURE; measures must be at the tail")
-        shapes = {p.shape for op in self.ops for p in op.params
-                  if type(p) is not float}
+        params = [p for op in self.ops for p in op.params]
+        if not all(np.isfinite(p).all() for p in params):
+            raise ValueError("non-finite angle in circuit")
+        shapes = {p.shape for p in params if type(p) is not float}
         if len(shapes) > 1:
             raise ValueError(f"angle arrays of shapes {sorted(shapes)} "
                              "in one circuit")

@@ -55,12 +55,8 @@ def _build_config(args: argparse.Namespace) -> ScanConfig:
     """The config file's fields with the given flags on top, validated
     once."""
     data = read_json_config(args.config) if args.config else {}
-    flags = dict(
-        scenario=args.scenario, energies=args.energies, shots=args.shots,
-        seed=args.seed, compile=args.compile, synthesis=args.synthesis,
-        angle_mode=args.angle_mode, csv=args.csv, svg=args.svg,
-        dump_circuit=args.dump_circuit)
-    data.update({k: v for k, v in flags.items() if v is not None})
+    data.update({k: v for k, v in vars(args).items()
+                 if k not in ("command", "config") and v is not None})
     return ScanConfig.from_dict(data)
 
 

@@ -3,8 +3,11 @@ the vector ``builders.build_msw_circuit`` takes, to a target unitary.
 
 Objective: overlap fidelity F = |Tr(U_T^H U_R)|^2 / 16, which is 1 iff
 the realized circuit unitary matches the target up to a global phase.
-The local step is box-constrained L-BFGS-B with an analytic gradient
-(dRY(a)/da = RY(a + pi)/2); since it can fall into local minima, the
+U_R is the builders' ``msw_ansatz`` run by the simulator, and the
+gradient comes from its six copies with one angle shifted by pi
+(parameter shift: dRY(a)/da = RY(a + pi)/2), all seven run as one
+template.  The local step is box-constrained L-BFGS-B with that
+gradient; since it can fall into local minima, the
 primary safeguard is a loop of random restarts drawn uniformly from
 ``INIT_RANGE`` by ``PCG64(SeedSequence(seed, spawn_key=(0x6F7074,)))``,
 a seed domain apart from measurement sampling (``simulator.sample``
@@ -26,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # the package only, whose version bench/worker.py reads
 
-from .circuits import cnot
-from .simulator import gate_matrix, ry_matrix
+from .builders import msw_ansatz
+from .circuits import Circuit
+from .simulator import circuit_unitary
 
 _DIM = 4
 BOUNDS = (-math.pi, math.pi)       # box on every angle
@@ -74,7 +78,8 @@ class OptimResult:
     converged: bool
 
 
-_CX = gate_matrix(cnot(0, 1)).real
+# row 0: the angles as given; row k + 1: angle k shifted by pi
+_SHIFTS = np.vstack([np.zeros(6), math.pi * np.eye(6)])
 
 
 def minimize(fun, x0, **kwargs):
@@ -85,34 +90,14 @@ def minimize(fun, x0, **kwargs):
 
 def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
                         ) -> tuple[float, np.ndarray]:
-    """1 - F and its analytic gradient in the six angles."""
-    r = ry_matrix(angles)
-    d = 0.5 * ry_matrix(angles + math.pi)
-    k1, k2, k3 = np.kron(r[0], r[1]), np.kron(r[2], r[3]), np.kron(r[4], r[5])
-
-    right1 = _CX @ k2 @ _CX @ k1          # U = k3 @ right1
-    left2 = k3 @ _CX                      # U = left2 @ k2 @ (_CX @ k1)
-    cxk1 = _CX @ k1
-    u_r = k3 @ right1
-
-    uth = np.asarray(u_t).conj().T
-    t = np.trace(uth @ u_r)
-    f = abs(t) ** 2 / _DIM ** 2
-
-    dks = [
-        left2 @ np.kron(d[2], r[3]) @ cxk1,    # d/da2
-        left2 @ np.kron(r[2], d[3]) @ cxk1,    # d/db2
-        np.kron(d[4], r[5]) @ right1,          # d/da3
-        np.kron(r[4], d[5]) @ right1,          # d/db3
-        k3 @ _CX @ k2 @ _CX @ np.kron(d[0], r[1]),   # d/da1
-        k3 @ _CX @ k2 @ _CX @ np.kron(r[0], d[1]),   # d/db1
-    ]
-    order = [4, 5, 0, 1, 2, 3]   # back to (a1,b1,a2,b2,a3,b3)
-    grad = np.empty(6)
-    for i, j in enumerate(order):
-        dt = np.trace(uth @ dks[j])
-        grad[i] = -2.0 * (t.conjugate() * dt).real / _DIM ** 2
-    return float(1.0 - f), grad
+    """1 - F and its analytic gradient in the six angles, which may be
+    any reals: one run of the ansatz at ``angles`` and at each angle
+    shifted by pi, t_k = Tr(U_T^H U_k), d(1 - F)/da_k = -Re(t_0* t_k+1)/16.
+    """
+    u = circuit_unitary(Circuit(2, msw_ansatz(angles + _SHIFTS)))
+    t = np.einsum("ij,kij->k", np.conj(u_t), u)
+    return (float(1.0 - abs(t[0]) ** 2 / _DIM ** 2),
+            -(t[0].conjugate() * t[1:]).real / _DIM ** 2)
 
 
 def optimize(problem: FidelityProblem, seed: int) -> OptimResult:

@@ -78,6 +78,10 @@ _DOMAINS = {
     "dx1_km": _NON_NEGATIVE, "dx2_km": _NON_NEGATIVE,
 }
 
+# The fields that set a single-qubit scan's phases, for its precision error
+_PHASE_FIELDS = {"slab": "'dm2_31', 'dx1_km', 'dx2_km', 'periods', 'energies'",
+                 "earth": "'dm2_31', 'energies'"}
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -320,7 +324,7 @@ def _fitted_angles(config: ScanConfig, ds: DilationSet, theta: float,
             raise NumericalDomainError(
                 f"optimized synthesis at {energy_gev!r} GeV did not converge: "
                 f"1-F = {res.infidelity:.3g} after {res.restarts_used} "
-                "restart(s)")
+                "restart(s); raise field 'restarts'")
         fits.append(res.angles)
     return np.array(fits)
 
@@ -340,7 +344,12 @@ def run_scan(config: ScanConfig) -> ScanResult:
     report = dilation = None
     if not msw:
         p, profile, th23 = _single_qubit_setup(config)
-        circuit = build_slab_circuit(p, profile, energies, theta23=th23)
+        try:
+            circuit = build_slab_circuit(p, profile, energies, theta23=th23)
+        except NumericalDomainError as exc:
+            raise NumericalDomainError(
+                f"{exc}; the fields that set the phase: "
+                f"{_PHASE_FIELDS[config.scenario]}") from None
         if config.compile:
             circuit, report = virtual_z_pass(circuit)
         states, measured = run(circuit)

@@ -36,12 +36,6 @@ def _matrix2(a, b, c, d) -> np.ndarray:
     return m
 
 
-def ry_matrix(a) -> np.ndarray:
-    """Real RY(a) = exp(-i a Y/2): 2x2, or (n, 2, 2) for an angle array."""
-    c, s = np.cos(a / 2), np.sin(a / 2)
-    return _matrix2(c, -s, s, c)
-
-
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Exact unitary of a gate op (2x2, or 4x4 for CNOT), stacked over
     the op's angle arrays.
@@ -54,7 +48,8 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     if kind is GateKind.X:
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if kind is GateKind.RY:
-        return ry_matrix(op.params[0]).astype(complex)
+        c, s = np.cos(op.params[0] / 2), np.sin(op.params[0] / 2)
+        return _matrix2(c, -s, s, c).astype(complex)
     if kind is GateKind.RZ:
         half = op.params[0] / 2
         return _matrix2(np.exp(-1j * half), 0, 0, np.exp(1j * half))

@@ -213,7 +213,9 @@ def test_template_angles_are_read_only_and_finite():
     with pytest.raises(ValueError):
         op.params[0][0] = 1.0
     with pytest.raises(ValueError, match="non-finite"):
-        rz(np.array([0.1, math.nan]))
+        Circuit(1, (rz(np.array([0.1, math.nan])),))
+    with pytest.raises(ValueError, match="non-finite"):
+        Circuit(1, (ry(0.3), rz(math.inf)))
     with pytest.raises(ValueError, match="1-D"):
         ry(np.zeros((2, 2)))
 

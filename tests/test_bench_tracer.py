@@ -39,7 +39,11 @@ def test_tracer_wraps_every_name_but_the_known_stale_one(tmp_path,
     counted = {name for per_scan in tracer.counts.values()
                for name in per_scan}
     assert {"circuits.ops_built", "optim.restarts"} <= counted
+    # the optimizer's per-layer view: one objective call per msw point,
+    # at its warm start
+    assert tracer.counts["0"]["optim.objective_evals"] == 3
     traced = {span[0] for span in tracer.spans}
     assert {"scan.run_scan", "builders.build_msw_circuit",
             "builders.build_slab_circuit", "optim.optimize",
-            "simulator.run", "simulator.sample"} <= traced
+            "optim.infidelity_and_grad", "simulator.run",
+            "simulator.sample"} <= traced

@@ -2,8 +2,9 @@
 every field ends in exit 0, 2 or 3, never in an escaped exception.
 
 A config error (exit 2) names its field or path.  A numerical-domain
-error (exit 3) comes from a combination of fields and names the grid
-point instead, as "at <energy> GeV", where the scan left the domain.
+error (exit 3) comes from a combination of fields: it names the grid
+point, as "at <energy> GeV", where the scan left the domain, and the
+fields to change.
 """
 import contextlib
 import dataclasses
@@ -100,3 +101,4 @@ def test_every_config_exits_0_2_or_3(cfg):
             message
     if code == 3:
         assert " GeV" in message, message
+        assert any(repr(name) in message for name in FIELDS), message

@@ -104,6 +104,26 @@ def test_gradient_matches_central_differences():
         assert np.allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
 
+def test_objective_is_defined_outside_the_box():
+    """RY(a + 2 pi) = -RY(a) only flips the global sign, so shifting one
+    angle by +-2 pi leaves the value and the gradient as they were; an
+    angle past pi is evaluated, not rejected as the builder rejects it."""
+    rng = np.random.Generator(np.random.PCG64(2718))
+    for _ in range(50):
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        target = np.linalg.qr(z)[0]
+        v = rng.uniform(-math.pi, math.pi, 6)
+        value, grad = infidelity_and_grad(target, v)
+        for i in range(6):
+            for shift in (2 * math.pi, -2 * math.pi):
+                w = v.copy()
+                w[i] += shift
+                assert abs(w[i]) > math.pi
+                w_value, w_grad = infidelity_and_grad(target, w)
+                assert abs(w_value - value) <= 1e-14
+                assert np.max(np.abs(w_grad - grad)) <= 1e-14
+
+
 # --- optimize -------------------------------------------------------------------
 
 def test_identity_target_converges_tight():

@@ -515,6 +515,7 @@ def test_cli_failed_fit_exit_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "0.002 GeV did not converge" in err
     assert "1-F = " in err and "after 2 restart(s)" in err
+    assert "raise field 'restarts'" in err
 
 
 def test_cli_failed_fit_names_a_default_grid_energy(tmp_path, monkeypatch,
@@ -537,6 +538,7 @@ def test_every_float_field_has_a_domain():
     ({"energies": [1e-300, 1.0]}, "layer phase"),
     ({"dx1_km": 2000.0, "dx2_km": 2000.0, "periods": 50,
       "energies": [0.1, 1.0]}, "accumulated phase"),
+    ({"scenario": "earth", "energies": [1e-300, 1.0]}, "layer phase"),
 ])
 def test_cli_phase_without_precision_exit_3(tmp_path, capsys, fields, named):
     cfg = {"scenario": "slab", "energies": [1.0, 2.0], "shots": 8}
@@ -547,6 +549,9 @@ def test_cli_phase_without_precision_exit_3(tmp_path, capsys, fields, named):
     err = capsys.readouterr().err
     assert named in err
     assert f"at {cfg['energies'][0]!r} GeV" in err
+    names = {"slab": "'dm2_31', 'dx1_km', 'dx2_km', 'periods', 'energies'",
+             "earth": "'dm2_31', 'energies'"}[cfg["scenario"]]
+    assert f"the fields that set the phase: {names}" in err
     assert "Traceback" not in err
 
 
