@@ -13,11 +13,11 @@ Each grid point records the analytic oracle value, the exact
 statevector probability, and a shot-sampled estimate with its binomial
 standard error.  A scan runs its whole energy grid as one batch: one
 template circuit (or one stack of dilations) for all points, one
-simulator pass, one oracle pass.  Only the per-point optimizer fits of
-msw optimized mode and the shot sampling run point by point.
-Per-point sampling seeds are seed XOR point-index, so results do not
-depend on evaluation order and CSV output is byte-reproducible for a
-fixed config and seed.
+simulator pass, one oracle pass, one ``sample`` call.  Only the
+per-point optimizer fits of msw optimized mode run point by point.
+``sample`` draws point i from seed XOR i, so results do not depend on
+evaluation order and CSV output is byte-reproducible for a fixed
+config and seed.
 """
 from __future__ import annotations
 
@@ -370,9 +370,9 @@ def run_scan(config: ScanConfig) -> ScanResult:
         theory = prob_msw_adiabatic(p, layer, energies)[0]
     exact, p1 = probabilities(states, qubit)
     points = []
-    for i, (e, th, ex, p1_i) in enumerate(zip(
-            config.energies, theory.tolist(), exact.tolist(), p1.tolist())):
-        ones = sample(p1_i, config.shots, config.seed ^ i)
+    for e, th, ex, ones in zip(config.energies, theory.tolist(),
+                               exact.tolist(),
+                               sample(p1, config.shots, config.seed).tolist()):
         p_hat = (config.shots - ones) / config.shots
         err = _binomial_stderr(p_hat, config.shots)
         if msw:
@@ -424,6 +424,36 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 24, 20, 56
 
 
+def _channel_svg(pts: list[ScanPoint], color: str, sx, sy) -> list[str]:
+    """A channel's theory polyline and its markers with error bars, for
+    points sorted by energy.
+
+    The coordinates are float64 arrays, each marker's three lines one
+    %-template.  The columns are read without per-point tuples and the
+    rows formatted one at a time, and the arrays are freed before the
+    caller joins the SVG text: per-point tuples, all coordinates as
+    Python floats at once, or arrays kept alive each raised the peak
+    memory of a 2000-point plot.
+    """
+    e, theory, p, err = (
+        np.fromiter((getattr(pt, name) for pt in pts), float, len(pts))
+        for name in ("energy_gev", "p_theory", "p_sampled", "stderr_sampled"))
+    mx, my = sx(e), sy(p)
+    poly = " ".join("%.2f,%.2f" % xy
+                    for xy in zip(mx.tolist(), sy(theory).tolist()))
+    # per marker: its error bar, then the two strokes of its cross
+    marker = "\n".join(f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                       f'stroke="{color}" stroke-width="{width}"/>'
+                       for width in ("1", "1.2", "1.2"))
+    coords = np.stack([mx, sy(np.maximum(p - err, 0.0)),
+                       mx, sy(np.minimum(p + err, 1.0)),
+                       mx - 3, my - 3, mx + 3, my + 3,
+                       mx - 3, my + 3, mx + 3, my - 3], axis=-1)
+    return [f'<polyline points="{poly}" fill="none" stroke="{color}" '
+            'stroke-width="1.5"/>',
+            *(marker % tuple(row.tolist()) for row in coords)]
+
+
 def emit_plot(result: ScanResult, path: str) -> str:
     """Standalone SVG: theory polyline, sampled markers with error bars.
 
@@ -435,10 +465,12 @@ def emit_plot(result: ScanResult, path: str) -> str:
         raise ValueError("plot needs at least 2 energy points")
     emin, emax = energies[0], energies[-1]
 
-    def sx(e: float) -> float:
+    # plot coordinates of energies and probabilities, floats or float64
+    # arrays alike (same operations, same bits)
+    def sx(e):
         return _ML + (e - emin) / (emax - emin) * (_W - _ML - _MR)
 
-    def sy(prob: float) -> float:
+    def sy(prob):
         return _MT + (1.0 - prob) * (_H - _MT - _MB)
 
     channels: dict[str | None, list[ScanPoint]] = {}
@@ -479,22 +511,7 @@ def emit_plot(result: ScanResult, path: str) -> str:
                                                   key=lambda kv: str(kv[0]))):
         color = _COLORS[c_idx % len(_COLORS)]
         pts = sorted(pts, key=lambda pt: pt.energy_gev)
-        poly = " ".join(f"{sx(pt.energy_gev):.2f},{sy(pt.p_theory):.2f}"
-                        for pt in pts)
-        parts.append(f'<polyline points="{poly}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        for pt in pts:
-            mx, my = sx(pt.energy_gev), sy(pt.p_sampled)
-            lo = sy(max(pt.p_sampled - pt.stderr_sampled, 0.0))
-            hi = sy(min(pt.p_sampled + pt.stderr_sampled, 1.0))
-            parts.append(f'<line x1="{mx:.2f}" y1="{lo:.2f}" x2="{mx:.2f}" '
-                         f'y2="{hi:.2f}" stroke="{color}" stroke-width="1"/>')
-            parts.append(f'<line x1="{mx - 3:.2f}" y1="{my - 3:.2f}" '
-                         f'x2="{mx + 3:.2f}" y2="{my + 3:.2f}" '
-                         f'stroke="{color}" stroke-width="1.2"/>')
-            parts.append(f'<line x1="{mx - 3:.2f}" y1="{my + 3:.2f}" '
-                         f'x2="{mx + 3:.2f}" y2="{my - 3:.2f}" '
-                         f'stroke="{color}" stroke-width="1.2"/>')
+        parts += _channel_svg(pts, color, sx, sy)
         label = _CHANNEL_LABELS.get(channel, str(channel))
         parts.append(f'<text x="{x1 - 6}" y="{y1 + 16 + 16 * c_idx}" '
                      f'font-size="12" text-anchor="end" '

@@ -13,11 +13,15 @@ register acts on the state reshaped to ``(..., 2, 2)`` (axes q0, q1),
 so no 4x4 embedding is ever formed.
 
 Everything here is a pure function; execution is deterministic, and
-shot sampling is a single binomial draw from ``Generator(PCG64(seed))``
-so identical (p1, shots, seed) give identical counts (numpy freezes
-PCG64's stream per seed).  Sampling seeds PCG64 with the seed itself
-(``seed XOR i`` for scan point i); optimizer restarts draw from a
-SeedSequence spawn of it (``optim``), so the two never share a stream.
+shot sampling draws binomial counts from numpy's PCG64, so identical
+(p1, shots, seed) give identical counts.  ``sample`` works on a stack
+too: grid point i draws from ``PCG64(seed XOR i)``, so its count does
+not depend on the rest of the grid, and every point's PCG64 state is
+derived in one array pass instead of one ``SeedSequence`` per point
+(numpy's compatibility policy freezes how a seed becomes a PCG64
+state; a test checks the pass against ``np.random.PCG64``).  Optimizer
+restarts draw from a SeedSequence spawn of the seed (``optim``), so
+sampling and optimization never share a stream.
 """
 from __future__ import annotations
 
@@ -169,19 +173,113 @@ def probabilities(state: np.ndarray, qubit: int):
     return probs[..., 0][()], probs[..., 1][()]
 
 
-def sample(p1: float, shots: int, seed: int) -> int:
+def sample(p1, shots: int, seed: int):
     """Number of 1 outcomes in ``shots`` Z-basis measurements of a qubit
     whose exact outcome-1 probability is ``p1`` (from ``probabilities``).
 
-    One binomial(shots, p1) draw from PCG64(seed), with p1 clipped to
-    [0, 1] against rounding; bit-reproducible.
+    A float ``p1`` gives one binomial(shots, p1) draw from PCG64(seed)
+    as an int; an ``(n,)`` array gives ``(n,)`` counts, point i drawn
+    from PCG64(seed XOR i).  p1 is clipped to [0, 1] against rounding;
+    bit-reproducible.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return int(rng.binomial(shots, min(max(float(p1), 0.0), 1.0)))
+    p1 = np.clip(p1, 0.0, 1.0)
+    ones = np.empty(p1.shape, np.int64)
+    bits = np.random.PCG64()       # each draw runs from a state set before it
+    rng = np.random.Generator(bits)
+    for i, ((state, inc), p) in enumerate(zip(_pcg64_states(seed, p1.size),
+                                              p1.ravel().tolist())):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        ones.flat[i] = rng.binomial(shots, p)
+    return ones if ones.ndim else int(ones)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of ``count`` hashmix calls and after
+    the last, ``(count + 1, 1)``: call k xors with entry k and multiplies
+    by entry k + 1."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``value`` with the row's
+    consecutive pair of ``consts`` (uint32 arrays wrap as the reference
+    does)."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ out >> 16
+
+
+def _pcg64_states(seed: int, n: int):
+    """Yield the (state, inc) that ``np.random.PCG64(seed ^ i)`` starts
+    from, for i in range(n).
+
+    ``PCG64(s)`` hashes s with ``SeedSequence(s)`` and seeds its LCG with
+    ``generate_state(4, uint64)``.  That hash runs here as uint32 array
+    arithmetic over the whole grid, one row per pool word.  For
+    n <= 2**32 (a scan has at most ``scan.MAX_POINTS``), seed ^ i differs
+    from seed only in its low 32-bit entropy word; the other words are
+    grid constants.  A seed of up to 4 words hashes as its zero-padded
+    4-word form (a missing pool word mixes in as a zero word), and the
+    words past 4 take SeedSequence's extra-entropy loop.  The 128-bit
+    LCG seeding runs in Python ints, one point at a time, so the grid's
+    states are never all held at once.
+    """
+    size = _POOL_SIZE
+    words = []
+    rest = seed >> 32
+    while rest:
+        words.append(rest & _MASK32)
+        rest >>= 32
+    extra = words[size - 1:]
+    consts = _hash_consts(_INIT_A, _MULT_A, size * (size + len(extra)))
+    pool = np.empty((size, n), np.uint32)
+    pool[0] = np.arange(n, dtype=np.uint32) ^ (seed & _MASK32)
+    pool[1:] = np.array((words + [0] * size)[:size - 1], np.uint32)[:, None]
+    pool = _hashmix(pool, consts[:size + 1])
+    # each word hashes once into every other word, constants in call order
+    for src in range(size):
+        dst = [d for d in range(size) if d != src]
+        k = size + (size - 1) * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + size]))
+    k = size * size
+    extra_hashes = _hashmix(
+        np.repeat(np.array(extra, np.uint32), size)[:, None], consts[k:])
+    for j in range(len(extra)):
+        pool = _mix(pool, extra_hashes[size * j:size * (j + 1)])
+    out = _hashmix(pool[np.arange(2 * size) % size],
+                   _hash_consts(_INIT_B, _MULT_B, 2 * size))
+    # little-endian uint32 pairs are the uint64s (initstate hi, lo,
+    # initseq hi, lo) that pcg64_set_seed takes
+    seeds = np.ascontiguousarray(out.T).astype("<u4").view("<u8")
+    for row in seeds:
+        state_hi, state_lo, seq_hi, seq_lo = row.tolist()
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc
+               ) & _MASK128, inc
 
 
 def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray,

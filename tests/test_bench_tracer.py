@@ -42,6 +42,13 @@ def test_tracer_wraps_every_name_but_the_known_stale_one(tmp_path,
     # the optimizer's per-layer view: one objective call per msw point,
     # at its warm start
     assert tracer.counts["0"]["optim.objective_evals"] == 3
+    # the whole grid samples in one call: one sample span per scan
+    # (two scans), not one per point
+    runs = [i for i, span in enumerate(tracer.spans)
+            if span[0] == "scan.run_scan"]
+    samples = [span[3] for span in tracer.spans
+               if span[0] == "simulator.sample"]
+    assert len(runs) == 2 and sorted(samples) == runs
     traced = {span[0] for span in tracer.spans}
     assert {"scan.run_scan", "builders.build_msw_circuit",
             "builders.build_slab_circuit", "optim.optimize",

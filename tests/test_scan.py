@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import nuqsim.cli as cli
-from nuqsim import optim, scan
+from nuqsim import optim, scan, simulator
 from nuqsim.builders import (build_dilation, build_msw_circuit, earth_profile,
                              synthesis_angles)
 from nuqsim.compiler import dump_circuit
@@ -333,6 +334,72 @@ def test_plot_msw_has_two_series(tmp_path):
     assert "P(nu_e -&gt; nu_e)" in text or "P(nu_e -> nu_e)" in text
 
 
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+
+def _hand_built_result():
+    """Two channels, points out of energy order, error bars clipped at
+    0 (the first emu point) and at 1 (two ee points)."""
+    rows = [(2.5, "ee", 0.8125, 0.75, 0.96875, 0.0625),
+            (0.5, "emu", 0.1875, 0.25, 0.03125, 0.0625),
+            (1.0, "ee", 0.5, 0.4375, 0.46875, 0.015625),
+            (4.0, "emu", 0.625, 0.5, 0.5625, 0.125),
+            (0.5, "ee", 0.8125, 0.75, 0.96875, 0.0625),
+            (2.5, "emu", 0.1875, 0.25, 0.0, 0.0),
+            (4.0, "ee", 0.375, 0.5, 0.4375, 0.125),
+            (1.0, "emu", 0.5, 0.5625, 0.53125, 0.015625)]
+    return ScanResult(scenario="msw", shots=64,
+                      points=tuple(ScanPoint(*row) for row in rows))
+
+
+def test_plot_of_a_hand_built_result_matches_its_golden(tmp_path):
+    """The golden was written by the per-marker emitter that the array
+    layout replaced; the values involve no simulator numerics."""
+    path = emit_plot(_hand_built_result(), str(tmp_path / "plot.svg"))
+    golden = (FIXTURES / "hand_built_plot.svg").read_bytes()
+    assert pathlib.Path(path).read_bytes() == golden
+
+
+# --- sampling -------------------------------------------------------------------
+
+def _recorded_samples(monkeypatch):
+    """Record every (p1, shots, seed, counts) of the scan's sample calls."""
+    calls = []
+
+    def recorded(p1, shots, seed):
+        ones = simulator.sample(p1, shots, seed)
+        calls.append((p1, shots, seed, ones))
+        return ones
+    monkeypatch.setattr(scan, "sample", recorded)
+    return calls
+
+
+def test_cli_scan_seed_past_uint64(tmp_path, monkeypatch, capsys):
+    seed = 2 ** 64 + 5
+    calls = _recorded_samples(monkeypatch)
+    csv = tmp_path / "out.csv"
+    assert cli.main(["scan", "--scenario", "earth", "--energies", "1:25:40",
+                     "--seed", str(seed), "--csv", str(csv)]) == 0
+    (p1, shots, _, ones), = calls
+    expected = [np.random.Generator(np.random.PCG64(seed ^ i)).binomial(shots, p)
+                for i, p in enumerate(np.clip(p1, 0.0, 1.0).tolist())]
+    assert ones.tolist() == expected
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [float(row[3]) for row in rows] == [(shots - k) / shots
+                                               for k in expected]
+
+
+def test_scan_at_the_largest_shot_count(monkeypatch):
+    """p_sampled is (shots - ones) / shots in Python ints: past 2**53
+    shots a float64 shots gives other values (at most points here)."""
+    shots = 2 ** 63 - 1
+    calls = _recorded_samples(monkeypatch)
+    result = run_scan(ScanConfig(scenario="earth", shots=shots, seed=3))
+    ones = calls[0][3].tolist()
+    assert [pt.p_sampled for pt in result.points] == [(shots - k) / shots
+                                                      for k in ones]
+
+
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_scan_success(tmp_path, capsys):
@@ -469,15 +536,37 @@ def test_work_budget_holds_every_default_grid():
     assert 2 * at_caps.periods * len(at_caps.energies) == scan.MAX_LAYER_POINTS
 
 
-def _modules_after(code: str, cwd) -> set[str]:
-    """Names in sys.modules after a fresh interpreter runs ``code``."""
+def _env_with_src() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, *paths])))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, *paths])))
+
+
+def _modules_after(code: str, cwd) -> set[str]:
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
     out = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
-        cwd=cwd, env=env, capture_output=True, text=True, check=True)
+        cwd=cwd, env=_env_with_src(), capture_output=True, text=True,
+        check=True)
     return set(out.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "earth", "--energies", "1:25:60", "--seed", str(10 ** 30)],
+    ["--scenario", "msw", "--seed", str(2 ** 32)],
+], ids=["earth-seed-1e30", "msw-seed-2^32"])
+def test_cli_scan_writes_nothing_to_stderr(tmp_path, argv):
+    """A successful scan leaves stderr empty: no warning, e.g. from a
+    numpy scalar overflow in the seed hash, leaks to the user."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nuqsim.cli\n"
+         "sys.exit(nuqsim.cli.main(sys.argv[1:]))", "scan", *argv,
+         "--csv", "out.csv", "--svg", "out.svg"],
+        cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stderr == ""
 
 
 @pytest.mark.parametrize("code", [

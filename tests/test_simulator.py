@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nuqsim import scan
 from nuqsim.circuits import Circuit, cnot, measure, ry, rz, u, x
 from nuqsim.oscillation import layer_propagator
 from nuqsim.compiler import virtual_z_pass
-from nuqsim.simulator import (apply, apply_matrix, circuit_unitary,
-                              gate_matrix, init_state, probabilities, run,
-                              sample, unitaries_equal_up_to_phase)
+from nuqsim.simulator import (_pcg64_states, apply, apply_matrix,
+                              circuit_unitary, gate_matrix, init_state,
+                              probabilities, run, sample,
+                              unitaries_equal_up_to_phase)
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -201,6 +205,7 @@ def test_sample_clips_rounded_probabilities():
     """A probability a rounding step past 0 or 1 is drawn as 0 or 1."""
     assert sample(-1e-17, 64, seed=3) == 0
     assert sample(1.0 + 2e-16, 64, seed=3) == 64
+    assert sample(np.array([-1e-17, 1.0 + 2e-16]), 64, seed=3).tolist() == [0, 64]
 
 
 def test_sample_zero_shots_rejected():
@@ -211,3 +216,51 @@ def test_sample_zero_shots_rejected():
 def test_sample_negative_seed_rejected():
     with pytest.raises(ValueError):
         sample(0.5, 16, seed=-1)
+
+
+def test_sample_takes_numpy_integer_seeds_as_ints():
+    p1 = np.full(5, 0.3)
+    expected = sample(p1, 4096, 7).tolist()
+    for seed in (np.int64(7), np.uint64(7)):
+        assert sample(p1, 4096, seed).tolist() == expected
+    with pytest.raises(TypeError):
+        sample(p1, 4096, 7.0)
+
+
+# --- batched seeding: numpy itself is the oracle -----------------------------
+
+def _numpy_states(seed, n):
+    """(state, inc) of np.random.PCG64(seed ^ i), point by point."""
+    return [tuple(np.random.PCG64(seed ^ i).state["state"][key]
+                  for key in ("state", "inc")) for i in range(n)]
+
+
+# word boundaries of the seed's uint32 entropy: 1, 1, 2, 3, 4, 5 and 42 words
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                  2 ** 128 - 1, 2 ** 128, 10 ** 400],
+                         ids=["0", "2^32-1", "2^32", "2^64+5", "2^128-1",
+                              "2^128", "10^400"])
+def test_pcg64_states_match_numpy(seed):
+    assert list(_pcg64_states(seed, 40)) == _numpy_states(seed, 40)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 160),
+                 st.integers(0, 10 ** 400)),
+       st.integers(1, 20))
+def test_pcg64_states_match_numpy_at_drawn_seeds(seed, n):
+    assert list(_pcg64_states(seed, n)) == _numpy_states(seed, n)
+
+
+@pytest.mark.parametrize("seed", [12345, 2 ** 64 + 5])
+def test_sample_stack_matches_per_point_generators(seed):
+    p1 = np.random.Generator(np.random.PCG64(99)).random(2000)
+    expected = [np.random.Generator(np.random.PCG64(seed ^ i)).binomial(4096, p)
+                for i, p in enumerate(p1.tolist())]
+    assert sample(p1, 4096, seed).tolist() == expected
+
+
+def test_grid_indices_stay_in_the_low_seed_word():
+    """seed ^ i changes only the seed's low 32-bit word, which the
+    batched seeding relies on."""
+    assert scan.MAX_POINTS < 2 ** 32
