@@ -6,20 +6,15 @@ the realized circuit unitary matches the target up to a global phase.
 U_R is the builders' ``msw_ansatz`` run by the simulator, and the
 gradient comes from its six copies with one angle shifted by pi
 (parameter shift: dRY(a)/da = RY(a + pi)/2), all seven run as one
-template.  The local step is box-constrained L-BFGS-B with that
-gradient; since it can fall into local minima, the
-primary safeguard is a loop of random restarts drawn uniformly from
-``INIT_RANGE`` by ``PCG64(SeedSequence(seed, spawn_key=(0x6F7074,)))``,
-a seed domain apart from measurement sampling (``simulator.sample``
-seeds ``PCG64(seed)``), so the two never share a stream.
-A problem may carry a warm start: restart 1 then begins at those
-angles instead of a random draw, and a start that already meets
-``TOL_INFIDELITY`` is accepted as it is.  L-BFGS-B (and with it
-``scipy.optimize``, imported on first use) runs only when the start
-misses the tolerance or there is no start.  Scans start each point at
-its closed-form angles (``builders.synthesis_angles``), which meet it;
-the random restarts stay the safeguard and the whole method when no
-start is given.
+template.  ``meets_tolerance`` takes the same trace over a stack of
+targets in one run; with it a scan accepts the closed-form angles
+(``builders.synthesis_angles``) of its whole grid.  ``optimize`` fits a
+point they miss: box-constrained L-BFGS-B with that gradient
+(``scipy.optimize``, imported on first use), restarted from random
+draws because it can fall into local minima.  The draws are uniform on
+``INIT_RANGE``, from ``PCG64(SeedSequence(seed, spawn_key=(0x6F7074,)))``,
+a seed domain apart from measurement sampling (``simulator.sample`` seeds
+``PCG64(seed)``), so the two never share a stream.
 """
 from __future__ import annotations
 
@@ -40,34 +35,32 @@ TOL_INFIDELITY = 1e-9              # a fit with 1 - F <= this has converged
 _OPTIMIZER_DOMAIN = 0x6F7074       # 'opt', the restart stream's spawn key
 
 
+def _unitary_targets(targets, stack: bool = False) -> np.ndarray:
+    """``targets`` as a complex 4x4 matrix, or with ``stack`` an
+    ``(n, 4, 4)`` stack, each unitary within 1e-10 (a NaN or inf entry
+    fails); anything else raises ValueError."""
+    t = np.asarray(targets, dtype=complex)
+    if t.ndim != 2 + stack or t.shape[-2:] != (_DIM, _DIM):
+        raise ValueError(f"target must be {'(n, 4, 4)' if stack else '4x4'}"
+                         f", got {t.shape}")
+    if not (np.isfinite(t).all() and np.all(
+            np.abs(np.conj(np.swapaxes(t, -1, -2)) @ t - np.eye(_DIM))
+            <= 1e-10)):
+        raise ValueError("target is not unitary within 1e-10")
+    return t
+
+
 @dataclass(frozen=True)
 class FidelityProblem:
-    """Target unitary, restart budget and an optional warm start.
-
-    ``start`` holds six angles (a1, b1, a2, b2, a3, b3) inside
-    ``BOUNDS`` at which restart 1 begins; without it restart 1 draws
-    from the optimizer stream like every later restart.
-    """
+    """Target unitary and restart budget."""
 
     target: np.ndarray
     restarts: int = 1000
-    start: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.target, dtype=complex)
-        object.__setattr__(self, "target", t)
-        if t.shape != (_DIM, _DIM):
-            raise ValueError(f"target must be 4x4, got {t.shape}")
-        if np.max(np.abs(t.conj().T @ t - np.eye(_DIM))) > 1e-10:
-            raise ValueError("target is not unitary within 1e-10")
+        object.__setattr__(self, "target", _unitary_targets(self.target))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.start is not None:
-            s = np.array(self.start, dtype=float)
-            object.__setattr__(self, "start", s)
-            lo, hi = BOUNDS
-            if s.shape != (6,) or not np.all((lo <= s) & (s <= hi)):
-                raise ValueError(f"start must be six angles in {BOUNDS}")
 
 
 @dataclass(frozen=True)
@@ -88,29 +81,44 @@ def minimize(fun, x0, **kwargs):
     return optimize.minimize(fun, x0, **kwargs)
 
 
+def _traces(u_t: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Tr(U_T^H U) of the ansatz at each angle row, ``(..., 6)``, against
+    the targets ``(..., 4, 4)``, broadcast: one template run."""
+    u = circuit_unitary(Circuit(2, msw_ansatz(angles)))
+    return np.einsum("...ij,...ij->...", np.conj(u_t), u)
+
+
 def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
                         ) -> tuple[float, np.ndarray]:
     """1 - F and its analytic gradient in the six angles, which may be
     any reals: one run of the ansatz at ``angles`` and at each angle
     shifted by pi, t_k = Tr(U_T^H U_k), d(1 - F)/da_k = -Re(t_0* t_k+1)/16.
     """
-    u = circuit_unitary(Circuit(2, msw_ansatz(angles + _SHIFTS)))
-    t = np.einsum("ij,kij->k", np.conj(u_t), u)
+    t = _traces(u_t, angles + _SHIFTS)
     return (float(1.0 - abs(t[0]) ** 2 / _DIM ** 2),
             -(t[0].conjugate() * t[1:]).real / _DIM ** 2)
+
+
+def meets_tolerance(targets, angles) -> np.ndarray:
+    """Which rows of ``angles`` ``(n, 6)`` realize their target of the
+    ``(n, 4, 4)`` stack within ``TOL_INFIDELITY``: ``(n,)`` booleans from
+    one run of an n-circuit template."""
+    targets = _unitary_targets(targets, stack=True)
+    if np.shape(angles) != (len(targets), 6):
+        raise ValueError(f"angles of shape {np.shape(angles)}, not (n, 6)")
+    t = _traces(targets, angles)
+    return 1.0 - np.abs(t) ** 2 / _DIM ** 2 <= TOL_INFIDELITY
 
 
 def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
     """Best-of-restarts fit of the circuit angles to ``problem.target``.
 
-    Restart 1 begins at ``problem.start`` when one is given; a start
-    within ``TOL_INFIDELITY`` is returned as it is, without L-BFGS-B.
-    Every other restart draws its initial point from the optimizer RNG
-    stream when it begins, so the result is a pure function of
-    (problem, seed) and a restart that never runs costs nothing.  Stops
-    early once the best infidelity reaches ``TOL_INFIDELITY``; ties
-    between restarts keep the earliest.  Non-convergence is reported
-    through ``converged``, never raised.
+    Each restart draws its initial point from the optimizer RNG stream
+    when it begins, so the result is a pure function of (problem, seed)
+    and a restart that never runs costs nothing.  Stops early once the
+    best infidelity reaches ``TOL_INFIDELITY``; ties between restarts
+    keep the earliest.  Non-convergence is reported through
+    ``converged``, never raised.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         seed, spawn_key=(_OPTIMIZER_DOMAIN,))))
@@ -118,16 +126,7 @@ def optimize(problem: FidelityProblem, seed: int) -> OptimResult:
 
     best_val, best_x = math.inf, None
     for used in range(1, problem.restarts + 1):
-        if used == 1 and problem.start is not None:
-            start = problem.start
-            value, _ = infidelity_and_grad(problem.target, start)
-            if value <= TOL_INFIDELITY:
-                best_val, best_x = value, start
-                break
-        else:
-            start = rng.uniform(*INIT_RANGE, size=6)
-        if best_x is None:
-            best_x = start
+        start = rng.uniform(*INIT_RANGE, size=6)
         res = minimize(lambda v: infidelity_and_grad(problem.target, v),
                        start, jac=True, method="L-BFGS-B", bounds=box)
         if res.fun < best_val:

@@ -88,8 +88,8 @@ class OscParams:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ValueError(f"theta must be in [0, pi/2], got {self.theta}")
-        if self.dm2 <= 0.0:
-            raise ValueError(f"dm2 must be positive, got {self.dm2}")
+        if not 0.0 < self.dm2 < math.inf:
+            raise ValueError(f"dm2 must be finite and positive, got {self.dm2}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ class MatterLayer:
     length_km: float
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         if not 0.0 < self.ye <= 1.0:
             raise ValueError(f"ye must be in (0, 1], got {self.ye}")
-        if self.length_km < 0.0:
-            raise ValueError(f"length_km must be >= 0, got {self.length_km}")
+        if not 0.0 <= self.length_km < math.inf:
+            raise ValueError(f"length_km must be finite and >= 0, got {self.length_km}")
 
 
 @dataclass(frozen=True)

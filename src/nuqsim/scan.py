@@ -6,15 +6,16 @@ scenarios:
 - ``slab``: periodic two-density profile, single-qubit circuit;
 - ``earth``: mantle-core-mantle crossing, single-qubit circuit;
 - ``msw``: adiabatic solar survival via the two-qubit dilation, either
-  applying the exact 4x4 matrix or a freshly optimized two-CNOT
-  circuit per grid point.
+  applying the exact 4x4 matrix or running the two-CNOT circuit that
+  synthesizes it.
 
 Each grid point records the analytic oracle value, the exact
 statevector probability, and a shot-sampled estimate with its binomial
 standard error.  A scan runs its whole energy grid as one batch: one
 template circuit (or one stack of dilations) for all points, one
-simulator pass, one oracle pass, one ``sample`` call.  Only the
-per-point optimizer fits of msw optimized mode run point by point.
+simulator pass, one oracle pass, one ``sample`` call; msw optimized
+mode checks the closed-form angles of all points in one pass and fits
+only a point they miss, by ``optimize`` with seed XOR i.
 ``sample`` draws point i from seed XOR i, so results do not depend on
 evaluation order and CSV output is byte-reproducible for a fixed
 config and seed.
@@ -36,7 +37,7 @@ from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, effective_params, prob_msw_adiabatic,
                           prob_slab)
-from .optim import FidelityProblem, optimize
+from .optim import FidelityProblem, meets_tolerance, optimize
 from .simulator import apply_matrix, init_state, probabilities, run, sample
 
 
@@ -311,22 +312,20 @@ def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
 
 def _fitted_angles(config: ScanConfig, ds: DilationSet, theta: float,
                    theta_m: np.ndarray) -> np.ndarray:
-    """Two-CNOT angles fitted to a dilation stack, ``(n, 6)``, each fit
-    starting at the point's closed-form angles; a failed fit raises."""
-    starts = synthesis_angles(theta, theta_m)
-    fits = []
-    for i, energy_gev in enumerate(config.energies):
-        res = optimize(FidelityProblem(target=ds.u2q[i],
-                                       restarts=config.restarts,
-                                       start=starts[i]),
+    """Two-CNOT angles of a dilation stack, ``(n, 6)``: the closed-form
+    angles, checked for the whole grid in one pass, and an optimizer fit
+    for each point they miss; a failed fit raises."""
+    angles = synthesis_angles(theta, theta_m)
+    for i in np.flatnonzero(~meets_tolerance(ds.u2q, angles)).tolist():
+        res = optimize(FidelityProblem(ds.u2q[i], config.restarts),
                        config.seed ^ i)
         if not res.converged:
             raise NumericalDomainError(
-                f"optimized synthesis at {energy_gev!r} GeV did not converge: "
-                f"1-F = {res.infidelity:.3g} after {res.restarts_used} "
-                "restart(s); raise field 'restarts'")
-        fits.append(res.angles)
-    return np.array(fits)
+                f"optimized synthesis at {config.energies[i]!r} GeV did not "
+                f"converge: 1-F = {res.infidelity:.3g} after "
+                f"{res.restarts_used} restart(s); raise field 'restarts'")
+        angles[i] = res.angles
+    return angles
 
 
 def _single_qubit_setup(config: ScanConfig):

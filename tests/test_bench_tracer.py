@@ -38,10 +38,7 @@ def test_tracer_wraps_every_name_but_the_known_stale_one(tmp_path,
     assert tracer.missing == KNOWN_MISSING
     counted = {name for per_scan in tracer.counts.values()
                for name in per_scan}
-    assert {"circuits.ops_built", "optim.restarts"} <= counted
-    # the optimizer's per-layer view: one objective call per msw point,
-    # at its warm start
-    assert tracer.counts["0"]["optim.objective_evals"] == 3
+    assert "circuits.ops_built" in counted
     # the whole grid samples in one call: one sample span per scan
     # (two scans), not one per point
     runs = [i for i, span in enumerate(tracer.spans)
@@ -51,6 +48,8 @@ def test_tracer_wraps_every_name_but_the_known_stale_one(tmp_path,
     assert len(runs) == 2 and sorted(samples) == runs
     traced = {span[0] for span in tracer.spans}
     assert {"scan.run_scan", "builders.build_msw_circuit",
-            "builders.build_slab_circuit", "optim.optimize",
-            "optim.infidelity_and_grad", "simulator.run",
+            "builders.build_slab_circuit", "simulator.run",
             "simulator.sample"} <= traced
+    # the msw scan accepts the closed-form angles of its whole grid in
+    # one pass and never calls the optimizer
+    assert "optim.optimize" not in traced

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuqsim import optim
 from nuqsim.builders import (build_msw_circuit, dilation_from_angles,
                              synthesis_angles)
-from nuqsim.optim import FidelityProblem, infidelity_and_grad, optimize
+from nuqsim.optim import (FidelityProblem, infidelity_and_grad,
+                          meets_tolerance, optimize)
 from nuqsim.simulator import circuit_unitary
 
 RNG = np.random.Generator(np.random.PCG64(777))
@@ -183,48 +186,9 @@ def test_nonconvergence_reported_not_raised(monkeypatch):
     assert res.converged is False
 
 
-def test_closed_form_start_converges_on_the_first_restart():
-    for _ in range(20):
-        theta, theta_m = RNG.uniform(0, math.pi / 2, 2)
-        start = synthesis_angles(theta, theta_m)
-        problem = FidelityProblem(dilation_from_angles(theta, theta_m).u2q,
-                                  restarts=1, start=start)
-        res = optimize(problem, seed=0)
-        assert res.converged and res.restarts_used == 1
-        assert res.infidelity <= optim.TOL_INFIDELITY
-
-
-def test_start_within_tolerance_skips_lbfgsb(monkeypatch):
-    """A start that meets the tolerance is the fit, bit for bit."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("L-BFGS-B ran")
-    monkeypatch.setattr(optim, "minimize", refuse)
-    start = synthesis_angles(0.6, 0.2)
-    problem = FidelityProblem(dilation_from_angles(0.6, 0.2).u2q,
-                              restarts=5, start=start)
-    res = optimize(problem, seed=4)
-    assert np.array_equal(res.angles, start)
-    assert res.restarts_used == 1 and res.converged
-    assert res.infidelity == max(infidelity_and_grad(problem.target,
-                                                     start)[0], 0.0)
-
-
-def test_far_start_runs_lbfgsb(monkeypatch):
-    calls, minimize = [], optim.minimize
-
-    def counted(fun, x0, **kwargs):
-        calls.append(1)
-        return minimize(fun, x0, **kwargs)
-    monkeypatch.setattr(optim, "minimize", counted)
-    target = dilation_from_angles(0.6, 0.2).u2q
-    start = 0.8 * synthesis_angles(0.6, 0.2)
-    assert infidelity_and_grad(target, start)[0] > optim.TOL_INFIDELITY
-    res = optimize(FidelityProblem(target, start=start), seed=4)
-    assert res.converged and calls
-    assert len(calls) == res.restarts_used
-
-
-def test_no_start_runs_lbfgsb_from_the_first_draw(monkeypatch):
+def test_first_restart_runs_lbfgsb_from_the_first_draw(monkeypatch):
+    """Every restart, the first included, begins at its draw from the
+    optimizer stream."""
     x0s, minimize = [], optim.minimize
 
     def recorded(fun, x0, **kwargs):
@@ -237,30 +201,6 @@ def test_no_start_runs_lbfgsb_from_the_first_draw(monkeypatch):
         *optim.INIT_RANGE, size=6))
 
 
-def test_start_takes_no_draw(monkeypatch):
-    """Restart 1 begins at the start without a draw; restart k >= 2
-    begins at draw k - 1 of the optimizer stream."""
-    monkeypatch.setattr(optim, "TOL_INFIDELITY", -1.0)
-    x0s, minimize = [], optim.minimize
-
-    def recorded(fun, x0, **kwargs):
-        x0s.append(np.array(x0))
-        return minimize(fun, x0, **kwargs)
-    start = synthesis_angles(0.6, 0.2)
-    problem = FidelityProblem(dilation_from_angles(0.6, 0.2).u2q, restarts=3,
-                              start=start)
-    with monkeypatch.context() as patch:
-        patch.setattr(optim, "minimize", recorded)
-        res = optimize(problem, seed=9)
-    assert res.restarts_used == 3
-    rng = restart_stream(9)
-    expected = [start] + [
-        rng.uniform(*optim.INIT_RANGE, size=6) for _ in range(2)]
-    assert len(x0s) == 3
-    for got, want in zip(x0s, expected):
-        assert np.array_equal(got, want)
-
-
 def test_problem_validation():
     with pytest.raises(ValueError):
         FidelityProblem(target=np.ones((4, 4)))
@@ -268,7 +208,49 @@ def test_problem_validation():
         FidelityProblem(target=np.eye(3))
     with pytest.raises(ValueError):
         FidelityProblem(target=np.eye(4), restarts=0)
-    for start in (np.zeros(5), np.zeros((2, 6)), [0.0] * 5 + [math.nan],
-                  [0.0] * 5 + [math.inf], [0.0] * 5 + [3.2]):
-        with pytest.raises(ValueError, match="start"):
-            FidelityProblem(target=np.eye(4), start=start)
+    for bad in (math.nan, math.inf):
+        target = np.eye(4)
+        target[2, 3] = bad
+        with pytest.raises(ValueError, match="unitary"):
+            FidelityProblem(target=target)
+
+
+# --- batched acceptance ---------------------------------------------------------
+
+QUARTER_TURN = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
+                         st.floats(0.0, math.pi / 2))
+# per point: vacuum angle, matter angle, offset added to the closed-form a1
+GRID_POINT = st.tuples(QUARTER_TURN, QUARTER_TURN,
+                       st.one_of(st.just(0.0), st.floats(-1e-4, 1e-4),
+                                 st.floats(-1.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(GRID_POINT, min_size=1, max_size=8))
+def test_meets_tolerance_agrees_with_the_objective_row_by_row(points):
+    theta, theta_m, offset = (np.array(col) for col in zip(*points))
+    targets = dilation_from_angles(theta, theta_m).u2q
+    angles = synthesis_angles(theta, theta_m)
+    angles[:, 0] += offset
+    accepted = meets_tolerance(targets, angles)
+    assert accepted.shape == (len(points),)
+    for i, ok in enumerate(accepted):
+        value, _ = infidelity_and_grad(targets[i], angles[i])
+        assert ok == (value <= optim.TOL_INFIDELITY)
+
+
+def test_meets_tolerance_validates_the_stack():
+    """The stack passes the check FidelityProblem makes of one target."""
+    good = dilation_from_angles(np.array([0.6, 0.3]), 0.2).u2q
+    angles = synthesis_angles(np.array([0.6, 0.3]), 0.2)
+    for bad in (math.nan, math.inf, 2.0):
+        targets = good.copy()
+        targets[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="unitary"):
+            meets_tolerance(targets, angles)
+    for targets in (good[0], good[:, :3, :3], good[None]):
+        with pytest.raises(ValueError, match="target"):
+            meets_tolerance(targets, angles)
+    for rows in (angles[:1], angles[:, :5], angles[0]):
+        with pytest.raises(ValueError, match="angles"):
+            meets_tolerance(good, rows)

@@ -309,6 +309,21 @@ def test_type_validation():
         SlabProfile((MatterLayer(1.0, 0.5, 1.0),), period_count=3)
 
 
+VALID_FIELDS = {OscParams: {"theta": 0.5, "dm2": 1e-3},
+                MatterLayer: {"rho": 3.0, "ye": 0.5, "length_km": 100.0}}
+
+
+@pytest.mark.parametrize("cls, field", [
+    pytest.param(cls, field, id=field)
+    for cls, valid in VALID_FIELDS.items() for field in valid])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(cls, field, value):
+    """A NaN or inf parameter fails at construction, naming its field,
+    instead of turning every probability into NaN."""
+    with pytest.raises(ValueError, match=field):
+        cls(**dict(VALID_FIELDS[cls], **{field: value}))
+
+
 def test_mixing_rotation_matches_ry_form():
     t = 0.37
     m = mixing_rotation(t)

@@ -186,18 +186,59 @@ def test_msw_optimized_mode_close_to_theory():
         assert abs(pt.p_exact - pt.p_theory) < 1e-3
 
 
-def test_default_msw_grid_fits_on_the_first_restart(tmp_path):
-    """Each fit starts at the closed-form angles, so one restart per
-    point converges and the circuit matches the oracle to 1e-12."""
+def test_default_msw_grid_fits_on_the_first_restart(tmp_path, monkeypatch):
+    """One batched pass accepts the closed-form angles of every point, so
+    the scan never calls the optimizer (its one-restart budget is never
+    drawn on) and the circuit matches the oracle to 1e-12."""
+    calls = _count_calls(monkeypatch, ["meets_tolerance", "optimize",
+                                       "minimize"])
     csv = tmp_path / "out.csv"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
                                 "restarts": 1, "shots": 64, "csv": str(csv)}))
     assert cli.main(["scan", "--config", str(path)]) == 0
+    assert calls == {"meets_tolerance": 1, "optimize": 0, "minimize": 0}
     rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
     assert len(rows) == 2 * 50
     for row in rows:
         assert abs(float(row[2]) - float(row[1])) <= 1e-12
+
+
+def test_optimizer_fits_only_the_points_the_closed_form_misses(monkeypatch):
+    """A point whose closed-form angles miss the tolerance is fitted by
+    optimize with seed XOR i; the other rows stay the closed-form angles."""
+    closed_form = scan.synthesis_angles
+
+    def one_row_wrong(theta, theta_m):
+        angles = closed_form(theta, theta_m)
+        angles[1, 0] += 0.5
+        return angles
+    seeds, built = [], []
+
+    def recorded(problem, seed):
+        seeds.append(seed)
+        return optim.optimize(problem, seed)
+
+    def build(angles):
+        built.append(np.array(angles))
+        return build_msw_circuit(angles)
+    monkeypatch.setattr(scan, "synthesis_angles", one_row_wrong)
+    monkeypatch.setattr(scan, "optimize", recorded)
+    monkeypatch.setattr(scan, "build_msw_circuit", build)
+    cfg = ScanConfig(scenario="msw", energies=(0.002, 0.01, 0.02), shots=64,
+                     synthesis="optimized", restarts=64, seed=5)
+    result = run_scan(cfg)
+    assert seeds == [5 ^ 1]
+    p, layer = scan.msw_setup(cfg)
+    energies = np.array(cfg.energies)
+    exact = closed_form(p.theta, effective_params(p, layer, energies).theta_m)
+    fit = optim.optimize(optim.FidelityProblem(
+        build_dilation(p, layer, energies).u2q[1], restarts=64), 5 ^ 1)
+    [angles] = built
+    assert np.array_equal(angles[[0, 2]], exact[[0, 2]])
+    assert np.array_equal(angles[1], fit.angles)
+    for pt in result.points:
+        assert abs(pt.p_exact - pt.p_theory) < 1e-3
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -645,27 +686,20 @@ def test_cli_phase_without_precision_exit_3(tmp_path, capsys, fields, named):
 
 
 def test_cli_dump_reuses_the_scans_fit(tmp_path, monkeypatch, capsys):
-    """--dump-circuit prints the scan's own fit of point 0: one fit per
-    energy, and the same text an independent fit of point 0 gives."""
-    calls = []
-
-    def counted(problem, seed):
-        calls.append(seed)
-        return optim.optimize(problem, seed)
-    monkeypatch.setattr(scan, "optimize", counted)
+    """--dump-circuit prints the scan's own circuit of point 0: its
+    closed-form angles, accepted without an optimizer call."""
+    calls = _count_calls(monkeypatch, ["optimize"])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
                                 "energies": [0.002, 0.01, 0.02],
                                 "restarts": 64, "seed": 5}))
     assert cli.main(["scan", "--config", str(path), "--dump-circuit"]) == 0
-    assert calls == [5, 4, 7]               # seed ^ i, once per energy
+    assert calls == {"optimize": 0}
     p, layer = scan.msw_setup(ScanConfig(scenario="msw"))
-    ds = build_dilation(p, layer, 0.002)
-    start = synthesis_angles(p.theta, effective_params(p, layer, 0.002).theta_m)
-    fit = optim.optimize(optim.FidelityProblem(
-        ds.u2q, restarts=64, start=start), 5)
+    angles = synthesis_angles(
+        p.theta, effective_params(p, layer, np.array([0.002])).theta_m)
     out = capsys.readouterr().out
-    assert out.startswith(dump_circuit(build_msw_circuit(fit.angles)))
+    assert out.startswith(dump_circuit(build_msw_circuit(angles[0])))
 
 
 def _count_calls(monkeypatch, names):
