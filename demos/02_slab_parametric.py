@@ -8,6 +8,8 @@ Theory, exact circuit, and 4096-shot sampling are scanned over
 """
 import pathlib
 
+import numpy as np
+
 from nuqsim import ScanConfig, emit_csv, emit_plot, run_scan
 
 out = pathlib.Path(__file__).parent / "out"
@@ -30,10 +32,10 @@ result = run_scan(config)
 emit_csv(result, str(out / "slab.csv"))
 emit_plot(result, str(out / "slab.svg"))
 
-worst = max(abs(pt.p_exact - pt.p_theory) for pt in result.points)
-off = sum(1 for pt in result.points
-          if abs(pt.p_sampled - pt.p_theory) > 3 * pt.stderr_sampled)
-print(f"{len(result.points)} points scanned")
+worst = np.max(np.abs(result.p_exact - result.p_theory))
+off = np.count_nonzero(
+    np.abs(result.p_sampled - result.p_theory) > 3 * result.stderr)
+print(f"{len(result.energy_gev)} points scanned")
 print(f"max |circuit - theory| = {worst:.2e}")
 print(f"{off} sampled points beyond 3 standard errors (statistical)")
 print(f"wrote {out / 'slab.csv'} and {out / 'slab.svg'}")

@@ -9,6 +9,8 @@ virtual-Z pass.
 import math
 import pathlib
 
+import numpy as np
+
 from nuqsim import (OscParams, ScanConfig, build_slab_circuit, dump_circuit,
                     earth_profile, emit_csv, emit_plot, run_scan,
                     virtual_z_pass)
@@ -39,8 +41,10 @@ print(f"{report.input_gate_count} gates -> {report.output_gate_count} gates, "
 result = run_scan(config)
 emit_csv(result, str(out / "earth.csv"))
 emit_plot(result, str(out / "earth.svg"))
-worst = max(abs(pt.p_exact - pt.p_theory) for pt in result.points)
-peak = max(result.points, key=lambda pt: pt.p_theory)
-print(f"max |circuit - theory| over {len(result.points)} points: {worst:.2e}")
-print(f"largest conversion {peak.p_theory:.3f} at {peak.energy_gev:.2f} GeV")
+worst = np.max(np.abs(result.p_exact - result.p_theory))
+peak = np.argmax(result.p_theory)
+print(f"max |circuit - theory| over {len(result.energy_gev)} points: "
+      f"{worst:.2e}")
+print(f"largest conversion {result.p_theory[peak]:.3f} at "
+      f"{result.energy_gev[peak]:.2f} GeV")
 print(f"wrote {out / 'earth.csv'} and {out / 'earth.svg'}")

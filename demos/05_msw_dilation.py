@@ -54,6 +54,7 @@ for mode, points in (("exact", 60), ("optimized", 15)):
     result = run_scan(config)
     emit_csv(result, str(out / f"msw_{mode}.csv"))
     emit_plot(result, str(out / f"msw_{mode}.svg"))
-    worst = max(abs(pt.p_exact - pt.p_theory) for pt in result.points)
+    worst = max(np.max(np.abs(exact - theory))
+                for _, theory, exact, _, _ in result.channels())
     print(f"{mode} mode: {points} energies, max |circuit - theory| = {worst:.2e}")
 print(f"wrote CSV/SVG pairs under {out}")

@@ -80,7 +80,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
           f"{config.shots} shots, seed {config.seed}")
     if config.csv:
         emit_csv(result, config.csv)
-        print(f"wrote {config.csv} ({len(result.points)} rows)")
+        rows = len(result.energy_gev) * len(result.channels())
+        print(f"wrote {config.csv} ({rows} rows)")
     if config.svg:
         emit_plot(result, config.svg)
         print(f"wrote {config.svg}")
@@ -88,12 +89,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         # no outputs requested: show a compact table
         print("energy_gev  p_theory    p_exact     p_sampled" +
               ("   channel" if config.scenario == "msw" else ""))
-        for pt in result.points:
-            line = (f"{pt.energy_gev:<11.5g} {pt.p_theory:<11.6f} "
-                    f"{pt.p_exact:<11.6f} {pt.p_sampled:<11.6f}")
-            if pt.channel is not None:
-                line += f" {pt.channel}"
-            print(line)
+        for energy, channel, theory, exact, sampled, _ in result.rows():
+            line = (f"{energy:<11.5g} {theory:<11.6f} {exact:<11.6f} "
+                    f"{sampled:<11.6f}")
+            print(line if channel is None else f"{line} {channel}")
     return EXIT_OK
 
 

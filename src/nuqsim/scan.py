@@ -9,23 +9,25 @@ scenarios:
   applying the exact 4x4 matrix or running the two-CNOT circuit that
   synthesizes it.
 
-Each grid point records the analytic oracle value, the exact
-statevector probability, and a shot-sampled estimate with its binomial
-standard error.  A scan runs its whole energy grid as one batch: one
-template circuit (or one stack of dilations) for all points, one
-simulator pass, one oracle pass, one ``sample`` call; msw optimized
-mode checks the closed-form angles of all points in one pass and fits
-only a point they miss, by ``optimize`` with seed XOR i.
-``sample`` draws point i from seed XOR i, so results do not depend on
-evaluation order and CSV output is byte-reproducible for a fixed
-config and seed.
+A scan's result holds one array per quantity over its grid: the
+analytic oracle value, the exact statevector probability, and a
+shot-sampled estimate with its binomial standard error.  A scan runs
+its whole energy grid as one batch: one template circuit (or one
+stack of dilations) for all points, one simulator pass, one oracle
+pass, one ``sample`` call; msw optimized mode checks the closed-form
+angles of all points in one pass and fits only a point they miss, by
+``optimize`` with seed XOR i.  ``sample`` draws point i from seed XOR
+i, so results do not depend on evaluation order and CSV output is
+byte-reproducible for a fixed config and seed.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -156,6 +158,10 @@ class ScanConfig:
                                   f"got {value!r}")
         if self.svg is not None and len(self.energies) < 2:
             raise ConfigError("field 'svg': a plot needs at least 2 energies")
+        if (self.csv and self.svg and
+                os.path.realpath(self.csv) == os.path.realpath(self.svg)):
+            raise ConfigError(f"field 'svg': {self.svg!r} is the same file "
+                              "as field 'csv'")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
@@ -275,26 +281,40 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class ScanPoint:
-    energy_gev: float
-    channel: str | None        # None for slab/earth; "ee"/"emu" for msw
-    p_theory: float
-    p_exact: float
-    p_sampled: float
-    stderr_sampled: float
-
-
-@dataclass(frozen=True)
 class ScanResult:
+    """One ``(n,)`` float64 column per quantity over the ascending grid;
+    an msw scan's hold the ``ee`` channel (``channels`` derives ``emu``)."""
     scenario: str
     shots: int
-    points: tuple[ScanPoint, ...]
+    energy_gev: np.ndarray
+    p_theory: np.ndarray
+    p_exact: np.ndarray
+    p_sampled: np.ndarray
+    stderr: np.ndarray
     # the template circuit the scan executed (None for msw exact mode)
     circuit: Circuit | None = None
     # the virtual-Z report of a compiled slab/earth scan
     report: CompileReport | None = None
     # the (n, 4, 4) dilation stack msw exact mode applied
     dilation: np.ndarray | None = None
+
+    def channels(self) -> list[tuple]:
+        """``(channel, p_theory, p_exact, p_sampled, stderr)`` columns per
+        channel: ``None`` for slab/earth; for msw ``"ee"``, then ``"emu"``,
+        its complement ``1 - ee`` from the same measurement and stderr."""
+        ee = (self.p_theory, self.p_exact, self.p_sampled)
+        if self.scenario != "msw":
+            return [(None, *ee, self.stderr)]
+        return [("ee", *ee, self.stderr),
+                ("emu", *(1.0 - col for col in ee), self.stderr)]
+
+    def rows(self):
+        """``(energy, channel, p_theory, p_exact, p_sampled, stderr)`` as
+        Python floats, per energy one row per channel."""
+        energy = self.energy_gev.tolist()
+        return chain.from_iterable(zip(*(
+            zip(energy, repeat(channel), *(col.tolist() for col in cols))
+            for channel, *cols in self.channels())))
 
 
 def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
@@ -368,25 +388,13 @@ def run_scan(config: ScanConfig) -> ScanResult:
         qubit = ENCODED
         theory = prob_msw_adiabatic(p, layer, energies)[0]
     exact, p1 = probabilities(states, qubit)
-    points = []
-    for e, th, ex, ones in zip(config.energies, theory.tolist(),
-                               exact.tolist(),
-                               sample(p1, config.shots, config.seed).tolist()):
-        p_hat = (config.shots - ones) / config.shots
-        err = _binomial_stderr(p_hat, config.shots)
-        if msw:
-            points.append(ScanPoint(e, "ee", th, ex, p_hat, err))
-            points.append(ScanPoint(e, "emu", 1.0 - th, 1.0 - ex,
-                                    1.0 - p_hat, err))
-        else:
-            points.append(ScanPoint(e, None, th, ex, p_hat, err))
-    return ScanResult(scenario=config.scenario, shots=config.shots,
-                      points=tuple(points), circuit=circuit, report=report,
-                      dilation=dilation)
-
-
-def _binomial_stderr(p_hat: float, shots: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / shots)
+    shots = config.shots
+    # Python-int division, correctly rounded past 2**53 shots
+    p_sampled = np.array([(shots - k) / shots for k in
+                          sample(p1, shots, config.seed).tolist()])
+    return ScanResult(config.scenario, shots, energies, theory, exact,
+                      p_sampled, np.sqrt(p_sampled * (1.0 - p_sampled) / shots),
+                      circuit=circuit, report=report, dilation=dilation)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -395,22 +403,21 @@ CSV_HEADER = "energy_gev,p_theory,p_exact,p_sampled,stderr"
 
 
 def emit_csv(result: ScanResult, path: str) -> str:
-    """Write one row per scan point; repr() floats round-trip exactly."""
-    with_channel = any(pt.channel is not None for pt in result.points)
+    """One row per energy and channel; repr() floats round-trip exactly."""
+    with_channel = result.scenario == "msw"
     lines = [CSV_HEADER + (",channel" if with_channel else "")]
-    for pt in result.points:
-        row = [repr(float(v)) for v in (pt.energy_gev, pt.p_theory,
-                                        pt.p_exact, pt.p_sampled,
-                                        pt.stderr_sampled)]
-        if with_channel:
-            row.append(pt.channel)
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+    for energy, channel, *values in result.rows():
+        line = ",".join(map(repr, (energy, *values)))
+        lines.append(f"{line},{channel}" if with_channel else line)
+    return _write(path, lines, "CSV")
+
+
+def _write(path: str, lines: list[str], kind: str) -> str:
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write CSV {path}: {exc}") from exc
+        raise OSError(f"cannot write {kind} {path}: {exc}") from exc
     return path
 
 
@@ -423,20 +430,15 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 24, 20, 56
 
 
-def _channel_svg(pts: list[ScanPoint], color: str, sx, sy) -> list[str]:
-    """A channel's theory polyline and its markers with error bars, for
-    points sorted by energy.
+def _channel_svg(e, theory, p, err, color: str, sx, sy) -> list[str]:
+    """A channel's theory polyline and its markers with error bars, from
+    its ascending-energy columns.
 
     The coordinates are float64 arrays, each marker's three lines one
-    %-template.  The columns are read without per-point tuples and the
-    rows formatted one at a time, and the arrays are freed before the
-    caller joins the SVG text: per-point tuples, all coordinates as
-    Python floats at once, or arrays kept alive each raised the peak
-    memory of a 2000-point plot.
+    %-template, formatted a row at a time; the arrays are freed before
+    the caller joins the SVG text, which keeps a 2000-point plot's peak
+    memory down.
     """
-    e, theory, p, err = (
-        np.fromiter((getattr(pt, name) for pt in pts), float, len(pts))
-        for name in ("energy_gev", "p_theory", "p_sampled", "stderr_sampled"))
     mx, my = sx(e), sy(p)
     poly = " ".join("%.2f,%.2f" % xy
                     for xy in zip(mx.tolist(), sy(theory).tolist()))
@@ -459,10 +461,9 @@ def emit_plot(result: ScanResult, path: str) -> str:
     Byte-deterministic for a fixed ScanResult (fixed-precision
     coordinates, no timestamps or generated ids).
     """
-    energies = sorted({pt.energy_gev for pt in result.points})
-    if len(energies) < 2:
+    if len(result.energy_gev) < 2:
         raise ValueError("plot needs at least 2 energy points")
-    emin, emax = energies[0], energies[-1]
+    emin, emax = result.energy_gev[[0, -1]].tolist()
 
     # plot coordinates of energies and probabilities, floats or float64
     # arrays alike (same operations, same bits)
@@ -471,10 +472,6 @@ def emit_plot(result: ScanResult, path: str) -> str:
 
     def sy(prob):
         return _MT + (1.0 - prob) * (_H - _MT - _MB)
-
-    channels: dict[str | None, list[ScanPoint]] = {}
-    for pt in result.points:
-        channels.setdefault(pt.channel, []).append(pt)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -506,21 +503,12 @@ def emit_plot(result: ScanResult, path: str) -> str:
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{(y0 + y1) / 2:.2f})">Probability</text>')
 
-    for c_idx, (channel, pts) in enumerate(sorted(channels.items(),
-                                                  key=lambda kv: str(kv[0]))):
-        color = _COLORS[c_idx % len(_COLORS)]
-        pts = sorted(pts, key=lambda pt: pt.energy_gev)
-        parts += _channel_svg(pts, color, sx, sy)
-        label = _CHANNEL_LABELS.get(channel, str(channel))
+    for c_idx, (channel, theory, _, p, err) in enumerate(result.channels()):
+        color = _COLORS[c_idx]
+        parts += _channel_svg(result.energy_gev, theory, p, err, color, sx, sy)
         parts.append(f'<text x="{x1 - 6}" y="{y1 + 16 + 16 * c_idx}" '
                      f'font-size="12" text-anchor="end" '
-                     f'fill="{color}">{label}</text>')
+                     f'fill="{color}">{_CHANNEL_LABELS[channel]}</text>')
 
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write SVG {path}: {exc}") from exc
-    return path
+    return _write(path, parts, "SVG")

@@ -6,6 +6,7 @@ gate-matrix stacks, batched oracle).  These properties hold it to the
 analytic oracle and to a per-point loop kept here as the reference.
 """
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from nuqsim.compiler import dump_circuit, lower_to_native, virtual_z_pass
 from nuqsim.oscillation import (NumericalDomainError, layer_propagator,
                                 msw_survival_from_angles, prob_msw_adiabatic,
                                 slab_layer_params)
-from nuqsim.scan import (ANGLE_MODES, ScanConfig, _single_qubit_setup,
-                         msw_setup, run_scan)
+from nuqsim.scan import (ANGLE_MODES, CSV_HEADER, ScanConfig,
+                         _single_qubit_setup, emit_csv, msw_setup, run_scan)
 from nuqsim.simulator import (apply_matrix, circuit_unitary, gate_matrix,
                               init_state, probabilities, run, sample,
                               unitaries_equal_up_to_phase)
@@ -105,20 +106,50 @@ def per_point_reference(config):
 @PROPERTY
 @given(configs)
 def test_batched_circuit_equals_batched_oracle(config):
-    for pt in scan_or_reject(config).points:
-        assert abs(pt.p_exact - pt.p_theory) <= 1e-12
+    for _, theory, exact, _, _ in scan_or_reject(config).channels():
+        assert np.max(np.abs(exact - theory)) <= 1e-12
 
 
 @PROPERTY
 @given(configs)
 def test_batched_scan_equals_per_point_loop(config):
     result = scan_or_reject(config)
-    rows = [pt for pt in result.points if pt.channel in (None, "ee")]
-    for pt, (theory, exact, sampled) in zip(rows, per_point_reference(config),
-                                            strict=True):
-        assert abs(pt.p_theory - theory) <= 1e-14
-        assert abs(pt.p_exact - exact) <= 1e-14
-        assert pt.p_sampled == sampled
+    columns = zip(result.p_theory.tolist(), result.p_exact.tolist(),
+                  result.p_sampled.tolist())
+    for (theory, exact, sampled), (ref_theory, ref_exact, ref_sampled) in zip(
+            columns, per_point_reference(config), strict=True):
+        assert abs(theory - ref_theory) <= 1e-14
+        assert abs(exact - ref_exact) <= 1e-14
+        assert sampled == ref_sampled
+
+
+@PROPERTY
+@given(configs)
+def test_csv_reproduces_every_column(config):
+    """Parser oracle: re-reading emit_csv's output gives every column bit
+    for bit; msw rows alternate ee/emu, emu = 1.0 - ee with the same
+    stderr."""
+    result = scan_or_reject(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(emit_csv(result, f"{tmp}/scan.csv")) as fh:
+            header, *lines = fh.read().splitlines()
+    rows = [line.split(",") for line in lines]
+    msw = config.scenario == "msw"
+    assert header == CSV_HEADER + (",channel" if msw else "")
+    assert len(rows) == len(config.energies) * (2 if msw else 1)
+
+    def columns(rows):
+        return [np.array([float(row[k]) for row in rows]) for k in range(5)]
+    ee = columns(rows[::2] if msw else rows)
+    names = ("energy_gev", "p_theory", "p_exact", "p_sampled", "stderr")
+    for name, column in zip(names, ee):
+        assert column.tobytes() == getattr(result, name).tobytes(), name
+    if msw:
+        assert [row[5] for row in rows] == ["ee", "emu"] * len(config.energies)
+        emu = columns(rows[1::2])
+        for k, expected in enumerate([ee[0], *(1.0 - col for col in ee[1:4]),
+                                      ee[4]]):
+            assert emu[k].tobytes() == expected.tobytes(), names[k]
 
 
 @PROPERTY

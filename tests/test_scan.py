@@ -17,9 +17,8 @@ from nuqsim.compiler import dump_circuit
 from nuqsim.oscillation import (MatterLayer, NumericalDomainError, OscParams,
                                 effective_params, prob_msw_adiabatic,
                                 prob_slab)
-from nuqsim.scan import (ConfigError, ScanConfig, ScanPoint, ScanResult,
-                         emit_csv, emit_plot, run_scan,
-                         slab_profile_from_config)
+from nuqsim.scan import (ConfigError, ScanConfig, ScanResult, emit_csv,
+                         emit_plot, run_scan, slab_profile_from_config)
 
 
 # --- config -------------------------------------------------------------------
@@ -140,12 +139,15 @@ def test_earth_scan_exact_matches_oracle():
     p = OscParams(math.radians(cfg.theta13_deg), cfg.dm2_31)
     th23 = math.radians(cfg.theta23_deg)
     prof = earth_profile(cfg.ye)
-    assert len(result.points) == 25
-    for pt in result.points:
-        oracle = prob_slab(p, prof, pt.energy_gev, "mu", th23)
-        assert abs(pt.p_exact - oracle) < 1e-12
-        assert abs(pt.p_exact - pt.p_theory) < 1e-9
-        assert 0.0 <= pt.p_sampled <= 1.0
+    assert result.energy_gev.tolist() == list(cfg.energies)
+    for column in (result.p_theory, result.p_exact, result.p_sampled,
+                   result.stderr):
+        assert column.shape == (25,) and column.dtype == np.float64
+    for e, exact, theory in zip(cfg.energies, result.p_exact, result.p_theory):
+        oracle = prob_slab(p, prof, e, "mu", th23)
+        assert abs(exact - oracle) < 1e-12
+        assert abs(exact - theory) < 1e-9
+    assert np.all((0.0 <= result.p_sampled) & (result.p_sampled <= 1.0))
 
 
 def test_slab_scan_plain_mode():
@@ -154,36 +156,32 @@ def test_slab_scan_plain_mode():
     result = run_scan(cfg)
     p = OscParams(math.radians(cfg.theta13_deg), cfg.dm2_31)
     prof = slab_profile_from_config(cfg)
-    for pt in result.points:
-        assert abs(pt.p_theory - prob_slab(p, prof, pt.energy_gev)) < 1e-15
+    for e, theory in zip(cfg.energies, result.p_theory):
+        assert abs(theory - prob_slab(p, prof, e)) < 1e-15
 
 
 def test_msw_exact_channels_sum_to_one():
     cfg = ScanConfig(scenario="msw", energies=tuple(np.linspace(0.001, 0.05, 10)),
                      shots=128)
     result = run_scan(cfg)
-    assert len(result.points) == 20
-    by_energy = {}
-    for pt in result.points:
-        by_energy.setdefault(pt.energy_gev, {})[pt.channel] = pt
+    (ee, th_ee, ex_ee, ps_ee, se_ee), (emu, th_emu, ex_emu, ps_emu, se_emu) = (
+        result.channels())
+    assert (ee, emu) == ("ee", "emu") and se_ee is se_emu is result.stderr
+    assert np.all(ex_ee + ex_emu == 1.0) and np.all(ps_ee + ps_emu == 1.0)
     p = OscParams(math.radians(cfg.theta12_deg), cfg.dm2_21)
     layer = MatterLayer(cfg.production_rho, cfg.ye, 0.0)
-    for e, chans in by_energy.items():
-        assert set(chans) == {"ee", "emu"}
-        assert chans["ee"].p_exact + chans["emu"].p_exact == 1.0
-        assert chans["ee"].p_sampled + chans["emu"].p_sampled == 1.0
+    for i, e in enumerate(cfg.energies):
         pee, pem = prob_msw_adiabatic(p, layer, e)
-        assert abs(chans["ee"].p_theory - pee) < 1e-15
-        assert abs(chans["emu"].p_theory - pem) < 1e-15
-        assert abs(chans["ee"].p_exact - pee) < 1e-12
+        assert abs(th_ee[i] - pee) < 1e-15
+        assert abs(th_emu[i] - pem) < 1e-15
+        assert abs(ex_ee[i] - pee) < 1e-12
 
 
 def test_msw_optimized_mode_close_to_theory():
     cfg = ScanConfig(scenario="msw", energies=(0.002, 0.02), shots=64,
                      synthesis="optimized", restarts=64)
     result = run_scan(cfg)
-    for pt in result.points:
-        assert abs(pt.p_exact - pt.p_theory) < 1e-3
+    assert np.max(np.abs(result.p_exact - result.p_theory)) < 1e-3
 
 
 def test_default_msw_grid_fits_on_the_first_restart(tmp_path, monkeypatch):
@@ -237,23 +235,27 @@ def test_optimizer_fits_only_the_points_the_closed_form_misses(monkeypatch):
     [angles] = built
     assert np.array_equal(angles[[0, 2]], exact[[0, 2]])
     assert np.array_equal(angles[1], fit.angles)
-    for pt in result.points:
-        assert abs(pt.p_exact - pt.p_theory) < 1e-3
+    assert np.max(np.abs(result.p_exact - result.p_theory)) < 1e-3
 
 
 # --- CSV ------------------------------------------------------------------------
 
+def _columns_result(scenario, shots, *columns):
+    """A ScanResult built from the energy, theory, exact, sampled and
+    stderr columns given as lists."""
+    return ScanResult(scenario, shots, *(np.array(c, dtype=float)
+                                         for c in columns))
+
+
 def _tiny_result():
-    return ScanResult(scenario="slab", shots=16, points=(
-        ScanPoint(1.0, None, 0.1, 0.1000000000000001, 0.125, 0.02),
-        ScanPoint(2.0, None, 0.5, 0.5, 0.4375, 0.06),
-        ScanPoint(3.0, None, 0.9, 0.9, 0.875, 0.04),
-    ))
+    return _columns_result("slab", 16, [1.0, 2.0, 3.0], [0.1, 0.5, 0.9],
+                           [0.1000000000000001, 0.5, 0.9],
+                           [0.125, 0.4375, 0.875], [0.02, 0.06, 0.04])
 
 
 def test_csv_header_only_for_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(ScanResult("slab", 16, ()), str(path))
+    emit_csv(_columns_result("slab", 16, *[[]] * 5), str(path))
     assert path.read_text() == "energy_gev,p_theory,p_exact,p_sampled,stderr\n"
 
 
@@ -263,6 +265,7 @@ def test_csv_line_count(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0] == "energy_gev,p_theory,p_exact,p_sampled,stderr"
+    assert lines[1] == "1.0,0.1,0.1000000000000001,0.125,0.02"
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -273,11 +276,12 @@ def test_csv_round_trip_exact(tmp_path):
     emit_csv(result, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "energy_gev,p_theory,p_exact,p_sampled,stderr"
-    parsed = []
-    for line in lines[1:]:
-        e, pt_, pe, ps, se = (float(tok) for tok in line.split(","))
-        parsed.append(ScanPoint(e, None, pt_, pe, ps, se))
-    assert tuple(parsed) == result.points
+    parsed = np.array([[float(tok) for tok in line.split(",")]
+                       for line in lines[1:]])
+    rebuilt = _columns_result("earth", cfg.shots, *parsed.T)
+    for name in ("energy_gev", "p_theory", "p_exact", "p_sampled", "stderr"):
+        assert getattr(rebuilt, name).tobytes() == \
+            getattr(result, name).tobytes(), name
 
 
 def test_csv_round_trip_msw_channel_column(tmp_path):
@@ -287,11 +291,11 @@ def test_csv_round_trip_msw_channel_column(tmp_path):
     emit_csv(result, str(path))
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",channel")
-    rebuilt = tuple(
-        ScanPoint(float(t[0]), t[5], float(t[1]), float(t[2]), float(t[3]),
-                  float(t[4]))
-        for t in (line.split(",") for line in lines[1:]))
-    assert rebuilt == result.points
+    rebuilt = [(float(t[0]), t[5], float(t[1]), float(t[2]), float(t[3]),
+                float(t[4]))
+               for t in (line.split(",") for line in lines[1:])]
+    assert [row[1] for row in rebuilt] == ["ee", "emu", "ee", "emu"]
+    assert rebuilt == list(result.rows())
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
@@ -307,26 +311,24 @@ def test_sampled_mean_converges_to_exact():
     """Statistical soundness: over 200 seeds at one grid point, the mean
     sampled probability sits within 3*stderr/sqrt(200) of p_exact."""
     cfg = ScanConfig(scenario="earth", energies=(6.0, 7.0), shots=4096)
-    base = run_scan(cfg)
-    pt = base.points[0]
+    exact = run_scan(cfg).p_exact[0]
     samples = []
     for s in range(200):
         res = run_scan(ScanConfig(scenario="earth", energies=(6.0, 7.0),
                                   shots=4096, seed=s))
-        samples.append(res.points[0].p_sampled)
-    stderr = math.sqrt(pt.p_exact * (1 - pt.p_exact) / cfg.shots)
-    assert abs(np.mean(samples) - pt.p_exact) <= 3 * stderr / math.sqrt(200)
+        samples.append(res.p_sampled[0])
+    stderr = math.sqrt(exact * (1 - exact) / cfg.shots)
+    assert abs(np.mean(samples) - exact) <= 3 * stderr / math.sqrt(200)
 
 
 def test_slab_sampling_within_five_sigma():
     cfg = ScanConfig(scenario="slab", energies=tuple(np.linspace(1, 25, 60)),
                      shots=4096, seed=2)
     result = run_scan(cfg)
-    inside = sum(
-        1 for pt in result.points
-        if abs(pt.p_sampled - pt.p_theory)
-        <= 5 * math.sqrt(pt.p_theory * (1 - pt.p_theory) / cfg.shots))
-    assert inside / len(result.points) >= 0.99
+    theory = result.p_theory
+    inside = (np.abs(result.p_sampled - theory)
+              <= 5 * np.sqrt(theory * (1 - theory) / cfg.shots))
+    assert np.mean(inside) >= 0.99
 
 
 def test_scan_independent_of_other_points():
@@ -339,13 +341,13 @@ def test_scan_independent_of_other_points():
         cfg_i = ScanConfig(scenario="earth", energies=(e,),
                            seed=base.seed ^ i, shots=256)
         single = run_scan(cfg_i)
-        assert single.points[0].p_sampled == full.points[i].p_sampled
+        assert single.p_sampled[0] == full.p_sampled[i]
 
 
 # --- SVG ------------------------------------------------------------------------
 
 def test_plot_needs_two_points(tmp_path):
-    r = ScanResult("slab", 16, (_tiny_result().points[0],))
+    r = _columns_result("slab", 16, [1.0], [0.1], [0.1], [0.125], [0.02])
     with pytest.raises(ValueError):
         emit_plot(r, str(tmp_path / "one.svg"))
 
@@ -379,23 +381,20 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def _hand_built_result():
-    """Two channels, points out of energy order, error bars clipped at
-    0 (the first emu point) and at 1 (two ee points)."""
-    rows = [(2.5, "ee", 0.8125, 0.75, 0.96875, 0.0625),
-            (0.5, "emu", 0.1875, 0.25, 0.03125, 0.0625),
-            (1.0, "ee", 0.5, 0.4375, 0.46875, 0.015625),
-            (4.0, "emu", 0.625, 0.5, 0.5625, 0.125),
-            (0.5, "ee", 0.8125, 0.75, 0.96875, 0.0625),
-            (2.5, "emu", 0.1875, 0.25, 0.0, 0.0),
-            (4.0, "ee", 0.375, 0.5, 0.4375, 0.125),
-            (1.0, "emu", 0.5, 0.5625, 0.53125, 0.015625)]
-    return ScanResult(scenario="msw", shots=64,
-                      points=tuple(ScanPoint(*row) for row in rows))
+    """An msw result on an uneven grid, with error bars clipped at 0 (two
+    emu points) and at 1 (two ee points)."""
+    return _columns_result("msw", 64, [0.5, 1.0, 2.5, 4.0],
+                           [0.8125, 0.5, 0.8125, 0.375],
+                           [0.75, 0.4375, 0.75, 0.5],
+                           [0.96875, 0.46875, 0.96875, 0.4375],
+                           [0.0625, 0.015625, 0.0625, 0.125])
 
 
 def test_plot_of_a_hand_built_result_matches_its_golden(tmp_path):
     """The golden was written by the per-marker emitter that the array
-    layout replaced; the values involve no simulator numerics."""
+    layout replaced, with the 2.5 GeV emu marker's three lines set by hand
+    to the sx/sy coordinates of 1 - ee; the values involve no simulator
+    numerics."""
     path = emit_plot(_hand_built_result(), str(tmp_path / "plot.svg"))
     golden = (FIXTURES / "hand_built_plot.svg").read_bytes()
     assert pathlib.Path(path).read_bytes() == golden
@@ -432,13 +431,17 @@ def test_cli_scan_seed_past_uint64(tmp_path, monkeypatch, capsys):
 
 def test_scan_at_the_largest_shot_count(monkeypatch):
     """p_sampled is (shots - ones) / shots in Python ints: past 2**53
-    shots a float64 shots gives other values (at most points here)."""
-    shots = 2 ** 63 - 1
+    shots a float64 shots gives other values (at most points here), and
+    2**53 + 1 is the first count a float64 cannot hold.  stderr is
+    sqrt(p (1 - p) / shots), bit for bit."""
     calls = _recorded_samples(monkeypatch)
-    result = run_scan(ScanConfig(scenario="earth", shots=shots, seed=3))
-    ones = calls[0][3].tolist()
-    assert [pt.p_sampled for pt in result.points] == [(shots - k) / shots
-                                                      for k in ones]
+    for shots in (2 ** 63 - 1, 2 ** 53 + 1):
+        result = run_scan(ScanConfig(scenario="earth", shots=shots, seed=3))
+        ones = calls[-1][3].tolist()
+        p = result.p_sampled.tolist()
+        assert p == [(shots - k) / shots for k in ones]
+        assert result.stderr.tolist() == [math.sqrt(q * (1 - q) / shots)
+                                          for q in p]
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -549,6 +552,8 @@ BAD_INPUTS = [
     ({"energies": {"min": 1, "max": "2", "points": 3}}, "energies"),
     ({"energies": [True, 2]}, "energies"),
     ({"energies": ["1", "2"]}, "energies"),
+    # the SVG would overwrite the CSV
+    ({"csv": "{tmp}/out", "svg": "{tmp}/./out"}, "svg"),
 ]
 
 
@@ -563,6 +568,28 @@ def test_cli_bad_input_exit_2(tmp_path, capsys, bad, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_cli_rejects_csv_and_svg_at_one_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert cli.main(["scan", "--scenario", "earth", "--energies", "1:2:2",
+                     "--csv", "out", "--svg", "sub/../out"]) == 2
+    captured = capsys.readouterr()
+    assert "field 'svg'" in captured.err and "same file" in captured.err
+    assert "wrote" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, energies", [("slab", "1:25:8"),
+                                                ("msw", "0.001:0.05:4")])
+def test_cli_compact_table_matches_its_golden(capsys, scenario, energies):
+    """Without --csv/--svg the CLI prints one line per energy and channel
+    (msw: ee then emu), columns <11.5g and <11.6f."""
+    assert cli.main(["scan", "--scenario", scenario, "--energies", energies,
+                     "--shots", "256", "--seed", "11"]) == 0
+    golden = (FIXTURES / f"table_{scenario}.txt").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def test_work_budget_holds_every_default_grid():
