@@ -39,10 +39,12 @@ def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
     phase offsets of the following rotations, leaving 2N+1 pulses for N
     layers.
     """
-    ops = [x(0)]
     angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
-    for theta_k, phi_k in zip(angles, phases):
-        ops += [ry(-2.0 * theta_k), rz(phi_k), ry(2.0 * theta_k)]
+    down, up = -2.0 * angles, 2.0 * angles    # gates keep read-only row views
+    down.flags.writeable = phases.flags.writeable = up.flags.writeable = False
+    ops = [x(0)]
+    for down_k, phi_k, up_k in zip(down, phases, up):
+        ops += [ry(down_k), rz(phi_k), ry(up_k)]
     ops.append(measure(0))
     return Circuit(1, tuple(ops))
 

@@ -5,8 +5,8 @@ CNOT, MEASURE.  Qubit 0 is the most significant bit of the basis index,
 so a two-qubit basis state reads |q0 q1>.  MEASURE ops may only appear
 at the tail of a circuit.  Circuits and ops are immutable values.
 
-An angle is a float or a read-only ``(n,)`` array; a circuit checks
-once that all of its angles are finite.  A circuit whose
+An angle is a float or a read-only ``(n,)`` array, a builder's row view
+kept as is; a circuit checks finiteness once per base buffer.  A circuit whose
 angles are arrays is a template: one circuit per grid point, all of
 the same shape, executed as one batch (``batch_shape == (n,)``).  A
 circuit of float angles is a single circuit (``batch_shape == ()``);
@@ -59,9 +59,14 @@ class GateOp:
 
 
 def _angle(p) -> float | np.ndarray:
-    """A float, or a read-only copy of a 1-D angle array."""
+    """A float, a read-only float64 view of a read-only owner, or a copy."""
     if not isinstance(p, np.ndarray) or p.ndim == 0:
         return float(p)
+    owner = p if p.base is None else p.base
+    if (type(owner) is np.ndarray and owner.base is None and p.ndim == 1
+            and p.dtype == owner.dtype == np.float64 and p.flags.aligned
+            and not (p.flags.writeable or owner.flags.writeable)):
+        return p
     a = np.array(p, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"an angle array must be 1-D, got shape {a.shape}")
@@ -118,9 +123,13 @@ class Circuit:
             elif seen_measure:
                 raise ValueError("gate after MEASURE; measures must be at the tail")
         params = [p for op in self.ops for p in op.params]
-        if not all(np.isfinite(p).all() for p in params):
+        arrays = [p for p in params if type(p) is not float]
+        bases = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+        if not (np.isfinite([p for p in params if type(p) is float]).all()
+                and (all(np.isfinite(b).all() for b in bases.values())
+                     or all(np.isfinite(a).all() for a in arrays))):
             raise ValueError("non-finite angle in circuit")
-        shapes = {p.shape for p in params if type(p) is not float}
+        shapes = {p.shape for p in arrays}
         if len(shapes) > 1:
             raise ValueError(f"angle arrays of shapes {sorted(shapes)} "
                              "in one circuit")

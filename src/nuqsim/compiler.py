@@ -7,7 +7,8 @@ Two passes:
   offset L becomes the pulse-form gate U(t, -L, L), a rotation about
   the equatorial axis (sin L, cos L, 0)).  A trailing RZ carries the
   total offset unless the circuit ends in a Z-basis measurement, where
-  it is irrelevant and elided.
+  it is irrelevant and elided.  Between two X gates the offsets are the
+  rows of one cumulative sum, which adds in the order of a running sum.
 - ``lower_to_native`` rewrites X/RY/RZ/U circuits onto the native set
   {RZ, sqrt(X), X}, with sqrt(X) represented in pulse form as
   U(pi/2, -pi/2, pi/2).
@@ -78,52 +79,65 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     if circuit.width != 1:
         raise ValueError("virtual-Z pass supports single-qubit circuits only")
 
-    out: list[GateOp] = []
-    offset = 0.0
-    folded = 0
-    elided = False
-
-    for i, op in enumerate(circuit.ops):
-        kind = op.kind
-        if kind is GateKind.RZ:
-            offset = offset + op.params[0]
-            folded += 1
-        elif kind is GateKind.X:
-            out.append(op)
+    ops = circuit.ops
+    kinds = [op.kind for op in ops]
+    tail = (kinds + [GateKind.MEASURE]).index(GateKind.MEASURE)
+    out, offset, start = [], 0.0, 0
+    for stop in [i for i in range(tail) if kinds[i] is GateKind.X] + [tail]:
+        segment = ops[start:stop]
+        before, negated, nonzero = _running_offsets(offset, [
+            op.params[0] if op.kind is GateKind.RZ else op.params[2] + op.params[1]
+            for op in segment if op.kind in (GateKind.RZ, GateKind.U)])
+        k = 0
+        for op in segment:
+            if op.kind is GateKind.RY:
+                out.append(u(op.params[0], negated[k], before[k], op.qubits[0])
+                           if nonzero[k] else op)
+            elif op.kind is GateKind.U:
+                eff = before[k] + op.params[2]
+                out.append(u(op.params[0], -eff, eff, op.qubits[0]))
+            elif op.kind is not GateKind.RZ:
+                raise ValueError(f"virtual-Z pass cannot handle {op.kind.value}")
+            k += op.kind is not GateKind.RY      # RZ and U move the offset
+        offset, start = before[-1], stop + 1
+        if stop < tail:
+            out.append(ops[stop])
             offset = -offset
-        elif kind is GateKind.RY:
-            if _is_zero(offset):
-                out.append(op)
-            else:
-                out.append(u(op.params[0], -offset, offset, op.qubits[0]))
-        elif kind is GateKind.U:
-            theta, phi, lam = op.params
-            eff = offset + lam
-            out.append(u(theta, -eff, eff, op.qubits[0]))
-            offset = offset + (lam + phi)
-        elif kind is GateKind.MEASURE:
-            elided = not _is_zero(offset)
-            out.extend(circuit.ops[i:])
-            break
-        else:
-            raise ValueError(f"virtual-Z pass cannot handle {kind.value}")
-    else:
-        if not _is_zero(offset):
-            out.append(rz(offset))
+    if tail < len(ops):
+        out += ops[tail:]
+    elif np.any(offset):
+        out.append(rz(offset))
 
     compiled = Circuit(circuit.width, tuple(out))
     report = CompileReport(
         input_gate_count=len(circuit.gates),
         output_gate_count=len(compiled.gates),
         physical_pulse_count=pulse_count(compiled),
-        folded_rz_count=folded,
-        residual_rz=offset if elided or not _is_zero(offset) else 0.0,
+        folded_rz_count=kinds.count(GateKind.RZ),
+        residual_rz=offset if np.any(offset) else 0.0,
     )
     return compiled, report
 
 
-def _is_zero(offset: float | np.ndarray) -> bool:
-    return not (offset.any() if type(offset) is np.ndarray else offset)
+def _running_offsets(start, incs: list) -> tuple[list, list, list]:
+    """The offsets ``start``, ``start + incs[0]``, ... added in that order, their
+    negations, and whether each is nonzero: floats while only floats have entered,
+    then read-only rows of one ``np.cumsum`` over the rest and of its negation."""
+    before = [start]
+    while (len(before) <= len(incs)
+           and type(before[-1]) is type(incs[len(before) - 1]) is float):
+        before.append(before[-1] + incs[len(before) - 1])
+    rest = [before[-1]] + incs[len(before) - 1:]
+    sums = np.empty((len(rest),) + next(
+        (np.shape(a) for a in rest if type(a) is not float), ()))
+    for i, inc in enumerate(rest):
+        sums[i] = inc
+    np.cumsum(sums, axis=0, out=sums)
+    neg = -sums
+    sums.flags.writeable = neg.flags.writeable = False
+    return (before + list(sums[1:]), [-b for b in before] + list(neg[1:]),
+            [bool(np.any(b)) for b in before] + sums[1:].any(
+                axis=tuple(range(1, sums.ndim))).tolist())
 
 
 # --- native lowering ---------------------------------------------------------

@@ -280,7 +280,7 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # array columns: compare by identity
 class ScanResult:
     """One ``(n,)`` float64 column per quantity over the ascending grid;
     an msw scan's hold the ``ee`` channel (``channels`` derives ``emu``)."""

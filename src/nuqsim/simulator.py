@@ -10,7 +10,9 @@ angles) evolves one ``(dim,)`` state, and both run the same code.
 float angles or none, which broadcast over the batch; ``apply_matrix``
 takes ``(n, 4, 4)`` dilation stacks.  A single-qubit gate on a 2-qubit
 register acts on the state reshaped to ``(..., 2, 2)`` (axes q0, q1),
-so no 4x4 embedding is ever formed.
+so no 4x4 embedding is ever formed.  ``run`` forms the matrices of same-kind
+gates in blocks of at most ``BLOCK_POINTS`` gate-points (64 kB, however deep
+the template) and applies them one gate at a time, as ``apply`` does.
 
 Everything here is a pure function; execution is deterministic, and
 shot sampling draws binomial counts from numpy's PCG64, so identical
@@ -25,11 +27,14 @@ sampling and optimization never share a stream.
 """
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from .circuits import Circuit, GateKind, GateOp
 
 _NORM_TOL = 1e-9
+BLOCK_POINTS = 2 ** 10
 
 
 def _matrix2(a, b, c, d) -> np.ndarray:
@@ -48,17 +53,22 @@ def gate_matrix(op: GateOp) -> np.ndarray:
                           [e^{i phi} sin(t/2),  e^{i(phi+lam)} cos(t/2)]]
     RY(a) = exp(-i a Y/2), RZ(a) = exp(-i a Z/2).
     """
+    return _matrix(op, op.params)
+
+
+def _matrix(op: GateOp, params) -> np.ndarray:
+    """The matrix of op's kind and qubits at angles of any shape."""
     kind = op.kind
     if kind is GateKind.X:
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if kind is GateKind.RY:
-        c, s = np.cos(op.params[0] / 2), np.sin(op.params[0] / 2)
+        c, s = np.cos(params[0] / 2), np.sin(params[0] / 2)
         return _matrix2(c, -s, s, c).astype(complex)
     if kind is GateKind.RZ:
-        half = op.params[0] / 2
+        half = params[0] / 2
         return _matrix2(np.exp(-1j * half), 0, 0, np.exp(1j * half))
     if kind is GateKind.U:
-        theta, phi, lam = op.params
+        theta, phi, lam = params
         c, s = np.cos(theta / 2), np.sin(theta / 2)
         return _matrix2(c, -np.exp(1j * lam) * s,
                         np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c)
@@ -86,8 +96,12 @@ def apply(state: np.ndarray, op: GateOp) -> np.ndarray:
     mismatches raise."""
     if op.kind is GateKind.MEASURE:
         raise ValueError("MEASURE cannot be applied to a statevector")
+    return _apply(state, gate_matrix(op), op)
+
+
+def _apply(state: np.ndarray, m: np.ndarray, op: GateOp) -> np.ndarray:
+    """Apply the matrix ``m`` of a gate op (qubits and kind from ``op``)."""
     width = _state_width(state)
-    m = gate_matrix(op)
     if m.shape[-1] == state.shape[-1]:
         return _matvec(m, state)
     if m.shape[-1] == 2 and width == 2:
@@ -134,8 +148,19 @@ def run(circuit: Circuit, initial: np.ndarray | None = None
         initial, dtype=complex)
     if state.shape[-1:] != (2 ** circuit.width,):
         raise ValueError("initial state does not match circuit width")
-    for op in circuit.gates:
-        state = apply(state, op)
+    shape = circuit.batch_shape
+    limit = max(1, BLOCK_POINTS // int(np.prod(shape)))
+    for _, same in groupby(circuit.gates, key=lambda op: (op.kind, op.qubits)):
+        same = list(same)
+        for b in range(0, len(same), limit):
+            block = same[b:b + limit]
+            params = [np.empty((len(block),) + shape) for _ in block[0].params]
+            for k, op in enumerate(block):
+                for column, p in zip(params, op.params):
+                    column[k] = p
+            m = _matrix(block[0], params)
+            for k, op in enumerate(block):
+                state = _apply(state, m[k] if params else m, op)
     return state, circuit.measured_qubits
 
 

@@ -251,6 +251,35 @@ def test_template_angles_are_read_only_and_finite():
         ry(np.zeros((2, 2)))
 
 
+def test_angle_views_are_kept_only_over_read_only_bases():
+    """A read-only view of a writeable base is copied, so writing to the
+    base leaves the circuit as it was; a builder's read-only rows are
+    kept, a NaN in such a base is still rejected, and a finite view is
+    not rejected for what lies outside it."""
+    base = np.array([0.1, 0.2, 0.3])
+    view = base[:2]
+    view.flags.writeable = False
+    op = ry(view)
+    base[0] = 7.0
+    assert op.params[0].tolist() == [0.1, 0.2]
+    assert Circuit(1, (op,)).ops[0].params[0].tolist() == [0.1, 0.2]
+
+    owned = np.array([[0.1, 0.2], [0.3, math.nan]])
+    owned.flags.writeable = False
+    first, second = ry(owned[0]), rz(owned[1])
+    assert first.params[0].base is owned and second.params[0].base is owned
+    with pytest.raises(ValueError, match="non-finite"):
+        Circuit(1, (first, second))
+    assert Circuit(1, (first, x())).batch_shape == (2,)
+
+    p, profile, th23 = _single_qubit_setup(ScanConfig(scenario="slab"))
+    slab = build_slab_circuit(p, profile, np.array([1.0, 2.0]), theta23=th23)
+    rows = [prm for op in slab.ops for prm in op.params]
+    assert len({id(a.base) for a in rows}) == 3        # -2 theta, phi, 2 theta
+    assert all(not a.flags.writeable and not a.base.flags.writeable
+               for a in rows)
+
+
 def test_template_rejects_mixed_batch_shapes():
     with pytest.raises(ValueError, match="shapes"):
         Circuit(1, (ry(np.zeros(2)), rz(np.zeros(3))))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nuqsim.circuits import Circuit, GateKind, cnot, measure, ry, rz, u, x
 from nuqsim.compiler import (dump_circuit, is_sx, lower_to_native,
@@ -210,3 +212,91 @@ def test_dump_circuit_text():
                     "MEASURE 1\n")
     assert float(text.split()[4]) == 0.1 + 0.2
     assert dump_circuit(Circuit(1)) == "# nuqsim-circuit width=1\n"
+
+
+# --- the cumulative-sum pass against the running-offset walk ---------------------
+
+def _walk_virtual_z(circuit):
+    """Reference: the virtual-Z pass as one running sum over the ops, with
+    its compile report as a tuple."""
+    out, offset, folded, elided = [], 0.0, 0, False
+
+    def is_zero(value):
+        return not (value.any() if type(value) is np.ndarray else value)
+
+    for i, op in enumerate(circuit.ops):
+        if op.kind is GateKind.RZ:
+            offset = offset + op.params[0]
+            folded += 1
+        elif op.kind is GateKind.X:
+            out.append(op)
+            offset = -offset
+        elif op.kind is GateKind.RY:
+            out.append(op if is_zero(offset)
+                       else u(op.params[0], -offset, offset, op.qubits[0]))
+        elif op.kind is GateKind.U:
+            theta, phi, lam = op.params
+            eff = offset + lam
+            out.append(u(theta, -eff, eff, op.qubits[0]))
+            offset = offset + (lam + phi)
+        else:
+            elided = not is_zero(offset)
+            out.extend(circuit.ops[i:])
+            break
+    else:
+        if not is_zero(offset):
+            out.append(rz(offset))
+    compiled = Circuit(1, tuple(out))
+    residual = offset if elided or not is_zero(offset) else 0.0
+    return compiled, (len(circuit.gates), len(compiled.gates),
+                      pulse_count(compiled), folded, residual)
+
+
+SIGNED_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -1.5]),
+                          st.floats(-10.0, 10.0))
+
+
+@st.composite
+def virtual_z_circuits(draw):
+    """X/RY/RZ/U sequences, with or without a measure tail, as a single
+    circuit or as a template whose angles are floats, arrays with signed
+    zeros among other values, or all-zero rows."""
+    n = draw(st.sampled_from([None, 1, 3]))
+
+    def angle():
+        if n is None or draw(st.booleans()):
+            return draw(SIGNED_ANGLES)
+        zero = draw(st.sampled_from([None, 0.0, -0.0]))
+        return np.array([zero] * n if zero is not None else
+                        draw(st.lists(SIGNED_ANGLES, min_size=n, max_size=n)))
+
+    ops = []
+    for kind in draw(st.lists(st.sampled_from("X RY RZ U".split()),
+                              max_size=12)):
+        ops.append(x() if kind == "X" else ry(angle()) if kind == "RY"
+                   else rz(angle()) if kind == "RZ"
+                   else u(angle(), angle(), angle()))
+    if draw(st.booleans()):
+        ops.append(measure(0))
+    return Circuit(1, tuple(ops))
+
+
+def _bits(angle):
+    """An angle's type and bytes, signed zeros included."""
+    return type(angle), np.asarray(angle).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(virtual_z_circuits())
+def test_cumsum_pass_matches_the_running_offset_walk(circuit):
+    got, report = virtual_z_pass(circuit)
+    want, want_report = _walk_virtual_z(circuit)
+    assert [op.kind for op in got.ops] == [op.kind for op in want.ops]
+    assert [op.qubits for op in got.ops] == [op.qubits for op in want.ops]
+    for g, w in zip(got.ops, want.ops):
+        assert [_bits(p) for p in g.params] == [_bits(p) for p in w.params]
+    *counts, residual = want_report
+    assert [report.input_gate_count, report.output_gate_count,
+            report.physical_pulse_count, report.folded_rz_count] == counts
+    assert _bits(report.residual_rz) == _bits(residual)
+    assert got.batch_shape == want.batch_shape

@@ -132,6 +132,16 @@ def test_from_json_undecodable_values(tmp_path):
 
 # --- run_scan -----------------------------------------------------------------
 
+def test_scan_results_compare_as_a_bool():
+    """Array columns make a generated field-wise ``==`` raise; results
+    compare by identity instead."""
+    cfg = ScanConfig(scenario="earth", energies=(1.0, 2.0), shots=16)
+    first, second = run_scan(cfg), run_scan(cfg)
+    assert (first == second) is False
+    assert (first == first) is True
+    assert (first != second) is True
+
+
 def test_earth_scan_exact_matches_oracle():
     cfg = ScanConfig(scenario="earth", energies=tuple(np.linspace(1, 25, 25)),
                      shots=64)
@@ -589,6 +599,19 @@ def test_cli_compact_table_matches_its_golden(capsys, scenario, energies):
     assert cli.main(["scan", "--scenario", scenario, "--energies", energies,
                      "--shots", "256", "--seed", "11"]) == 0
     golden = (FIXTURES / f"table_{scenario}.txt").read_text()
+    assert capsys.readouterr().out == golden
+
+
+def test_cli_dump_of_the_deep_slab_matches_its_golden(tmp_path, capsys):
+    """The golden was written by the running-offset compiler that the
+    cumulative sum replaced: ``repr`` of all 201 compiled angles of point
+    0, the compile report line and the compact table."""
+    config = tmp_path / "slab_deep.json"
+    config.write_text(json.dumps({"scenario": "slab", "compile": True,
+                                  "periods": 50}))
+    assert cli.main(["scan", "--config", str(config), "--seed", "7",
+                     "--shots", "4096", "--dump-circuit"]) == 0
+    golden = (FIXTURES / "dump_slab_deep.txt").read_text()
     assert capsys.readouterr().out == golden
 
 

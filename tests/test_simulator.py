@@ -1,5 +1,6 @@
 """Statevector backend tests: gate matrices, application, marginals, sampling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuqsim import scan
+from nuqsim.builders import build_slab_circuit
 from nuqsim.circuits import Circuit, cnot, measure, ry, rz, u, x
 from nuqsim.oscillation import layer_propagator
 from nuqsim.compiler import virtual_z_pass
-from nuqsim.simulator import (_pcg64_states, apply, apply_matrix,
+from nuqsim.simulator import (BLOCK_POINTS, _pcg64_states, apply, apply_matrix,
                               circuit_unitary, gate_matrix, init_state,
                               probabilities, run, sample,
                               unitaries_equal_up_to_phase)
@@ -180,6 +182,71 @@ def test_circuit_unitary_matches_column_runs():
         basis[k] = 1.0
         col, _ = run(c, initial=basis)
         assert np.allclose(total[:, k], col, atol=1e-12)
+
+
+# --- blocked execution ---------------------------------------------------------
+
+def _per_gate(circuit):
+    """Reference: one ``apply`` call per gate."""
+    state = init_state(circuit.width)
+    for op in circuit.gates:
+        state = apply(state, op)
+    return state
+
+
+def _runs_template(rng, n, width, runs):
+    """Runs of 1-9 same-kind gates on one qubit (CNOTs on two), each angle
+    an ``(n,)`` array or, now and then, a float."""
+    def angle():
+        return float(rng.uniform(-7, 7)) if rng.random() < 0.2 \
+            else rng.uniform(-7, 7, n)
+    ops = []
+    for _ in range(runs):
+        kind, q = int(rng.integers(4 + (width == 2))), int(rng.integers(width))
+        for _ in range(int(rng.integers(1, 10))):
+            ops.append(x(q) if kind == 0 else ry(angle(), q) if kind == 1
+                       else rz(angle(), q) if kind == 2
+                       else u(angle(), angle(), angle(), q) if kind == 3
+                       else cnot(q, 1 - q))
+    return Circuit(width, tuple(ops))
+
+
+def _compiled_slab(n, periods):
+    cfg = scan.ScanConfig(scenario="slab", compile=True, periods=periods,
+                          energies=tuple(np.linspace(1.0, 25.0, n)))
+    p, profile, th23 = scan._single_qubit_setup(cfg)
+    return virtual_z_pass(build_slab_circuit(p, profile, np.array(cfg.energies),
+                                             theta23=th23))[0]
+
+
+# block limits of 1 gate, 4 gates (runs are longer) and 341 (runs are shorter)
+@pytest.mark.parametrize("n", [BLOCK_POINTS, BLOCK_POINTS // 4, 3])
+def test_blocked_run_equals_per_gate_apply_bit_for_bit(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    circuits = [_runs_template(rng, n, width, 12) for width in (1, 2)]
+    circuits.append(_compiled_slab(n, 6))
+    circuits += [c.point(n - 1) for c in circuits]
+    for circuit in circuits:
+        got, _ = run(circuit)
+        want = _per_gate(circuit)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_run_memory_is_flat_in_the_gate_count():
+    """Doubling the gates of a compiled template at a fixed grid leaves
+    the peak allocation of ``run`` where it was: gate matrices are formed
+    a block at a time, never all at once."""
+    peaks = []
+    for periods in (25, 50):
+        circuit = _compiled_slab(64, periods)
+        run(circuit)
+        tracemalloc.start()
+        try:
+            run(circuit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # --- sampling ----------------------------------------------------------------
