@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, GateOp, cnot, measure, ry, rz, x
-from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                          SlabProfile, _libm, effective_params,
-                          slab_layer_params)
+from .oscillation import (MatterLayer, OscParams, SlabProfile, _libm,
+                          effective_params, slab_layer_params)
 
 ANCILLA, ENCODED = 0, 1   # dilation circuit qubit roles (q_A, q_B)
 
@@ -93,13 +92,7 @@ def dilation_from_angles(theta, theta_m) -> DilationSet:
     sqrt(I - Q^2) is evaluated in closed form on that basis.
     """
     q = _w_matrix(theta) @ _w_matrix(theta_m)
-    lam_sym = q[..., 0, 0] + q[..., 0, 1]    # eigenvalue on (1,1):  always 1
-    lam_asym, s_val = _asym_eigenvalues(q)
-    for lam in (lam_sym, lam_asym):
-        if np.any(np.abs(lam) > 1.0 + 1e-12):
-            raise NumericalDomainError(
-                f"Q eigenvalue {np.max(np.abs(lam))} exceeds 1; "
-                "dilation undefined")
+    s_val = _asym_eigenvalues(q)[1]
     s = 0.5 * s_val[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
     u2q = np.concatenate([np.concatenate([q, s], axis=-1),
                           np.concatenate([s, -q], axis=-1)], axis=-2)

@@ -99,9 +99,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "scan":
-            return cmd_scan(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_scan(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, GateOp, rz, u, x
-from .simulator import gate_matrix, unitaries_equal_up_to_phase
+from .circuits import Circuit, GateKind, GateOp, rz, u
 
 SX_PARAMS = (math.pi / 2, -math.pi / 2, math.pi / 2)
+_SX_TOL = 1e-15      # largest angle difference is_sx accepts
 
 
 def sx(qubit: int = 0) -> GateOp:
@@ -37,9 +37,9 @@ def sx(qubit: int = 0) -> GateOp:
     return u(*SX_PARAMS, qubit)
 
 
-def is_sx(op: GateOp, tol: float = 1e-15) -> bool:
+def is_sx(op: GateOp) -> bool:
     return (op.kind is GateKind.U
-            and all(abs(p - r) <= tol for p, r in zip(op.params, SX_PARAMS)))
+            and all(abs(p - r) <= _SX_TOL for p, r in zip(op.params, SX_PARAMS)))
 
 
 @dataclass(frozen=True)
@@ -142,34 +142,6 @@ def _running_offsets(start, incs: list) -> tuple[list, list, list]:
 
 # --- native lowering ---------------------------------------------------------
 
-_CONVENTION_CHECKED = False
-
-
-def _check_native_convention() -> None:
-    """Verify the RZ-SX-RZ-SX-RZ angle pattern against gate_matrix once.
-
-    Guards against sign/convention drift: the expansion is only trusted
-    after it reproduces randomly drawn U gates up to global phase.
-    """
-    global _CONVENTION_CHECKED
-    if _CONVENTION_CHECKED:
-        return
-    rng = np.random.Generator(np.random.PCG64(20240917))
-    for _ in range(8):
-        theta, phi, lam = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
-        target = gate_matrix(u(theta, phi, lam))
-        got = np.eye(2, dtype=complex)
-        for op in _expand_u(theta, phi, lam, 0):
-            got = gate_matrix(op) @ got
-        if not unitaries_equal_up_to_phase(target, got, 1e-12):
-            raise RuntimeError("native lowering convention self-check failed")
-    sx_direct = gate_matrix(sx())
-    sq = sx_direct @ sx_direct
-    if not unitaries_equal_up_to_phase(sq, gate_matrix(x()), 1e-12):
-        raise RuntimeError("sqrt(X) convention self-check failed")
-    _CONVENTION_CHECKED = True
-
-
 def _expand_u(theta: float, phi: float, lam: float, qubit: int) -> list[GateOp]:
     """U(theta, phi, lam) as RZ(lam), SX, RZ(theta+pi), SX, RZ(phi+pi)."""
     ops = [rz(lam, qubit), sx(qubit), rz(theta + math.pi, qubit),
@@ -187,7 +159,6 @@ def lower_to_native(circuit: Circuit) -> Circuit:
     if circuit.width != 1:
         raise ValueError("two-qubit lowering is not supported")
     _require_single(circuit)
-    _check_native_convention()
 
     out: list[GateOp] = []
     for op in circuit.ops:

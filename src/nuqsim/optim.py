@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # the package only, whose version bench/worker.py reads
+import scipy  # unused: loaded for bench/worker.py's version probe (ROADMAP 1)
 
 from .builders import msw_ansatz
 from .circuits import Circuit

@@ -1,4 +1,5 @@
 """Circuit builders: slab/earth transcription, dilation, two-CNOT ansatz."""
+import itertools
 import math
 
 import numpy as np
@@ -153,8 +154,18 @@ def test_dilation_block_structure():
 
 
 def test_dilation_orthogonal_and_marginal():
-    for _ in range(1000):
-        theta, theta_m = RNG.uniform(0, math.pi / 2, 2)
+    """Over the whole real line, not only [0, pi/2]: every pair of edge
+    values (signed zeros, +-pi/2, +-1e9, ...) and random signed angles of
+    magnitude 1e-6 to 1e9, so that |cos 2t cos 2tm| <= 1 needs no run-time
+    guard."""
+    wide = np.random.Generator(np.random.PCG64(2718))
+    edges = [0.0, -0.0, math.pi / 4, math.pi / 2, -math.pi / 2, math.pi,
+             -2.5, 1e9, -1e9, 123456789.0]
+    pairs = ([RNG.uniform(0, math.pi / 2, 2) for _ in range(1000)]
+             + list(itertools.product(edges, repeat=2))
+             + list(wide.choice([-1.0, 1.0], (1000, 2))
+                    * 10.0 ** wide.uniform(-6.0, 9.0, (1000, 2))))
+    for theta, theta_m in pairs:
         ds = dilation_from_angles(theta, theta_m)
         assert np.max(np.abs(ds.u2q @ ds.u2q.T - np.eye(4))) < 1e-12
         state = apply_matrix(init_state(2), ds.u2q)
