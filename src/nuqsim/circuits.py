@@ -3,7 +3,10 @@
 Gate set: X, RY, RZ, U (generic three-angle single-qubit rotation),
 CNOT, MEASURE.  Qubit 0 is the most significant bit of the basis index,
 so a two-qubit basis state reads |q0 q1>.  MEASURE ops may only appear
-at the tail of a circuit.  Circuits and ops are immutable values.
+at the tail of a circuit.  Circuits and ops are immutable values.  An op
+is a named tuple ``(kind, qubits, params)`` built only by the gate
+factories ``x``, ``ry``, ``rz``, ``u``, ``cnot`` and ``measure``, which
+check its qubits and angles.
 
 An angle is a float or a read-only ``(n,)`` array, a builder's row view
 kept as is; a circuit checks finiteness once per base buffer.  A circuit whose
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,33 +33,10 @@ class GateKind(Enum):
     MEASURE = "MEASURE"
 
 
-# number of angle parameters carried by each kind
-N_PARAMS = {
-    GateKind.X: 0,
-    GateKind.RY: 1,
-    GateKind.RZ: 1,
-    GateKind.U: 3,
-    GateKind.CNOT: 0,
-    GateKind.MEASURE: 0,
-}
-
-
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(NamedTuple):
     kind: GateKind
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "params", tuple(map(_angle, self.params)))
-        if len(self.params) != N_PARAMS[self.kind]:
-            raise ValueError(f"{self.kind.value} takes {N_PARAMS[self.kind]} "
-                             f"angle(s), got {len(self.params)}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("negative qubit index")
-        if self.kind is GateKind.CNOT and self.qubits[0] == self.qubits[1]:
-            raise ValueError("CNOT control and target must differ")
+    params: tuple[float | np.ndarray, ...] = ()
 
 
 def _angle(p) -> float | np.ndarray:
@@ -74,28 +55,37 @@ def _angle(p) -> float | np.ndarray:
     return a
 
 
+def _qubit(q: int) -> int:
+    if q < 0:
+        raise ValueError("negative qubit index")
+    return q
+
+
 def x(qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.X, (qubit,))
+    return GateOp(GateKind.X, (_qubit(qubit),))
 
 
 def ry(angle, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.RY, (qubit,), (angle,))
+    return GateOp(GateKind.RY, (_qubit(qubit),), (_angle(angle),))
 
 
 def rz(angle, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.RZ, (qubit,), (angle,))
+    return GateOp(GateKind.RZ, (_qubit(qubit),), (_angle(angle),))
 
 
 def u(theta, phi, lam, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.U, (qubit,), (theta, phi, lam))
+    return GateOp(GateKind.U, (_qubit(qubit),),
+                  (_angle(theta), _angle(phi), _angle(lam)))
 
 
 def cnot(control: int, target: int) -> GateOp:
+    if _qubit(control) == _qubit(target):
+        raise ValueError("CNOT control and target must differ")
     return GateOp(GateKind.CNOT, (control, target))
 
 
 def measure(qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.MEASURE, (qubit,))
+    return GateOp(GateKind.MEASURE, (_qubit(qubit),))
 
 
 @dataclass(frozen=True)
@@ -138,8 +128,8 @@ class Circuit:
     def point(self, i: int) -> "Circuit":
         """The single circuit of grid point i of a template."""
         return Circuit(self.width, tuple(
-            GateOp(op.kind, op.qubits,
-                   tuple(p if np.ndim(p) == 0 else p[i] for p in op.params))
+            op._replace(params=tuple(
+                p if type(p) is float else float(p[i]) for p in op.params))
             for op in self.ops))
 
     @property

@@ -96,8 +96,6 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
             elif op.kind is GateKind.U:
                 eff = before[k] + op.params[2]
                 out.append(u(op.params[0], -eff, eff, op.qubits[0]))
-            elif op.kind is not GateKind.RZ:
-                raise ValueError(f"virtual-Z pass cannot handle {op.kind.value}")
             k += op.kind is not GateKind.RY      # RZ and U move the offset
         offset, start = before[-1], stop + 1
         if stop < tail:
@@ -168,7 +166,7 @@ def lower_to_native(circuit: Circuit) -> Circuit:
                 out.append(op)
         elif kind is GateKind.RY:
             out.extend(_expand_u(op.params[0], 0.0, 0.0, op.qubits[0]))
-        elif kind is GateKind.U:
+        else:
             theta, phi, lam = op.params
             if is_sx(op):
                 out.append(op)
@@ -177,8 +175,6 @@ def lower_to_native(circuit: Circuit) -> Circuit:
                     out.append(rz(phi + lam, op.qubits[0]))
             else:
                 out.extend(_expand_u(theta, phi, lam, op.qubits[0]))
-        else:
-            raise ValueError(f"cannot lower {kind.value}")
     return Circuit(circuit.width, tuple(out))
 
 

@@ -236,6 +236,9 @@ def test_template_point_is_the_single_circuit():
             build_slab_circuit(p, profile, e, theta23=th23))
         assert single.batch_shape == ()
         assert template.point(i) == single
+        # Python floats, so a dump of the point is repr-exact
+        assert all(type(p) is float
+                   for op in template.point(i).ops for p in op.params)
         assert dump_circuit(template.point(i)) == dump_circuit(single)
 
 

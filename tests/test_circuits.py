@@ -1,0 +1,65 @@
+"""The checks on gate ops and circuits.
+
+The gate factories are the only constructors of a ``GateOp``; they
+check its qubits and angles, and fix the number of angles each kind
+carries.  ``Circuit`` checks the ops against its width and keeps the
+measures at the tail.
+"""
+import pytest
+
+from nuqsim.circuits import Circuit, GateKind, cnot, measure, ry, rz, u, x
+
+# each factory on qubit q, and the kind and angle count its op must carry
+# (the angles ``simulator._matrix`` unpacks)
+FACTORIES = [
+    (x, GateKind.X, 0),
+    (lambda q: ry(0.3, q), GateKind.RY, 1),
+    (lambda q: rz(0.3, q), GateKind.RZ, 1),
+    (lambda q: u(0.3, 0.2, 0.1, q), GateKind.U, 3),
+    (lambda q: cnot(q, 1 - q), GateKind.CNOT, 0),
+    (measure, GateKind.MEASURE, 0),
+]
+
+
+@pytest.mark.parametrize("make, kind, n_params", FACTORIES)
+def test_factory_fixes_kind_and_angle_count(make, kind, n_params):
+    op = make(0)
+    assert op.kind is kind
+    assert len(op.params) == n_params
+
+
+@pytest.mark.parametrize("make, kind, n_params", FACTORIES)
+def test_factory_rejects_negative_qubit(make, kind, n_params):
+    with pytest.raises(ValueError, match="negative qubit index"):
+        make(-1)
+
+
+def test_cnot_rejects_equal_control_and_target():
+    with pytest.raises(ValueError, match="must differ"):
+        cnot(1, 1)
+    with pytest.raises(ValueError, match="negative qubit index"):
+        cnot(0, -1)
+
+
+@pytest.mark.parametrize("width", [0, 3])
+def test_circuit_rejects_width(width):
+    with pytest.raises(ValueError, match="width must be 1 or 2"):
+        Circuit(width, (x(),))
+
+
+def test_circuit_rejects_qubit_beyond_width():
+    with pytest.raises(ValueError, match="exceeds circuit width 1"):
+        Circuit(1, (ry(0.3, 1),))
+    with pytest.raises(ValueError, match="exceeds circuit width 1"):
+        Circuit(1, (cnot(0, 1),))
+
+
+def test_circuit_rejects_qubit_measured_twice():
+    with pytest.raises(ValueError, match="qubit 0 measured twice"):
+        Circuit(2, (x(0), measure(0), measure(1), measure(0)))
+
+
+def test_circuit_rejects_gate_after_measure():
+    with pytest.raises(ValueError, match="gate after MEASURE"):
+        Circuit(1, (x(), measure(), rz(0.1)))
+    Circuit(2, (x(0), measure(0), measure(1)))    # measures at the tail pass

@@ -66,6 +66,15 @@ def test_u_is_rz_ry_rz_up_to_phase():
                                            1e-12)
 
 
+def test_equal_up_to_phase_sees_a_small_angle_error():
+    """A 1e-7 rad error moves entries by ~5e-8 but |tr(a^H b)|/dim by only
+    ~1e-15, so the comparison is made entry by entry."""
+    m = gate_matrix(u(0.3, 0.2, -0.5))
+    assert unitaries_equal_up_to_phase(m, np.exp(0.7j) * m)
+    assert not unitaries_equal_up_to_phase(
+        m, gate_matrix(u(0.3, 0.2, -0.5 + 1e-7)))
+
+
 # --- apply -------------------------------------------------------------------
 
 def test_x_flips_zero():
@@ -94,7 +103,7 @@ def test_apply_dimension_mismatch():
 
 
 def test_apply_rejects_measure():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="MEASURE"):
         apply(init_state(1), measure(0))
 
 

@@ -30,3 +30,20 @@ def test_no_unused_top_level_imports():
     assert [f for f in found if f not in ALLOWED_UNUSED] == []
     # each allowed entry is still found, so the scan does see real imports
     assert set(found) >= ALLOWED_UNUSED
+
+
+def gate_op_calls(source: str) -> int:
+    """Number of calls ``GateOp(...)`` in a module."""
+    return sum(isinstance(n, ast.Call) and "GateOp" in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(ast.parse(source)))
+
+
+def test_gate_ops_are_built_only_in_circuits():
+    """Only the gate factories in ``circuits.py`` build a GateOp, so the
+    factories' checks are the only ones an op needs."""
+    calls = {path.name: gate_op_calls(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert calls["circuits.py"] > 0
+    assert {name: n for name, n in calls.items()
+            if n and name != "circuits.py"} == {}
