@@ -51,6 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: argparse formats every option as it is added
+_PARSER = build_parser()
+
+
 def _build_config(args: argparse.Namespace) -> ScanConfig:
     """The config file's fields with the given flags on top, validated
     once."""
@@ -97,7 +101,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return cmd_scan(args)
     except ConfigError as exc:

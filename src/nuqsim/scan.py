@@ -120,14 +120,15 @@ class ScanConfig:
                               f"got {self.scenario!r}")
         energies = (np.linspace(*DEFAULT_GRIDS[self.scenario])
                     if self.energies is None else self.energies)
-        object.__setattr__(self, "energies", tuple(float(e) for e in energies))
-        if not 1 <= len(self.energies) <= MAX_POINTS:
+        grid = np.fromiter(map(float, energies), float)
+        object.__setattr__(self, "energies", tuple(grid.tolist()))
+        if not 1 <= grid.size <= MAX_POINTS:
             raise ConfigError(f"field 'energies': needs 1 to {MAX_POINTS} "
-                              f"points, got {len(self.energies)}")
-        if not all(math.isfinite(e) and e > 0 for e in self.energies):
+                              f"points, got {grid.size}")
+        if not (np.isfinite(grid) & (grid > 0)).all():
             raise ConfigError("field 'energies': all energies must be finite "
                               "and positive")
-        if any(b <= a for a, b in zip(self.energies, self.energies[1:])):
+        if (grid[1:] <= grid[:-1]).any():
             raise ConfigError("field 'energies': must be strictly ascending")
         if not 1 <= self.shots <= _MAX_SHOTS:
             raise ConfigError(f"field 'shots': must be in [1, {_MAX_SHOTS}], "
@@ -277,7 +278,7 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
     if not 1 <= n <= MAX_POINTS:
         raise ConfigError(f"field 'energies': n must be in [1, {MAX_POINTS}], "
                           f"got {n}")
-    return tuple(np.linspace(lo, hi, n))
+    return tuple(np.linspace(lo, hi, n).tolist())
 
 
 @dataclass(frozen=True, eq=False)    # array columns: compare by identity
@@ -400,22 +401,47 @@ def run_scan(config: ScanConfig) -> ScanResult:
 # --- CSV ----------------------------------------------------------------------
 
 CSV_HEADER = "energy_gev,p_theory,p_exact,p_sampled,stderr"
+# Rows of a CSV or SVG block: one %-format each, written one at a time,
+# so a wide scan's text is never held whole.
+EMIT_ROWS = 256
 
 
 def emit_csv(result: ScanResult, path: str) -> str:
-    """One row per energy and channel; repr() floats round-trip exactly."""
+    """One row per energy and channel; repr() floats round-trip exactly.
+
+    Each block of EMIT_ROWS energies is one %r template filled from
+    column slices, its channels interleaved per energy.
+    """
+    channels = result.channels()
     with_channel = result.scenario == "msw"
-    lines = [CSV_HEADER + (",channel" if with_channel else "")]
-    for energy, channel, *values in result.rows():
-        line = ",".join(map(repr, (energy, *values)))
-        lines.append(f"{line},{channel}" if with_channel else line)
-    return _write(path, lines, "CSV")
+    row = ",".join(["%r"] * 5)
+    template = "\n".join(f"{row},{channel}" if with_channel else row
+                         for channel, *_ in channels)
+    columns = [col for _, *cols in channels
+               for col in (result.energy_gev, *cols)]
+    blocks = (_fill(template, [col[start:start + EMIT_ROWS].tolist()
+                               for col in columns])
+              for start in range(0, len(result.energy_gev), EMIT_ROWS))
+    return _write(path, chain(
+        [CSV_HEADER + (",channel" if with_channel else "")], blocks), "CSV")
 
 
-def _write(path: str, lines: list[str], kind: str) -> str:
+def _fill(template: str, columns: list) -> str:
+    """``template`` once per row of the equal-length ``columns``, each
+    copy filled with its row's values in column order, joined by
+    newlines."""
+    return ("\n".join([template] * len(columns[0])) %
+            tuple(chain.from_iterable(zip(*columns))))
+
+
+def _write(path: str, items, kind: str) -> str:
+    """Write each text item (a line or a block of lines) and a newline
+    as the iterable yields it."""
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for item in items:
+                fh.write(item)
+                fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write {kind} {path}: {exc}") from exc
     return path
@@ -430,29 +456,37 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 24, 20, 56
 
 
-def _channel_svg(e, theory, p, err, color: str, sx, sy) -> list[str]:
-    """A channel's theory polyline and its markers with error bars, from
-    its ascending-energy columns.
+def _channel_svg(e, theory, p, err, color: str, sx, sy):
+    """Yield a channel's theory polyline, then its markers with error
+    bars in blocks of EMIT_ROWS, from its ascending-energy columns.
 
-    The coordinates are float64 arrays, each marker's three lines one
-    %-template, formatted a row at a time; the arrays are freed before
-    the caller joins the SVG text, which keeps a 2000-point plot's peak
-    memory down.
+    Each distinct coordinate column of a block (x, x +- 3, y +- 3 and
+    the clipped error-bar ends) is formatted once with %.2f, and each
+    marker's three lines are one template filled with those strings;
+    the polyline reuses the x strings.
     """
     mx, my = sx(e), sy(p)
-    poly = " ".join("%.2f,%.2f" % xy
-                    for xy in zip(mx.tolist(), sy(theory).tolist()))
+    xs = _fixed2(mx)
+    points = " ".join(map(",".join, zip(xs, _fixed2(sy(theory)))))
+    yield (f'<polyline points="{points}" fill="none" stroke="{color}" '
+           'stroke-width="1.5"/>')
     # per marker: its error bar, then the two strokes of its cross
-    marker = "\n".join(f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+    marker = "\n".join(f'<line x1="%s" y1="%s" x2="%s" y2="%s" '
                        f'stroke="{color}" stroke-width="{width}"/>'
                        for width in ("1", "1.2", "1.2"))
-    coords = np.stack([mx, sy(np.maximum(p - err, 0.0)),
-                       mx, sy(np.minimum(p + err, 1.0)),
-                       mx - 3, my - 3, mx + 3, my + 3,
-                       mx - 3, my + 3, mx + 3, my - 3], axis=-1)
-    return [f'<polyline points="{poly}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>',
-            *(marker % tuple(row.tolist()) for row in coords)]
+    lo, hi = sy(np.maximum(p - err, 0.0)), sy(np.minimum(p + err, 1.0))
+    for start in range(0, len(mx), EMIT_ROWS):
+        rows = slice(start, start + EMIT_ROWS)
+        x, m, y = xs[rows], mx[rows], my[rows]
+        left, right, top, bottom, low, high = map(_fixed2, (
+            m - 3, m + 3, y - 3, y + 3, lo[rows], hi[rows]))
+        yield _fill(marker, [x, low, x, high, left, top, right, bottom,
+                             left, bottom, right, top])
+
+
+def _fixed2(col: np.ndarray) -> list[str]:
+    """Each value of a float64 column as %.2f text."""
+    return ("%.2f " * len(col) % tuple(col.tolist())).split()
 
 
 def emit_plot(result: ScanResult, path: str) -> str:
@@ -503,12 +537,15 @@ def emit_plot(result: ScanResult, path: str) -> str:
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{(y0 + y1) / 2:.2f})">Probability</text>')
 
-    for c_idx, (channel, theory, _, p, err) in enumerate(result.channels()):
-        color = _COLORS[c_idx]
-        parts += _channel_svg(result.energy_gev, theory, p, err, color, sx, sy)
-        parts.append(f'<text x="{x1 - 6}" y="{y1 + 16 + 16 * c_idx}" '
-                     f'font-size="12" text-anchor="end" '
-                     f'fill="{color}">{_CHANNEL_LABELS[channel]}</text>')
+    def channel_lines():
+        for c_idx, (channel, theory, _, p, err) in enumerate(
+                result.channels()):
+            color = _COLORS[c_idx]
+            yield from _channel_svg(result.energy_gev, theory, p, err, color,
+                                    sx, sy)
+            yield (f'<text x="{x1 - 6}" y="{y1 + 16 + 16 * c_idx}" '
+                   f'font-size="12" text-anchor="end" '
+                   f'fill="{color}">{_CHANNEL_LABELS[channel]}</text>')
+        yield "</svg>"
 
-    parts.append("</svg>")
-    return _write(path, parts, "SVG")
+    return _write(path, chain(parts, channel_lines()), "SVG")

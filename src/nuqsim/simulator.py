@@ -213,11 +213,15 @@ def sample(p1, shots: int, seed: int):
     ones = np.empty(p1.shape, np.int64)
     bits = np.random.PCG64()       # each draw runs from a state set before it
     rng = np.random.Generator(bits)
+    # one state dict, its LCG entries overwritten per point (the setter
+    # copies them into the generator)
+    lcg = {"state": 0, "inc": 0}
+    bit_state = {"bit_generator": "PCG64", "state": lcg,
+                 "has_uint32": 0, "uinteger": 0}
     for i, ((state, inc), p) in enumerate(zip(_pcg64_states(seed, p1.size),
                                               p1.ravel().tolist())):
-        bits.state = {"bit_generator": "PCG64",
-                      "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+        lcg["state"], lcg["inc"] = state, inc
+        bits.state = bit_state
         ones.flat[i] = rng.binomial(shots, p)
     return ones if ones.ndim else int(ones)
 
@@ -269,7 +273,7 @@ def _pcg64_states(seed: int, n: int):
     4-word form (a missing pool word mixes in as a zero word), and the
     words past 4 take SeedSequence's extra-entropy loop.  The 128-bit
     LCG seeding runs in Python ints, one point at a time, so the grid's
-    states are never all held at once.
+    128-bit states are never all held at once.
     """
     size = _POOL_SIZE
     words = []
@@ -298,8 +302,7 @@ def _pcg64_states(seed: int, n: int):
     # little-endian uint32 pairs are the uint64s (initstate hi, lo,
     # initseq hi, lo) that pcg64_set_seed takes
     seeds = np.ascontiguousarray(out.T).astype("<u4").view("<u8")
-    for row in seeds:
-        state_hi, state_lo, seq_hi, seq_lo = row.tolist()
+    for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc
                ) & _MASK128, inc

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,32 @@ def test_bad_fields_are_named():
         ScanConfig(scenario="slab", seed=-4)
     with pytest.raises(ConfigError, match="synthesis"):
         ScanConfig(scenario="msw", synthesis="magic")
+
+
+@pytest.mark.parametrize("energies, message", [
+    ((), f"needs 1 to {scan.MAX_POINTS} points, got 0"),
+    (range(1, scan.MAX_POINTS + 2),
+     f"needs 1 to {scan.MAX_POINTS} points, got {scan.MAX_POINTS + 1}"),
+    ((-1.0, 2.0), "all energies must be finite and positive"),
+    ((0.0, 2.0), "all energies must be finite and positive"),
+    ((1.0, float("nan")), "all energies must be finite and positive"),
+    ((1.0, float("inf")), "all energies must be finite and positive"),
+    # finiteness is checked before order
+    ((3.0, -1.0), "all energies must be finite and positive"),
+    ((3.0, 2.0), "must be strictly ascending"),
+    ((1.0, 2.0, 2.0), "must be strictly ascending"),
+])
+def test_energy_checks_give_their_message(energies, message):
+    with pytest.raises(ConfigError) as info:
+        ScanConfig(scenario="slab", energies=energies)
+    assert str(info.value) == f"field 'energies': {message}"
+
+
+def test_energies_take_any_iterable_of_float_convertibles():
+    cfg = ScanConfig(scenario="slab", energies=iter(
+        [Fraction(1, 2), np.float32(2.5), 3, "4.25"]))
+    assert cfg.energies == (0.5, 2.5, 3.0, 4.25)
+    assert all(type(e) is float for e in cfg.energies)
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -466,6 +493,25 @@ def test_cli_scan_success(tmp_path, capsys):
     assert csv.exists() and svg.exists()
     out = capsys.readouterr().out
     assert "wrote" in out
+
+
+def test_cli_scan_after_a_bad_flag_matches_a_first_scan(tmp_path, capsys):
+    """main parses with one parser per process; a failed parse leaves
+    nothing behind that changes the next scan."""
+    def scan_outputs(name):
+        csv, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+        assert cli.main(["scan", "--scenario", "msw", "--energies",
+                         "0.001:0.05:5", "--seed", "3", "--csv", str(csv),
+                         "--svg", str(svg)]) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path / name), "")
+        return out, csv.read_bytes(), svg.read_bytes()
+
+    first = scan_outputs("first")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scan", "--scenario", "msw", "--no-such-flag"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert scan_outputs("again") == first
 
 
 def test_cli_reads_config_file(tmp_path, capsys):
