@@ -39,10 +39,8 @@ def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
     layers.
     """
     angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
-    down, up = -2.0 * angles, 2.0 * angles    # gates keep read-only row views
-    down.flags.writeable = phases.flags.writeable = up.flags.writeable = False
     ops = [x(0)]
-    for down_k, phi_k, up_k in zip(down, phases, up):
+    for down_k, phi_k, up_k in zip(-2.0 * angles, phases, 2.0 * angles):
         ops += [ry(down_k), rz(phi_k), ry(up_k)]
     ops.append(measure(0))
     return Circuit(1, tuple(ops))

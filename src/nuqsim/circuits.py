@@ -8,11 +8,13 @@ is a named tuple ``(kind, qubits, params)`` built only by the gate
 factories ``x``, ``ry``, ``rz``, ``u``, ``cnot`` and ``measure``, which
 check its qubits and angles.
 
-An angle is a float or a read-only ``(n,)`` array, a builder's row view
-kept as is; a circuit checks finiteness once per base buffer.  A circuit whose
-angles are arrays is a template: one circuit per grid point, all of
-the same shape, executed as one batch (``batch_shape == (n,)``).  A
-circuit of float angles is a single circuit (``batch_shape == ()``);
+An angle is a float or a real ``(n,)`` array.  A circuit copies all its
+ops' angles, in op order, into one read-only float64 matrix ``angles``,
+``(P,) + batch_shape``, checks it finite once, and its ops' params are
+its rows, so no later write to a caller's array changes the circuit.  A
+circuit with array angles is a template, one circuit per grid point run
+as one batch (``batch_shape == (n,)``; a float angle fills its row); one
+of float angles is a single circuit (``batch_shape == ()``, float params).
 ``Circuit.point(i)`` cuts the single circuit of point i from a template.
 """
 from __future__ import annotations
@@ -40,19 +42,14 @@ class GateOp(NamedTuple):
 
 
 def _angle(p) -> float | np.ndarray:
-    """A float, a read-only float64 view of a read-only owner, or a copy."""
-    if not isinstance(p, np.ndarray) or p.ndim == 0:
+    """A float, or a real 1-D array as given."""
+    if not isinstance(p, np.ndarray):
         return float(p)
-    owner = p if p.base is None else p.base
-    if (type(owner) is np.ndarray and owner.base is None and p.ndim == 1
-            and p.dtype == owner.dtype == np.float64 and p.flags.aligned
-            and not (p.flags.writeable or owner.flags.writeable)):
-        return p
-    a = np.array(p, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"an angle array must be 1-D, got shape {a.shape}")
-    a.flags.writeable = False
-    return a
+    if p.dtype.kind not in "iuf":
+        raise ValueError(f"an angle array must be real, got dtype {p.dtype}")
+    if p.ndim > 1:
+        raise ValueError(f"an angle array must be 1-D, got shape {p.shape}")
+    return p if p.ndim else float(p)
 
 
 def _qubit(q: int) -> int:
@@ -88,6 +85,16 @@ def measure(qubit: int = 0) -> GateOp:
     return GateOp(GateKind.MEASURE, (_qubit(qubit),))
 
 
+def _with_params(ops, rows: list) -> tuple[GateOp, ...]:
+    """The ops with their params taken, in op order, from ``rows``."""
+    out, k = [], 0
+    for kind, qubits, params in ops:
+        n = len(params)
+        out.append(GateOp(kind, qubits, tuple(rows[k:k + n])))
+        k += n
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over `width` qubits; measures only at the tail."""
@@ -96,6 +103,7 @@ class Circuit:
     ops: tuple[GateOp, ...] = field(default_factory=tuple)
     batch_shape: tuple[int, ...] = field(init=False, compare=False,
                                          repr=False)
+    angles: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -113,24 +121,26 @@ class Circuit:
             elif seen_measure:
                 raise ValueError("gate after MEASURE; measures must be at the tail")
         params = [p for op in self.ops for p in op.params]
-        arrays = [p for p in params if type(p) is not float]
-        bases = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
-        if not (np.isfinite([p for p in params if type(p) is float]).all()
-                and (all(np.isfinite(b).all() for b in bases.values())
-                     or all(np.isfinite(a).all() for a in arrays))):
-            raise ValueError("non-finite angle in circuit")
-        shapes = {p.shape for p in arrays}
+        shapes = {p.shape for p in params if type(p) is not float}
         if len(shapes) > 1:
             raise ValueError(f"angle arrays of shapes {sorted(shapes)} "
                              "in one circuit")
-        object.__setattr__(self, "batch_shape", shapes.pop() if shapes else ())
+        shape = shapes.pop() if shapes else ()
+        angles = np.empty((len(params),) + shape)
+        for k, p in enumerate(params):
+            angles[k] = p
+        if not np.isfinite(angles).all():
+            raise ValueError("non-finite angle in circuit")
+        angles.flags.writeable = False
+        object.__setattr__(self, "batch_shape", shape)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "ops", _with_params(
+            self.ops, list(angles) if shape else angles.tolist()))
 
     def point(self, i: int) -> "Circuit":
         """The single circuit of grid point i of a template."""
-        return Circuit(self.width, tuple(
-            op._replace(params=tuple(
-                p if type(p) is float else float(p[i]) for p in op.params))
-            for op in self.ops))
+        return Circuit(self.width,
+                       _with_params(self.ops, self.angles[:, i].tolist()))
 
     @property
     def gates(self) -> tuple[GateOp, ...]:

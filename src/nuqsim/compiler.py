@@ -7,8 +7,9 @@ Two passes:
   offset L becomes the pulse-form gate U(t, -L, L), a rotation about
   the equatorial axis (sin L, cos L, 0)).  A trailing RZ carries the
   total offset unless the circuit ends in a Z-basis measurement, where
-  it is irrelevant and elided.  Between two X gates the offsets are the
-  rows of one cumulative sum, which adds in the order of a running sum.
+  it is irrelevant and elided.  Between two X gates the offsets, of a
+  single circuit or a template, are the rows of one cumulative sum, which
+  adds in the order of a running sum.
 - ``lower_to_native`` rewrites X/RY/RZ/U circuits onto the native set
   {RZ, sqrt(X), X}, with sqrt(X) represented in pulse form as
   U(pi/2, -pi/2, pi/2).
@@ -87,7 +88,8 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
         segment = ops[start:stop]
         before, negated, nonzero = _running_offsets(offset, [
             op.params[0] if op.kind is GateKind.RZ else op.params[2] + op.params[1]
-            for op in segment if op.kind in (GateKind.RZ, GateKind.U)])
+            for op in segment if op.kind in (GateKind.RZ, GateKind.U)],
+            circuit.batch_shape)
         k = 0
         for op in segment:
             if op.kind is GateKind.RY:
@@ -117,25 +119,16 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     return compiled, report
 
 
-def _running_offsets(start, incs: list) -> tuple[list, list, list]:
-    """The offsets ``start``, ``start + incs[0]``, ... added in that order, their
-    negations, and whether each is nonzero: floats while only floats have entered,
-    then read-only rows of one ``np.cumsum`` over the rest and of its negation."""
-    before = [start]
-    while (len(before) <= len(incs)
-           and type(before[-1]) is type(incs[len(before) - 1]) is float):
-        before.append(before[-1] + incs[len(before) - 1])
-    rest = [before[-1]] + incs[len(before) - 1:]
-    sums = np.empty((len(rest),) + next(
-        (np.shape(a) for a in rest if type(a) is not float), ()))
-    for i, inc in enumerate(rest):
-        sums[i] = inc
+def _running_offsets(start, incs: list, shape: tuple) -> tuple[list, list, list]:
+    """The offsets ``start``, ``start + incs[0]``, ... added in that order, as
+    the rows of one ``np.cumsum`` over batch shape ``shape`` (floats where it
+    is ``()``), their negations, and whether each is nonzero."""
+    sums = np.empty((len(incs) + 1,) + shape)
+    sums[0], sums[1:] = start, np.reshape(incs, sums[1:].shape)
     np.cumsum(sums, axis=0, out=sums)
-    neg = -sums
-    sums.flags.writeable = neg.flags.writeable = False
-    return (before + list(sums[1:]), [-b for b in before] + list(neg[1:]),
-            [bool(np.any(b)) for b in before] + sums[1:].any(
-                axis=tuple(range(1, sums.ndim))).tolist())
+    rows = list if shape else np.ndarray.tolist     # row arrays, or floats
+    return (rows(sums), rows(-sums),
+            sums.reshape(len(sums), -1).any(axis=1).tolist())
 
 
 # --- native lowering ---------------------------------------------------------

@@ -7,14 +7,14 @@ U_R is the builders' ``msw_ansatz`` run by the simulator, and the
 gradient comes from its six copies with one angle shifted by pi
 (parameter shift: dRY(a)/da = RY(a + pi)/2), all seven run as one
 template.  ``meets_tolerance`` takes the same trace over a stack of
-targets in one run; with it a scan accepts the closed-form angles
-(``builders.synthesis_angles``) of its whole grid.  ``optimize`` fits a
-point they miss: box-constrained L-BFGS-B with that gradient
-(``scipy.optimize``, imported on first use), restarted from random
-draws because it can fall into local minima.  The draws are uniform on
-``INIT_RANGE``, from ``PCG64(SeedSequence(seed, spawn_key=(0x6F7074,)))``,
-a seed domain apart from measurement sampling (``simulator.sample`` seeds
-``PCG64(seed)``), so the two never share a stream.
+targets in one run, each row's 1 - F; with it a scan checks the
+closed-form angles (``builders.synthesis_angles``) of its whole grid.
+``optimize``, a library fit no scan calls, runs box-constrained L-BFGS-B
+with that gradient (``scipy.optimize``, imported on first use),
+restarted from random draws as it can fall into local minima.  The draws
+are uniform on ``INIT_RANGE``, from ``PCG64(SeedSequence(seed,
+spawn_key=(0x6F7074,)))``, a seed domain apart from measurement sampling
+(``simulator.sample`` seeds ``PCG64(seed)``), so they never share a stream.
 """
 from __future__ import annotations
 
@@ -100,14 +100,13 @@ def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
 
 
 def meets_tolerance(targets, angles) -> np.ndarray:
-    """Which rows of ``angles`` ``(n, 6)`` realize their target of the
-    ``(n, 4, 4)`` stack within ``TOL_INFIDELITY``: ``(n,)`` booleans from
-    one run of an n-circuit template."""
+    """1 - F of each row of ``angles`` ``(n, 6)`` against its target of the
+    ``(n, 4, 4)`` stack, ``(n,)``, from one run of an n-circuit template:
+    a row meets the tolerance where it is at most ``TOL_INFIDELITY``."""
     targets = _unitary_targets(targets, stack=True)
     if np.shape(angles) != (len(targets), 6):
         raise ValueError(f"angles of shape {np.shape(angles)}, not (n, 6)")
-    t = _traces(targets, angles)
-    return 1.0 - np.abs(t) ** 2 / _DIM ** 2 <= TOL_INFIDELITY
+    return 1.0 - np.abs(_traces(targets, angles)) ** 2 / _DIM ** 2
 
 
 def optimize(problem: FidelityProblem, seed: int) -> OptimResult:

@@ -15,8 +15,8 @@ shot-sampled estimate with its binomial standard error.  A scan runs
 its whole energy grid as one batch: one template circuit (or one
 stack of dilations) for all points, one simulator pass, one oracle
 pass, one ``sample`` call; msw optimized mode checks the closed-form
-angles of all points in one pass and fits only a point they miss, by
-``optimize`` with seed XOR i.  ``sample`` draws point i from seed XOR
+angles of all points in one pass, and a point they miss ends the scan
+with ``NumericalDomainError``.  ``sample`` draws point i from seed XOR
 i, so results do not depend on evaluation order and CSV output is
 byte-reproducible for a fixed config and seed.
 """
@@ -39,7 +39,8 @@ from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, effective_params, prob_msw_adiabatic,
                           prob_slab)
-from .optim import FidelityProblem, meets_tolerance, optimize
+from . import optim
+from .optim import meets_tolerance
 from .simulator import apply_matrix, init_state, probabilities, run, sample
 
 
@@ -108,7 +109,7 @@ class ScanConfig:
     dx2_km: float = 1000.0
     periods: int = 5
     production_rho: float = 150.0
-    restarts: int = 1000
+    restarts: int = 1000          # validated; no scan reads it
     # outputs
     csv: str | None = None
     svg: str | None = None
@@ -333,19 +334,17 @@ def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
 
 def _fitted_angles(config: ScanConfig, ds: DilationSet, theta: float,
                    theta_m: np.ndarray) -> np.ndarray:
-    """Two-CNOT angles of a dilation stack, ``(n, 6)``: the closed-form
-    angles, checked for the whole grid in one pass, and an optimizer fit
-    for each point they miss; a failed fit raises."""
+    """Closed-form two-CNOT angles of a dilation stack, ``(n, 6)``, checked
+    for the whole grid in one pass; a point whose 1 - F exceeds
+    ``optim.TOL_INFIDELITY`` raises."""
     angles = synthesis_angles(theta, theta_m)
-    for i in np.flatnonzero(~meets_tolerance(ds.u2q, angles)).tolist():
-        res = optimize(FidelityProblem(ds.u2q[i], config.restarts),
-                       config.seed ^ i)
-        if not res.converged:
-            raise NumericalDomainError(
-                f"optimized synthesis at {config.energies[i]!r} GeV did not "
-                f"converge: 1-F = {res.infidelity:.3g} after "
-                f"{res.restarts_used} restart(s); raise field 'restarts'")
-        angles[i] = res.angles
+    infidelity = meets_tolerance(ds.u2q, angles)
+    miss = np.flatnonzero(~(infidelity <= optim.TOL_INFIDELITY))
+    if miss.size:
+        i = int(miss[0])
+        raise NumericalDomainError(
+            f"optimized synthesis at {config.energies[i]!r} GeV misses the "
+            f"tolerance: 1-F = {infidelity[i]:.3g} > {optim.TOL_INFIDELITY:g}")
     return angles
 
 

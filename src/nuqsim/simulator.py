@@ -11,8 +11,9 @@ float angles or none, which broadcast over the batch; ``apply_matrix``
 takes ``(n, 4, 4)`` dilation stacks.  A single-qubit gate on a 2-qubit
 register acts on the state reshaped to ``(..., 2, 2)`` (axes q0, q1),
 so no 4x4 embedding is ever formed.  ``run`` forms the matrices of same-kind
-gates in blocks of at most ``BLOCK_POINTS`` gate-points (64 kB, however deep
-the template) and applies them one gate at a time, as ``apply`` does.
+gates from row slices of ``Circuit.angles``, in blocks of at most
+``BLOCK_POINTS`` gate-points (64 kB, however deep the template), and applies
+them one gate at a time, as ``apply`` does.
 
 Everything here is a pure function; execution is deterministic, and
 shot sampling draws binomial counts from numpy's PCG64, so identical
@@ -146,16 +147,16 @@ def run(circuit: Circuit, initial: np.ndarray | None = None
         initial, dtype=complex)
     if state.shape[-1:] != (2 ** circuit.width,):
         raise ValueError("initial state does not match circuit width")
-    shape = circuit.batch_shape
-    limit = max(1, BLOCK_POINTS // int(np.prod(shape)))
+    limit = max(1, BLOCK_POINTS // int(np.prod(circuit.batch_shape)))
+    row = 0             # the block's first row of circuit.angles
     for _, same in groupby(circuit.gates, key=lambda op: (op.kind, op.qubits)):
         same = list(same)
+        n = len(same[0].params)
         for b in range(0, len(same), limit):
             block = same[b:b + limit]
-            params = [np.empty((len(block),) + shape) for _ in block[0].params]
-            for k, op in enumerate(block):
-                for column, p in zip(params, op.params):
-                    column[k] = p
+            rows = circuit.angles[row:row + n * len(block)]
+            row += n * len(block)
+            params = [np.ascontiguousarray(rows[j::n]) for j in range(n)]
             m = _matrix(block[0], params)
             for k, op in enumerate(block):
                 state = _apply(state, m[k] if params else m, op)

@@ -243,7 +243,7 @@ def test_template_point_is_the_single_circuit():
 
 
 def test_template_angles_are_read_only_and_finite():
-    op = ry(np.array([0.1, 0.2]))
+    op = Circuit(1, (ry(np.array([0.1, 0.2])),)).ops[0]
     with pytest.raises(ValueError):
         op.params[0][0] = 1.0
     with pytest.raises(ValueError, match="non-finite"):
@@ -254,33 +254,44 @@ def test_template_angles_are_read_only_and_finite():
         ry(np.zeros((2, 2)))
 
 
-def test_angle_views_are_kept_only_over_read_only_bases():
-    """A read-only view of a writeable base is copied, so writing to the
-    base leaves the circuit as it was; a builder's read-only rows are
-    kept, a NaN in such a base is still rejected, and a finite view is
-    not rejected for what lies outside it."""
-    base = np.array([0.1, 0.2, 0.3])
-    view = base[:2]
-    view.flags.writeable = False
-    op = ry(view)
-    base[0] = 7.0
-    assert op.params[0].tolist() == [0.1, 0.2]
-    assert Circuit(1, (op,)).ops[0].params[0].tolist() == [0.1, 0.2]
+def test_a_built_circuit_owns_its_angles():
+    """A circuit copies its angles into one read-only matrix whose rows are
+    its ops' params, so no later write to a caller's array changes the
+    circuit or its run: not to a writeable input, not to a read-only owner
+    made writeable again, not a NaN written there.  A NaN inside the
+    angles is rejected; a NaN outside a passed view is not."""
+    free = np.array([0.1, 0.2])
+    owner = np.array([[0.3, 0.6], [0.9, 1.2]])
+    owner.flags.writeable = False
+    circuit = Circuit(1, (ry(free), rz(owner[0]), u(owner[1], free, 0.5),
+                          measure(0)))
+    angles, (states, _) = circuit.angles.copy(), run(circuit)
+    assert angles.shape == (5, 2) and not circuit.angles.flags.writeable
+    assert np.array_equal(angles[4], [0.5, 0.5])   # a float fills its row
+
+    def write_free():
+        free[0] = 7.0
+
+    def write_owner():
+        owner.flags.writeable = True
+        owner[0, 0] = 7.0
+
+    def write_nan():
+        owner[1, 1] = math.nan
+    for write in (write_free, write_owner, write_nan):
+        write()
+        assert np.array_equal(circuit.angles, angles)
+        params = [prm for op in circuit.ops for prm in op.params]
+        assert len(params) == len(angles)
+        for prm, row in zip(params, angles):
+            assert np.shares_memory(prm, circuit.angles)
+            assert np.array_equal(prm, row)
+        assert np.array_equal(run(circuit)[0], states)
 
     owned = np.array([[0.1, 0.2], [0.3, math.nan]])
-    owned.flags.writeable = False
-    first, second = ry(owned[0]), rz(owned[1])
-    assert first.params[0].base is owned and second.params[0].base is owned
     with pytest.raises(ValueError, match="non-finite"):
-        Circuit(1, (first, second))
-    assert Circuit(1, (first, x())).batch_shape == (2,)
-
-    p, profile, th23 = _single_qubit_setup(ScanConfig(scenario="slab"))
-    slab = build_slab_circuit(p, profile, np.array([1.0, 2.0]), theta23=th23)
-    rows = [prm for op in slab.ops for prm in op.params]
-    assert len({id(a.base) for a in rows}) == 3        # -2 theta, phi, 2 theta
-    assert all(not a.flags.writeable and not a.base.flags.writeable
-               for a in rows)
+        Circuit(1, (ry(owned[0]), rz(owned[1])))
+    assert Circuit(1, (ry(owned[0]), x())).batch_shape == (2,)
 
 
 def test_template_rejects_mixed_batch_shapes():

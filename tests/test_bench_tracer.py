@@ -12,9 +12,10 @@ from nuqsim import scan
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
-# The one wrapped name that no longer exists: run_scan compiles through
-# nuqsim.scan, and bench/spans.py still wraps nuqsim.builders.
-KNOWN_MISSING = ["nuqsim.builders.virtual_z_pass"]
+# The wrapped names that no longer exist: the scan calls no optimizer,
+# and run_scan compiles through nuqsim.scan while bench/spans.py still
+# wraps nuqsim.builders.
+KNOWN_MISSING = ["nuqsim.scan.optimize", "nuqsim.builders.virtual_z_pass"]
 
 
 def test_tracer_wraps_every_name_but_the_known_stale_one(tmp_path,

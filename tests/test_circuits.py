@@ -5,6 +5,7 @@ check its qubits and angles, and fix the number of angles each kind
 carries.  ``Circuit`` checks the ops against its width and keeps the
 measures at the tail.
 """
+import numpy as np
 import pytest
 
 from nuqsim.circuits import Circuit, GateKind, cnot, measure, ry, rz, u, x
@@ -63,3 +64,19 @@ def test_circuit_rejects_gate_after_measure():
     with pytest.raises(ValueError, match="gate after MEASURE"):
         Circuit(1, (x(), measure(), rz(0.1)))
     Circuit(2, (x(0), measure(0), measure(1)))    # measures at the tail pass
+
+
+@pytest.mark.parametrize("bad", [np.array([0.3 + 0.5j]), np.array(["0.3"]),
+                                 np.array([True, False]), np.array("0.3")])
+def test_angle_arrays_must_be_real(bad):
+    """A complex, string or bool array is refused, naming its dtype, not
+    cut to its real part or parsed as numbers."""
+    for make in (ry, rz, lambda a: u(0.3, a, 0.1)):
+        with pytest.raises(ValueError, match=f"real, got dtype {bad.dtype}"):
+            make(bad)
+
+
+def test_integer_angle_arrays_become_float_angles():
+    circuit = Circuit(1, (ry(np.array([1, 2], np.int32)),))
+    assert circuit.angles.dtype == np.float64
+    assert circuit.angles.tolist() == [[1.0, 2.0]]

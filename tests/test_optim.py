@@ -232,11 +232,39 @@ def test_meets_tolerance_agrees_with_the_objective_row_by_row(points):
     targets = dilation_from_angles(theta, theta_m).u2q
     angles = synthesis_angles(theta, theta_m)
     angles[:, 0] += offset
-    accepted = meets_tolerance(targets, angles)
-    assert accepted.shape == (len(points),)
-    for i, ok in enumerate(accepted):
+    infidelity = meets_tolerance(targets, angles)
+    assert infidelity.shape == (len(points),)
+    for i, row in enumerate(infidelity.tolist()):
         value, _ = infidelity_and_grad(targets[i], angles[i])
-        assert ok == (value <= optim.TOL_INFIDELITY)
+        assert abs(row - value) <= 1e-14
+        assert (row <= optim.TOL_INFIDELITY) == (value <= optim.TOL_INFIDELITY)
+
+
+# the edges of [0, pi/2] where the closed form's arccos argument is +-1 or 0
+EDGES = [0.0, 5e-324, math.pi / 4 - 1e-12, math.pi / 4, math.pi / 4 + 1e-12,
+         math.nextafter(math.pi / 2, 0.0), math.pi / 2]
+
+
+def closed_form_infidelity(theta, theta_m) -> np.ndarray:
+    return meets_tolerance(dilation_from_angles(theta, theta_m).u2q,
+                           synthesis_angles(theta, theta_m))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGES),
+                                      st.floats(0.0, math.pi / 2))] * 2),
+                min_size=1, max_size=16))
+def test_closed_form_angles_realize_every_dilation(points):
+    """Over the whole valid domain [0, pi/2]^2 the closed-form angles give
+    1 - F <= 1e-13, four decades inside TOL_INFIDELITY, so a scan's
+    tolerance check has no valid input to miss."""
+    theta, theta_m = (np.array(col) for col in zip(*points))
+    assert np.all(closed_form_infidelity(theta, theta_m) <= 1e-13)
+
+
+def test_closed_form_angles_realize_the_dilations_of_the_edges():
+    theta, theta_m = (a.ravel() for a in np.meshgrid(EDGES, EDGES))
+    assert np.all(closed_form_infidelity(theta, theta_m) <= 1e-13)
 
 
 def test_meets_tolerance_validates_the_stack():

@@ -239,40 +239,25 @@ def test_default_msw_grid_fits_on_the_first_restart(tmp_path, monkeypatch):
         assert abs(float(row[2]) - float(row[1])) <= 1e-12
 
 
-def test_optimizer_fits_only_the_points_the_closed_form_misses(monkeypatch):
-    """A point whose closed-form angles miss the tolerance is fitted by
-    optimize with seed XOR i; the other rows stay the closed-form angles."""
+def test_a_closed_form_miss_ends_the_scan_without_a_fit(monkeypatch):
+    """A point whose closed-form angles miss the tolerance ends the scan
+    with NumericalDomainError naming its energy and 1 - F; no optimizer
+    call is made and no circuit is built."""
     closed_form = scan.synthesis_angles
 
     def one_row_wrong(theta, theta_m):
         angles = closed_form(theta, theta_m)
         angles[1, 0] += 0.5
         return angles
-    seeds, built = [], []
-
-    def recorded(problem, seed):
-        seeds.append(seed)
-        return optim.optimize(problem, seed)
-
-    def build(angles):
-        built.append(np.array(angles))
-        return build_msw_circuit(angles)
     monkeypatch.setattr(scan, "synthesis_angles", one_row_wrong)
-    monkeypatch.setattr(scan, "optimize", recorded)
-    monkeypatch.setattr(scan, "build_msw_circuit", build)
+    calls = _count_calls(monkeypatch, ["optimize", "minimize",
+                                       "build_msw_circuit"])
     cfg = ScanConfig(scenario="msw", energies=(0.002, 0.01, 0.02), shots=64,
                      synthesis="optimized", restarts=64, seed=5)
-    result = run_scan(cfg)
-    assert seeds == [5 ^ 1]
-    p, layer = scan.msw_setup(cfg)
-    energies = np.array(cfg.energies)
-    exact = closed_form(p.theta, effective_params(p, layer, energies).theta_m)
-    fit = optim.optimize(optim.FidelityProblem(
-        build_dilation(p, layer, energies).u2q[1], restarts=64), 5 ^ 1)
-    [angles] = built
-    assert np.array_equal(angles[[0, 2]], exact[[0, 2]])
-    assert np.array_equal(angles[1], fit.angles)
-    assert np.max(np.abs(result.p_exact - result.p_theory)) < 1e-3
+    with pytest.raises(NumericalDomainError,
+                       match=r"at 0\.01 GeV misses the tolerance: 1-F = "):
+        run_scan(cfg)
+    assert calls == {"optimize": 0, "minimize": 0, "build_msw_circuit": 0}
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -733,15 +718,18 @@ def test_cli_restart_budget_past_int64(tmp_path):
 
 
 def test_cli_failed_fit_exit_3(tmp_path, monkeypatch, capsys):
+    """The tolerance is read when the scan runs; a miss is exit 3 naming
+    the energy and its 1 - F, with no optimizer call."""
     monkeypatch.setattr(optim, "TOL_INFIDELITY", -1.0)
+    calls = _count_calls(monkeypatch, ["optimize", "minimize"])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
                                 "energies": [0.002, 0.02], "restarts": 2}))
     assert cli.main(["scan", "--config", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "0.002 GeV did not converge" in err
-    assert "1-F = " in err and "after 2 restart(s)" in err
-    assert "raise field 'restarts'" in err
+    assert "at 0.002 GeV misses the tolerance: 1-F = " in err
+    assert "> -1" in err and "Traceback" not in err
+    assert calls == {"optimize": 0, "minimize": 0}
 
 
 def test_cli_failed_fit_names_a_default_grid_energy(tmp_path, monkeypatch,
@@ -751,7 +739,7 @@ def test_cli_failed_fit_names_a_default_grid_energy(tmp_path, monkeypatch,
     path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
                                 "restarts": 1}))
     assert cli.main(["scan", "--config", str(path)]) == 3
-    assert "at 0.001 GeV did not converge" in capsys.readouterr().err
+    assert "at 0.001 GeV misses the tolerance" in capsys.readouterr().err
 
 
 def test_every_float_field_has_a_domain():

@@ -47,3 +47,13 @@ def test_gate_ops_are_built_only_in_circuits():
     assert calls["circuits.py"] > 0
     assert {name: n for name, n in calls.items()
             if n and name != "circuits.py"} == {}
+
+
+def test_only_circuits_decides_how_angles_are_stored():
+    """A circuit copies its angles into a read-only matrix it owns, so no
+    other module sets a writeable flag or looks at an array's base."""
+    found = {path.name: [word for word in ("flags.writeable", ".base")
+                         if word in path.read_text()]
+             for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("circuits.py") == ["flags.writeable"]
+    assert {name: words for name, words in found.items() if words} == {}
