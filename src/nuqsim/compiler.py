@@ -7,9 +7,8 @@ Two passes:
   offset L becomes the pulse-form gate U(t, -L, L), a rotation about
   the equatorial axis (sin L, cos L, 0)).  A trailing RZ carries the
   total offset unless the circuit ends in a Z-basis measurement, where
-  it is irrelevant and elided.  Between two X gates the offsets, of a
-  single circuit or a template, are the rows of one cumulative sum, which
-  adds in the order of a running sum.
+  it is irrelevant and elided.  The pass is one walk over the ops; on a
+  template the offset is an array over the grid.
 - ``lower_to_native`` rewrites X/RY/RZ/U circuits onto the native set
   {RZ, sqrt(X), X}, with sqrt(X) represented in pulse form as
   U(pi/2, -pi/2, pi/2).
@@ -70,7 +69,7 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     """Fold all RZ gates of a single-qubit circuit into phase offsets.
 
     Walks the circuit keeping a running offset L: RZ(a) adds a to L and
-    is dropped; RY(t) is emitted as U(t, -L, L); U(t, phi, lam) is
+    is dropped; RY(t) becomes U(t, -L, L) once L is nonzero; U(t, phi, lam) is
     emitted as U(t, -(L+lam), L+lam) and then adds lam + phi to L;
     X flips the sign of L.  A final RZ(L) is appended unless the next
     op is a measurement (elided) or L is zero.  On a template, L is an
@@ -80,55 +79,40 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     if circuit.width != 1:
         raise ValueError("virtual-Z pass supports single-qubit circuits only")
 
-    ops = circuit.ops
-    kinds = [op.kind for op in ops]
-    tail = (kinds + [GateKind.MEASURE]).index(GateKind.MEASURE)
-    out, offset, start = [], 0.0, 0
-    for stop in [i for i in range(tail) if kinds[i] is GateKind.X] + [tail]:
-        segment = ops[start:stop]
-        before, negated, nonzero = _running_offsets(offset, [
-            op.params[0] if op.kind is GateKind.RZ else op.params[2] + op.params[1]
-            for op in segment if op.kind in (GateKind.RZ, GateKind.U)],
-            circuit.batch_shape)
-        k = 0
-        for op in segment:
-            if op.kind is GateKind.RY:
-                out.append(u(op.params[0], negated[k], before[k], op.qubits[0])
-                           if nonzero[k] else op)
-            elif op.kind is GateKind.U:
-                eff = before[k] + op.params[2]
-                out.append(u(op.params[0], -eff, eff, op.qubits[0]))
-            k += op.kind is not GateKind.RY      # RZ and U move the offset
-        offset, start = before[-1], stop + 1
-        if stop < tail:
-            out.append(ops[stop])
+    out, offset, nonzero, folded = [], 0.0, False, 0
+    for i, op in enumerate(circuit.ops):
+        if op.kind is GateKind.RZ:
+            offset = offset + op.params[0]
+            nonzero = bool(np.count_nonzero(offset))
+            folded += 1
+        elif op.kind is GateKind.X:
+            out.append(op)
             offset = -offset
-    if tail < len(ops):
-        out += ops[tail:]
-    elif np.any(offset):
-        out.append(rz(offset))
+        elif op.kind is GateKind.RY:
+            out.append(u(op.params[0], -offset, offset, op.qubits[0])
+                       if nonzero else op)
+        elif op.kind is GateKind.U:
+            theta, phi, lam = op.params
+            eff = offset + lam
+            out.append(u(theta, -eff, eff, op.qubits[0]))
+            offset = offset + (lam + phi)
+            nonzero = bool(np.count_nonzero(offset))
+        else:                                   # the measure tail
+            out += circuit.ops[i:]
+            break
+    else:
+        if nonzero:
+            out.append(rz(offset))
 
     compiled = Circuit(circuit.width, tuple(out))
     report = CompileReport(
         input_gate_count=len(circuit.gates),
         output_gate_count=len(compiled.gates),
         physical_pulse_count=pulse_count(compiled),
-        folded_rz_count=kinds.count(GateKind.RZ),
-        residual_rz=offset if np.any(offset) else 0.0,
+        folded_rz_count=folded,
+        residual_rz=offset if nonzero else 0.0,
     )
     return compiled, report
-
-
-def _running_offsets(start, incs: list, shape: tuple) -> tuple[list, list, list]:
-    """The offsets ``start``, ``start + incs[0]``, ... added in that order, as
-    the rows of one ``np.cumsum`` over batch shape ``shape`` (floats where it
-    is ``()``), their negations, and whether each is nonzero."""
-    sums = np.empty((len(incs) + 1,) + shape)
-    sums[0], sums[1:] = start, np.reshape(incs, sums[1:].shape)
-    np.cumsum(sums, axis=0, out=sums)
-    rows = list if shape else np.ndarray.tolist     # row arrays, or floats
-    return (rows(sums), rows(-sums),
-            sums.reshape(len(sums), -1).any(axis=1).tolist())
 
 
 # --- native lowering ---------------------------------------------------------

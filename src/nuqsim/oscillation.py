@@ -147,9 +147,11 @@ def _check_energy(energy_gev) -> None:
 
 
 def matter_potential(layer: MatterLayer, energy_gev):
-    """Matter term A = 2 sqrt(2) G_F Ye rho E / m_n, in eV^2."""
+    """Matter term A = 2 sqrt(2) G_F Ye rho E / m_n, in eV^2 (inf where
+    it overflows)."""
     _check_energy(energy_gev)
-    return MATTER_FACTOR * layer.ye * layer.rho * energy_gev
+    with np.errstate(over="ignore"):
+        return MATTER_FACTOR * layer.ye * layer.rho * energy_gev
 
 
 def effective_params_from_beta(p: OscParams, beta) -> EffectiveParams:
@@ -174,15 +176,20 @@ def effective_params_from_beta(p: OscParams, beta) -> EffectiveParams:
 def effective_params(p: OscParams, layer: MatterLayer,
                      energy_gev) -> EffectiveParams:
     a = matter_potential(layer, energy_gev)
-    return effective_params_from_beta(p, a / p.dm2)
+    with np.errstate(over="ignore"):
+        beta = a / p.dm2
+    return effective_params_from_beta(p, beta)
 
 
 def phase(dm2_m, length_km: float, energy_gev):
-    """Oscillation phase phi = dm2_m * dx / (2E), in radians."""
+    """Oscillation phase phi = dm2_m * dx / (2E), in radians (inf where
+    it overflows, nan for an inf dm2_m over dx = 0; the phase-precision
+    check rejects both)."""
     _check_energy(energy_gev)
     if length_km < 0.0:
         raise ValueError(f"length must be >= 0, got {length_km}")
-    return PHASE_FACTOR * dm2_m * length_km / energy_gev
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PHASE_FACTOR * dm2_m * length_km / energy_gev
 
 
 def mixing_rotation(theta) -> np.ndarray:
@@ -253,8 +260,10 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
 
 def _check_phase_precision(phases: np.ndarray, energy_gev) -> None:
     energies = np.ravel(energy_gev)
+    with np.errstate(over="ignore"):            # a sum past float max is inf
+        total = phases.sum(axis=0)
     for name, value in (("layer phase", phases.max(axis=0)),
-                        ("accumulated phase", phases.sum(axis=0))):
+                        ("accumulated phase", total)):
         bad = np.ravel(~(value < PHASE_LIMIT))
         if bad.any():
             i = int(np.argmax(bad))

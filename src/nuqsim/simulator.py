@@ -147,7 +147,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None
         initial, dtype=complex)
     if state.shape[-1:] != (2 ** circuit.width,):
         raise ValueError("initial state does not match circuit width")
-    limit = max(1, BLOCK_POINTS // int(np.prod(circuit.batch_shape)))
+    limit = max(1, BLOCK_POINTS // max(1, int(np.prod(circuit.batch_shape))))
     row = 0             # the block's first row of circuit.angles
     for _, same in groupby(circuit.gates, key=lambda op: (op.kind, op.qubits)):
         same = list(same)

@@ -118,6 +118,41 @@ def test_x_flips_pending_offset():
     assert diff < 1e-12
 
 
+def test_offsets_that_cancel_leave_the_rys_alone():
+    circ = Circuit(1, (ry(0.3), rz(0.5), rz(-0.5), ry(0.7)))
+    out, report = virtual_z_pass(circ)
+    assert out.ops == (ry(0.3), ry(0.7))
+    assert report.folded_rz_count == 2
+    assert type(report.residual_rz) is float and report.residual_rz == 0.0
+
+
+def test_template_offsets_that_cancel_on_every_point_leave_the_rys_alone():
+    circ = Circuit(1, (ry(np.array([0.3, 0.4])), rz(np.array([0.5, -0.25])),
+                       rz(np.array([-0.5, 0.25])), ry(np.array([0.7, 0.8]))))
+    out, report = virtual_z_pass(circ)
+    assert [op.kind for op in out.ops] == [GateKind.RY, GateKind.RY]
+    assert out.ops[1].params[0].tolist() == [0.7, 0.8]
+    assert report.folded_rz_count == 2
+    assert type(report.residual_rz) is float and report.residual_rz == 0.0
+
+
+def test_template_offset_zero_on_one_point_still_folds():
+    """An offset that is zero on some points only turns the RY into a U
+    on every point; the zero point keeps its signed zeros."""
+    circ = Circuit(1, (ry(np.array([0.3, 0.4])), rz(np.array([0.5, 0.0])),
+                       ry(np.array([0.7, 0.8])), measure(0)))
+    out, report = virtual_z_pass(circ)
+    assert [op.kind for op in out.ops] == [GateKind.RY, GateKind.U,
+                                           GateKind.MEASURE]
+    want = ([0.7, 0.8], [-0.5, -0.0], [0.5, 0.0])
+    assert [p.tobytes() for p in out.ops[1].params] == \
+        [np.array(row).tobytes() for row in want]
+    assert report.residual_rz.tobytes() == np.array([0.5, 0.0]).tobytes()
+    p_in = probabilities(run(circ)[0], 0)
+    p_out = probabilities(run(out)[0], 0)
+    assert np.max(np.abs(np.array(p_in) - np.array(p_out))) < 1e-12
+
+
 def test_idempotent_pulse_count():
     for _ in range(50):
         circ = random_1q_circuit(int(RNG.integers(1, 15)), with_measure=True)
@@ -214,11 +249,11 @@ def test_dump_circuit_text():
     assert dump_circuit(Circuit(1)) == "# nuqsim-circuit width=1\n"
 
 
-# --- the cumulative-sum pass against the running-offset walk ---------------------
+# --- the pass against a reference walk -------------------------------------------
 
 def _walk_virtual_z(circuit):
     """Reference: the virtual-Z pass as one running sum over the ops, with
-    its compile report as a tuple."""
+    its compile report as a tuple, written apart from the pass."""
     out, offset, folded, elided = [], 0.0, 0, False
 
     def is_zero(value):
@@ -288,7 +323,7 @@ def _bits(angle):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(virtual_z_circuits())
-def test_cumsum_pass_matches_the_running_offset_walk(circuit):
+def test_pass_matches_the_reference_walk_bit_for_bit(circuit):
     got, report = virtual_z_pass(circuit)
     want, want_report = _walk_virtual_z(circuit)
     assert [op.kind for op in got.ops] == [op.kind for op in want.ops]

@@ -12,7 +12,9 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +104,36 @@ def test_every_config_exits_0_2_or_3(cfg):
     if code == 3:
         assert " GeV" in message, message
         assert any(repr(name) in message for name in FIELDS), message
+
+
+# Valid configs whose matter term, beta, layer phase or accumulated phase
+# overflows to inf (or, for an inf splitting over a zero-length layer, is
+# nan): the scan finishes, or the phase check ends it with exit 3, and no
+# numpy floating-point warning reaches stderr.
+OVERFLOWING = [
+    ({"scenario": "msw", "production_rho": 1e308,
+      "energies": [1e300, 1e305]}, 0),
+    ({"scenario": "earth", "energies": [5e-324, 1e-300]}, 3),
+    ({"scenario": "slab", "energies": [1e308, 1.7e308]}, 3),
+    ({"scenario": "slab", "dm2_31": 5e-324, "energies": [1.0, 2.0]}, 3),
+    ({"scenario": "slab", "dm2_31": 5e-324, "dx1_km": 0,
+      "energies": [1.0, 2.0]}, 3),
+    ({"scenario": "slab", "dx1_km": 1.7e308, "energies": "0.001:0.05:3"}, 3),
+]
+
+
+@pytest.mark.parametrize("cfg, code", OVERFLOWING,
+                         ids=["msw", "earth", "slab-energy", "slab-dm2",
+                              "slab-dm2-zero-length", "slab-length"])
+def test_an_overflow_to_inf_prints_no_warning(tmp_path, capsys, cfg, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["scan", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("numerical-domain error: ") \
+            and err.count("\n") == 1, err

@@ -634,9 +634,9 @@ def test_cli_compact_table_matches_its_golden(capsys, scenario, energies):
 
 
 def test_cli_dump_of_the_deep_slab_matches_its_golden(tmp_path, capsys):
-    """The golden was written by the running-offset compiler that the
-    cumulative sum replaced: ``repr`` of all 201 compiled angles of point
-    0, the compile report line and the compact table."""
+    """The golden was written by the running-offset compiler: ``repr`` of
+    all 201 compiled angles of point 0, the compile report line and the
+    compact table."""
     config = tmp_path / "slab_deep.json"
     config.write_text(json.dumps({"scenario": "slab", "compile": True,
                                   "periods": 50}))

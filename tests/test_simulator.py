@@ -258,6 +258,25 @@ def test_run_memory_is_flat_in_the_gate_count():
     assert peaks[1] <= 1.1 * peaks[0]
 
 
+def test_a_zero_point_template_runs_to_empty_stacks():
+    """A template over an empty grid, compiled or not, gives empty
+    states, unitaries, probabilities and samples."""
+    empty = np.zeros(0)
+    raw = Circuit(1, (ry(empty), rz(empty), ry(empty), measure(0)))
+    compiled, report = virtual_z_pass(raw)
+    assert compiled.batch_shape == (0,) and report.folded_rz_count == 1
+    for circuit in (Circuit(1, (ry(empty),)), raw, compiled):
+        state, _ = run(circuit)
+        assert state.shape == (0, 2)
+        assert circuit_unitary(circuit).shape == (0, 2, 2)
+        p0, p1 = probabilities(state, 0)
+        assert p0.shape == p1.shape == (0,)
+        assert sample(p1, 16, 3).shape == (0,)
+    wide = Circuit(2, (ry(empty, 0), cnot(0, 1)))
+    assert run(wide)[0].shape == (0, 4)
+    assert circuit_unitary(wide).shape == (0, 4, 4)
+
+
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_deterministic_outcome():
