@@ -25,13 +25,13 @@ p = OscParams(math.radians(33.5), 7.5e-5)
 core = MatterLayer(rho=150.0, ye=0.5, length_km=0.0)
 energy = 0.01   # 10 MeV
 
-ds = build_dilation(p, core, energy)
+u2q = build_dilation(p, core, energy)   # [[Q, S], [S, -Q]]
 print(f"Q at {energy * 1e3:.0f} MeV (production at 150 g/cm^3):")
-print(np.round(ds.q, 6))
+print(np.round(u2q[:2, :2], 6))
 print(f"orthogonality of the dilation: "
-      f"max|U U^T - I| = {np.max(np.abs(ds.u2q @ ds.u2q.T - np.eye(4))):.2e}")
+      f"max|U U^T - I| = {np.max(np.abs(u2q @ u2q.T - np.eye(4))):.2e}")
 
-res = optimize(FidelityProblem(target=ds.u2q), seed=0)
+res = optimize(FidelityProblem(target=u2q), seed=0)
 print(f"\nsynthesis: infidelity {res.infidelity:.2e} "
       f"after {res.restarts_used} restart(s)")
 print("synthesized circuit:")
@@ -43,8 +43,9 @@ pee_theory, _ = prob_msw_adiabatic(p, core, energy)
 print(f"P(nu_e -> nu_e): circuit {pee_circuit:.9f}, "
       f"theory {pee_theory:.9f}")
 
-# full scan, exact dilation mode and two-CNOT synthesis (closed-form angles,
-# checked for the whole grid in one pass; the optimizer only for a miss)
+# full scan, exact dilation mode and two-CNOT synthesis (closed-form angles
+# read from the dilation and checked for the whole grid in one pass; a miss
+# would end the scan with a numerical-domain error)
 for mode, points in (("exact", 60), ("optimized", 15)):
     config = ScanConfig.from_dict({
         "scenario": "msw", "synthesis": mode,

@@ -10,15 +10,14 @@ angles are one vector (a1, b1, a2, b2, a3, b3), a_k on the ancilla.
 
 A scan builds one template per profile: given an energy array of shape
 ``(n,)``, ``build_slab_circuit`` returns one circuit whose angles are
-``(n,)`` arrays, ``build_dilation`` returns ``(n, 4, 4)`` stacks, and
-``build_msw_circuit`` takes one angle row per point, ``(n, 6)``.  Given
-one energy (or a ``(6,)`` vector) they return a single circuit and 4x4
-matrices.
+``(n,)`` arrays, ``build_dilation`` returns an ``(n, 4, 4)`` stack,
+from which ``synthesis_angles`` reads one angle row per point,
+``(n, 6)``, for ``build_msw_circuit``.  Given one energy (or a ``(6,)``
+vector) they return a single circuit and a 4x4 matrix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,20 +54,6 @@ def earth_profile(ye: float = 0.5) -> SlabProfile:
     ))
 
 
-@dataclass(frozen=True)
-class DilationSet:
-    """Matrices embedding the non-unitary MSW map, per scan point.
-
-    q = W_vac @ W_mat is the product of the phase-averaged (doubly
-    stochastic) mixing matrices, and u2q is the orthogonal dilation
-    [[Q, S], [S, -Q]] with S = sqrt(I - Q^2), indexed by the ancilla.
-    Over an angle or energy array each is a stack, e.g. u2q (n, 4, 4).
-    """
-
-    q: np.ndarray
-    u2q: np.ndarray
-
-
 def _w_matrix(theta) -> np.ndarray:
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
     w = np.empty(np.shape(theta) + (2, 2))
@@ -82,34 +67,37 @@ def _asym_eigenvalues(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.sqrt(np.maximum(0.0, 1.0 - lam ** 2))
 
 
-def dilation_from_angles(theta, theta_m) -> DilationSet:
-    """Dilation built directly from the vacuum and matter angles.
+def dilation_from_angles(theta, theta_m) -> np.ndarray:
+    """Orthogonal dilation [[Q, S], [S, -Q]] of the MSW map, indexed by
+    the ancilla: 4x4, or ``(n, 4, 4)`` over an angle array.
 
-    Q shares the fixed eigenbasis (1,1)/sqrt2, (1,-1)/sqrt2 of every
-    W matrix, with eigenvalues 1 and cos 2theta cos 2theta_m, so
-    sqrt(I - Q^2) is evaluated in closed form on that basis.
+    Q = W_vac @ W_mat, the block ``[..., :2, :2]``, is the product of
+    the phase-averaged (doubly stochastic) mixing matrices.  It shares
+    the eigenbasis (1,1)/sqrt2, (1,-1)/sqrt2 of every W matrix, with
+    eigenvalues 1 and cos 2theta cos 2theta_m, so S = sqrt(I - Q^2) is
+    evaluated in closed form on that basis.
     """
     q = _w_matrix(theta) @ _w_matrix(theta_m)
     s_val = _asym_eigenvalues(q)[1]
     s = 0.5 * s_val[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    u2q = np.concatenate([np.concatenate([q, s], axis=-1),
-                          np.concatenate([s, -q], axis=-1)], axis=-2)
-    return DilationSet(q=q, u2q=u2q)
+    return np.concatenate([np.concatenate([q, s], axis=-1),
+                           np.concatenate([s, -q], axis=-1)], axis=-2)
 
 
-def synthesis_angles(theta, theta_m) -> np.ndarray:
-    """Exact two-CNOT angles of the dilation of (theta, theta_m): ``(6,)``,
-    or ``(n, 6)`` with one row per point for angle arrays.
+def synthesis_angles(u2q: np.ndarray) -> np.ndarray:
+    """Exact two-CNOT angles of a dilation: ``(6,)`` for a 4x4 matrix,
+    or ``(n, 6)`` with one row per point for an ``(n, 4, 4)`` stack.
 
-    ``u2q`` depends only on lam = cos 2theta cos 2theta_m, and with
-    a = arccos lam the angles (a1, b1, a2, b2, a3, b3) =
-    (-a/2, pi, -a, -pi, a/2, 0) realize it entry by entry (a real SO(4)
-    gate needs at most two CNOTs: Vatan & Williams, quant-ph/0308006).
-    ``a`` is taken as atan2(sqrt(1 - lam^2), lam) of the dilation's own
-    eigenvalues: near lam = +-1 an arccos of cos 2theta cos 2theta_m
-    misses the dilation's S block by up to 4.5e-11.
+    The dilation depends only on lam = cos 2theta cos 2theta_m, the
+    eigenvalue of its Q block on (1,-1)/sqrt2, and with a = arccos lam
+    the angles (a1, b1, a2, b2, a3, b3) = (-a/2, pi, -a, -pi, a/2, 0)
+    realize it entry by entry (a real SO(4) gate needs at most two
+    CNOTs: Vatan & Williams, quant-ph/0308006).  ``a`` is taken as
+    atan2(sqrt(1 - lam^2), lam) of the dilation's own eigenvalues: near
+    lam = +-1 an arccos of cos 2theta cos 2theta_m misses the S block by
+    up to 4.5e-11.
     """
-    lam, s_val = _asym_eigenvalues(_w_matrix(theta) @ _w_matrix(theta_m))
+    lam, s_val = _asym_eigenvalues(u2q[..., :2, :2])
     a = _libm(math.atan2, s_val, lam)
     zero = 0.0 * a                     # a float, or zeros shaped like a
     return np.stack((-0.5 * a, zero + math.pi, -a, zero - math.pi,
@@ -117,9 +105,9 @@ def synthesis_angles(theta, theta_m) -> np.ndarray:
 
 
 def build_dilation(p: OscParams, production_layer: MatterLayer,
-                   energy_gev) -> DilationSet:
-    """Dilation for a production layer at one energy or an energy array
-    (theta_m from matter)."""
+                   energy_gev) -> np.ndarray:
+    """``dilation_from_angles`` for a production layer at one energy or
+    an energy array (theta_m from matter)."""
     ep = effective_params(p, production_layer, energy_gev)
     return dilation_from_angles(p.theta, ep.theta_m)
 

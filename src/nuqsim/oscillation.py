@@ -251,7 +251,7 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
                 ep.theta_m if theta23 is None else
                 atmospheric_effective_angle(theta23, ep.theta_m),
                 phase(ep.dm2_m, layer.length_km, energy_gev))
-    rows = [unique[layer] for layer in profile.layers] * (profile.period_count or 1)
+    rows = [unique[layer] for layer in profile.expanded()]
     angles = np.array([angle for angle, _ in rows])
     phases = np.array([phi for _, phi in rows])
     _check_phase_precision(phases, energy_gev)
@@ -304,8 +304,7 @@ def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
     for k, layer in enumerate(profile.layers):
         if layer not in props:
             props[layer] = layer_propagator(angles[k], phases[k])
-    period = [props[layer] for layer in profile.layers]
-    for u in period * (profile.period_count or 1):
+    for u in (props[layer] for layer in profile.expanded()):
         nu_e, nu_mu = (u[..., 0, 0] * nu_e + u[..., 0, 1] * nu_mu,
                        u[..., 1, 0] * nu_e + u[..., 1, 1] * nu_mu)
     return np.square(_libm(abs, nu_e))

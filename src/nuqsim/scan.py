@@ -31,14 +31,12 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .builders import (ENCODED, DilationSet, build_dilation,
-                       build_msw_circuit, build_slab_circuit, earth_profile,
-                       synthesis_angles)
+from .builders import (ENCODED, build_dilation, build_msw_circuit,
+                       build_slab_circuit, earth_profile, synthesis_angles)
 from .circuits import Circuit
 from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                          SlabProfile, effective_params, prob_msw_adiabatic,
-                          prob_slab)
+                          SlabProfile, prob_msw_adiabatic, prob_slab)
 from . import optim
 from .optim import meets_tolerance
 from .simulator import apply_matrix, init_state, probabilities, run, sample
@@ -158,6 +156,10 @@ class ScanConfig:
             if not (math.isfinite(value) and inside(value)):
                 raise ConfigError(f"field {name!r}: must be finite and {rule}, "
                                   f"got {value!r}")
+        for name in ("csv", "svg"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"field {name!r}: must be a file path, "
+                                  "got ''")
         if self.svg is not None and len(self.energies) < 2:
             raise ConfigError("field 'svg': a plot needs at least 2 energies")
         if (self.csv and self.svg and
@@ -332,13 +334,12 @@ def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
             MatterLayer(config.production_rho, config.ye, 0.0))
 
 
-def _fitted_angles(config: ScanConfig, ds: DilationSet, theta: float,
-                   theta_m: np.ndarray) -> np.ndarray:
+def _fitted_angles(config: ScanConfig, u2q: np.ndarray) -> np.ndarray:
     """Closed-form two-CNOT angles of a dilation stack, ``(n, 6)``, checked
     for the whole grid in one pass; a point whose 1 - F exceeds
     ``optim.TOL_INFIDELITY`` raises."""
-    angles = synthesis_angles(theta, theta_m)
-    infidelity = meets_tolerance(ds.u2q, angles)
+    angles = synthesis_angles(u2q)
+    infidelity = meets_tolerance(u2q, angles)
     miss = np.flatnonzero(~(infidelity <= optim.TOL_INFIDELITY))
     if miss.size:
         i = int(miss[0])
@@ -376,14 +377,12 @@ def run_scan(config: ScanConfig) -> ScanResult:
         theory = prob_slab(p, profile, energies, "mu", th23)
     else:
         p, layer = msw_setup(config)
-        ds = build_dilation(p, layer, energies)
+        u2q = build_dilation(p, layer, energies)
         if config.synthesis == "exact":
-            circuit, dilation = None, ds.u2q
+            circuit, dilation = None, u2q
             states = apply_matrix(init_state(2), dilation)
         else:
-            theta_m = effective_params(p, layer, energies).theta_m
-            circuit = build_msw_circuit(
-                _fitted_angles(config, ds, p.theta, theta_m))
+            circuit = build_msw_circuit(_fitted_angles(config, u2q))
             states, _ = run(circuit)
         qubit = ENCODED
         theory = prob_msw_adiabatic(p, layer, energies)[0]

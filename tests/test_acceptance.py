@@ -136,11 +136,11 @@ def test_criterion_5_msw_dilation():
     eye4 = np.eye(4)
     for _ in range(1000):
         theta, theta_m = (float(a) for a in RNG.uniform(0, math.pi / 2, 2))
-        ds = dilation_from_angles(theta, theta_m)
-        assert np.max(np.abs(ds.u2q @ ds.u2q.T - eye4)) <= 1e-12
+        u2q = dilation_from_angles(theta, theta_m)
+        assert np.max(np.abs(u2q @ u2q.T - eye4)) <= 1e-12
         q00_expected = 0.5 * (1 + math.cos(2 * theta) * math.cos(2 * theta_m))
-        assert abs(ds.q[0, 0] - q00_expected) <= 1e-14
-        state = apply_matrix(init_state(2), ds.u2q)
+        assert abs(u2q[0, 0] - q00_expected) <= 1e-14
+        state = apply_matrix(init_state(2), u2q)
         p0 = probabilities(state, 1)[0]
         assert abs(p0 - msw_survival_from_angles(theta, theta_m)) <= 1e-12
     elapsed = time.perf_counter() - t0
@@ -157,8 +157,8 @@ def test_criterion_6_optimizer_bound():
     layer = MatterLayer(150.0, 0.5, 0.0)
     for i, e in enumerate(np.linspace(0.001, 0.05, 25)):
         from nuqsim.builders import build_dilation
-        ds = build_dilation(p, layer, float(e))
-        res = optimize(FidelityProblem(target=ds.u2q, restarts=1000), seed=i)
+        res = optimize(FidelityProblem(target=build_dilation(p, layer, float(e)),
+                                       restarts=1000), seed=i)
         assert res.infidelity < 1e-7
         assert res.restarts_used <= 1000
         state, measured = run(build_msw_circuit(res.angles))

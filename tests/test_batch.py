@@ -84,7 +84,7 @@ def per_point_reference(config):
         one = np.array([e])
         if config.scenario == "msw":
             p, layer = msw_setup(config)
-            state = apply_matrix(init_state(2), build_dilation(p, layer, one).u2q)
+            state = apply_matrix(init_state(2), build_dilation(p, layer, one))
             qubit = 1
             theory = prob_msw_adiabatic(p, layer, e)[0]
         else:
@@ -212,13 +212,13 @@ def test_virtual_z_leaves_batched_probabilities_unchanged(circuit):
     st.lists(st.floats(0.0, math.pi / 2), min_size=n, max_size=n))))
 def test_dilation_marginals(angles):
     theta, theta_m = angles[0], np.array(angles[1])
-    ds = dilation_from_angles(theta, theta_m)
-    assert ds.u2q.shape == (len(theta_m), 4, 4)
-    eye = ds.u2q @ np.swapaxes(ds.u2q, -1, -2)
+    u2q = dilation_from_angles(theta, theta_m)
+    assert u2q.shape == (len(theta_m), 4, 4)
+    eye = u2q @ np.swapaxes(u2q, -1, -2)
     assert np.max(np.abs(eye - np.eye(4))) <= 1e-12
-    p0, p1 = probabilities(apply_matrix(init_state(2), ds.u2q), 1)
+    p0, p1 = probabilities(apply_matrix(init_state(2), u2q), 1)
     expected = msw_survival_from_angles(theta, theta_m)
-    assert np.max(np.abs(ds.q[:, 0, 0] - expected)) <= 1e-14
+    assert np.max(np.abs(u2q[:, 0, 0] - expected)) <= 1e-14
     assert np.max(np.abs(p0 - expected)) <= 1e-12
     assert np.max(np.abs(p1 - (1.0 - expected))) <= 1e-12
 

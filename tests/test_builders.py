@@ -123,34 +123,34 @@ def test_earth_circuit_matches_oracle_over_grid():
 # --- dilation ---------------------------------------------------------------------
 
 def test_dilation_no_mixing():
-    ds = dilation_from_angles(0.0, 0.0)
-    assert np.allclose(ds.q, np.eye(2), atol=0)
-    assert np.allclose(ds.u2q, np.block(
+    u2q = dilation_from_angles(0.0, 0.0)
+    assert np.allclose(u2q[:2, :2], np.eye(2), atol=0)
+    assert np.allclose(u2q, np.block(
         [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), -np.eye(2)]]),
         atol=0)
-    state = apply_matrix(init_state(2), ds.u2q)
+    state = apply_matrix(init_state(2), u2q)
     assert probabilities(state, 1)[0] == 1.0
 
 
 def test_dilation_q00_closed_form():
     for _ in range(300):
         theta, theta_m = RNG.uniform(0, math.pi / 2, 2)
-        ds = dilation_from_angles(theta, theta_m)
+        u2q = dilation_from_angles(theta, theta_m)
         expected = 0.5 * (1 + math.cos(2 * theta) * math.cos(2 * theta_m))
-        assert abs(ds.q[0, 0] - expected) < 1e-14
+        assert abs(u2q[0, 0] - expected) < 1e-14
 
 
 def test_dilation_block_structure():
     for _ in range(200):
         theta, theta_m = RNG.uniform(0, math.pi / 2, 2)
-        ds = dilation_from_angles(theta, theta_m)
-        assert np.array_equal(ds.u2q[:2, :2], ds.q)
-        assert np.array_equal(ds.u2q[2:, 2:], -ds.q)
-        off = ds.u2q[:2, 2:]
-        assert np.array_equal(off, ds.u2q[2:, :2])
+        u2q = dilation_from_angles(theta, theta_m)
+        q = u2q[:2, :2]
+        assert np.array_equal(u2q[2:, 2:], -q)
+        off = u2q[:2, 2:]
+        assert np.array_equal(off, u2q[2:, :2])
         assert np.max(np.abs(off - off.T)) == 0.0
         # S^2 + Q^2 = I
-        assert np.max(np.abs(off @ off + ds.q @ ds.q - np.eye(2))) < 1e-14
+        assert np.max(np.abs(off @ off + q @ q - np.eye(2))) < 1e-14
 
 
 def test_dilation_orthogonal_and_marginal():
@@ -166,20 +166,20 @@ def test_dilation_orthogonal_and_marginal():
              + list(wide.choice([-1.0, 1.0], (1000, 2))
                     * 10.0 ** wide.uniform(-6.0, 9.0, (1000, 2))))
     for theta, theta_m in pairs:
-        ds = dilation_from_angles(theta, theta_m)
-        assert np.max(np.abs(ds.u2q @ ds.u2q.T - np.eye(4))) < 1e-12
-        state = apply_matrix(init_state(2), ds.u2q)
+        u2q = dilation_from_angles(theta, theta_m)
+        assert np.max(np.abs(u2q @ u2q.T - np.eye(4))) < 1e-12
+        state = apply_matrix(init_state(2), u2q)
         p0, p1 = probabilities(state, 1)
-        assert abs(p0 - ds.q[0, 0]) < 1e-12
-        assert abs(p1 - (1 - ds.q[0, 0])) < 1e-12
+        assert abs(p0 - u2q[0, 0]) < 1e-12
+        assert abs(p1 - (1 - u2q[0, 0])) < 1e-12
 
 
 def test_dilation_w_matrices_stochastic_symmetric():
     """W_vac, W_mat and their product Q are symmetric, doubly stochastic."""
-    ds = dilation_from_angles(0.37, 1.1)
+    q = dilation_from_angles(0.37, 1.1)[:2, :2]
     w_vac, w_mat = _w_matrix(0.37), _w_matrix(1.1)
-    assert np.array_equal(ds.q, w_vac @ w_mat)
-    for w in (w_vac, w_mat, ds.q):
+    assert np.array_equal(q, w_vac @ w_mat)
+    for w in (w_vac, w_mat, q):
         assert np.max(np.abs(w - w.T)) == 0.0
         assert np.allclose(w.sum(axis=1), [1.0, 1.0], atol=1e-15)
 
@@ -188,8 +188,7 @@ def test_build_dilation_matches_oracle():
     p = OscParams(math.radians(33.5), 7.5e-5)
     layer = MatterLayer(150.0, 0.5, 0.0)
     for e in np.linspace(0.001, 0.05, 20):
-        ds = build_dilation(p, layer, e)
-        state = apply_matrix(init_state(2), ds.u2q)
+        state = apply_matrix(init_state(2), build_dilation(p, layer, e))
         pee, _ = prob_msw_adiabatic(p, layer, e)
         assert abs(probabilities(state, 1)[0] - pee) < 1e-12
 
@@ -223,12 +222,12 @@ def test_msw_circuit_always_real():
 
 def test_optimized_circuit_reproduces_marginal():
     """A high-fidelity fit reproduces p(0) = Q00 to well under 1e-3."""
-    ds = dilation_from_angles(math.radians(33.5), 1.2)
-    res = optimize(FidelityProblem(target=ds.u2q, restarts=64), seed=11)
+    u2q = dilation_from_angles(math.radians(33.5), 1.2)
+    res = optimize(FidelityProblem(target=u2q, restarts=64), seed=11)
     assert res.infidelity < 1e-7
     state, measured = run(build_msw_circuit(res.angles))
     p0 = probabilities(state, measured[0])[0]
-    assert abs(p0 - ds.q[0, 0]) < 1e-3
+    assert abs(p0 - u2q[0, 0]) < 1e-3
 
 
 # theta and theta_m over [0, pi/2], both edges and the midpoint included
@@ -239,9 +238,9 @@ QUARTER_TURN = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(QUARTER_TURN, QUARTER_TURN)
 def test_synthesis_angles_realize_the_dilation(theta, theta_m):
-    angles = synthesis_angles(theta, theta_m)
+    target = dilation_from_angles(theta, theta_m)
+    angles = synthesis_angles(target)
     total = circuit_unitary(build_msw_circuit(angles))
-    target = dilation_from_angles(theta, theta_m).u2q
     assert np.max(np.abs(total - target)) <= 1e-14
     lo, hi = optim.BOUNDS
     assert angles.shape == (6,)
@@ -253,12 +252,12 @@ def test_synthesis_angles_one_row_per_point():
     point's own closed form, and a template whose point i is the single
     circuit of row i."""
     theta, theta_m = RNG.uniform(0, math.pi / 2, (2, 5))
-    rows = synthesis_angles(theta, theta_m)
+    rows = synthesis_angles(dilation_from_angles(theta, theta_m))
     assert rows.shape == (5, 6)
     template = build_msw_circuit(rows)
     assert template.batch_shape == (5,)
     for i in range(5):
-        one = synthesis_angles(theta[i], theta_m[i])
+        one = synthesis_angles(dilation_from_angles(theta[i], theta_m[i]))
         assert np.array_equal(rows[i], one)
         assert template.point(i) == build_msw_circuit(one)
 

@@ -28,7 +28,7 @@ def random_params_vector():
 
 def random_orthogonal_target():
     theta, theta_m = RNG.uniform(0, math.pi / 2, 2)
-    return dilation_from_angles(theta, theta_m).u2q
+    return dilation_from_angles(theta, theta_m)
 
 
 def random_unitary_target():
@@ -137,8 +137,8 @@ def test_identity_target_converges_tight():
 
 def test_solar_dilation_target_converges():
     theta = math.radians(33.5)
-    ds = dilation_from_angles(theta, 1.0)
-    res = optimize(FidelityProblem(target=ds.u2q), seed=3)
+    res = optimize(FidelityProblem(target=dilation_from_angles(theta, 1.0)),
+                   seed=3)
     assert res.infidelity < 1e-7
     assert res.restarts_used <= 1000
 
@@ -195,7 +195,7 @@ def test_first_restart_runs_lbfgsb_from_the_first_draw(monkeypatch):
         x0s.append(np.array(x0))
         return minimize(fun, x0, **kwargs)
     monkeypatch.setattr(optim, "minimize", recorded)
-    res = optimize(FidelityProblem(dilation_from_angles(0.6, 0.2).u2q), seed=4)
+    res = optimize(FidelityProblem(dilation_from_angles(0.6, 0.2)), seed=4)
     assert res.converged and len(x0s) == res.restarts_used
     assert np.array_equal(x0s[0], restart_stream(4).uniform(
         *optim.INIT_RANGE, size=6))
@@ -229,8 +229,8 @@ GRID_POINT = st.tuples(QUARTER_TURN, QUARTER_TURN,
 @given(st.lists(GRID_POINT, min_size=1, max_size=8))
 def test_meets_tolerance_agrees_with_the_objective_row_by_row(points):
     theta, theta_m, offset = (np.array(col) for col in zip(*points))
-    targets = dilation_from_angles(theta, theta_m).u2q
-    angles = synthesis_angles(theta, theta_m)
+    targets = dilation_from_angles(theta, theta_m)
+    angles = synthesis_angles(targets)
     angles[:, 0] += offset
     infidelity = meets_tolerance(targets, angles)
     assert infidelity.shape == (len(points),)
@@ -246,8 +246,8 @@ EDGES = [0.0, 5e-324, math.pi / 4 - 1e-12, math.pi / 4, math.pi / 4 + 1e-12,
 
 
 def closed_form_infidelity(theta, theta_m) -> np.ndarray:
-    return meets_tolerance(dilation_from_angles(theta, theta_m).u2q,
-                           synthesis_angles(theta, theta_m))
+    u2q = dilation_from_angles(theta, theta_m)
+    return meets_tolerance(u2q, synthesis_angles(u2q))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -269,8 +269,8 @@ def test_closed_form_angles_realize_the_dilations_of_the_edges():
 
 def test_meets_tolerance_validates_the_stack():
     """The stack passes the check FidelityProblem makes of one target."""
-    good = dilation_from_angles(np.array([0.6, 0.3]), 0.2).u2q
-    angles = synthesis_angles(np.array([0.6, 0.3]), 0.2)
+    good = dilation_from_angles(np.array([0.6, 0.3]), 0.2)
+    angles = synthesis_angles(good)
     for bad in (math.nan, math.inf, 2.0):
         targets = good.copy()
         targets[1, 0, 0] = bad

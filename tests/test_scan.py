@@ -16,8 +16,7 @@ from nuqsim.builders import (build_dilation, build_msw_circuit, earth_profile,
                              synthesis_angles)
 from nuqsim.compiler import dump_circuit
 from nuqsim.oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                                effective_params, prob_msw_adiabatic,
-                                prob_slab)
+                                prob_msw_adiabatic, prob_slab)
 from nuqsim.scan import (ConfigError, ScanConfig, ScanResult, emit_csv,
                          emit_plot, run_scan, slab_profile_from_config)
 
@@ -245,8 +244,8 @@ def test_a_closed_form_miss_ends_the_scan_without_a_fit(monkeypatch):
     call is made and no circuit is built."""
     closed_form = scan.synthesis_angles
 
-    def one_row_wrong(theta, theta_m):
-        angles = closed_form(theta, theta_m)
+    def one_row_wrong(u2q):
+        angles = closed_form(u2q)
         angles[1, 0] += 0.5
         return angles
     monkeypatch.setattr(scan, "synthesis_angles", one_row_wrong)
@@ -595,6 +594,9 @@ BAD_INPUTS = [
     ({"energies": ["1", "2"]}, "energies"),
     # the SVG would overwrite the CSV
     ({"csv": "{tmp}/out", "svg": "{tmp}/./out"}, "svg"),
+    # an empty path is no output file, not an output left out
+    ({"csv": ""}, "field 'csv': must be a file path"),
+    ({"svg": ""}, "field 'svg': must be a file path"),
 ]
 
 
@@ -780,8 +782,7 @@ def test_cli_dump_reuses_the_scans_fit(tmp_path, monkeypatch, capsys):
     assert cli.main(["scan", "--config", str(path), "--dump-circuit"]) == 0
     assert calls == {"optimize": 0}
     p, layer = scan.msw_setup(ScanConfig(scenario="msw"))
-    angles = synthesis_angles(
-        p.theta, effective_params(p, layer, np.array([0.002])).theta_m)
+    angles = synthesis_angles(build_dilation(p, layer, np.array([0.002])))
     out = capsys.readouterr().out
     assert out.startswith(dump_circuit(build_msw_circuit(angles[0])))
 
@@ -818,3 +819,15 @@ def test_cli_scan_builds_each_result_once(monkeypatch, capsys, argv, expected):
     assert calls == expected
     out = capsys.readouterr().out
     assert ("virtual-Z:" in out) == ("--compile" in argv)
+
+
+@pytest.mark.parametrize("synthesis", ["optimized", "exact"])
+def test_msw_scan_derives_its_matter_angle_once_per_use(monkeypatch,
+                                                        synthesis):
+    """An msw scan computes the production-layer theta_m twice in either
+    mode: once for its dilation, which the two-CNOT synthesis reads too,
+    and once in the oracle, which stays independent of the circuit."""
+    calls = _count_calls(monkeypatch, ["effective_params"])
+    run_scan(ScanConfig(scenario="msw", energies=(0.002, 0.01, 0.02),
+                        shots=64, synthesis=synthesis))
+    assert calls == {"effective_params": 2}
