@@ -139,6 +139,9 @@ class Circuit:
 
     def point(self, i: int) -> "Circuit":
         """The single circuit of grid point i of a template."""
+        if not self.batch_shape:
+            raise ValueError("a single circuit has no grid points; only a "
+                             "template holds one circuit per point")
         return Circuit(self.width,
                        _with_params(self.ops, self.angles[:, i].tolist()))
 

@@ -11,17 +11,18 @@ Three ground-truth probability oracles are provided:
 
 - ``prob_constant_density``: closed form sin^2(2 theta_m) sin^2(phi/2)
   for a single uniform layer;
-- ``prob_slab``: ordered product of per-layer 2x2 propagators
-  R(theta_m) diag(e^{-i phi/2}, e^{i phi/2}) R(theta_m)^T for a
-  piecewise-constant profile;
+- ``prob_slab``: nu_mu propagated through the ordered per-layer 2x2
+  propagators R(theta_m) diag(e^{-i phi/2}, e^{i phi/2}) R(theta_m)^T,
+  each in its closed Pauli form cos(phi/2) I - i sin(phi/2)
+  (cos 2theta_m Z + sin 2theta_m X), for a piecewise-constant profile;
 - ``prob_msw_adiabatic``: phase-averaged survival probability
   (1 + cos 2theta cos 2theta_m)/2 for adiabatic propagation from a
   dense production point to vacuum.
 
 Every energy argument may be one energy or an array of them: the
 oracles then evaluate the whole grid at once, with their own propagator
-formulas.  They never call the circuit simulator, so the circuit path
-and its oracle stay independent code.
+formulas.  They import no other nuqsim module, so the circuit path and
+its oracle stay independent code.
 
 The two unit-conversion factors are module floats derived once from
 pinned CODATA 2022 values (Fermi coupling, neutron mass, hbar, c, e;
@@ -46,7 +47,7 @@ def _libm(f, *args):
     """Scalar libm function ``f`` applied elementwise (a float for float
     arguments).
 
-    numpy's SIMD arctan2, arcsin, hypot and complex abs differ from libm
+    numpy's SIMD arctan2, arcsin and hypot differ from libm
     in the last bit for a few percent of inputs, and which SIMD path runs
     depends on the CPU; with libm the circuit angles, the dumped circuits
     and the oracle values stay those of the scalar formulas.
@@ -192,27 +193,18 @@ def phase(dm2_m, length_km: float, energy_gev):
         return PHASE_FACTOR * dm2_m * length_km / energy_gev
 
 
-def mixing_rotation(theta) -> np.ndarray:
-    """Flavor rotation [[cos t, -sin t], [sin t, cos t]] (= RY(2t)),
-    stacked over an angle array."""
-    c, s = np.cos(theta), np.sin(theta)
-    r = np.empty(np.shape(theta) + (2, 2), dtype=complex)
-    r[..., 0, 0], r[..., 0, 1], r[..., 1, 0], r[..., 1, 1] = c, -s, s, c
-    return r
-
-
-def phase_rotation(phi) -> np.ndarray:
-    """Mass-basis evolution diag(e^{-i phi/2}, e^{i phi/2}) (= RZ(phi)),
-    stacked over a phase array."""
-    d = np.zeros(np.shape(phi) + (2, 2), dtype=complex)
-    d[..., 0, 0], d[..., 1, 1] = np.exp(-0.5j * phi), np.exp(0.5j * phi)
-    return d
-
-
 def layer_propagator(theta_m, phi) -> np.ndarray:
-    """Flavor-basis propagator R(theta_m) P(phi) R(theta_m)^T for one layer."""
-    r = mixing_rotation(theta_m)
-    return r @ phase_rotation(phi) @ np.swapaxes(r, -1, -2)
+    """Flavor-basis propagator of one layer, stacked over angle and phase
+    arrays: R(theta_m) diag(e^{-i phi/2}, e^{i phi/2}) R(theta_m)^T in
+    closed form, cos(phi/2) I - i sin(phi/2) (cos 2theta_m Z + sin 2theta_m X).
+    """
+    c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
+    sz, sx = s * np.cos(2.0 * theta_m), s * np.sin(2.0 * theta_m)
+    u = np.zeros(np.shape(sz) + (2, 2), dtype=complex)
+    u.real[..., 0, 0] = u.real[..., 1, 1] = c
+    u.imag[..., 0, 0], u.imag[..., 1, 1] = -sz, sz
+    u.imag[..., 0, 1] = u.imag[..., 1, 0] = -sx
+    return u
 
 
 def atmospheric_effective_angle(theta23: float, theta13_m):
@@ -281,33 +273,26 @@ def prob_constant_density(p: OscParams, layer: MatterLayer, energy_gev,
     return np.sin(2.0 * ep.theta_m) ** 2 * np.sin(0.5 * phi) ** 2
 
 
-_FLAVOR_INDEX = {"e": 0, "mu": 1}
-
-
 def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
-              initial: str = "mu", theta23: float | None = None):
-    """P(initial -> nu_e) through a piecewise-constant profile, at one
+              theta23: float | None = None):
+    """P(nu_mu -> nu_e) through a piecewise-constant profile, at one
     energy or over an energy array.
 
-    Multiplies the exact per-layer 2x2 propagators (one per distinct
-    layer) in order and returns the squared nu_e amplitude.
+    Starts from nu_mu = (0, 1), multiplies the exact per-layer 2x2
+    propagators (one per distinct layer) in profile order and returns
+    the squared nu_e amplitude, re^2 + im^2: correctly rounded
+    operations, so the value does not depend on the CPU.
     """
-    try:
-        idx = _FLAVOR_INDEX[initial]
-    except KeyError:
-        raise ValueError(f"initial flavor must be 'e' or 'mu', got {initial!r}")
     angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
-    v = np.zeros(np.shape(energy_gev) + (2,), dtype=complex)
-    v[..., idx] = 1.0
-    nu_e, nu_mu = v[..., 0], v[..., 1]
     props = {}
     for k, layer in enumerate(profile.layers):
         if layer not in props:
             props[layer] = layer_propagator(angles[k], phases[k])
+    nu_e, nu_mu = 0.0, 1.0
     for u in (props[layer] for layer in profile.expanded()):
         nu_e, nu_mu = (u[..., 0, 0] * nu_e + u[..., 0, 1] * nu_mu,
                        u[..., 1, 0] * nu_e + u[..., 1, 1] * nu_mu)
-    return np.square(_libm(abs, nu_e))
+    return nu_e.real ** 2 + nu_e.imag ** 2
 
 
 def msw_survival_from_angles(theta: float, theta_m):

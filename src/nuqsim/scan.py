@@ -281,7 +281,9 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
     if not 1 <= n <= MAX_POINTS:
         raise ConfigError(f"field 'energies': n must be in [1, {MAX_POINTS}], "
                           f"got {n}")
-    return tuple(np.linspace(lo, hi, n).tolist())
+    # an infinite or overflowing span's inf/nan energies fail ScanConfig
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(np.linspace(lo, hi, n).tolist())
 
 
 @dataclass(frozen=True, eq=False)    # array columns: compare by identity
@@ -374,7 +376,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
             circuit, report = virtual_z_pass(circuit)
         states, measured = run(circuit)
         qubit = measured[0]
-        theory = prob_slab(p, profile, energies, "mu", th23)
+        theory = prob_slab(p, profile, energies, th23)
     else:
         p, layer = msw_setup(config)
         u2q = build_dilation(p, layer, energies)

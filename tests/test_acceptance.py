@@ -95,7 +95,7 @@ def test_criterion_3_earth_curve_and_sampling():
             build_slab_circuit(p, profile, e, theta23=th23))
         state, measured = run(circuit)
         p_exact, p1 = probabilities(state, measured[0])
-        theory = prob_slab(p, profile, e, "mu", th23)
+        theory = prob_slab(p, profile, e, th23)
         assert abs(p_exact - theory) <= 1e-12
         points.append((p1, theory))
 

@@ -306,6 +306,12 @@ def test_single_circuit_passes_reject_templates():
             single_only(template)
 
 
+def test_point_rejects_a_single_circuit():
+    single = Circuit(1, (ry(0.1), measure(0)))
+    with pytest.raises(ValueError, match="single circuit"):
+        single.point(0)
+
+
 def test_two_qubit_template_matches_single_circuits():
     a, b = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
     template = Circuit(2, (ry(a, 0), ry(b, 1), cnot(0, 1), ry(-b, 0),

@@ -71,7 +71,7 @@ def test_slab_circuit_matches_oracle_both_modes():
     for th23 in (None, TH23):
         for e in np.linspace(1.0, 25.0, 20):
             circ = build_slab_circuit(P13, profile, e, theta23=th23)
-            oracle = prob_slab(P13, profile, e, "mu", th23)
+            oracle = prob_slab(P13, profile, e, th23)
             assert abs(exact_p0(circ) - oracle) < 1e-12
 
 
@@ -116,7 +116,7 @@ def test_earth_circuit_matches_oracle_over_grid():
     for e in np.linspace(1.0, 25.0, 40):
         circ, _ = virtual_z_pass(
             build_slab_circuit(P13, prof, e, theta23=TH23))
-        oracle = prob_slab(P13, prof, e, "mu", TH23)
+        oracle = prob_slab(P13, prof, e, TH23)
         assert abs(exact_p0(circ) - oracle) < 1e-12
 
 

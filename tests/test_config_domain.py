@@ -137,3 +137,26 @@ def test_an_overflow_to_inf_prints_no_warning(tmp_path, capsys, cfg, code):
     else:
         assert err.startswith("numerical-domain error: ") \
             and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "slab", "--energies=-inf:inf:3"],
+    ["--scenario", "slab", "--energies=1e308:-1e308:3"],
+    ["--config", {"scenario": "earth",
+                  "energies": {"min": -1e308, "max": 1e308, "points": 4}}],
+], ids=["inf-span", "overflowing-span", "overflowing-object"])
+def test_an_invalid_energy_span_prints_one_config_error(tmp_path, capsys, argv):
+    """An infinite or overflowing min:max span ends in exit 2 with the
+    'energies' message alone: no numpy warning reaches stderr, even with
+    warnings shown, and none escapes as an exception with them as errors."""
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(path)]
+    for action in ("always", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert cli.main(["scan", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field 'energies': all energies must be finite "
+            "and positive\n")

@@ -10,8 +10,8 @@ from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, MatterLayer,
                                 NumericalDomainError, OscParams, SlabProfile,
                                 atmospheric_effective_angle, effective_params,
                                 effective_params_from_beta, layer_propagator,
-                                matter_potential, mixing_rotation, phase,
-                                phase_rotation, prob_constant_density,
+                                matter_potential, phase,
+                                prob_constant_density,
                                 prob_msw_adiabatic, prob_slab,
                                 msw_survival_from_angles)
 
@@ -237,17 +237,6 @@ def test_periodic_profile_expansion():
         assert prob_slab(p, profile, e) == prob_slab(p, flat, e)
 
 
-def test_initial_flavor_channels():
-    p = OscParams(0.5, 2.5e-3)
-    profile = SlabProfile((MatterLayer(3.0, 0.5, 800.0),))
-    pe = prob_slab(p, profile, 2.0, initial="e")
-    pm = prob_slab(p, profile, 2.0, initial="mu")
-    # unitarity: P(e->e) = 1 - P(mu->e) for two flavors
-    assert abs(pe - (1.0 - pm)) < 1e-12
-    with pytest.raises(ValueError):
-        prob_slab(p, profile, 2.0, initial="tau")
-
-
 # --- adiabatic MSW oracle ------------------------------------------------------
 
 def test_msw_vacuum_limit():
@@ -324,9 +313,29 @@ def test_non_finite_parameters_are_rejected(cls, field, value):
         cls(**dict(VALID_FIELDS[cls], **{field: value}))
 
 
-def test_mixing_rotation_matches_ry_form():
-    t = 0.37
-    m = mixing_rotation(t)
-    assert np.allclose(m, [[math.cos(t), -math.sin(t)],
-                           [math.sin(t), math.cos(t)]], atol=0)
-    assert np.allclose(phase_rotation(0.0), np.eye(2), atol=0)
+def _matrix_form_propagator(theta, phi):
+    """R(theta) diag(e^{-i phi/2}, e^{i phi/2}) R(theta)^T from explicit
+    2x2 arrays, the matrix derivation of ``layer_propagator``."""
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.array([[c, -s], [s, c]], dtype=complex)
+    d = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+    return r @ d @ r.T
+
+
+def test_layer_propagator_matches_matrix_form():
+    """The closed Pauli form equals the rotated phase matrix entry by
+    entry, for a scalar and for arrays, over the angle range's edges."""
+    edge_thetas = [0.0, 5e-324, math.pi / 4, np.nextafter(math.pi / 2, 0.0),
+                   math.pi / 2]
+    edge_phis = [0.0, 1.0, math.pi, np.nextafter(oscillation.PHASE_LIMIT, 0.0)]
+    grid = np.meshgrid(edge_thetas, edge_phis)
+    n = 1000 - grid[0].size
+    thetas = np.concatenate((grid[0].ravel(), RNG.uniform(0.0, math.pi / 2, n)))
+    phis = np.concatenate((grid[1].ravel(),
+                           RNG.uniform(0.0, oscillation.PHASE_LIMIT, n)))
+    stacked = layer_propagator(thetas, phis)
+    assert stacked.shape == (1000, 2, 2)
+    for theta, phi, u in zip(thetas, phis, stacked):
+        expected = _matrix_form_propagator(theta, phi)
+        assert np.max(np.abs(u - expected)) <= 1e-15
+        assert np.array_equal(layer_propagator(float(theta), float(phi)), u)

@@ -180,7 +180,7 @@ def test_earth_scan_exact_matches_oracle():
                    result.stderr):
         assert column.shape == (25,) and column.dtype == np.float64
     for e, exact, theory in zip(cfg.energies, result.p_exact, result.p_theory):
-        oracle = prob_slab(p, prof, e, "mu", th23)
+        oracle = prob_slab(p, prof, e, th23)
         assert abs(exact - oracle) < 1e-12
         assert abs(exact - theory) < 1e-9
     assert np.all((0.0 <= result.p_sampled) & (result.p_sampled <= 1.0))

@@ -57,3 +57,16 @@ def test_only_circuits_decides_how_angles_are_stored():
              for path in sorted(SRC.glob("*.py"))}
     assert found.pop("circuits.py") == ["flags.writeable"]
     assert {name: words for name, words in found.items() if words} == {}
+
+
+def test_oracle_imports_no_other_nuqsim_module():
+    """The analytic oracles share no code with the circuits they check:
+    ``oscillation.py`` imports no other nuqsim module, at any depth."""
+    tree = ast.parse((SRC / "oscillation.py").read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names]
+    modules += [("." * n.level) + (n.module or "") for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)]
+    assert "numpy" in modules
+    assert [m for m in modules
+            if m.startswith(".") or m.split(".")[0] == "nuqsim"] == []
