@@ -21,11 +21,12 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, GateOp, cnot, measure, ry, rz, x
+from .circuits import Circuit, GateKind, GateOp, cnot, measure, ry
 from .oscillation import (MatterLayer, OscParams, SlabProfile, _libm,
                           effective_params, slab_layer_params)
 
 ANCILLA, ENCODED = 0, 1   # dilation circuit qubit roles (q_A, q_B)
+_LAYER = ((GateKind.RY, (0,)), (GateKind.RZ, (0,)), (GateKind.RY, (0,)))
 
 
 def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
@@ -38,11 +39,10 @@ def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
     layers.
     """
     angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
-    ops = [x(0)]
-    for down_k, phi_k, up_k in zip(-2.0 * angles, phases, 2.0 * angles):
-        ops += [ry(down_k), rz(phi_k), ry(up_k)]
-    ops.append(measure(0))
-    return Circuit(1, tuple(ops))
+    rows = np.empty((3 * len(angles),) + angles.shape[1:])
+    rows[0::3], rows[1::3], rows[2::3] = -2.0 * angles, phases, 2.0 * angles
+    return Circuit(1, layout=((GateKind.X, (0,)),) + _LAYER * len(angles)
+                   + ((GateKind.MEASURE, (0,)),), angles=rows)
 
 
 def earth_profile(ye: float = 0.5) -> SlabProfile:

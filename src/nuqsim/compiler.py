@@ -7,8 +7,8 @@ Two passes:
   offset L becomes the pulse-form gate U(t, -L, L), a rotation about
   the equatorial axis (sin L, cos L, 0)).  A trailing RZ carries the
   total offset unless the circuit ends in a Z-basis measurement, where
-  it is irrelevant and elided.  The pass is one walk over the ops; on a
-  template the offset is an array over the grid.
+  it is irrelevant and elided.  The pass is one walk over the gate list
+  and angle rows; on a template the offset is an array over the grid.
 - ``lower_to_native`` rewrites X/RY/RZ/U circuits onto the native set
   {RZ, sqrt(X), X}, with sqrt(X) represented in pulse form as
   U(pi/2, -pi/2, pi/2).
@@ -30,6 +30,7 @@ from .circuits import Circuit, GateKind, GateOp, rz, u
 
 SX_PARAMS = (math.pi / 2, -math.pi / 2, math.pi / 2)
 _SX_TOL = 1e-15      # largest angle difference is_sx accepts
+_U, _RZ = (GateKind.U, (0,)), (GateKind.RZ, (0,))   # shared: no tuple per gate
 
 
 def sx(qubit: int = 0) -> GateOp:
@@ -58,9 +59,9 @@ def pulse_count(circuit: Circuit) -> int:
     (followed only by measures): a frame change just before Z-basis
     readout or at the end of the circuit is never executed.
     """
-    gates = circuit.gates
+    gates = circuit.gate_layout
     n = len(gates)
-    while n > 0 and gates[n - 1].kind is GateKind.RZ:
+    while n > 0 and gates[n - 1][0] is GateKind.RZ:
         n -= 1
     return n
 
@@ -74,40 +75,44 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     X flips the sign of L.  A final RZ(L) is appended unless the next
     op is a measurement (elided) or L is zero.  On a template, L is an
     array over the grid, which counts as zero only if every entry is;
-    ``residual_rz`` is then that array.
+    ``residual_rz`` is then that array.  The walk builds no op.
     """
     if circuit.width != 1:
         raise ValueError("virtual-Z pass supports single-qubit circuits only")
 
-    out, offset, nonzero, folded = [], 0.0, False, 0
-    for i, op in enumerate(circuit.ops):
-        if op.kind is GateKind.RZ:
-            offset = offset + op.params[0]
+    rows, layout, out = iter(circuit.rows()), [], []
+    offset, nonzero, folded = 0.0, False, 0
+    for i, gate in enumerate(circuit.layout):
+        kind = gate[0]
+        if kind is GateKind.RZ:
+            offset = offset + next(rows)
             nonzero = bool(np.count_nonzero(offset))
             folded += 1
-        elif op.kind is GateKind.X:
-            out.append(op)
+        elif kind is GateKind.X:
+            layout.append(gate)
             offset = -offset
-        elif op.kind is GateKind.RY:
-            out.append(u(op.params[0], -offset, offset, op.qubits[0])
-                       if nonzero else op)
-        elif op.kind is GateKind.U:
-            theta, phi, lam = op.params
+        elif kind is GateKind.RY:
+            layout.append(_U if nonzero else gate)
+            out += (next(rows), -offset, offset) if nonzero else (next(rows),)
+        elif kind is GateKind.U:
+            theta, phi, lam = next(rows), next(rows), next(rows)
             eff = offset + lam
-            out.append(u(theta, -eff, eff, op.qubits[0]))
+            layout.append(gate)
+            out += (theta, -eff, eff)
             offset = offset + (lam + phi)
             nonzero = bool(np.count_nonzero(offset))
         else:                                   # the measure tail
-            out += circuit.ops[i:]
+            layout += circuit.layout[i:]
             break
     else:
         if nonzero:
-            out.append(rz(offset))
+            layout.append(_RZ)
+            out.append(offset)
 
-    compiled = Circuit(circuit.width, tuple(out))
+    compiled = Circuit(circuit.width, layout=layout, angles=out)
     report = CompileReport(
-        input_gate_count=len(circuit.gates),
-        output_gate_count=len(compiled.gates),
+        input_gate_count=len(circuit.gate_layout),
+        output_gate_count=len(compiled.gate_layout),
         physical_pulse_count=pulse_count(compiled),
         folded_rz_count=folded,
         residual_rz=offset if nonzero else 0.0,

@@ -10,10 +10,10 @@ angles) evolves one ``(dim,)`` state, and both run the same code.
 float angles or none, which broadcast over the batch; ``apply_matrix``
 takes ``(n, 4, 4)`` dilation stacks.  A single-qubit gate on a 2-qubit
 register acts on the state reshaped to ``(..., 2, 2)`` (axes q0, q1),
-so no 4x4 embedding is ever formed.  ``run`` forms the matrices of same-kind
-gates from row slices of ``Circuit.angles``, in blocks of at most
-``BLOCK_POINTS`` gate-points (64 kB, however deep the template), and applies
-them one gate at a time, as ``apply`` does.
+so no 4x4 embedding is ever formed.  ``run`` reads the same-kind runs of
+``Circuit.layout``, forms their matrices from row slices of ``Circuit.angles``
+in blocks of at most ``BLOCK_POINTS`` gate-points (64 kB, however deep), and
+applies them one gate at a time, as ``apply`` does; it builds no op.
 
 Everything here is a pure function; execution is deterministic, and
 shot sampling draws binomial counts from numpy's PCG64, so identical
@@ -32,7 +32,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, GateOp
+from .circuits import N_PARAMS, Circuit, GateKind, GateOp
 
 _NORM_TOL = 1e-9
 BLOCK_POINTS = 2 ** 10
@@ -54,12 +54,11 @@ def gate_matrix(op: GateOp) -> np.ndarray:
                           [e^{i phi} sin(t/2),  e^{i(phi+lam)} cos(t/2)]]
     RY(a) = exp(-i a Y/2), RZ(a) = exp(-i a Z/2).
     """
-    return _matrix(op, op.params)
+    return _matrix(op.kind, op.qubits, op.params)
 
 
-def _matrix(op: GateOp, params) -> np.ndarray:
-    """The matrix of op's kind and qubits at angles of any shape."""
-    kind = op.kind
+def _matrix(kind: GateKind, qubits: tuple[int, ...], params) -> np.ndarray:
+    """The matrix of a gate of this kind and qubits at angles of any shape."""
     if kind is GateKind.X:
         return np.array([[0, 1], [1, 0]], dtype=complex)
     if kind is GateKind.RY:
@@ -71,11 +70,12 @@ def _matrix(op: GateOp, params) -> np.ndarray:
     if kind is GateKind.U:
         theta, phi, lam = params
         c, s = np.cos(theta / 2), np.sin(theta / 2)
-        return _matrix2(c, -np.exp(1j * lam) * s,
-                        np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c)
+        tilt = phi + lam        # 0 in pulse form, where e^{i tilt} c == c bitwise
+        return _matrix2(c, -np.exp(1j * lam) * s, np.exp(1j * phi) * s,
+                        np.exp(1j * tilt) * c if np.count_nonzero(tilt) else c)
     if kind is GateKind.CNOT:
         m = np.eye(4, dtype=complex)
-        if op.qubits == (0, 1):        # control is the MSB
+        if qubits == (0, 1):           # control is the MSB
             m[[2, 3]] = m[[3, 2]]
         else:                          # control is the LSB
             m[[1, 3]] = m[[3, 1]]
@@ -95,24 +95,24 @@ def init_state(width: int) -> np.ndarray:
 def apply(state: np.ndarray, op: GateOp) -> np.ndarray:
     """Apply one gate op to a state or a stack of states; dimension
     mismatches raise."""
-    return _apply(state, gate_matrix(op), op)
+    m, width = gate_matrix(op), _state_width(state)
+    if m.shape[-1] > state.shape[-1]:
+        raise ValueError(f"{op.kind.value} does not fit a width-{width} register")
+    return _apply(state, np.moveaxis(m, -1, 0), op.qubits)
 
 
-def _apply(state: np.ndarray, m: np.ndarray, op: GateOp) -> np.ndarray:
-    """Apply the matrix ``m`` of a gate op (qubits and kind from ``op``)."""
-    width = _state_width(state)
-    if m.shape[-1] == state.shape[-1]:
-        return _matvec(m, state)
-    if m.shape[-1] == 2 and width == 2:
-        # rows of the (..., q0, q1) reshape are q1 vectors, columns q0 vectors
-        pairs = state.reshape(state.shape[:-1] + (2, 2))
-        if op.qubits[0] == 1:
-            out = _matvec(m[..., None, :, :], pairs)
-        else:
-            out = np.swapaxes(_matvec(m[..., None, :, :],
-                                      np.swapaxes(pairs, -1, -2)), -1, -2)
-        return out.reshape(out.shape[:-2] + (4,))
-    raise ValueError(f"{op.kind.value} does not fit a width-{width} register")
+def _apply(state: np.ndarray, cols: np.ndarray, qubits) -> np.ndarray:
+    """Apply a gate on ``qubits`` from its matrix columns, ``m[..., :, k]``."""
+    if len(cols) == state.shape[-1]:
+        return _matvec(cols, state)
+    # rows of the (..., q0, q1) reshape are q1 vectors, columns q0 vectors
+    pairs = state.reshape(state.shape[:-1] + (2, 2))
+    if qubits[0] == 1:
+        out = _matvec(cols[..., None, :], pairs)
+    else:
+        out = np.swapaxes(_matvec(cols[..., None, :],
+                                  np.swapaxes(pairs, -1, -2)), -1, -2)
+    return out.reshape(out.shape[:-2] + (4,))
 
 
 def apply_matrix(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -123,15 +123,15 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     if matrix.shape[-2:] != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not match "
                          f"state dimension {dim}")
-    return _matvec(matrix, state)
+    return _matvec(np.moveaxis(matrix, -1, 0), state)
 
 
-def _matvec(m: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Matrix stack times state stack, as whole-array products summed in
-    column order: a few array operations per gate, not one per point."""
-    out = m[..., :, 0] * state[..., None, 0]
-    for k in range(1, state.shape[-1]):
-        out = out + m[..., :, k] * state[..., None, k]
+def _matvec(cols: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Matrix stack times state stack, from its columns, summed in column
+    order: a few whole-array operations per gate, not one per point."""
+    out = cols[0] * state[..., None, 0]
+    for k in range(1, len(cols)):
+        out = out + cols[k] * state[..., None, k]
     return out
 
 
@@ -149,17 +149,17 @@ def run(circuit: Circuit, initial: np.ndarray | None = None
         raise ValueError("initial state does not match circuit width")
     limit = max(1, BLOCK_POINTS // max(1, int(np.prod(circuit.batch_shape))))
     row = 0             # the block's first row of circuit.angles
-    for _, same in groupby(circuit.gates, key=lambda op: (op.kind, op.qubits)):
-        same = list(same)
-        n = len(same[0].params)
-        for b in range(0, len(same), limit):
-            block = same[b:b + limit]
-            rows = circuit.angles[row:row + n * len(block)]
-            row += n * len(block)
-            params = [np.ascontiguousarray(rows[j::n]) for j in range(n)]
-            m = _matrix(block[0], params)
-            for k, op in enumerate(block):
-                state = _apply(state, m[k] if params else m, op)
+    for (kind, qubits), same in groupby(circuit.gate_layout):
+        count, n = len(list(same)), N_PARAMS[kind]
+        for b in range(0, count, limit):
+            size = min(limit, count - b)
+            rows = circuit.angles[row:row + n * size]
+            row += n * size
+            m = _matrix(kind, qubits,
+                        [np.ascontiguousarray(rows[j::n]) for j in range(n)])
+            stack = m.transpose(0, -1, *range(1, m.ndim - 1)) if n else [m.T] * size
+            for cols in stack:          # each gate's columns m[..., :, k] as [k]
+                state = _apply(state, cols, qubits)
     return state, circuit.measured_qubits
 
 

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from nuqsim.builders import (build_dilation, build_slab_circuit,
                              dilation_from_angles)
-from nuqsim.circuits import Circuit, GateKind, cnot, measure, ry, rz, u, x
+from nuqsim import builders, circuits, compiler, scan, simulator
+from nuqsim.circuits import (Circuit, GateKind, GateOp, cnot, measure, ry, rz,
+                             u, x)
 from nuqsim.compiler import dump_circuit, lower_to_native, virtual_z_pass
 from nuqsim.oscillation import (NumericalDomainError, layer_propagator,
                                 msw_survival_from_angles, prob_msw_adiabatic,
@@ -322,6 +324,77 @@ def test_two_qubit_template_matches_single_circuits():
         single = template.point(i)
         assert np.max(np.abs(states[i] - run(single)[0])) <= 1e-15
         assert np.max(np.abs(unitaries[i] - circuit_unitary(single))) <= 1e-15
+
+
+# angles with signed zeros and opposite pairs, so U gates in pulse form
+# (phi + lam == 0) and out of it meet in one block
+TEMPLATE_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, math.pi]),
+                            ANGLES)
+
+
+@st.composite
+def any_template(draw):
+    """A 1- or 2-qubit template with any gates: single-qubit gates on
+    either qubit, both CNOT orientations, a float angle among arrays."""
+    width, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 5))
+
+    def angle():
+        if draw(st.booleans()):
+            return draw(TEMPLATE_ANGLES)
+        return np.array(draw(st.lists(TEMPLATE_ANGLES, min_size=n,
+                                      max_size=n)))
+
+    ops = []
+    kinds = "X RY RZ U" + (" CNOT" if width == 2 else "")
+    for kind in draw(st.lists(st.sampled_from(kinds.split()), max_size=16)):
+        q = draw(st.integers(0, width - 1))
+        ops.append(x(q) if kind == "X" else ry(angle(), q) if kind == "RY"
+                   else rz(angle(), q) if kind == "RZ"
+                   else u(angle(), angle(), angle(), q) if kind == "U"
+                   else cnot(q, 1 - q))
+    ops.append(ry(np.zeros(n)))       # at least one angle array
+    ops += [measure(q) for q in range(width)]
+    return Circuit(width, ops)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(any_template())
+def test_template_runs_bit_for_bit_as_its_points(template):
+    """A template's states are its points' states, bit for bit, and its
+    ops rebuild it."""
+    states, measured = run(template)
+    n = template.batch_shape[0]
+    points = [run(template.point(i)) for i in range(n)]
+    assert states.tobytes() == np.stack([s for s, _ in points]).tobytes()
+    assert measured == points[0][1] == template.measured_qubits
+    assert Circuit(template.width, template.ops) == template
+
+
+def test_compiled_slab_scan_builds_no_gate_op(monkeypatch):
+    """A compiled slab scan builds, compiles and runs its template from
+    the gate list and the angle matrix: no GateOp, no gate factory call.
+    Its op and gate counts are the ones the benchmark's tracer reports
+    (circuits.ops_built, simulator.gates_applied)."""
+    built = []
+    new = GateOp.__new__
+    monkeypatch.setattr(GateOp, "__new__", lambda cls, *args, **kwargs: (
+        built.append("GateOp") or new(cls, *args, **kwargs)))
+    for module in (circuits, builders, compiler, simulator, scan):
+        for name in ("x", "ry", "rz", "u", "cnot", "measure", "sx"):
+            factory = getattr(module, name, None)
+            if callable(factory):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _n=name, _f=factory, **k:
+                                    built.append(_n) or _f(*a, **k))
+    cfg = ScanConfig(scenario="slab", compile=True, periods=50)
+    result = run_scan(cfg)
+    assert built == [] and result.report.output_gate_count == 201
+    p, profile, th23 = _single_qubit_setup(cfg)
+    raw = build_slab_circuit(p, profile, np.array(cfg.energies), th23)
+    compiled, _ = virtual_z_pass(raw)
+    assert built == [] and compiled == result.circuit
+    assert (len(raw.ops), len(raw.gates), len(compiled.gates)) == (302, 301, 201)
+    assert set(built) == {"GateOp"}      # the views, built on request
 
 
 def test_probabilities_names_the_unnormalized_row():

@@ -80,3 +80,45 @@ def test_integer_angle_arrays_become_float_angles():
     circuit = Circuit(1, (ry(np.array([1, 2], np.int32)),))
     assert circuit.angles.dtype == np.float64
     assert circuit.angles.tolist() == [[1.0, 2.0]]
+
+
+def test_templates_compare_by_width_gate_list_and_angles():
+    """``==`` on templates is a bool over width, gate list and angle
+    matrix; circuits are unhashable, since equal ones may hold -0.0 and
+    0.0 angles."""
+    a = np.array([0.1, 0.2, 0.3])
+    first = Circuit(1, (x(), ry(a), rz(a.copy()), measure()))
+    same = Circuit(1, (x(), ry(a.copy()), rz(a), measure()))
+    moved = a.copy()
+    moved[1] = np.nextafter(moved[1], 1.0)
+    other = Circuit(1, (x(), ry(a), rz(moved), measure()))
+    assert (first == same) is True
+    assert (first == other) is False
+    assert (first != other) is True
+    assert Circuit(2, first.ops[:-1]) != Circuit(1, first.ops[:-1])
+    assert first != first.point(0) and first != "circuit"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(Circuit(1, (ry(0.3),)))
+
+
+def test_gate_list_and_angle_matrix_build_the_same_circuit():
+    """``Circuit(width, layout=..., angles=...)`` equals the circuit of the
+    same ops, copies its angles and checks them against the gate list."""
+    layout = ((GateKind.X, (0,)), (GateKind.U, (0,)), (GateKind.MEASURE, (0,)))
+    angles = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    circuit = Circuit(1, layout=layout, angles=angles)
+    assert circuit == Circuit(1, (x(), u(angles[0], angles[1], angles[2]),
+                                  measure()))
+    assert circuit.batch_shape == (2,) and circuit.measured_qubits == (0,)
+    angles[0, 0] = 7.0
+    assert circuit.angles[0, 0] == 0.1 and not circuit.angles.flags.writeable
+    with pytest.raises(ValueError, match="3 angle rows, got shape"):
+        Circuit(1, layout=layout, angles=angles[:2])
+    with pytest.raises(ValueError, match="non-finite"):
+        Circuit(1, layout=layout, angles=np.full((3, 2), np.inf))
+    with pytest.raises(ValueError, match="exceeds circuit width 1"):
+        Circuit(1, layout=((GateKind.RY, (1,)),), angles=[0.3])
+    with pytest.raises(ValueError, match="gate after MEASURE"):
+        Circuit(1, layout=layout[::-1], angles=angles)

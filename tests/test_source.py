@@ -40,13 +40,35 @@ def gate_op_calls(source: str) -> int:
 
 
 def test_gate_ops_are_built_only_in_circuits():
-    """Only the gate factories in ``circuits.py`` build a GateOp, so the
-    factories' checks are the only ones an op needs."""
+    """Only ``circuits.py`` builds a GateOp: its gate factories, which
+    check it, and ``Circuit.ops``, whose views read a checked circuit."""
     calls = {path.name: gate_op_calls(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert calls["circuits.py"] > 0
     assert {name: n for name, n in calls.items()
             if n and name != "circuits.py"} == {}
+
+
+def callers(source: str, names: set[str]) -> dict[str, set[str]]:
+    """For each of ``names``, the top-level functions that call it."""
+    found: dict[str, set[str]] = {}
+    for fn in ast.parse(source).body:
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in names:
+                found.setdefault(n.func.id, set()).add(getattr(fn, "name", ""))
+    return found
+
+
+def test_gate_matrices_are_built_only_by_the_simulators_matrix():
+    """Every gate matrix comes from ``simulator._matrix``, which only
+    ``gate_matrix`` and ``run`` call, so the pulse-form shortcut and the
+    gate conventions live in one place."""
+    names = {"_matrix", "_matrix2"}
+    assert callers((SRC / "simulator.py").read_text(), names) == {
+        "_matrix": {"gate_matrix", "run"}, "_matrix2": {"_matrix"}}
+    assert {path.name for path in sorted(SRC.glob("*.py"))
+            if path.name != "simulator.py"
+            and callers(path.read_text(), names)} == set()
 
 
 def test_only_circuits_decides_how_angles_are_stored():
