@@ -5,15 +5,15 @@ nu_mu, then RY(-2t), RZ(phi), RY(2t) per layer, then a Z measurement;
 the fraction of |0> outcomes is P(nu_mu -> nu_e)).  The adiabatic MSW
 scenario embeds the non-unitary product Q = W_vac W_mat into a 4x4
 orthogonal dilation acting on an ancilla + encoded qubit pair, either
-applied directly or synthesized as a two-CNOT / six-RY circuit whose
-angles are one vector (a1, b1, a2, b2, a3, b3), a_k on the ancilla.
+applied directly or synthesized as the two-CNOT / six-RY gate list
+``MSW_ANSATZ``, whose angles are one vector (a1, b1, a2, b2, a3, b3).
 
-A scan builds one template per profile: given an energy array of shape
-``(n,)``, ``build_slab_circuit`` returns one circuit whose angles are
-``(n,)`` arrays, ``build_dilation`` returns an ``(n, 4, 4)`` stack,
-from which ``synthesis_angles`` reads one angle row per point,
-``(n, 6)``, for ``build_msw_circuit``.  Given one energy (or a ``(6,)``
-vector) they return a single circuit and a 4x4 matrix.
+Circuits are built as a gate list and an angle matrix, one template per
+profile: given an energy array of shape ``(n,)``, ``build_slab_circuit``
+returns one circuit of ``(P, n)`` angles, ``build_dilation`` an ``(n, 4,
+4)`` stack, from which ``synthesis_angles`` reads one angle row per
+point, ``(n, 6)``, for ``build_msw_circuit``.  Given one energy (or a
+``(6,)`` vector) they return a single circuit and a 4x4 matrix.
 """
 from __future__ import annotations
 
@@ -21,12 +21,17 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, GateOp, cnot, measure, ry
+from .circuits import Circuit, GateKind
 from .oscillation import (MatterLayer, OscParams, SlabProfile, _libm,
                           effective_params, slab_layer_params)
 
 ANCILLA, ENCODED = 0, 1   # dilation circuit qubit roles (q_A, q_B)
 _LAYER = ((GateKind.RY, (0,)), (GateKind.RZ, (0,)), (GateKind.RY, (0,)))
+# the two-CNOT ansatz (RY x RY) CX (RY x RY) CX (RY x RY), no measure; angle
+# rows (a1, b1, a2, b2, a3, b3), a_k on the ancilla: an (n, 6) array's columns
+_RY_A, _RY_B = (GateKind.RY, (ANCILLA,)), (GateKind.RY, (ENCODED,))
+MSW_ANSATZ = (_RY_A, _RY_B, (GateKind.CNOT, (ANCILLA, ENCODED))) * 2 + (
+    _RY_A, _RY_B)
 
 
 def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
@@ -112,18 +117,8 @@ def build_dilation(p: OscParams, production_layer: MatterLayer,
     return dilation_from_angles(p.theta, ep.theta_m)
 
 
-def msw_ansatz(angles) -> tuple[GateOp, ...]:
-    """Gates (RY x RY) CX (RY x RY) CX (RY x RY) of the two-CNOT ansatz,
-    from the angles (a1, b1, a2, b2, a3, b3): a ``(6,)`` vector, or a
-    ``(k, 6)`` array for a template.  Any real angles; no measure."""
-    a1, b1, a2, b2, a3, b3 = np.asarray(angles, dtype=float).T
-    return (ry(a1, ANCILLA), ry(b1, ENCODED), cnot(ANCILLA, ENCODED),
-            ry(a2, ANCILLA), ry(b2, ENCODED), cnot(ANCILLA, ENCODED),
-            ry(a3, ANCILLA), ry(b3, ENCODED))
-
-
 def build_msw_circuit(angles) -> Circuit:
-    """The ``msw_ansatz`` circuit, measure q_B, from the angles (a1, b1,
+    """The ``MSW_ANSATZ`` circuit, measure q_B, from the angles (a1, b1,
     a2, b2, a3, b3) in [-pi, pi]: a ``(6,)`` vector, or an ``(n, 6)``
     array for a template."""
     angles = np.asarray(angles, dtype=float)
@@ -131,4 +126,5 @@ def build_msw_circuit(angles) -> Circuit:
         raise ValueError(f"angles of shape {angles.shape}, not (6,) or (n, 6)")
     if not np.all(np.abs(angles) <= math.pi):
         raise ValueError("synthesis angles must lie in [-pi, pi]")
-    return Circuit(2, msw_ansatz(angles) + (measure(ENCODED),))
+    return Circuit(2, layout=MSW_ANSATZ + ((GateKind.MEASURE, (ENCODED,)),),
+                   angles=angles.T)

@@ -6,17 +6,14 @@ so a two-qubit basis state reads |q0 q1>.  MEASURE ops may only appear
 at the tail of a circuit.  Circuits and ops are immutable values.
 
 A circuit is its gate list ``layout``, one ``(kind, qubits)`` pair per
-op, and one read-only float64 matrix ``angles``, ``(P,) + batch_shape``,
-copied from its input and checked finite once; each op reads its next
-``N_PARAMS[kind]`` rows.  ``Circuit(width, layout=..., angles=...)``
-builds one with no per-gate object.  ``Circuit(width, ops)`` takes ops,
-named tuples ``(kind, qubits, params)`` that only the gate factories
-``x``, ``ry``, ``rz``, ``u``, ``cnot`` and ``measure`` build and check
-(an angle is a float or a real ``(n,)`` array); ``Circuit.ops`` builds
-them back as views on request.  ``(P, n)`` angles make a template, one
-circuit per grid point run as one batch (a float op angle fills its
-row); ``(P,)`` angles a single circuit (float params), which
-``Circuit.point(i)`` cuts from a template.
+op checked once per distinct pair, and one read-only float64 matrix
+``angles``, ``(P, n)`` for a template of n grid points run as one batch
+or ``(P,)`` for a single circuit, copied from a real array and checked
+finite once; each op reads its next ``N_PARAMS[kind]`` rows.  It is
+built as ``Circuit(width, layout=..., angles=...)``, or from ops, named
+tuples ``(kind, qubits, params)`` that the gate factories ``x``, ``ry``,
+``rz``, ``u``, ``cnot`` and ``measure`` (one number per angle) and
+``Circuit.ops`` (views, so ``Circuit(t.width, t.ops) == t``) build.
 """
 from __future__ import annotations
 
@@ -47,48 +44,56 @@ class GateOp(NamedTuple):
     params: tuple[float | np.ndarray, ...] = ()
 
 
-def _angle(p) -> float | np.ndarray:
-    """A float, or a real 1-D array as given."""
-    if not isinstance(p, np.ndarray):
-        return float(p)
-    if p.dtype.kind not in "iuf":
-        raise ValueError(f"an angle array must be real, got dtype {p.dtype}")
-    if p.ndim > 1:
-        raise ValueError(f"an angle array must be 1-D, got shape {p.shape}")
-    return p if p.ndim else float(p)
+def _check_gate(kind, qubits, width: int) -> None:
+    """Refuse, naming the kind, all but a GateKind on a tuple of distinct
+    int qubits of a width-``width`` register, two for CNOT, else one."""
+    if not isinstance(kind, GateKind):
+        raise ValueError(f"gate kind must be a GateKind, got {kind!r}")
+    arity = 2 if kind is GateKind.CNOT else 1
+    if not (type(qubits) is tuple and len(qubits) == arity
+            and all(type(q) is int for q in qubits)):
+        raise ValueError(f"{kind.value} needs {arity} qubit(s) as a tuple "
+                         f"of ints, got {qubits!r}")
+    if min(qubits) < 0:
+        raise ValueError(f"{kind.value} on negative qubit index {min(qubits)}")
+    if len(set(qubits)) < arity:
+        raise ValueError(f"{kind.value} control and target must differ")
+    if max(qubits) >= width:
+        raise ValueError(f"{kind.value} on qubit {max(qubits)} "
+                         f"exceeds circuit width {width}")
 
 
-def _qubit(q: int) -> int:
-    if q < 0:
-        raise ValueError("negative qubit index")
-    return q
+def _op(kind: GateKind, qubits: tuple[int, ...], *angles) -> GateOp:
+    """The op of a one-gate circuit on the widest register, checked as
+    every circuit is; one real number per angle."""
+    if any(np.ndim(a) for a in angles):
+        raise ValueError("a gate factory takes one number per angle; build "
+                         "templates as Circuit(width, layout=..., angles=...)")
+    return Circuit(2, layout=((kind, qubits),), angles=angles).ops[0]
 
 
 def x(qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.X, (_qubit(qubit),))
+    return _op(GateKind.X, (qubit,))
 
 
 def ry(angle, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.RY, (_qubit(qubit),), (_angle(angle),))
+    return _op(GateKind.RY, (qubit,), angle)
 
 
 def rz(angle, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.RZ, (_qubit(qubit),), (_angle(angle),))
+    return _op(GateKind.RZ, (qubit,), angle)
 
 
 def u(theta, phi, lam, qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.U, (_qubit(qubit),),
-                  (_angle(theta), _angle(phi), _angle(lam)))
+    return _op(GateKind.U, (qubit,), theta, phi, lam)
 
 
 def cnot(control: int, target: int) -> GateOp:
-    if _qubit(control) == _qubit(target):
-        raise ValueError("CNOT control and target must differ")
-    return GateOp(GateKind.CNOT, (control, target))
+    return _op(GateKind.CNOT, (control, target))
 
 
 def measure(qubit: int = 0) -> GateOp:
-    return GateOp(GateKind.MEASURE, (_qubit(qubit),))
+    return _op(GateKind.MEASURE, (qubit,))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -106,21 +111,17 @@ class Circuit:
         if layout is None:
             ops = tuple(ops)
             layout = [(op.kind, op.qubits) for op in ops]
-            params = [p for op in ops for p in op.params]
-            shapes = {p.shape for p in params if type(p) is not float}
-            if len(shapes) > 1:
-                raise ValueError(f"angle arrays of shapes {sorted(shapes)} "
-                                 "in one circuit")
-            shape = max(shapes, default=())     # a float fills its row
-            angles = [np.full(shape, p) if type(p) is float else p for p in params]
-        angles, layout = np.array(angles, dtype=float), tuple(layout)
+            angles = [p for op in ops for p in op.params]
+        angles = np.array(angles, order="C")     # a copy the circuit owns
+        if angles.dtype.kind not in "iuf":
+            raise ValueError(f"angles must be real, got dtype {angles.dtype}")
+        angles, layout = angles.astype(float, copy=False), tuple(layout)
         if width not in (1, 2):
             raise ValueError(f"width must be 1 or 2, got {width}")
+        for kind, qubits in set(layout):
+            _check_gate(kind, qubits, width)
         measured: list[int] = []
         for kind, qubits in layout:
-            if max(qubits) >= width:
-                raise ValueError(f"{kind.value} on qubit {max(qubits)} "
-                                 f"exceeds circuit width {width}")
             if kind is GateKind.MEASURE:
                 if qubits[0] in measured:
                     raise ValueError(f"qubit {qubits[0]} measured twice")

@@ -3,18 +3,19 @@ the vector ``builders.build_msw_circuit`` takes, to a target unitary.
 
 Objective: overlap fidelity F = |Tr(U_T^H U_R)|^2 / 16, which is 1 iff
 the realized circuit unitary matches the target up to a global phase.
-U_R is the builders' ``msw_ansatz`` run by the simulator, and the
-gradient comes from its six copies with one angle shifted by pi
+U_R is the builders' gate list ``MSW_ANSATZ`` run by the simulator, and
+the gradient comes from its six copies with one angle shifted by pi
 (parameter shift: dRY(a)/da = RY(a + pi)/2), all seven run as one
-template.  ``meets_tolerance`` takes the same trace over a stack of
-targets in one run, each row's 1 - F; with it a scan checks the
-closed-form angles (``builders.synthesis_angles``) of its whole grid.
-``optimize``, a library fit no scan calls, runs box-constrained L-BFGS-B
-with that gradient (``scipy.optimize``, imported on first use),
-restarted from random draws as it can fall into local minima.  The draws
-are uniform on ``INIT_RANGE``, from ``PCG64(SeedSequence(seed,
-spawn_key=(0x6F7074,)))``, a seed domain apart from measurement sampling
-(``simulator.sample`` seeds ``PCG64(seed)``), so they never share a stream.
+template of angle rows ``rows.T``.  ``meets_tolerance`` takes the same
+trace over a stack of targets in one run, each row's 1 - F; with it a
+scan checks the closed-form angles (``builders.synthesis_angles``) of
+its whole grid.  ``optimize``, a library fit no scan calls, runs
+box-constrained L-BFGS-B with that gradient (``scipy.optimize``,
+imported on first use), restarted from random draws as it can fall into
+local minima.  The draws are uniform on ``INIT_RANGE``, from
+``PCG64(SeedSequence(seed, spawn_key=(0x6F7074,)))``, a seed domain apart
+from measurement sampling (``simulator.sample`` seeds ``PCG64(seed)``),
+so they never share a stream.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # unused: loaded for bench/worker.py's version probe (ROADMAP 1)
 
-from .builders import msw_ansatz
+from .builders import MSW_ANSATZ
 from .circuits import Circuit
 from .simulator import circuit_unitary
 
@@ -81,10 +82,10 @@ def minimize(fun, x0, **kwargs):
     return optimize.minimize(fun, x0, **kwargs)
 
 
-def _traces(u_t: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Tr(U_T^H U) of the ansatz at each angle row, ``(..., 6)``, against
-    the targets ``(..., 4, 4)``, broadcast: one template run."""
-    u = circuit_unitary(Circuit(2, msw_ansatz(angles)))
+def _traces(u_t: np.ndarray, rows) -> np.ndarray:
+    """Tr(U_T^H U) of the ansatz at each column of its angle rows, ``(6,
+    n)``, against the targets ``(n, 4, 4)``, broadcast: one template run."""
+    u = circuit_unitary(Circuit(2, layout=MSW_ANSATZ, angles=rows))
     return np.einsum("...ij,...ij->...", np.conj(u_t), u)
 
 
@@ -94,7 +95,7 @@ def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
     any reals: one run of the ansatz at ``angles`` and at each angle
     shifted by pi, t_k = Tr(U_T^H U_k), d(1 - F)/da_k = -Re(t_0* t_k+1)/16.
     """
-    t = _traces(u_t, angles + _SHIFTS)
+    t = _traces(u_t, (angles + _SHIFTS).T)
     return (float(1.0 - abs(t[0]) ** 2 / _DIM ** 2),
             -(t[0].conjugate() * t[1:]).real / _DIM ** 2)
 
@@ -106,7 +107,7 @@ def meets_tolerance(targets, angles) -> np.ndarray:
     targets = _unitary_targets(targets, stack=True)
     if np.shape(angles) != (len(targets), 6):
         raise ValueError(f"angles of shape {np.shape(angles)}, not (n, 6)")
-    return 1.0 - np.abs(_traces(targets, angles)) ** 2 / _DIM ** 2
+    return 1.0 - np.abs(_traces(targets, np.transpose(angles))) ** 2 / _DIM ** 2
 
 
 def optimize(problem: FidelityProblem, seed: int) -> OptimResult:

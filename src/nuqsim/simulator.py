@@ -93,12 +93,13 @@ def init_state(width: int) -> np.ndarray:
 
 
 def apply(state: np.ndarray, op: GateOp) -> np.ndarray:
-    """Apply one gate op to a state or a stack of states; dimension
-    mismatches raise."""
-    m, width = gate_matrix(op), _state_width(state)
-    if m.shape[-1] > state.shape[-1]:
-        raise ValueError(f"{op.kind.value} does not fit a width-{width} register")
-    return _apply(state, np.moveaxis(m, -1, 0), op.qubits)
+    """Apply one gate op to a state or a stack of states; an op on a
+    qubit the state does not have raises."""
+    width = _state_width(state)
+    if max(op.qubits) >= width:
+        raise ValueError(f"{op.kind.value} on qubit {max(op.qubits)} does "
+                         f"not fit a width-{width} register")
+    return _apply(state, np.moveaxis(gate_matrix(op), -1, 0), op.qubits)
 
 
 def _apply(state: np.ndarray, cols: np.ndarray, qubits) -> np.ndarray:

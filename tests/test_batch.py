@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from nuqsim.builders import (build_dilation, build_slab_circuit,
                              dilation_from_angles)
-from nuqsim import builders, circuits, compiler, scan, simulator
-from nuqsim.circuits import (Circuit, GateKind, GateOp, cnot, measure, ry, rz,
-                             u, x)
+from nuqsim import builders, circuits, compiler, optim, scan, simulator
+from nuqsim.circuits import N_PARAMS, Circuit, GateKind, GateOp, measure, ry, rz
 from nuqsim.compiler import dump_circuit, lower_to_native, virtual_z_pass
 from nuqsim.oscillation import (NumericalDomainError, layer_propagator,
                                 msw_survival_from_angles, prob_msw_adiabatic,
@@ -37,6 +36,11 @@ ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
 
 def angle_arrays(n):
     return st.lists(ANGLES, min_size=n, max_size=n).map(np.array)
+
+
+def on(kind, *qubits):
+    """The layout entry of a gate of ``kind`` on ``qubits`` (default 0)."""
+    return (GateKind[kind], qubits or (0,))
 
 
 # --- the valid ScanConfig domain ------------------------------------------------
@@ -160,31 +164,28 @@ def test_csv_reproduces_every_column(config):
 def test_gate_matrix_stacks_are_unitary(arrays):
     a, b, c = arrays
     n = len(a)
-    for op in (ry(a), rz(a), u(a, b, c)):
+    template = Circuit(1, layout=(on("RY"), on("RZ"), on("U")),
+                       angles=[a, a, a, b, c])
+    for k, op in enumerate(template.ops):
         m = gate_matrix(op)
         assert m.shape == (n, 2, 2)
         eye = m @ np.swapaxes(m.conj(), -1, -2)
         assert np.max(np.abs(eye - np.eye(2))) <= 1e-12
         for i in range(n):     # each slice is the single gate's matrix
-            single = Circuit(1, (op,)).point(i).ops[0]
+            single = template.point(i).ops[k]
             assert np.array_equal(m[i], gate_matrix(single))
 
 
 @st.composite
 def template_circuits(draw):
     n = draw(st.integers(1, 8))
-    ops = []
+    layout, rows = [], []
     for kind in draw(st.lists(st.sampled_from("X RY RZ U".split()),
                               min_size=1, max_size=12)):
-        if kind == "X":
-            ops.append(x())
-        elif kind == "U":
-            ops.append(u(draw(angle_arrays(n)), draw(angle_arrays(n)),
-                         draw(angle_arrays(n))))
-        else:
-            ops.append((ry if kind == "RY" else rz)(draw(angle_arrays(n))))
-    assume(any(op.params for op in ops))
-    return Circuit(1, tuple(ops) + (measure(0),))
+        layout.append(on(kind))
+        rows += [draw(angle_arrays(n)) for _ in range(N_PARAMS[GateKind[kind]])]
+    assume(rows)
+    return Circuit(1, layout=layout + [on("MEASURE")], angles=rows)
 
 
 @PROPERTY
@@ -245,15 +246,15 @@ def test_template_point_is_the_single_circuit():
 
 
 def test_template_angles_are_read_only_and_finite():
-    op = Circuit(1, (ry(np.array([0.1, 0.2])),)).ops[0]
+    op = Circuit(1, layout=[on("RY")], angles=[[0.1, 0.2]]).ops[0]
     with pytest.raises(ValueError):
         op.params[0][0] = 1.0
     with pytest.raises(ValueError, match="non-finite"):
-        Circuit(1, (rz(np.array([0.1, math.nan])),))
+        Circuit(1, layout=[on("RZ")], angles=[[0.1, math.nan]])
     with pytest.raises(ValueError, match="non-finite"):
         Circuit(1, (ry(0.3), rz(math.inf)))
-    with pytest.raises(ValueError, match="1-D"):
-        ry(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"1 angle rows, got shape \(1, 2, 2\)"):
+        Circuit(1, layout=[on("RY")], angles=np.zeros((1, 2, 2)))
 
 
 def test_a_built_circuit_owns_its_angles():
@@ -265,11 +266,10 @@ def test_a_built_circuit_owns_its_angles():
     free = np.array([0.1, 0.2])
     owner = np.array([[0.3, 0.6], [0.9, 1.2]])
     owner.flags.writeable = False
-    circuit = Circuit(1, (ry(free), rz(owner[0]), u(owner[1], free, 0.5),
-                          measure(0)))
+    circuit = Circuit(1, layout=(on("RY"), on("RZ"), on("U"), on("MEASURE")),
+                      angles=[free, owner[0], owner[1], free, [0.5, 0.5]])
     angles, (states, _) = circuit.angles.copy(), run(circuit)
     assert angles.shape == (5, 2) and not circuit.angles.flags.writeable
-    assert np.array_equal(angles[4], [0.5, 0.5])   # a float fills its row
 
     def write_free():
         free[0] = 7.0
@@ -292,17 +292,24 @@ def test_a_built_circuit_owns_its_angles():
 
     owned = np.array([[0.1, 0.2], [0.3, math.nan]])
     with pytest.raises(ValueError, match="non-finite"):
-        Circuit(1, (ry(owned[0]), rz(owned[1])))
-    assert Circuit(1, (ry(owned[0]), x())).batch_shape == (2,)
+        Circuit(1, layout=(on("RY"), on("RZ")), angles=owned)
+    assert Circuit(1, layout=(on("RY"), on("X")),
+                   angles=owned[:1]).batch_shape == (2,)
 
 
 def test_template_rejects_mixed_batch_shapes():
-    with pytest.raises(ValueError, match="shapes"):
-        Circuit(1, (ry(np.zeros(2)), rz(np.zeros(3))))
+    """Angle rows of different lengths, or a single op's float among a
+    template's rows, are no angle matrix."""
+    with pytest.raises(ValueError):
+        Circuit(1, layout=(on("RY"), on("RZ")),
+                angles=[np.zeros(2), np.zeros(3)])
+    template = Circuit(1, layout=[on("RY")], angles=[[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        Circuit(1, template.ops + (rz(0.3),))
 
 
 def test_single_circuit_passes_reject_templates():
-    template = Circuit(1, (ry(np.array([0.1, 0.2])), measure(0)))
+    template = Circuit(1, layout=(on("RY"), on("MEASURE")), angles=[[0.1, 0.2]])
     for single_only in (dump_circuit, lower_to_native):
         with pytest.raises(ValueError, match="point"):
             single_only(template)
@@ -316,8 +323,10 @@ def test_point_rejects_a_single_circuit():
 
 def test_two_qubit_template_matches_single_circuits():
     a, b = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
-    template = Circuit(2, (ry(a, 0), ry(b, 1), cnot(0, 1), ry(-b, 0),
-                           cnot(1, 0), ry(a, 1), measure(1)))
+    template = Circuit(2, layout=(on("RY", 0), on("RY", 1), on("CNOT", 0, 1),
+                                  on("RY", 0), on("CNOT", 1, 0), on("RY", 1),
+                                  on("MEASURE", 1)),
+                       angles=[a, b, -b, a])
     states, _ = run(template)
     unitaries = circuit_unitary(template)
     for i in range(3):
@@ -335,26 +344,26 @@ TEMPLATE_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, math.pi]),
 @st.composite
 def any_template(draw):
     """A 1- or 2-qubit template with any gates: single-qubit gates on
-    either qubit, both CNOT orientations, a float angle among arrays."""
+    either qubit, both CNOT orientations, a row filled with one angle
+    among rows of drawn angles."""
     width, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 5))
 
     def angle():
         if draw(st.booleans()):
-            return draw(TEMPLATE_ANGLES)
+            return np.full(n, draw(TEMPLATE_ANGLES))
         return np.array(draw(st.lists(TEMPLATE_ANGLES, min_size=n,
                                       max_size=n)))
 
-    ops = []
+    layout, rows = [], []
     kinds = "X RY RZ U" + (" CNOT" if width == 2 else "")
     for kind in draw(st.lists(st.sampled_from(kinds.split()), max_size=16)):
         q = draw(st.integers(0, width - 1))
-        ops.append(x(q) if kind == "X" else ry(angle(), q) if kind == "RY"
-                   else rz(angle(), q) if kind == "RZ"
-                   else u(angle(), angle(), angle(), q) if kind == "U"
-                   else cnot(q, 1 - q))
-    ops.append(ry(np.zeros(n)))       # at least one angle array
-    ops += [measure(q) for q in range(width)]
-    return Circuit(width, ops)
+        layout.append(on(kind, q, 1 - q) if kind == "CNOT" else on(kind, q))
+        rows += [angle() for _ in range(N_PARAMS[GateKind[kind]])]
+    layout.append(on("RY"))           # at least one angle row
+    rows.append(np.zeros(n))
+    layout += [on("MEASURE", q) for q in range(width)]
+    return Circuit(width, layout=layout, angles=rows)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -370,22 +379,29 @@ def test_template_runs_bit_for_bit_as_its_points(template):
     assert Circuit(template.width, template.ops) == template
 
 
-def test_compiled_slab_scan_builds_no_gate_op(monkeypatch):
-    """A compiled slab scan builds, compiles and runs its template from
-    the gate list and the angle matrix: no GateOp, no gate factory call.
-    Its op and gate counts are the ones the benchmark's tracer reports
-    (circuits.ops_built, simulator.gates_applied)."""
+def record_gate_builds(monkeypatch) -> list:
+    """Patch ``GateOp`` and every gate factory a nuqsim module binds so
+    that each call is appended, by name, to the returned list."""
     built = []
     new = GateOp.__new__
     monkeypatch.setattr(GateOp, "__new__", lambda cls, *args, **kwargs: (
         built.append("GateOp") or new(cls, *args, **kwargs)))
-    for module in (circuits, builders, compiler, simulator, scan):
+    for module in (circuits, builders, compiler, optim, simulator, scan):
         for name in ("x", "ry", "rz", "u", "cnot", "measure", "sx"):
             factory = getattr(module, name, None)
             if callable(factory):
                 monkeypatch.setattr(module, name,
                                     lambda *a, _n=name, _f=factory, **k:
                                     built.append(_n) or _f(*a, **k))
+    return built
+
+
+def test_compiled_slab_scan_builds_no_gate_op(monkeypatch):
+    """A compiled slab scan builds, compiles and runs its template from
+    the gate list and the angle matrix: no GateOp, no gate factory call.
+    Its op and gate counts are the ones the benchmark's tracer reports
+    (circuits.ops_built, simulator.gates_applied)."""
+    built = record_gate_builds(monkeypatch)
     cfg = ScanConfig(scenario="slab", compile=True, periods=50)
     result = run_scan(cfg)
     assert built == [] and result.report.output_gate_count == 201
@@ -395,6 +411,25 @@ def test_compiled_slab_scan_builds_no_gate_op(monkeypatch):
     assert built == [] and compiled == result.circuit
     assert (len(raw.ops), len(raw.gates), len(compiled.gates)) == (302, 301, 201)
     assert set(built) == {"GateOp"}      # the views, built on request
+
+
+def test_optimized_msw_scan_builds_no_gate_op(monkeypatch):
+    """An optimized MSW scan builds its template and checks its angles
+    with ``meets_tolerance`` from the ansatz's gate list and an angle
+    matrix: no GateOp, no gate factory call, and the tracer's counts
+    (circuits.ops_built, simulator.gates_applied) of 9 and 8."""
+    built = record_gate_builds(monkeypatch)
+    cfg = ScanConfig(scenario="msw", synthesis="optimized")
+    result = run_scan(cfg)
+    assert built == []
+    p, layer = msw_setup(cfg)
+    targets = build_dilation(p, layer, np.array(cfg.energies))
+    angles = builders.synthesis_angles(targets)
+    assert np.all(optim.meets_tolerance(targets, angles)
+                  <= optim.TOL_INFIDELITY)
+    circuit = builders.build_msw_circuit(angles)
+    assert built == [] and circuit == result.circuit
+    assert (len(circuit.ops), len(circuit.gates)) == (9, 8)
 
 
 def test_probabilities_names_the_unnormalized_row():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuqsim.circuits import Circuit, GateKind, cnot, measure, ry, rz, u, x
+from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, cnot, measure, ry,
+                             rz, u, x)
 from nuqsim.compiler import (dump_circuit, is_sx, lower_to_native,
                              pulse_count, sx, virtual_z_pass)
 from nuqsim.simulator import (circuit_unitary, gate_matrix, probabilities,
@@ -16,6 +17,7 @@ RNG = np.random.Generator(np.random.PCG64(99))
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
+_RY, _RZ, _U = (GateKind.RY, (0,)), (GateKind.RZ, (0,)), (GateKind.U, (0,))
 
 
 def random_1q_circuit(n_ops, kinds=("X", "RY", "RZ", "U"), with_measure=False):
@@ -127,8 +129,8 @@ def test_offsets_that_cancel_leave_the_rys_alone():
 
 
 def test_template_offsets_that_cancel_on_every_point_leave_the_rys_alone():
-    circ = Circuit(1, (ry(np.array([0.3, 0.4])), rz(np.array([0.5, -0.25])),
-                       rz(np.array([-0.5, 0.25])), ry(np.array([0.7, 0.8]))))
+    circ = Circuit(1, layout=(_RY, _RZ, _RZ, _RY),
+                   angles=[[0.3, 0.4], [0.5, -0.25], [-0.5, 0.25], [0.7, 0.8]])
     out, report = virtual_z_pass(circ)
     assert [op.kind for op in out.ops] == [GateKind.RY, GateKind.RY]
     assert out.ops[1].params[0].tolist() == [0.7, 0.8]
@@ -139,8 +141,8 @@ def test_template_offsets_that_cancel_on_every_point_leave_the_rys_alone():
 def test_template_offset_zero_on_one_point_still_folds():
     """An offset that is zero on some points only turns the RY into a U
     on every point; the zero point keeps its signed zeros."""
-    circ = Circuit(1, (ry(np.array([0.3, 0.4])), rz(np.array([0.5, 0.0])),
-                       ry(np.array([0.7, 0.8])), measure(0)))
+    circ = Circuit(1, layout=(_RY, _RZ, _RY, (GateKind.MEASURE, (0,))),
+                   angles=[[0.3, 0.4], [0.5, 0.0], [0.7, 0.8]])
     out, report = virtual_z_pass(circ)
     assert [op.kind for op in out.ops] == [GateKind.RY, GateKind.U,
                                            GateKind.MEASURE]
@@ -253,8 +255,9 @@ def test_dump_circuit_text():
 
 def _walk_virtual_z(circuit):
     """Reference: the virtual-Z pass as one running sum over the ops, with
-    its compile report as a tuple, written apart from the pass."""
-    out, offset, folded, elided = [], 0.0, 0, False
+    its compile report as a tuple, written apart from the pass.  It
+    collects the output's gate list and angle rows itself."""
+    layout, rows, offset, folded, elided = [], [], 0.0, 0, False
 
     def is_zero(value):
         return not (value.any() if type(value) is np.ndarray else value)
@@ -264,24 +267,29 @@ def _walk_virtual_z(circuit):
             offset = offset + op.params[0]
             folded += 1
         elif op.kind is GateKind.X:
-            out.append(op)
+            layout.append((op.kind, op.qubits))
             offset = -offset
+        elif op.kind is GateKind.RY and is_zero(offset):
+            layout.append((op.kind, op.qubits))
+            rows.append(op.params[0])
         elif op.kind is GateKind.RY:
-            out.append(op if is_zero(offset)
-                       else u(op.params[0], -offset, offset, op.qubits[0]))
+            layout.append((GateKind.U, op.qubits))
+            rows += [op.params[0], -offset, offset]
         elif op.kind is GateKind.U:
             theta, phi, lam = op.params
             eff = offset + lam
-            out.append(u(theta, -eff, eff, op.qubits[0]))
+            layout.append((op.kind, op.qubits))
+            rows += [theta, -eff, eff]
             offset = offset + (lam + phi)
         else:
             elided = not is_zero(offset)
-            out.extend(circuit.ops[i:])
+            layout += [(m.kind, m.qubits) for m in circuit.ops[i:]]
             break
     else:
         if not is_zero(offset):
-            out.append(rz(offset))
-    compiled = Circuit(1, tuple(out))
+            layout.append((GateKind.RZ, (0,)))
+            rows.append(offset)
+    compiled = Circuit(1, layout=layout, angles=rows)
     residual = offset if elided or not is_zero(offset) else 0.0
     return compiled, (len(circuit.gates), len(compiled.gates),
                       pulse_count(compiled), folded, residual)
@@ -294,26 +302,27 @@ SIGNED_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -1.5]),
 @st.composite
 def virtual_z_circuits(draw):
     """X/RY/RZ/U sequences, with or without a measure tail, as a single
-    circuit or as a template whose angles are floats, arrays with signed
-    zeros among other values, or all-zero rows."""
+    circuit or as a template whose angle rows are filled with one angle,
+    hold signed zeros among other values, or are all zero."""
     n = draw(st.sampled_from([None, 1, 3]))
 
     def angle():
-        if n is None or draw(st.booleans()):
+        if n is None:
             return draw(SIGNED_ANGLES)
+        if draw(st.booleans()):
+            return np.full(n, draw(SIGNED_ANGLES))
         zero = draw(st.sampled_from([None, 0.0, -0.0]))
         return np.array([zero] * n if zero is not None else
                         draw(st.lists(SIGNED_ANGLES, min_size=n, max_size=n)))
 
-    ops = []
+    layout, rows = [], []
     for kind in draw(st.lists(st.sampled_from("X RY RZ U".split()),
                               max_size=12)):
-        ops.append(x() if kind == "X" else ry(angle()) if kind == "RY"
-                   else rz(angle()) if kind == "RZ"
-                   else u(angle(), angle(), angle()))
+        layout.append((GateKind[kind], (0,)))
+        rows += [angle() for _ in range(N_PARAMS[GateKind[kind]])]
     if draw(st.booleans()):
-        ops.append(measure(0))
-    return Circuit(1, tuple(ops))
+        layout.append((GateKind.MEASURE, (0,)))
+    return Circuit(1, layout=layout, angles=rows)
 
 
 def _bits(angle):

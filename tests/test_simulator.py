@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from nuqsim import scan
 from nuqsim.builders import build_slab_circuit
-from nuqsim.circuits import Circuit, cnot, measure, ry, rz, u, x
+from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, GateOp, cnot,
+                             measure, ry, rz, u, x)
 from nuqsim.oscillation import layer_propagator
 from nuqsim.compiler import virtual_z_pass
 from nuqsim.simulator import (BLOCK_POINTS, _pcg64_states, apply, apply_matrix,
@@ -96,8 +97,19 @@ def test_apply_embeds_by_target_qubit():
 
 
 def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
+    """An op on a qubit the state does not have is refused, naming the
+    op, not run on another qubit."""
+    with pytest.raises(ValueError, match="CNOT on qubit 1 does not fit a "
+                                         "width-1 register"):
         apply(init_state(1), cnot(0, 1))
+    with pytest.raises(ValueError, match="RY on qubit 1 does not fit a "
+                                         "width-1 register"):
+        apply(init_state(1), ry(math.pi, 1))
+    # no factory builds an op beyond the widest register
+    beyond = GateOp(GateKind.RY, (5,), (math.pi,))
+    with pytest.raises(ValueError, match="RY on qubit 5 does not fit a "
+                                         "width-2 register"):
+        apply(init_state(2), beyond)
     with pytest.raises(ValueError):
         apply_matrix(init_state(2), np.eye(2))
 
@@ -205,19 +217,19 @@ def _per_gate(circuit):
 
 def _runs_template(rng, n, width, runs):
     """Runs of 1-9 same-kind gates on one qubit (CNOTs on two), each angle
-    an ``(n,)`` array or, now and then, a float."""
+    row ``(n,)`` drawn or, now and then, filled with one angle."""
     def angle():
-        return float(rng.uniform(-7, 7)) if rng.random() < 0.2 \
+        return np.full(n, rng.uniform(-7, 7)) if rng.random() < 0.2 \
             else rng.uniform(-7, 7, n)
-    ops = []
+    kinds = (GateKind.X, GateKind.RY, GateKind.RZ, GateKind.U, GateKind.CNOT)
+    layout, rows = [], []
     for _ in range(runs):
-        kind, q = int(rng.integers(4 + (width == 2))), int(rng.integers(width))
+        kind = kinds[int(rng.integers(4 + (width == 2)))]
+        q = int(rng.integers(width))
         for _ in range(int(rng.integers(1, 10))):
-            ops.append(x(q) if kind == 0 else ry(angle(), q) if kind == 1
-                       else rz(angle(), q) if kind == 2
-                       else u(angle(), angle(), angle(), q) if kind == 3
-                       else cnot(q, 1 - q))
-    return Circuit(width, tuple(ops))
+            layout.append((kind, (q, 1 - q) if kind is GateKind.CNOT else (q,)))
+            rows += [angle() for _ in range(N_PARAMS[kind])]
+    return Circuit(width, layout=layout, angles=rows)
 
 
 def _compiled_slab(n, periods):
@@ -261,18 +273,20 @@ def test_run_memory_is_flat_in_the_gate_count():
 def test_a_zero_point_template_runs_to_empty_stacks():
     """A template over an empty grid, compiled or not, gives empty
     states, unitaries, probabilities and samples."""
-    empty = np.zeros(0)
-    raw = Circuit(1, (ry(empty), rz(empty), ry(empty), measure(0)))
+    ry0, rz0 = (GateKind.RY, (0,)), (GateKind.RZ, (0,))
+    empty = np.zeros((3, 0))
+    raw = Circuit(1, layout=(ry0, rz0, ry0, (GateKind.MEASURE, (0,))),
+                  angles=empty)
     compiled, report = virtual_z_pass(raw)
     assert compiled.batch_shape == (0,) and report.folded_rz_count == 1
-    for circuit in (Circuit(1, (ry(empty),)), raw, compiled):
+    for circuit in (Circuit(1, layout=[ry0], angles=empty[:1]), raw, compiled):
         state, _ = run(circuit)
         assert state.shape == (0, 2)
         assert circuit_unitary(circuit).shape == (0, 2, 2)
         p0, p1 = probabilities(state, 0)
         assert p0.shape == p1.shape == (0,)
         assert sample(p1, 16, 3).shape == (0,)
-    wide = Circuit(2, (ry(empty, 0), cnot(0, 1)))
+    wide = Circuit(2, layout=(ry0, (GateKind.CNOT, (0, 1))), angles=empty[:1])
     assert run(wide)[0].shape == (0, 4)
     assert circuit_unitary(wide).shape == (0, 4, 4)
 

@@ -49,6 +49,32 @@ def test_gate_ops_are_built_only_in_circuits():
             if n and name != "circuits.py"} == {}
 
 
+GATE_FACTORIES = {"x", "ry", "rz", "u", "cnot", "measure", "sx"}
+
+
+def gate_factory_uses(source: str) -> set[str]:
+    """Gate factories a module imports from ``circuits`` or ``compiler``,
+    or calls as a module attribute (``circuits.ry(...)``)."""
+    tree = ast.parse(source)
+    used = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and n.level == 1 and n.module in ("circuits", "compiler")
+            for a in n.names}
+    used |= {n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute)}
+    return used & GATE_FACTORIES
+
+
+def test_templates_are_built_only_in_layout_form():
+    """The scan's modules call no gate factory: their circuits are a gate
+    list and an angle matrix, ``Circuit(width, layout=..., angles=...)``.
+    Only the compiler's single-circuit lowering builds ops."""
+    uses = {path.name: gate_factory_uses(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+    for name in ("builders.py", "optim.py", "scan.py", "simulator.py"):
+        assert uses[name] == set(), name
+    assert uses["compiler.py"] == {"rz", "u"}
+
+
 def callers(source: str, names: set[str]) -> dict[str, set[str]]:
     """For each of ``names``, the top-level functions that call it."""
     found: dict[str, set[str]] = {}
