@@ -118,10 +118,14 @@ def build_dilation(p: OscParams, production_layer: MatterLayer,
 
 
 def build_msw_circuit(angles) -> Circuit:
-    """The ``MSW_ANSATZ`` circuit, measure q_B, from the angles (a1, b1,
-    a2, b2, a3, b3) in [-pi, pi]: a ``(6,)`` vector, or an ``(n, 6)``
-    array for a template."""
-    angles = np.asarray(angles, dtype=float)
+    """The ``MSW_ANSATZ`` circuit, measure q_B, from the real angles (a1,
+    b1, a2, b2, a3, b3) in [-pi, pi]: a ``(6,)`` vector, or an ``(n, 6)``
+    array for a template; a non-real dtype is refused before any cast."""
+    angles = np.asarray(angles)
+    if angles.dtype.kind not in "iuf":
+        raise ValueError(f"synthesis angles must be real, got dtype "
+                         f"{angles.dtype}")
+    angles = angles.astype(float, copy=False)
     if angles.shape[-1:] != (6,) or angles.ndim > 2:
         raise ValueError(f"angles of shape {angles.shape}, not (6,) or (n, 6)")
     if not np.all(np.abs(angles) <= math.pi):

@@ -63,6 +63,15 @@ def _check_gate(kind, qubits, width: int) -> None:
                          f"exceeds circuit width {width}")
 
 
+def _check_entry(entry, width: int) -> None:
+    """``_check_gate`` of a layout entry; an entry that is no pair is
+    refused, named whole."""
+    if type(entry) is not tuple or len(entry) != 2:
+        raise ValueError(f"layout entry {entry!r} is not a (kind, qubits) "
+                         "pair")
+    _check_gate(*entry, width)
+
+
 def _op(kind: GateKind, qubits: tuple[int, ...], *angles) -> GateOp:
     """The op of a one-gate circuit on the widest register, checked as
     every circuit is; one real number per angle."""
@@ -118,17 +127,23 @@ class Circuit:
         angles, layout = angles.astype(float, copy=False), tuple(layout)
         if width not in (1, 2):
             raise ValueError(f"width must be 1 or 2, got {width}")
-        for kind, qubits in set(layout):
-            _check_gate(kind, qubits, width)
+        try:
+            distinct = set(layout)
+        except TypeError:       # an unhashable entry, which the check names
+            distinct = layout
+        for entry in distinct:
+            _check_entry(entry, width)
         measured: list[int] = []
+        # read once: each GateKind.<name> lookup runs EnumType's __getattr__
+        count, measure_kind = 0, GateKind.MEASURE
         for kind, qubits in layout:
-            if kind is GateKind.MEASURE:
+            count += N_PARAMS[kind]
+            if kind is measure_kind:
                 if qubits[0] in measured:
                     raise ValueError(f"qubit {qubits[0]} measured twice")
                 measured.append(qubits[0])
             elif measured:
                 raise ValueError("gate after MEASURE; measures must be at the tail")
-        count = sum(N_PARAMS[kind] for kind, _ in layout)
         if angles.shape[:1] != (count,) or angles.ndim > 2:
             raise ValueError(f"{count} angle rows, got shape {angles.shape}")
         if not np.isfinite(angles).all():

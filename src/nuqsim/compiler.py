@@ -75,30 +75,39 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     X flips the sign of L.  A final RZ(L) is appended unless the next
     op is a measurement (elided) or L is zero.  On a template, L is an
     array over the grid, which counts as zero only if every entry is;
-    ``residual_rz`` is then that array.  The walk builds no op.
+    ``residual_rz`` is then that array.  The walk builds no op; it
+    writes each pulse's phi row as L and negates them all at once.
     """
     if circuit.width != 1:
         raise ValueError("virtual-Z pass supports single-qubit circuits only")
 
-    rows, layout, out = iter(circuit.rows()), [], []
+    # each GateKind.<name> lookup runs EnumType's Python __getattr__ hook
+    # (CPython 3.11), so the walk reads the kinds from locals
+    RZ, X, RY, U = GateKind.RZ, GateKind.X, GateKind.RY, GateKind.U
+    rows, layout, out, phis = iter(circuit.rows()), [], [], []
     offset, nonzero, folded = 0.0, False, 0
     for i, gate in enumerate(circuit.layout):
         kind = gate[0]
-        if kind is GateKind.RZ:
+        if kind is RZ:
             offset = offset + next(rows)
             nonzero = bool(np.count_nonzero(offset))
             folded += 1
-        elif kind is GateKind.X:
+        elif kind is X:
             layout.append(gate)
             offset = -offset
-        elif kind is GateKind.RY:
-            layout.append(_U if nonzero else gate)
-            out += (next(rows), -offset, offset) if nonzero else (next(rows),)
-        elif kind is GateKind.U:
+        elif kind is RY and not nonzero:
+            layout.append(gate)
+            out.append(next(rows))
+        elif kind is RY:
+            layout.append(_U)
+            phis.append(len(out) + 1)           # negated below
+            out += (next(rows), offset, offset)
+        elif kind is U:
             theta, phi, lam = next(rows), next(rows), next(rows)
             eff = offset + lam
             layout.append(gate)
-            out += (theta, -eff, eff)
+            phis.append(len(out) + 1)
+            out += (theta, eff, eff)
             offset = offset + (lam + phi)
             nonzero = bool(np.count_nonzero(offset))
         else:                                   # the measure tail
@@ -109,6 +118,9 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
             layout.append(_RZ)
             out.append(offset)
 
+    # each pulse's phi is -(its lam): one negation of the stacked phi rows
+    for i, row in zip(phis, -np.array([out[i] for i in phis])):
+        out[i] = row
     compiled = Circuit(circuit.width, layout=layout, angles=out)
     report = CompileReport(
         input_gate_count=len(circuit.gate_layout),

@@ -227,7 +227,8 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
 
     Returns ``(angles, phases)``, each of shape ``(layers,) +
     shape(energy_gev)``: one row per expanded layer, one column per
-    energy.  Each distinct layer is computed once for the whole grid.
+    energy.  Each distinct layer is computed once for the whole grid, and
+    the rows of one period repeat for every period.
     With ``theta23`` given, the per-layer angle is the atmospheric
     effective angle built from the matter-modified theta; otherwise the
     plain matter angle theta_m is used.  The phase always comes from
@@ -243,7 +244,8 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
                 ep.theta_m if theta23 is None else
                 atmospheric_effective_angle(theta23, ep.theta_m),
                 phase(ep.dm2_m, layer.length_km, energy_gev))
-    rows = [unique[layer] for layer in profile.expanded()]
+    rows = [unique[layer] for layer in profile.layers] * (
+        profile.period_count or 1)
     angles = np.array([angle for angle, _ in rows])
     phases = np.array([phi for _, phi in rows])
     _check_phase_precision(phases, energy_gev)
@@ -279,7 +281,8 @@ def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
     energy or over an energy array.
 
     Starts from nu_mu = (0, 1), multiplies the exact per-layer 2x2
-    propagators (one per distinct layer) in profile order and returns
+    propagators (one per distinct layer, its four entries taken out
+    once) in profile order and returns
     the squared nu_e amplitude, re^2 + im^2: correctly rounded
     operations, so the value does not depend on the CPU.
     """
@@ -287,11 +290,12 @@ def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
     props = {}
     for k, layer in enumerate(profile.layers):
         if layer not in props:
-            props[layer] = layer_propagator(angles[k], phases[k])
+            u = layer_propagator(angles[k], phases[k])
+            props[layer] = [u[..., i, j] for i in (0, 1) for j in (0, 1)]
     nu_e, nu_mu = 0.0, 1.0
-    for u in (props[layer] for layer in profile.expanded()):
-        nu_e, nu_mu = (u[..., 0, 0] * nu_e + u[..., 0, 1] * nu_mu,
-                       u[..., 1, 0] * nu_e + u[..., 1, 1] * nu_mu)
+    for u00, u01, u10, u11 in [props[layer] for layer in profile.layers] * (
+            profile.period_count or 1):
+        nu_e, nu_mu = u00 * nu_e + u01 * nu_mu, u10 * nu_e + u11 * nu_mu
     return nu_e.real ** 2 + nu_e.imag ** 2
 
 

@@ -5,15 +5,22 @@ most significant bit.  Every function works on a stack of them: a
 template circuit (angles of shape ``(n,)``) evolves an ``(n, dim)``
 array of states in one pass over its gates, a single circuit (float
 angles) evolves one ``(dim,)`` state, and both run the same code.
-``gate_matrix`` is the only place gate matrices are built; it returns
-``(n, 2, 2)`` stacks for array angles and plain 2x2 / 4x4 matrices for
-float angles or none, which broadcast over the batch; ``apply_matrix``
-takes ``(n, 4, 4)`` dilation stacks.  A single-qubit gate on a 2-qubit
-register acts on the state reshaped to ``(..., 2, 2)`` (axes q0, q1),
-so no 4x4 embedding is ever formed.  ``run`` reads the same-kind runs of
-``Circuit.layout``, forms their matrices from row slices of ``Circuit.angles``
-in blocks of at most ``BLOCK_POINTS`` gate-points (64 kB, however deep), and
-applies them one gate at a time, as ``apply`` does; it builds no op.
+``_entries`` is the only place gate entries are formed; ``gate_matrix``
+assembles them into ``(n, 2, 2)`` stacks for array angles and plain 2x2
+/ 4x4 matrices otherwise; ``apply_matrix`` takes ``(n, 4, 4)`` dilation
+stacks.  ``run`` and ``apply`` hold a state stack as its ``dim``
+amplitude columns, arrays of the batch shape, and share one kernel,
+``_gate``: a one-qubit gate sends the amplitudes (a, b) of each index
+pair (k, k | bit) to (m00 a + m01 b, m10 a + m11 b), a column sum's
+multiply-then-add order, and a CNOT swaps the pairs whose control bit
+is set.  It calls ``np.multiply`` and ``np.add``, never scalar
+arithmetic, which skips the FMA of numpy's array loop: a single
+circuit's 0-d entries round as its template's points do.  ``run``
+forms the entries of each same-kind run of ``Circuit.layout`` from row
+slices of ``Circuit.angles``, in blocks of at most ``BLOCK_POINTS``
+gate-points (64 kB, however deep), and builds no op.  A pulse-form U
+(phi + lam = 0) takes one exponential: e^{i phi} = e^{-i lam} is the
+conjugate of e^{i lam} bit for bit (at lam = 0 but for a zero's sign).
 
 Everything here is a pure function; execution is deterministic, and
 shot sampling draws binomial counts from numpy's PCG64, so identical
@@ -54,33 +61,68 @@ def gate_matrix(op: GateOp) -> np.ndarray:
                           [e^{i phi} sin(t/2),  e^{i(phi+lam)} cos(t/2)]]
     RY(a) = exp(-i a Y/2), RZ(a) = exp(-i a Z/2).
     """
-    return _matrix(op.kind, op.qubits, op.params)
+    entries = _entries(op.kind, op.params)
+    if entries is not None:
+        return _matrix2(*entries)
+    m = np.eye(4, dtype=complex)
+    for k, j in _pairs(op.kind, op.qubits, 2):
+        m[[k, j]] = m[[j, k]]
+    return m
 
 
-def _matrix(kind: GateKind, qubits: tuple[int, ...], params) -> np.ndarray:
-    """The matrix of a gate of this kind and qubits at angles of any shape."""
+def _entries(kind: GateKind, params):
+    """The complex entries (m00, m01, m10, m11) of a one-qubit gate of this
+    kind at angles of any shape, each of the angles' shape (constants for
+    X); None for CNOT, which moves amplitudes instead."""
+    if kind is GateKind.CNOT:
+        return None
     if kind is GateKind.X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
+        return 0j, 1 + 0j, 1 + 0j, 0j
     if kind is GateKind.RY:
         c, s = np.cos(params[0] / 2), np.sin(params[0] / 2)
-        return _matrix2(c, -s, s, c).astype(complex)
+        c, s, minus_s = (np.asarray(e, complex) for e in (c, s, -s))
+        return c, minus_s, s, c
     if kind is GateKind.RZ:
         half = params[0] / 2
-        return _matrix2(np.exp(-1j * half), 0, 0, np.exp(1j * half))
+        m00 = np.exp(-1j * half)
+        zero = np.zeros_like(m00)
+        return m00, zero, zero, np.exp(1j * half)
     if kind is GateKind.U:
         theta, phi, lam = params
         c, s = np.cos(theta / 2), np.sin(theta / 2)
-        tilt = phi + lam        # 0 in pulse form, where e^{i tilt} c == c bitwise
-        return _matrix2(c, -np.exp(1j * lam) * s, np.exp(1j * phi) * s,
-                        np.exp(1j * tilt) * c if np.count_nonzero(tilt) else c)
-    if kind is GateKind.CNOT:
-        m = np.eye(4, dtype=complex)
-        if qubits == (0, 1):           # control is the MSB
-            m[[2, 3]] = m[[3, 2]]
-        else:                          # control is the LSB
-            m[[1, 3]] = m[[3, 1]]
-        return m
-    raise ValueError("MEASURE has no unitary matrix")
+        tilt = phi + lam
+        if not np.count_nonzero(tilt):
+            # pulse form: e^{i phi} is the conjugate of e^{i lam} (libm's
+            # sin is odd, its cos even), and e^{i tilt} c is c
+            es = np.exp(1j * lam) * s
+            c = np.asarray(c, complex)
+            return c, -es, es.conj(), c
+        return (np.asarray(c, complex), -np.exp(1j * lam) * s,
+                np.exp(1j * phi) * s, np.exp(1j * tilt) * c)
+    raise ValueError(f"{kind.value} has no unitary matrix")
+
+
+def _pairs(kind: GateKind, qubits: tuple[int, ...], width: int) -> list:
+    """The index pairs (k, k | bit) a gate mixes, bit its target's; for
+    CNOT only those with the control bit set."""
+    bit = 1 << (width - 1 - qubits[-1])
+    control = 1 << (width - 1 - qubits[0]) if kind is GateKind.CNOT else 0
+    return [(k, k | bit) for k in range(2 ** width)
+            if not k & bit and k & control == control]
+
+
+def _gate(columns: list, pairs: list, entries) -> None:
+    """Apply one gate to the amplitude columns of a state stack, in place
+    in the list: swap each pair for CNOT (``entries`` None), else send
+    (a, b) to (m00 a + m01 b, m10 a + m11 b)."""
+    for k, j in pairs:
+        a, b = columns[k], columns[j]
+        if entries is None:
+            columns[k], columns[j] = b, a
+        else:
+            m00, m01, m10, m11 = entries
+            columns[k] = np.add(np.multiply(m00, a), np.multiply(m01, b))
+            columns[j] = np.add(np.multiply(m10, a), np.multiply(m11, b))
 
 
 def init_state(width: int) -> np.ndarray:
@@ -99,21 +141,16 @@ def apply(state: np.ndarray, op: GateOp) -> np.ndarray:
     if max(op.qubits) >= width:
         raise ValueError(f"{op.kind.value} on qubit {max(op.qubits)} does "
                          f"not fit a width-{width} register")
-    return _apply(state, np.moveaxis(gate_matrix(op), -1, 0), op.qubits)
+    columns = _columns(state)
+    _gate(columns, _pairs(op.kind, op.qubits, width),
+          _entries(op.kind, op.params))
+    return np.stack(columns, axis=-1)
 
 
-def _apply(state: np.ndarray, cols: np.ndarray, qubits) -> np.ndarray:
-    """Apply a gate on ``qubits`` from its matrix columns, ``m[..., :, k]``."""
-    if len(cols) == state.shape[-1]:
-        return _matvec(cols, state)
-    # rows of the (..., q0, q1) reshape are q1 vectors, columns q0 vectors
-    pairs = state.reshape(state.shape[:-1] + (2, 2))
-    if qubits[0] == 1:
-        out = _matvec(cols[..., None, :], pairs)
-    else:
-        out = np.swapaxes(_matvec(cols[..., None, :],
-                                  np.swapaxes(pairs, -1, -2)), -1, -2)
-    return out.reshape(out.shape[:-2] + (4,))
+def _columns(state) -> list:
+    """A state stack ``(..., dim)`` as its ``dim`` complex amplitude columns."""
+    state = np.asarray(state, dtype=complex)
+    return [state[..., k] for k in range(state.shape[-1])]
 
 
 def apply_matrix(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -129,7 +166,7 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def _matvec(cols: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Matrix stack times state stack, from its columns, summed in column
-    order: a few whole-array operations per gate, not one per point."""
+    order: a few whole-array operations per matrix, not one per point."""
     out = cols[0] * state[..., None, 0]
     for k in range(1, len(cols)):
         out = out + cols[k] * state[..., None, k]
@@ -148,20 +185,23 @@ def run(circuit: Circuit, initial: np.ndarray | None = None
         initial, dtype=complex)
     if state.shape[-1:] != (2 ** circuit.width,):
         raise ValueError("initial state does not match circuit width")
+    columns = _columns(state)
     limit = max(1, BLOCK_POINTS // max(1, int(np.prod(circuit.batch_shape))))
     row = 0             # the block's first row of circuit.angles
     for (kind, qubits), same in groupby(circuit.gate_layout):
         count, n = len(list(same)), N_PARAMS[kind]
+        pairs = _pairs(kind, qubits, circuit.width)
         for b in range(0, count, limit):
             size = min(limit, count - b)
             rows = circuit.angles[row:row + n * size]
             row += n * size
-            m = _matrix(kind, qubits,
-                        [np.ascontiguousarray(rows[j::n]) for j in range(n)])
-            stack = m.transpose(0, -1, *range(1, m.ndim - 1)) if n else [m.T] * size
-            for cols in stack:          # each gate's columns m[..., :, k] as [k]
-                state = _apply(state, cols, qubits)
-    return state, circuit.measured_qubits
+            # one row of each entry per gate; X and CNOT have no angles
+            gates = zip(*_entries(kind, [np.ascontiguousarray(rows[j::n])
+                                         for j in range(n)])
+                        ) if n else [_entries(kind, ())] * size
+            for entries in gates:
+                _gate(columns, pairs, entries)
+    return np.stack(columns, axis=-1), circuit.measured_qubits
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

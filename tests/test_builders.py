@@ -1,6 +1,7 @@
 """Circuit builders: slab/earth transcription, dilation, two-CNOT ansatz."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ def test_synthesis_angles_one_row_per_point():
         one = synthesis_angles(dilation_from_angles(theta[i], theta_m[i]))
         assert np.array_equal(rows[i], one)
         assert template.point(i) == build_msw_circuit(one)
+
+
+@pytest.mark.parametrize("angles", [np.full(6, 0.1 + 0.5j),
+                                    np.full((2, 6), 0.1 + 0j),
+                                    np.array(["0.1"] * 6)],
+                         ids=["complex", "complex-stack", "str"])
+def test_msw_circuit_refuses_non_real_angles_naming_the_dtype(angles):
+    """The dtype is checked before any cast: complex angles are refused,
+    not built from their real parts with a ComplexWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"real, got dtype {angles.dtype}"):
+            build_msw_circuit(angles)
 
 
 def test_msw_circuit_angle_validation():

@@ -18,7 +18,7 @@ from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, GateOp, cnot,
                              measure, ry, rz, u, x)
 
 # each factory on qubit q, and the kind and angle count its op must carry
-# (the angles ``simulator._matrix`` unpacks)
+# (the angles ``simulator._entries`` unpacks)
 FACTORIES = [
     (x, GateKind.X, 0),
     (lambda q: ry(0.3, q), GateKind.RY, 1),
@@ -206,6 +206,14 @@ BAD_ENTRIES = [
     ((GateKind.X, (0.0,)), 1, r"X needs 1 qubit\(s\) as a tuple of ints"),
     ((GateKind.X, (True,)), 1, r"X needs 1 qubit\(s\) as a tuple of ints"),
     (("RY", (0,)), 1, "gate kind must be a GateKind, got 'RY'"),
+    # no hashable (kind, qubits) pair: refused by name, not by hashing or
+    # unpacking it
+    ((GateKind.RY, [0]), 1, r"RY needs 1 qubit\(s\) as a tuple of ints, got \[0\]"),
+    ((GateKind.RY, ([0],)), 1, r"RY needs 1 qubit\(s\) as a tuple of ints"),
+    ((GateKind.RY, (0,), 0.3), 1,
+     r"layout entry \(<GateKind.RY: 'RY'>, \(0,\), 0.3\) is not a \(kind, qubits\) pair"),
+    ("RY", 1, r"layout entry 'RY' is not a \(kind, qubits\) pair"),
+    ([GateKind.RY, (0,)], 1, r"layout entry \[<GateKind.RY: 'RY'>, \(0,\)\] is not"),
 ]
 
 

@@ -11,7 +11,7 @@ from nuqsim import scan
 from nuqsim.builders import build_slab_circuit
 from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, GateOp, cnot,
                              measure, ry, rz, u, x)
-from nuqsim.oscillation import layer_propagator
+from nuqsim.oscillation import PHASE_LIMIT, layer_propagator
 from nuqsim.compiler import virtual_z_pass
 from nuqsim.simulator import (BLOCK_POINTS, _pcg64_states, apply, apply_matrix,
                               circuit_unitary, gate_matrix, init_state,
@@ -251,6 +251,109 @@ def test_blocked_run_equals_per_gate_apply_bit_for_bit(n):
         got, _ = run(circuit)
         want = _per_gate(circuit)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# --- the pair-update kernel against a column sum ------------------------------
+
+def _column_sum(m, vectors):
+    """Reference: each matrix of a stack times each vector, as the sum of
+    its columns ``m[..., :, k] * v_k`` added in column order."""
+    out = m[..., :, 0] * vectors[..., None, 0]
+    for k in range(1, m.shape[-1]):
+        out = out + m[..., :, k] * vectors[..., None, k]
+    return out
+
+
+def _reference_run(circuit, state):
+    """Each gate as the column sum of its ``gate_matrix``: over the whole
+    state for a full-dimension matrix, else over the pairs a one-qubit gate
+    mixes, the rows (q1) or columns (q0) of the ``(..., q0, q1)`` reshape."""
+    for op in circuit.gates:
+        m = gate_matrix(op)
+        if m.shape[-1] == state.shape[-1]:
+            state = _column_sum(m, state)
+            continue
+        pairs = state.reshape(state.shape[:-1] + (2, 2))
+        if op.qubits[0] == 0:
+            pairs = np.swapaxes(pairs, -1, -2)
+        out = _column_sum(m[..., None, :, :], pairs)
+        if op.qubits[0] == 0:
+            out = np.swapaxes(out, -1, -2)
+        state = out.reshape(out.shape[:-2] + (4,))
+    return state
+
+
+def _every_kind_template(rng, width, n):
+    """X, RY, RZ, a general U and two pulse-form U (phi = -lam) on each
+    qubit, and for two qubits both CNOT orientations, at random angles."""
+    layout, rows = [], []
+    for q in range(width):
+        for kind, pulse in ((GateKind.X, False), (GateKind.RY, False),
+                            (GateKind.RZ, False), (GateKind.U, False),
+                            (GateKind.RY, False), (GateKind.U, True),
+                            (GateKind.U, True), (GateKind.X, False)):
+            layout.append((kind, (q,)))
+            angles = list(rng.uniform(-7, 7, (N_PARAMS[kind], n)))
+            if pulse:
+                angles[1] = -angles[2]
+            rows += angles
+        if width == 2:
+            layout += [(GateKind.CNOT, (q, 1 - q)), (GateKind.RY, (1 - q,))]
+            rows.append(rng.uniform(-7, 7, n))
+    return Circuit(width, layout=layout, angles=rows)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_run_equals_the_column_sum_bit_for_bit(width):
+    """``run`` updates amplitude pairs as m00 a + m01 b and m10 a + m11 b
+    and moves them for a CNOT, which is the column sum of the gate matrix
+    to the bit: for a template, its single circuits and a zero-point
+    template, from |0> and from random states.  A CNOT moves amplitudes
+    where the sum adds zero products, which can flip the sign of a zero
+    amplitude (RY(4) on q0 of |00>, then CNOT, moves a -0.0 the sum makes
+    +0.0), so two-qubit states start here with no zero amplitude."""
+    rng = np.random.Generator(np.random.PCG64(width))
+    template = _every_kind_template(rng, width, 6)
+    kinds = {kind for kind, _ in template.layout}
+    assert kinds == {GateKind.X, GateKind.RY, GateKind.RZ, GateKind.U} | (
+        {GateKind.CNOT} if width == 2 else set())
+    dim = 2 ** width
+    empty = Circuit(width, layout=template.layout, angles=np.zeros(
+        template.angles.shape[:1] + (0,)))
+    for circuit in (template, template.point(0), template.point(5), empty):
+        v = (rng.normal(size=circuit.batch_shape + (dim,))
+             + 1j * rng.normal(size=circuit.batch_shape + (dim,)))
+        starts = [random_state(width, rng) for _ in range(2)]
+        starts.append(v / np.linalg.norm(v, axis=-1, keepdims=True))
+        if width == 1:
+            starts.append(init_state(1))
+        for start in starts:
+            got, _ = run(circuit, start)
+            want = _reference_run(circuit, start)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    got, _ = run(empty)
+    assert got.shape == (0, dim) == _reference_run(empty, init_state(width)).shape
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-PHASE_LIMIT, PHASE_LIMIT).filter(bool),
+                min_size=1, max_size=64))
+def test_exp_of_a_negated_phase_is_the_conjugate_bit_for_bit(phases):
+    """A pulse-form U's entries take e^{i phi}, phi = -lam, as the
+    conjugate of e^{i lam}, which holds to the bit because libm's sin is
+    odd and its cos even, for every nonzero phase up to ``PHASE_LIMIT``
+    (at 0 the two differ only in the sign of a zero imaginary part).
+    This holds per numerical environment (numpy's complex exp and the
+    libm under it), like the byte-identity of ``demos/out``: this test
+    is what shows that it holds here."""
+    lam = np.array(phases)
+    assert np.exp(1j * -lam).tobytes() == np.exp(1j * lam).conj().tobytes()
+    one = phases[0]
+    assert np.exp(1j * -one).tobytes() == np.exp(1j * one).conj().tobytes()
+    sweep = np.random.Generator(np.random.PCG64(len(phases))).uniform(
+        -PHASE_LIMIT, PHASE_LIMIT, 2000)
+    assert np.exp(1j * -sweep).tobytes() == np.exp(1j * sweep).conj().tobytes()
 
 
 def test_run_memory_is_flat_in_the_gate_count():

@@ -86,15 +86,32 @@ def callers(source: str, names: set[str]) -> dict[str, set[str]]:
 
 
 def test_gate_matrices_are_built_only_by_the_simulators_matrix():
-    """Every gate matrix comes from ``simulator._matrix``, which only
-    ``gate_matrix`` and ``run`` call, so the pulse-form shortcut and the
-    gate conventions live in one place."""
-    names = {"_matrix", "_matrix2"}
+    """Every gate's entries come from ``simulator._entries``, which
+    ``gate_matrix`` (the only caller of ``_matrix2``), ``apply`` and
+    ``run`` call, so the pulse-form shortcut and the gate conventions live
+    in one place."""
+    names = {"_entries", "_matrix2"}
     assert callers((SRC / "simulator.py").read_text(), names) == {
-        "_matrix": {"gate_matrix", "run"}, "_matrix2": {"_matrix"}}
+        "_entries": {"gate_matrix", "apply", "run"},
+        "_matrix2": {"gate_matrix"}}
     assert {path.name for path in sorted(SRC.glob("*.py"))
             if path.name != "simulator.py"
             and callers(path.read_text(), names)} == set()
+
+
+def test_run_and_apply_share_one_pair_update_kernel():
+    """``run`` and ``apply`` both evolve amplitude columns with
+    ``simulator._gate``, which nothing else calls, and neither it nor they
+    reshape or swap axes: no second kernel sits beside it."""
+    source = (SRC / "simulator.py").read_text()
+    assert callers(source, {"_gate"}) == {"_gate": {"apply", "run"}}
+    functions = {fn.name: fn for fn in ast.parse(source).body
+                 if isinstance(fn, ast.FunctionDef)}
+    for name in ("_gate", "apply", "run"):
+        attributes = {n.attr for n in ast.walk(functions[name])
+                      if isinstance(n, ast.Attribute)}
+        assert attributes & {"reshape", "swapaxes", "moveaxis"} == set(), name
+    assert "_apply" not in functions
 
 
 def test_only_circuits_decides_how_angles_are_stored():
