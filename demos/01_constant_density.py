@@ -13,7 +13,7 @@ import numpy as np
 
 from nuqsim import (MatterLayer, OscParams, SlabProfile, build_slab_circuit,
                     effective_params, matter_potential, prob_constant_density,
-                    probabilities, run)
+                    probabilities, run, slab_layer_params)
 
 theta13 = math.radians(9.0)
 p = OscParams(theta13, 2.5e-3)
@@ -38,7 +38,7 @@ print(f"\nresonance at E = {e_res:.3f} GeV "
 # cross-check one point: closed form vs the X, RY, RZ, RY circuit
 e = 5.0
 closed = prob_constant_density(p, layer, e, layer.length_km)
-circuit = build_slab_circuit(p, SlabProfile((layer,)), e)
+circuit = build_slab_circuit(*slab_layer_params(p, SlabProfile((layer,)), e))
 state, measured = run(circuit)
 from_circuit = probabilities(state, measured[0])[0]
 print(f"\nP(nu_mu -> nu_e) at {e} GeV: closed form {closed:.12f}, "

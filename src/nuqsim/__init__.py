@@ -5,7 +5,8 @@ from .compiler import (dump_circuit, lower_to_native, pulse_count, sx,
                        virtual_z_pass)
 from .oscillation import (MATTER_FACTOR, MatterLayer, OscParams, SlabProfile,
                           effective_params, matter_potential,
-                          prob_constant_density, prob_msw_adiabatic, prob_slab)
+                          prob_constant_density, prob_msw_adiabatic, prob_slab,
+                          slab_layer_params)
 from .builders import (build_dilation, build_msw_circuit, build_slab_circuit,
                        earth_profile)
 from .optim import FidelityProblem, optimize

@@ -9,11 +9,13 @@ applied directly or synthesized as the two-CNOT / six-RY gate list
 ``MSW_ANSATZ``, whose angles are one vector (a1, b1, a2, b2, a3, b3).
 
 Circuits are built as a gate list and an angle matrix, one template per
-profile: given an energy array of shape ``(n,)``, ``build_slab_circuit``
-returns one circuit of ``(P, n)`` angles, ``build_dilation`` an ``(n, 4,
-4)`` stack, from which ``synthesis_angles`` reads one angle row per
-point, ``(n, 6)``, for ``build_msw_circuit``.  Given one energy (or a
-``(6,)`` vector) they return a single circuit and a 4x4 matrix.
+profile: given the ``(layers, n)`` rows that ``slab_layer_params``
+computes over an energy array of shape ``(n,)``, ``build_slab_circuit``
+returns one circuit of ``(P, n)`` angles; given that array,
+``build_dilation`` returns an ``(n, 4, 4)`` stack, from which
+``synthesis_angles`` reads one angle row per point, ``(n, 6)``, for
+``build_msw_circuit``.  Given the rows of one energy, one energy or a
+``(6,)`` vector, they return a single circuit or a 4x4 matrix.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .circuits import Circuit, GateKind
 from .oscillation import (MatterLayer, OscParams, SlabProfile, _libm,
-                          effective_params, slab_layer_params)
+                          effective_params)
 
 ANCILLA, ENCODED = 0, 1   # dilation circuit qubit roles (q_A, q_B)
 _LAYER = ((GateKind.RY, (0,)), (GateKind.RZ, (0,)), (GateKind.RY, (0,)))
@@ -34,16 +36,16 @@ MSW_ANSATZ = (_RY_A, _RY_B, (GateKind.CNOT, (ANCILLA, ENCODED))) * 2 + (
     _RY_A, _RY_B)
 
 
-def build_slab_circuit(p: OscParams, profile: SlabProfile, energy_gev,
-                       theta23: float | None = None) -> Circuit:
-    """Single-qubit circuit propagating nu_mu through a slab profile, at
-    one energy or, for an energy array, as a template over the grid.
+def build_slab_circuit(angles: np.ndarray, phases: np.ndarray) -> Circuit:
+    """Single-qubit circuit propagating nu_mu through a slab profile,
+    from its ``slab_layer_params`` rows ``(angles, phases)``: one circuit
+    for rows of one energy, ``(layers,)``, or a template over the grid
+    for ``(layers, n)`` rows.
 
     ``virtual_z_pass`` of the result folds every RZ(phi_k) into the
     phase offsets of the following rotations, leaving 2N+1 pulses for N
     layers.
     """
-    angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
     rows = np.empty((3 * len(angles),) + angles.shape[1:])
     rows[0::3], rows[1::3], rows[2::3] = -2.0 * angles, phases, 2.0 * angles
     return Circuit(1, layout=((GateKind.X, (0,)),) + _LAYER * len(angles)

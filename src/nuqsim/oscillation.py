@@ -14,7 +14,9 @@ Three ground-truth probability oracles are provided:
 - ``prob_slab``: nu_mu propagated through the ordered per-layer 2x2
   propagators R(theta_m) diag(e^{-i phi/2}, e^{i phi/2}) R(theta_m)^T,
   each in its closed Pauli form cos(phi/2) I - i sin(phi/2)
-  (cos 2theta_m Z + sin 2theta_m X), for a piecewise-constant profile;
+  (cos 2theta_m Z + sin 2theta_m X), for a piecewise-constant profile,
+  from the layer angles and phases of ``slab_layer_params``, which a
+  scan computes once for its circuit and its oracle;
 - ``prob_msw_adiabatic``: phase-averaged survival probability
   (1 + cos 2theta cos 2theta_m)/2 for adiabatic propagation from a
   dense production point to vacuum.
@@ -184,8 +186,8 @@ def effective_params(p: OscParams, layer: MatterLayer,
 
 def phase(dm2_m, length_km: float, energy_gev):
     """Oscillation phase phi = dm2_m * dx / (2E), in radians (inf where
-    it overflows, nan for an inf dm2_m over dx = 0; the phase-precision
-    check rejects both)."""
+    it overflows, nan for an inf dm2_m over dx = 0; ``slab_layer_params``
+    recomputes both)."""
     _check_energy(energy_gev)
     if length_km < 0.0:
         raise ValueError(f"length must be >= 0, got {length_km}")
@@ -232,9 +234,9 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
     With ``theta23`` given, the per-layer angle is the atmospheric
     effective angle built from the matter-modified theta; otherwise the
     plain matter angle theta_m is used.  The phase always comes from
-    the matter-modified splitting.  A layer phase or an accumulated
-    phase (the virtual-Z offset of the compiled circuit) not below
-    ``PHASE_LIMIT`` raises NumericalDomainError.
+    the matter-modified splitting (``_layer_phase``).  A layer phase or
+    an accumulated phase (the virtual-Z offset of the compiled circuit)
+    not below ``PHASE_LIMIT`` raises NumericalDomainError.
     """
     unique = {}
     for layer in profile.layers:
@@ -243,13 +245,35 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
             unique[layer] = (
                 ep.theta_m if theta23 is None else
                 atmospheric_effective_angle(theta23, ep.theta_m),
-                phase(ep.dm2_m, layer.length_km, energy_gev))
+                _layer_phase(p, layer, energy_gev, ep.dm2_m))
     rows = [unique[layer] for layer in profile.layers] * (
         profile.period_count or 1)
     angles = np.array([angle for angle, _ in rows])
     phases = np.array([phi for _, phi in rows])
     _check_phase_precision(phases, energy_gev)
     return angles, phases
+
+
+def _layer_phase(p: OscParams, layer: MatterLayer, energy_gev, dm2_m):
+    """``phase`` of one layer, with each entry that overflowed recomputed.
+
+    dm2_m = dm2 * root is inf where beta = A / dm2 overflows, and
+    PHASE_FACTOR * dm2_m * dx is inf past float max before the division
+    by E, though the phase itself may be small.  Those entries become
+    PHASE_FACTOR * dx * (hypot(dm2 cos 2theta - A, dm2 sin 2theta) / E),
+    and 0 over dx = 0; every entry that is finite keeps its bits.
+    """
+    phi = phase(dm2_m, layer.length_km, energy_gev)
+    finite = np.isfinite(phi)
+    if finite.all():
+        return phi
+    with np.errstate(over="ignore"):
+        a = matter_potential(layer, energy_gev)
+        dm2_m = _libm(math.hypot, p.dm2 * math.cos(2.0 * p.theta) - a,
+                      p.dm2 * math.sin(2.0 * p.theta))
+        redone = (PHASE_FACTOR * layer.length_km * (dm2_m / energy_gev)
+                  if layer.length_km else 0.0)
+    return np.where(finite, phi, redone)[()]
 
 
 def _check_phase_precision(phases: np.ndarray, energy_gev) -> None:
@@ -275,18 +299,17 @@ def prob_constant_density(p: OscParams, layer: MatterLayer, energy_gev,
     return np.sin(2.0 * ep.theta_m) ** 2 * np.sin(0.5 * phi) ** 2
 
 
-def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
-              theta23: float | None = None):
-    """P(nu_mu -> nu_e) through a piecewise-constant profile, at one
-    energy or over an energy array.
+def prob_slab(profile: SlabProfile, angles: np.ndarray, phases: np.ndarray):
+    """P(nu_mu -> nu_e) through a piecewise-constant profile, from its
+    ``slab_layer_params`` rows ``(angles, phases)``, at one energy or
+    over an energy array.
 
     Starts from nu_mu = (0, 1), multiplies the exact per-layer 2x2
-    propagators (one per distinct layer, its four entries taken out
-    once) in profile order and returns
+    propagators (one per distinct layer, built from that layer's first
+    row, its four entries taken out once) in profile order and returns
     the squared nu_e amplitude, re^2 + im^2: correctly rounded
     operations, so the value does not depend on the CPU.
     """
-    angles, phases = slab_layer_params(p, profile, energy_gev, theta23)
     props = {}
     for k, layer in enumerate(profile.layers):
         if layer not in props:

@@ -12,9 +12,10 @@ scenarios:
 A scan's result holds one array per quantity over its grid: the
 analytic oracle value, the exact statevector probability, and a
 shot-sampled estimate with its binomial standard error.  A scan runs
-its whole energy grid as one batch: one template circuit (or one
-stack of dilations) for all points, one simulator pass, one oracle
-pass, one ``sample`` call; msw optimized mode checks the closed-form
+its whole energy grid as one batch: one pass of layer parameters,
+which a slab or earth scan's circuit and oracle share, one template
+circuit (or one stack of dilations) for all points, one simulator
+pass, one oracle pass, one ``sample`` call; msw optimized mode checks the closed-form
 angles of all points in one pass, and a point they miss ends the scan
 with ``NumericalDomainError``.  ``sample`` draws point i from seed XOR
 i, so results do not depend on evaluation order and CSV output is
@@ -36,7 +37,8 @@ from .builders import (ENCODED, build_dilation, build_msw_circuit,
 from .circuits import Circuit
 from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                          SlabProfile, prob_msw_adiabatic, prob_slab)
+                          SlabProfile, prob_msw_adiabatic, prob_slab,
+                          slab_layer_params)
 from . import optim
 from .optim import meets_tolerance
 from .simulator import apply_matrix, init_state, probabilities, run, sample
@@ -367,16 +369,17 @@ def run_scan(config: ScanConfig) -> ScanResult:
     if not msw:
         p, profile, th23 = _single_qubit_setup(config)
         try:
-            circuit = build_slab_circuit(p, profile, energies, theta23=th23)
+            angles, phases = slab_layer_params(p, profile, energies, th23)
         except NumericalDomainError as exc:
             raise NumericalDomainError(
                 f"{exc}; the fields that set the phase: "
                 f"{_PHASE_FIELDS[config.scenario]}") from None
+        circuit = build_slab_circuit(angles, phases)
         if config.compile:
             circuit, report = virtual_z_pass(circuit)
         states, measured = run(circuit)
         qubit = measured[0]
-        theory = prob_slab(p, profile, energies, th23)
+        theory = prob_slab(profile, angles, phases)
     else:
         p, layer = msw_setup(config)
         u2q = build_dilation(p, layer, energies)

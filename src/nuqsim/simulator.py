@@ -27,11 +27,13 @@ shot sampling draws binomial counts from numpy's PCG64, so identical
 (p1, shots, seed) give identical counts.  ``sample`` works on a stack
 too: grid point i draws from ``PCG64(seed XOR i)``, so its count does
 not depend on the rest of the grid, and every point's PCG64 state is
-derived in one array pass instead of one ``SeedSequence`` per point
-(numpy's compatibility policy freezes how a seed becomes a PCG64
-state; a test checks the pass against ``np.random.PCG64``).  Optimizer
-restarts draw from a SeedSequence spawn of the seed (``optim``), so
-sampling and optimization never share a stream.
+derived in one array pass instead of one ``SeedSequence`` per point:
+the seed hash as uint32 arithmetic, the 128-bit LCG seeding step on
+(high, low) uint64 limbs (numpy's compatibility policy freezes how a
+seed becomes a PCG64 state; a test checks the pass against
+``np.random.PCG64``).  Optimizer restarts draw from a SeedSequence
+spawn of the seed (``optim``), so sampling and optimization never
+share a stream.
 """
 from __future__ import annotations
 
@@ -252,59 +254,102 @@ def sample(p1, shots: int, seed: int):
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     p1 = np.clip(p1, 0.0, 1.0)
-    ones = np.empty(p1.shape, np.int64)
     bits = np.random.PCG64()       # each draw runs from a state set before it
-    rng = np.random.Generator(bits)
+    binomial = np.random.Generator(bits).binomial
     # one state dict, its LCG entries overwritten per point (the setter
     # copies them into the generator)
     lcg = {"state": 0, "inc": 0}
     bit_state = {"bit_generator": "PCG64", "state": lcg,
                  "has_uint32": 0, "uinteger": 0}
-    for i, ((state, inc), p) in enumerate(zip(_pcg64_states(seed, p1.size),
-                                              p1.ravel().tolist())):
+    ones = []
+    for (state, inc), p in zip(_pcg64_states(seed, p1.size),
+                               p1.ravel().tolist()):
         lcg["state"], lcg["inc"] = state, inc
         bits.state = bit_state
-        ones.flat[i] = rng.binomial(shots, p)
-    return ones if ones.ndim else int(ones)
+        ones.append(binomial(shots, p))
+    return np.array(ones, np.int64).reshape(p1.shape) if p1.ndim else ones[0]
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# Operands as 0-d arrays of the dtype they meet, which numpy takes in
+# about half the time of a Python int: the hash's mix multipliers and
+# shift, and the limb mask, shifts and multiplier limbs of the LCG.
+_MIX_MULT_L, _MIX_MULT_R, _SHIFT16 = (
+    np.array(v, np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
+_LOW32, _SHIFT32, _SHIFT63, _ONE, _PCG_MULT_HI, _PCG_MULT_LO = (
+    np.array(v, np.uint64) for v in (_MASK32, 32, 63, 1, _PCG_MULT >> 64,
+                                     _PCG_MULT & (1 << 64) - 1))
 
 
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant before each of ``count`` hashmix calls and after
-    the last, ``(count + 1, 1)``: call k xors with entry k and multiplies
-    by entry k + 1."""
+def _hash_consts(init: int, mult: int, count: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of ``count`` consecutive hashmix
+    calls, each ``(count, 1)``: call k xors with hash constant k and
+    multiplies by hash constant k + 1."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, np.uint32)[:, None]
+    table = np.array(consts, np.uint32)[:, None]
+    return table[:-1], table[1:]
 
 
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row of ``value`` with the row's
-    consecutive pair of ``consts`` (uint32 arrays wrap as the reference
-    does)."""
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ value >> 16
+# The hash's rounds for a seed of up to 4 words, which take nothing from
+# the seed: the pool's entropy round (calls 0-3); per pool word src, the
+# round that hashes it into every other word dst (calls 4 + 3 src + the
+# rank of dst among the other words; the src row's result is discarded);
+# the output round, whose 8 words hash the pool words 0-3 twice.
+_XOR_A, _TIMES_A = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2)
+_ENTROPY_ROUND = _XOR_A[:_POOL_SIZE], _TIMES_A[:_POOL_SIZE]
+_MIX_ROUNDS = [
+    (_XOR_A[calls], _TIMES_A[calls]) for calls in (
+        [_POOL_SIZE + (_POOL_SIZE - 1) * src + dst - (dst > src)
+         if dst != src else 0 for dst in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE))]
+_OUT_ROUND = tuple(c.reshape(2, _POOL_SIZE, 1) for c in
+                   _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray
+             ) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` with the hash constants
+    ``xor`` and ``mult`` (uint32 arrays wrap as the reference does)."""
+    value = (value ^ xor) * mult
+    return value ^ value >> _SHIFT16
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ out >> 16
+    return out ^ out >> _SHIFT16
+
+
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit products of uint64 arrays, as (high, low) uint64
+    limbs; the high limb sums the products of the 32-bit halves, in an
+    order in which no partial sum wraps (Hacker's Delight, mulhu)."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = b & _LOW32, b >> _SHIFT32
+    t = a1 * b0 + (a0 * b0 >> _SHIFT32)
+    w = (t & _LOW32) + a0 * b1
+    return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32), a * b
+
+
+def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
+            b_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums mod 2**128 of numbers given as (high, low) uint64 limb
+    arrays: the low limbs' carry goes to the high ones."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
 
 
 def _pcg64_states(seed: int, n: int):
     """Yield the (state, inc) that ``np.random.PCG64(seed ^ i)`` starts
-    from, for i in range(n).
+    from, for i in range(n), as Python ints.
 
     ``PCG64(s)`` hashes s with ``SeedSequence(s)`` and seeds its LCG with
     ``generate_state(4, uint64)``.  That hash runs here as uint32 array
@@ -312,10 +357,12 @@ def _pcg64_states(seed: int, n: int):
     n <= 2**32 (a scan has at most ``scan.MAX_POINTS``), seed ^ i differs
     from seed only in its low 32-bit entropy word; the other words are
     grid constants.  A seed of up to 4 words hashes as its zero-padded
-    4-word form (a missing pool word mixes in as a zero word), and the
-    words past 4 take SeedSequence's extra-entropy loop.  The 128-bit
-    LCG seeding runs in Python ints, one point at a time, so the grid's
-    128-bit states are never all held at once.
+    4-word form (a missing pool word mixes in as a zero word), and only
+    the words past 4 take SeedSequence's extra-entropy loop.
+    ``pcg64_set_seed`` then sets inc = initseq << 1 | 1 and state =
+    (inc + initstate) * MULT + inc mod 2**128, computed here over the
+    grid too, on (high, low) uint64 limbs; only each point's
+    ``hi << 64 | lo`` is formed as a Python int.
     """
     size = _POOL_SIZE
     words = []
@@ -323,31 +370,38 @@ def _pcg64_states(seed: int, n: int):
     while rest:
         words.append(rest & _MASK32)
         rest >>= 32
-    extra = words[size - 1:]
-    consts = _hash_consts(_INIT_A, _MULT_A, size * (size + len(extra)))
     pool = np.empty((size, n), np.uint32)
     pool[0] = np.arange(n, dtype=np.uint32) ^ (seed & _MASK32)
     pool[1:] = np.array((words + [0] * size)[:size - 1], np.uint32)[:, None]
-    pool = _hashmix(pool, consts[:size + 1])
+    pool = _hashmix(pool, *_ENTROPY_ROUND)
     # each word hashes once into every other word, constants in call order
-    for src in range(size):
-        dst = [d for d in range(size) if d != src]
-        k = size + (size - 1) * src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + size]))
-    k = size * size
-    extra_hashes = _hashmix(
-        np.repeat(np.array(extra, np.uint32), size)[:, None], consts[k:])
-    for j in range(len(extra)):
-        pool = _mix(pool, extra_hashes[size * j:size * (j + 1)])
-    out = _hashmix(pool[np.arange(2 * size) % size],
-                   _hash_consts(_INIT_B, _MULT_B, 2 * size))
-    # little-endian uint32 pairs are the uint64s (initstate hi, lo,
+    for src, (xor, mult) in enumerate(_MIX_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[src], xor, mult))
+        mixed[src] = pool[src]
+        pool = mixed
+    extra = words[size - 1:]
+    if extra:
+        xor, mult = (c[size * size:] for c in _hash_consts(
+            _INIT_A, _MULT_A, size * (size + len(extra))))
+        hashes = _hashmix(np.repeat(np.array(extra, np.uint32), size)[:, None],
+                          xor, mult)
+        for j in range(len(extra)):
+            pool = _mix(pool, hashes[size * j:size * (j + 1)])
+    out = _hashmix(pool, *_OUT_ROUND).reshape(2 * size, n)
+    # little-endian uint32 pairs are the uint64 rows (initstate hi, lo,
     # initseq hi, lo) that pcg64_set_seed takes
-    seeds = np.ascontiguousarray(out.T).astype("<u4").view("<u8")
-    for state_hi, state_lo, seq_hi, seq_lo in seeds.tolist():
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc
-               ) & _MASK128, inc
+    init_hi, init_lo, seq_hi, seq_lo = np.ascontiguousarray(
+        out.T, "<u4").view("<u8").T
+    inc_hi = seq_hi << _ONE | seq_lo >> _SHIFT63
+    inc_lo = seq_lo << _ONE | _ONE
+    sum_hi, sum_lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    hi, lo = _mul64(sum_lo, _PCG_MULT_LO)
+    # the cross terms' low limbs; their high limbs fall past 2**128
+    hi += sum_hi * _PCG_MULT_LO + sum_lo * _PCG_MULT_HI
+    state_hi, state_lo = _add128(hi, lo, inc_hi, inc_lo)
+    for s_hi, s_lo, i_hi, i_lo in zip(state_hi.tolist(), state_lo.tolist(),
+                                      inc_hi.tolist(), inc_lo.tolist()):
+        yield s_hi << 64 | s_lo, i_hi << 64 | i_lo
 
 
 def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray,

@@ -15,7 +15,7 @@ from nuqsim.compiler import is_sx, lower_to_native, pulse_count, virtual_z_pass
 from nuqsim.oscillation import (MatterLayer, OscParams, SlabProfile,
                                 effective_params_from_beta,
                                 msw_survival_from_angles, prob_msw_adiabatic,
-                                prob_slab)
+                                prob_slab, slab_layer_params)
 from nuqsim.optim import FidelityProblem, optimize
 from nuqsim.scan import ScanConfig, emit_csv, run_scan
 from nuqsim.simulator import (apply_matrix, circuit_unitary, init_state,
@@ -49,8 +49,9 @@ def test_criterion_1_slab_oracle_equivalence():
                        for _ in range(n))
         profile = SlabProfile(layers)
         energy = float(RNG.uniform(0.5, 30.0))
-        circuit = build_slab_circuit(p, profile, energy)
-        assert abs(_exact_p0(circuit) - prob_slab(p, profile, energy)) <= 1e-12
+        params = slab_layer_params(p, profile, energy)
+        circuit = build_slab_circuit(*params)
+        assert abs(_exact_p0(circuit) - prob_slab(profile, *params)) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < budget
     _report(1, "slab oracle equivalence", elapsed, budget)
@@ -67,7 +68,7 @@ def test_criterion_2_virtual_z_soundness_and_pulse_count():
                        for _ in range(n))
         profile = SlabProfile(layers)
         energy = float(RNG.uniform(1.0, 25.0))
-        raw = build_slab_circuit(p, profile, energy)
+        raw = build_slab_circuit(*slab_layer_params(p, profile, energy))
         compiled, report = virtual_z_pass(raw)
         assert pulse_count(raw) == 3 * n + 1
         assert pulse_count(compiled) == 2 * n + 1
@@ -91,11 +92,11 @@ def test_criterion_3_earth_curve_and_sampling():
 
     points = []
     for e in energies:
-        circuit, _ = virtual_z_pass(
-            build_slab_circuit(p, profile, e, theta23=th23))
+        params = slab_layer_params(p, profile, e, th23)
+        circuit, _ = virtual_z_pass(build_slab_circuit(*params))
         state, measured = run(circuit)
         p_exact, p1 = probabilities(state, measured[0])
-        theory = prob_slab(p, profile, e, th23)
+        theory = prob_slab(profile, *params)
         assert abs(p_exact - theory) <= 1e-12
         points.append((p1, theory))
 

@@ -95,7 +95,8 @@ def per_point_reference(config):
             theory = prob_msw_adiabatic(p, layer, e)[0]
         else:
             p, profile, th23 = _single_qubit_setup(config)
-            circuit = build_slab_circuit(p, profile, one, theta23=th23)
+            circuit = build_slab_circuit(
+                *slab_layer_params(p, profile, one, th23))
             if config.compile:
                 circuit, _ = virtual_z_pass(circuit)
             state, (qubit,) = run(circuit)
@@ -231,12 +232,12 @@ def test_dilation_marginals(angles):
 def test_template_point_is_the_single_circuit():
     cfg = ScanConfig(scenario="earth", energies=(2.0, 6.0, 11.0), compile=True)
     p, profile, th23 = _single_qubit_setup(cfg)
-    template, _ = virtual_z_pass(
-        build_slab_circuit(p, profile, np.array(cfg.energies), theta23=th23))
+    template, _ = virtual_z_pass(build_slab_circuit(
+        *slab_layer_params(p, profile, np.array(cfg.energies), th23)))
     assert template.batch_shape == (3,)
     for i, e in enumerate(cfg.energies):
         single, _ = virtual_z_pass(
-            build_slab_circuit(p, profile, e, theta23=th23))
+            build_slab_circuit(*slab_layer_params(p, profile, e, th23)))
         assert single.batch_shape == ()
         assert template.point(i) == single
         # Python floats, so a dump of the point is repr-exact
@@ -406,7 +407,8 @@ def test_compiled_slab_scan_builds_no_gate_op(monkeypatch):
     result = run_scan(cfg)
     assert built == [] and result.report.output_gate_count == 201
     p, profile, th23 = _single_qubit_setup(cfg)
-    raw = build_slab_circuit(p, profile, np.array(cfg.energies), th23)
+    raw = build_slab_circuit(
+        *slab_layer_params(p, profile, np.array(cfg.energies), th23))
     compiled, _ = virtual_z_pass(raw)
     assert built == [] and compiled == result.circuit
     assert (len(raw.ops), len(raw.gates), len(compiled.gates)) == (302, 301, 201)

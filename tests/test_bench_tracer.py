@@ -13,9 +13,10 @@ from nuqsim import scan
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 # The wrapped names that no longer exist: the scan calls no optimizer,
-# and run_scan compiles through nuqsim.scan while bench/spans.py still
-# wraps nuqsim.builders.
-KNOWN_MISSING = ["nuqsim.scan.optimize", "nuqsim.builders.virtual_z_pass"]
+# and run_scan compiles through nuqsim.scan and computes the layer
+# parameters there, while bench/spans.py still wraps nuqsim.builders.
+KNOWN_MISSING = ["nuqsim.scan.optimize", "nuqsim.builders.virtual_z_pass",
+                 "nuqsim.builders.slab_layer_params"]
 
 
 def test_tracer_wraps_every_name_but_the_known_stale_one(tmp_path,

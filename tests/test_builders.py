@@ -37,7 +37,7 @@ def exact_p0(circuit):
 def test_single_vacuum_layer_structure():
     p = OscParams(0.4, 2.5e-3)
     profile = SlabProfile((MatterLayer(0.0, 0.5, 750.0),))
-    circ = build_slab_circuit(p, profile, 2.0)
+    circ = build_slab_circuit(*slab_layer_params(p, profile, 2.0))
     phi = phase(p.dm2, 750.0, 2.0)
     assert circ.ops == (x(0), ry(-2 * 0.4), rz(phi), ry(2 * 0.4), measure(0))
 
@@ -47,9 +47,9 @@ def test_ten_slab_compiled_pulse_count():
     profile = SlabProfile((MatterLayer(5.0, 0.5, 500.0),
                            MatterLayer(10.0, 0.5, 1000.0)), period_count=5)
     circ, _ = virtual_z_pass(
-        build_slab_circuit(P13, profile, 5.0, theta23=TH23))
+        build_slab_circuit(*slab_layer_params(P13, profile, 5.0, TH23)))
     assert pulse_count(circ) == 21
-    raw = build_slab_circuit(P13, profile, 5.0, theta23=TH23)
+    raw = build_slab_circuit(*slab_layer_params(P13, profile, 5.0, TH23))
     assert pulse_count(raw) == 31
 
 
@@ -61,7 +61,7 @@ def test_compiled_equals_uncompiled_probability():
         profile = SlabProfile(layers)
         p = OscParams(RNG.uniform(0.01, math.pi / 2 - 0.01), 2.5e-3)
         e = RNG.uniform(0.5, 30)
-        raw = build_slab_circuit(p, profile, e)
+        raw = build_slab_circuit(*slab_layer_params(p, profile, e))
         compiled, _ = virtual_z_pass(raw)
         assert abs(exact_p0(raw) - exact_p0(compiled)) < 1e-12
 
@@ -71,8 +71,9 @@ def test_slab_circuit_matches_oracle_both_modes():
                            MatterLayer(10.0, 0.5, 1000.0)), period_count=5)
     for th23 in (None, TH23):
         for e in np.linspace(1.0, 25.0, 20):
-            circ = build_slab_circuit(P13, profile, e, theta23=th23)
-            oracle = prob_slab(P13, profile, e, th23)
+            params = slab_layer_params(P13, profile, e, th23)
+            circ = build_slab_circuit(*params)
+            oracle = prob_slab(profile, *params)
             assert abs(exact_p0(circ) - oracle) < 1e-12
 
 
@@ -88,8 +89,8 @@ def test_earth_compiled_cumulative_offsets():
     """Compiled earth circuit: X, RY, then five pulse gates whose offsets
     accumulate as phi1, phi1, phi1+phi2, phi1+phi2, 2*phi1+phi2."""
     e = 6.0
-    circ, _ = virtual_z_pass(build_slab_circuit(P13, earth_profile(), e,
-                                                theta23=TH23))
+    circ, _ = virtual_z_pass(build_slab_circuit(
+        *slab_layer_params(P13, earth_profile(), e, TH23)))
     (t1, t2, _), (f1, f2, _) = slab_layer_params(P13, earth_profile(), e, TH23)
     kinds = [op.kind for op in circ.ops]
     assert kinds == [GateKind.X, GateKind.RY] + [GateKind.U] * 5 + \
@@ -108,16 +109,16 @@ def test_zero_phase_layers_give_identity_evolution():
     p = OscParams(0.4, 2.5e-3)
     profile = SlabProfile((MatterLayer(5.0, 0.5, 0.0),
                            MatterLayer(10.0, 0.5, 0.0)))
-    circ = build_slab_circuit(p, profile, 3.0)
+    circ = build_slab_circuit(*slab_layer_params(p, profile, 3.0))
     assert exact_p0(circ) < 1e-24
 
 
 def test_earth_circuit_matches_oracle_over_grid():
     prof = earth_profile()
     for e in np.linspace(1.0, 25.0, 40):
-        circ, _ = virtual_z_pass(
-            build_slab_circuit(P13, prof, e, theta23=TH23))
-        oracle = prob_slab(P13, prof, e, TH23)
+        params = slab_layer_params(P13, prof, e, TH23)
+        circ, _ = virtual_z_pass(build_slab_circuit(*params))
+        oracle = prob_slab(prof, *params)
         assert abs(exact_p0(circ) - oracle) < 1e-12
 
 

@@ -14,12 +14,14 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nuqsim.cli as cli
-from nuqsim.scan import ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ScanConfig
+from nuqsim.scan import (ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ScanConfig,
+                         run_scan)
 
 FIELDS = [f.name for f in dataclasses.fields(ScanConfig)]
 PATHS = ("csv", "svg")
@@ -107,17 +109,19 @@ def test_every_config_exits_0_2_or_3(cfg):
 
 
 # Valid configs whose matter term, beta, layer phase or accumulated phase
-# overflows to inf (or, for an inf splitting over a zero-length layer, is
-# nan): the scan finishes, or the phase check ends it with exit 3, and no
-# numpy floating-point warning reaches stderr.
+# overflows to inf on the way: the scan finishes, or the phase check ends
+# it with exit 3, and no numpy floating-point warning reaches stderr.  The
+# three slab configs that exit 0 overflow only in an intermediate
+# (beta = A / dm2, or dm2_m * dx before the division by E, or an inf
+# dm2_m over a zero length); their true layer phases are 0 to 2 rad.
 OVERFLOWING = [
     ({"scenario": "msw", "production_rho": 1e308,
       "energies": [1e300, 1e305]}, 0),
     ({"scenario": "earth", "energies": [5e-324, 1e-300]}, 3),
-    ({"scenario": "slab", "energies": [1e308, 1.7e308]}, 3),
-    ({"scenario": "slab", "dm2_31": 5e-324, "energies": [1.0, 2.0]}, 3),
+    ({"scenario": "slab", "energies": [1e308, 1.7e308]}, 0),
+    ({"scenario": "slab", "dm2_31": 5e-324, "energies": [1.0, 2.0]}, 0),
     ({"scenario": "slab", "dm2_31": 5e-324, "dx1_km": 0,
-      "energies": [1.0, 2.0]}, 3),
+      "energies": [1.0, 2.0]}, 0),
     ({"scenario": "slab", "dx1_km": 1.7e308, "energies": "0.001:0.05:3"}, 3),
 ]
 
@@ -137,6 +141,14 @@ def test_an_overflow_to_inf_prints_no_warning(tmp_path, capsys, cfg, code):
     else:
         assert err.startswith("numerical-domain error: ") \
             and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("cfg", [cfg for cfg, code in OVERFLOWING
+                                 if cfg["scenario"] == "slab" and code == 0],
+                         ids=["slab-energy", "slab-dm2", "slab-dm2-zero-length"])
+def test_a_scan_past_an_overflowing_intermediate_meets_its_oracle(cfg):
+    result = run_scan(ScanConfig.from_dict(cfg))
+    assert np.all(np.abs(result.p_exact - result.p_theory) <= 1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, MatterLayer,
                                 matter_potential, phase,
                                 prob_constant_density,
                                 prob_msw_adiabatic, prob_slab,
-                                msw_survival_from_angles)
+                                msw_survival_from_angles, slab_layer_params)
 
 RNG = np.random.Generator(np.random.PCG64(2718))
 
@@ -81,6 +81,26 @@ def test_phase_behaviour():
         phase(2.5e-3, 500.0, 0.0)
     with pytest.raises(ValueError):
         phase(2.5e-3, -1.0, 5.0)
+
+
+def test_layer_phases_past_an_overflowing_intermediate_are_finite():
+    """beta = A / dm2 (dm2 = 5e-324) or dm2_m * dx (E near float max)
+    overflows, yet each layer phase is finite: in the matter-dominated
+    limit PHASE_FACTOR * dx * dm2_m / E tends to PHASE_FACTOR * dx *
+    MATTER_FACTOR * Ye * rho, which does not depend on E, and a
+    zero-length layer's is 0.  One energy at a time gives the same bits."""
+    layers = (MatterLayer(5.0, 0.5, 500.0), MatterLayer(10.0, 0.5, 1000.0),
+              MatterLayer(5.0, 0.5, 0.0))
+    profile = SlabProfile(layers)
+    limit = np.array([[PHASE_FACTOR * layer.length_km * MATTER_FACTOR
+                       * layer.ye * layer.rho] for layer in layers])
+    for dm2, energies in ((5e-324, [1.0, 2.0]), (2.5e-3, [1e308, 1.7e308])):
+        p = OscParams(math.radians(9.0), dm2)
+        _, phases = slab_layer_params(p, profile, np.array(energies))
+        assert np.all(np.abs(phases - limit) <= 1e-12 * limit)
+        for i, e in enumerate(energies):
+            assert slab_layer_params(p, profile, e)[1].tolist() == (
+                phases[:, i].tolist())
 
 
 # --- effective parameters ------------------------------------------------------
@@ -200,7 +220,7 @@ def test_single_layer_reduces_to_constant_density():
     p = OscParams(0.25, 2.5e-3)
     layer = MatterLayer(7.0, 0.5, 1234.0)
     profile = SlabProfile((layer,))
-    a = prob_slab(p, profile, 4.0)
+    a = prob_slab(profile, *slab_layer_params(p, profile, 4.0))
     b = prob_constant_density(p, layer, 4.0, layer.length_km)
     assert abs(a - b) < 1e-14
 
@@ -209,7 +229,7 @@ def test_vacuum_slabs_concatenate():
     p = OscParams(0.6, 2.5e-3)
     lengths = [300.0, 700.0, 1500.0]
     profile = SlabProfile(tuple(MatterLayer(0.0, 0.5, L) for L in lengths))
-    got = prob_slab(p, profile, 3.0)
+    got = prob_slab(profile, *slab_layer_params(p, profile, 3.0))
     phi_total = phase(p.dm2, sum(lengths), 3.0)
     expected = math.sin(2 * p.theta) ** 2 * math.sin(phi_total / 2) ** 2
     assert abs(got - expected) < 1e-12
@@ -234,7 +254,8 @@ def test_periodic_profile_expansion():
     flat = SlabProfile(layers * 5)
     p = OscParams(math.radians(9.0), 2.5e-3)
     for e in (1.5, 6.0, 20.0):
-        assert prob_slab(p, profile, e) == prob_slab(p, flat, e)
+        assert prob_slab(profile, *slab_layer_params(p, profile, e)) == (
+            prob_slab(flat, *slab_layer_params(p, flat, e)))
 
 
 # --- adiabatic MSW oracle ------------------------------------------------------

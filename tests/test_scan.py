@@ -16,7 +16,8 @@ from nuqsim.builders import (build_dilation, build_msw_circuit, earth_profile,
                              synthesis_angles)
 from nuqsim.compiler import dump_circuit
 from nuqsim.oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                                prob_msw_adiabatic, prob_slab)
+                                prob_msw_adiabatic, prob_slab,
+                                slab_layer_params)
 from nuqsim.scan import (ConfigError, ScanConfig, ScanResult, emit_csv,
                          emit_plot, run_scan, slab_profile_from_config)
 
@@ -180,7 +181,7 @@ def test_earth_scan_exact_matches_oracle():
                    result.stderr):
         assert column.shape == (25,) and column.dtype == np.float64
     for e, exact, theory in zip(cfg.energies, result.p_exact, result.p_theory):
-        oracle = prob_slab(p, prof, e, th23)
+        oracle = prob_slab(prof, *slab_layer_params(p, prof, e, th23))
         assert abs(exact - oracle) < 1e-12
         assert abs(exact - theory) < 1e-9
     assert np.all((0.0 <= result.p_sampled) & (result.p_sampled <= 1.0))
@@ -193,7 +194,8 @@ def test_slab_scan_plain_mode():
     p = OscParams(math.radians(cfg.theta13_deg), cfg.dm2_31)
     prof = slab_profile_from_config(cfg)
     for e, theory in zip(cfg.energies, result.p_theory):
-        assert abs(theory - prob_slab(p, prof, e)) < 1e-15
+        oracle = prob_slab(prof, *slab_layer_params(p, prof, e))
+        assert abs(theory - oracle) < 1e-15
 
 
 def test_msw_exact_channels_sum_to_one():
@@ -807,13 +809,19 @@ def _count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("argv, expected", [
     (["--scenario", "slab", "--energies", "1:2:3", "--compile"],
-     {"build_slab_circuit": 1, "virtual_z_pass": 1, "build_dilation": 0}),
+     {"build_slab_circuit": 1, "virtual_z_pass": 1, "build_dilation": 0,
+      "slab_layer_params": 1}),
     (["--scenario", "msw", "--energies", "0.002:0.02:3"],
-     {"build_slab_circuit": 0, "virtual_z_pass": 0, "build_dilation": 1}),
+     {"build_slab_circuit": 0, "virtual_z_pass": 0, "build_dilation": 1,
+      "slab_layer_params": 0}),
+    (["--scenario", "earth", "--energies", "1:2:3"],
+     {"build_slab_circuit": 1, "virtual_z_pass": 0, "build_dilation": 0,
+      "slab_layer_params": 1}),
 ])
 def test_cli_scan_builds_each_result_once(monkeypatch, capsys, argv, expected):
     """The CLI prints the compile report and the dump from the scan's
-    own result instead of building them again."""
+    own result instead of building them again, and a slab or earth scan
+    computes its layer parameters once, for its circuit and its oracle."""
     calls = _count_calls(monkeypatch, list(expected))
     assert cli.main(["scan", *argv, "--dump-circuit"]) == 0
     assert calls == expected

@@ -1,4 +1,5 @@
 """Statevector backend tests: gate matrices, application, marginals, sampling."""
+import itertools
 import math
 import tracemalloc
 
@@ -11,10 +12,12 @@ from nuqsim import scan
 from nuqsim.builders import build_slab_circuit
 from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, GateOp, cnot,
                              measure, ry, rz, u, x)
-from nuqsim.oscillation import PHASE_LIMIT, layer_propagator
+from nuqsim.oscillation import (PHASE_LIMIT, layer_propagator,
+                                slab_layer_params)
 from nuqsim.compiler import virtual_z_pass
-from nuqsim.simulator import (BLOCK_POINTS, _pcg64_states, apply, apply_matrix,
-                              circuit_unitary, gate_matrix, init_state,
+from nuqsim.simulator import (BLOCK_POINTS, _add128, _mul64, _pcg64_states,
+                              apply, apply_matrix, circuit_unitary,
+                              gate_matrix, init_state,
                               probabilities, run, sample,
                               unitaries_equal_up_to_phase)
 
@@ -236,8 +239,8 @@ def _compiled_slab(n, periods):
     cfg = scan.ScanConfig(scenario="slab", compile=True, periods=periods,
                           energies=tuple(np.linspace(1.0, 25.0, n)))
     p, profile, th23 = scan._single_qubit_setup(cfg)
-    return virtual_z_pass(build_slab_circuit(p, profile, np.array(cfg.energies),
-                                             theta23=th23))[0]
+    return virtual_z_pass(build_slab_circuit(
+        *slab_layer_params(p, profile, np.array(cfg.energies), th23)))[0]
 
 
 # block limits of 1 gate, 4 gates (runs are longer) and 341 (runs are shorter)
@@ -459,9 +462,56 @@ def test_pcg64_states_match_numpy(seed):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 160),
                  st.integers(0, 10 ** 400)),
-       st.integers(1, 20))
+       st.integers(1, 300))
 def test_pcg64_states_match_numpy_at_drawn_seeds(seed, n):
     assert list(_pcg64_states(seed, n)) == _numpy_states(seed, n)
+
+
+# --- the 128-bit limb arithmetic of the seeding: Python ints are the oracle --
+
+MASK64 = 2 ** 64 - 1
+# the carry edges of a 64-bit limb and of its 32-bit halves
+EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, MASK64]
+
+
+def _limbs(values):
+    """(high, low) uint64 limb arrays of non-negative ints below 2**128."""
+    return (np.array([v >> 64 for v in values], np.uint64),
+            np.array([v & MASK64 for v in values], np.uint64))
+
+
+def _ints(hi, lo):
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+def _check_limb_helpers(products, sums):
+    """_mul64 over pairs of 64-bit ints and _add128 over pairs of 128-bit
+    ints equal the exact product and the sum mod 2**128."""
+    a, b = (np.array(col, np.uint64) for col in zip(*products))
+    assert _ints(*_mul64(a, b)) == [x * y for x, y in products]
+    # a 64-bit factor as the 0-d array the seeding passes
+    for y in {y for _, y in products}:
+        assert _ints(*_mul64(a, np.array(y, np.uint64))) == [
+            x * y for x, _ in products]
+    x, y = zip(*sums)
+    assert _ints(*_add128(*_limbs(x), *_limbs(y))) == [
+        (u + v) % 2 ** 128 for u, v in sums]
+
+
+def test_limb_helpers_at_the_carry_edges():
+    wide = [hi << 64 | lo for hi in EDGES for lo in EDGES]
+    _check_limb_helpers(list(itertools.product(EDGES, repeat=2)),
+                        list(itertools.product(wide, repeat=2)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, MASK64), st.integers(0, MASK64)),
+                min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 2 ** 128 - 1),
+                          st.integers(0, 2 ** 128 - 1)),
+                min_size=1, max_size=8))
+def test_limb_helpers_match_python_ints(products, sums):
+    _check_limb_helpers(products, sums)
 
 
 @pytest.mark.parametrize("seed", [12345, 2 ** 64 + 5])
