@@ -261,17 +261,22 @@ def _layer_phase(p: OscParams, layer: MatterLayer, energy_gev, dm2_m):
     PHASE_FACTOR * dm2_m * dx is inf past float max before the division
     by E, though the phase itself may be small.  Those entries become
     PHASE_FACTOR * dx * (hypot(dm2 cos 2theta - A, dm2 sin 2theta) / E),
-    and 0 over dx = 0; every entry that is finite keeps its bits.
+    or, where A itself is inf, PHASE_FACTOR * dx * hypot(dm2 cos 2theta / E
+    - MATTER_FACTOR Ye rho, dm2 sin 2theta / E), which never forms A; 0
+    over dx = 0.  Every entry that is finite keeps its bits.
     """
     phi = phase(dm2_m, layer.length_km, energy_gev)
     finite = np.isfinite(phi)
     if finite.all():
         return phi
+    c2, s2 = p.dm2 * math.cos(2.0 * p.theta), p.dm2 * math.sin(2.0 * p.theta)
     with np.errstate(over="ignore"):
         a = matter_potential(layer, energy_gev)
-        dm2_m = _libm(math.hypot, p.dm2 * math.cos(2.0 * p.theta) - a,
-                      p.dm2 * math.sin(2.0 * p.theta))
-        redone = (PHASE_FACTOR * layer.length_km * (dm2_m / energy_gev)
+        per_energy = np.where(
+            np.isfinite(a), _libm(math.hypot, c2 - a, s2) / energy_gev,
+            _libm(math.hypot, c2 / energy_gev
+                  - MATTER_FACTOR * layer.ye * layer.rho, s2 / energy_gev))
+        redone = (PHASE_FACTOR * layer.length_km * per_energy
                   if layer.length_km else 0.0)
     return np.where(finite, phi, redone)[()]
 

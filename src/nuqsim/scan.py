@@ -83,7 +83,8 @@ _DOMAINS = {
 }
 
 # The fields that set a single-qubit scan's phases, for its precision error
-_PHASE_FIELDS = {"slab": "'dm2_31', 'dx1_km', 'dx2_km', 'periods', 'energies'",
+_PHASE_FIELDS = {"slab": "'dm2_31', 'ye', 'rho1', 'rho2', 'dx1_km', 'dx2_km', "
+                         "'periods', 'energies'",
                  "earth": "'dm2_31', 'energies'"}
 
 

@@ -31,12 +31,17 @@ derived in one array pass instead of one ``SeedSequence`` per point:
 the seed hash as uint32 arithmetic, the 128-bit LCG seeding step on
 (high, low) uint64 limbs (numpy's compatibility policy freezes how a
 seed becomes a PCG64 state; a test checks the pass against
-``np.random.PCG64``).  Optimizer restarts draw from a SeedSequence
-spawn of the seed (``optim``), so sampling and optimization never
-share a stream.
+``np.random.PCG64``).  One generator draws every point: its four LCG
+words are written in place before each draw, through a view that
+``_lcg_words`` takes from numpy's ctypes interface and checks on every
+call (inside the generator, reading back as its state), since numpy
+does not freeze how the generator stores them.  Optimizer restarts draw
+from a SeedSequence spawn of the seed (``optim``), so sampling and
+optimization never share a stream.
 """
 from __future__ import annotations
 
+import ctypes
 from itertools import groupby
 
 import numpy as np
@@ -247,27 +252,57 @@ def sample(p1, shots: int, seed: int):
     A float ``p1`` gives one binomial(shots, p1) draw from PCG64(seed)
     as an int; an ``(n,)`` array gives ``(n,)`` counts, point i drawn
     from PCG64(seed XOR i).  p1 is clipped to [0, 1] against rounding;
-    bit-reproducible.
+    bit-reproducible.  One fresh generator draws every point, its LCG
+    words set to the point's row of ``_pcg64_states`` before the draw;
+    RuntimeError if ``_lcg_words`` cannot check where they sit.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     p1 = np.clip(p1, 0.0, 1.0)
-    bits = np.random.PCG64()       # each draw runs from a state set before it
+    bits = np.random.PCG64()       # each draw runs from words written before it
     binomial = np.random.Generator(bits).binomial
-    # one state dict, its LCG entries overwritten per point (the setter
-    # copies them into the generator)
-    lcg = {"state": 0, "inc": 0}
-    bit_state = {"bit_generator": "PCG64", "state": lcg,
-                 "has_uint32": 0, "uinteger": 0}
+    # memoryviews: a 4-word slice copies in a third of a numpy row's time
+    words = memoryview(_lcg_words(bits))
+    states = memoryview(_pcg64_states(seed, p1.size).ravel())
     ones = []
-    for (state, inc), p in zip(_pcg64_states(seed, p1.size),
-                               p1.ravel().tolist()):
-        lcg["state"], lcg["inc"] = state, inc
-        bits.state = bit_state
+    for i, p in enumerate(p1.ravel().tolist()):
+        words[:] = states[4 * i:4 * i + 4]
         ones.append(binomial(shots, p))
     return np.array(ones, np.int64).reshape(p1.shape) if p1.ndim else ones[0]
+
+
+def _state_address(bits: np.random.PCG64) -> int:
+    """Address of the PCG64 state struct, from numpy's ctypes interface;
+    the struct's first field points to the generator's LCG."""
+    return bits.ctypes.state_address
+
+
+def _lcg_words(bits: np.random.PCG64) -> np.ndarray:
+    """A uint64 view of the four words (state low, state high, inc low,
+    inc high) of the LCG that ``bits`` draws from, checked before use.
+
+    numpy's compatibility policy freezes how a seed becomes a PCG64
+    state, not how the generator stores it, so the view is accepted only
+    if its 32 bytes lie inside ``bits`` and read back as ``bits.state``;
+    otherwise RuntimeError, before any word is written.  The view is valid
+    while ``bits`` lives; the caller keeps it no longer.
+    """
+    address = ctypes.c_void_p.from_address(_state_address(bits)).value or 0
+    start = id(bits)
+    if start <= address <= start + type(bits).__basicsize__ - 32:
+        words = np.frombuffer((ctypes.c_uint64 * 4).from_address(address),
+                              np.uint64)
+        lcg = bits.state["state"]
+        if words.tobytes() == (lcg["inc"] << 128 | lcg["state"]).to_bytes(
+                32, "little"):
+            return words
+        problem = "do not read back as its state"
+    else:
+        problem = "lie outside the generator"
+    raise RuntimeError(f"numpy {np.__version__}: the PCG64 LCG words {problem}, "
+                       "so sample cannot set its grid points' states")
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -347,9 +382,11 @@ def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _pcg64_states(seed: int, n: int):
-    """Yield the (state, inc) that ``np.random.PCG64(seed ^ i)`` starts
-    from, for i in range(n), as Python ints.
+def _pcg64_states(seed: int, n: int) -> np.ndarray:
+    """The LCG words that ``np.random.PCG64(seed ^ i)`` starts from, for
+    i in range(n): an ``(n, 4)`` uint64 array whose columns are state
+    low, state high, inc low and inc high, the word order of numpy's
+    ``pcg64_random_t`` (two little-endian ``__uint128_t``).
 
     ``PCG64(s)`` hashes s with ``SeedSequence(s)`` and seeds its LCG with
     ``generate_state(4, uint64)``.  That hash runs here as uint32 array
@@ -361,8 +398,7 @@ def _pcg64_states(seed: int, n: int):
     the words past 4 take SeedSequence's extra-entropy loop.
     ``pcg64_set_seed`` then sets inc = initseq << 1 | 1 and state =
     (inc + initstate) * MULT + inc mod 2**128, computed here over the
-    grid too, on (high, low) uint64 limbs; only each point's
-    ``hi << 64 | lo`` is formed as a Python int.
+    grid too, on (high, low) uint64 limbs.
     """
     size = _POOL_SIZE
     words = []
@@ -399,9 +435,7 @@ def _pcg64_states(seed: int, n: int):
     # the cross terms' low limbs; their high limbs fall past 2**128
     hi += sum_hi * _PCG_MULT_LO + sum_lo * _PCG_MULT_HI
     state_hi, state_lo = _add128(hi, lo, inc_hi, inc_lo)
-    for s_hi, s_lo, i_hi, i_lo in zip(state_hi.tolist(), state_lo.tolist(),
-                                      inc_hi.tolist(), inc_lo.tolist()):
-        yield s_hi << 64 | s_lo, i_hi << 64 | i_lo
+    return np.array([state_lo, state_hi, inc_lo, inc_hi]).T
 
 
 def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray,

@@ -123,12 +123,15 @@ OVERFLOWING = [
     ({"scenario": "slab", "dm2_31": 5e-324, "dx1_km": 0,
       "energies": [1.0, 2.0]}, 0),
     ({"scenario": "slab", "dx1_km": 1.7e308, "energies": "0.001:0.05:3"}, 3),
+    ({"scenario": "slab", "rho1": 1e308, "dx1_km": 1e-310,
+      "energies": [1e10]}, 0),
 ]
 
 
 @pytest.mark.parametrize("cfg, code", OVERFLOWING,
                          ids=["msw", "earth", "slab-energy", "slab-dm2",
-                              "slab-dm2-zero-length", "slab-length"])
+                              "slab-dm2-zero-length", "slab-length",
+                              "slab-matter"])
 def test_an_overflow_to_inf_prints_no_warning(tmp_path, capsys, cfg, code):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -145,7 +148,8 @@ def test_an_overflow_to_inf_prints_no_warning(tmp_path, capsys, cfg, code):
 
 @pytest.mark.parametrize("cfg", [cfg for cfg, code in OVERFLOWING
                                  if cfg["scenario"] == "slab" and code == 0],
-                         ids=["slab-energy", "slab-dm2", "slab-dm2-zero-length"])
+                         ids=["slab-energy", "slab-dm2", "slab-dm2-zero-length",
+                              "slab-matter"])
 def test_a_scan_past_an_overflowing_intermediate_meets_its_oracle(cfg):
     result = run_scan(ScanConfig.from_dict(cfg))
     assert np.all(np.abs(result.p_exact - result.p_theory) <= 1e-12)

@@ -103,6 +103,25 @@ def test_layer_phases_past_an_overflowing_intermediate_are_finite():
                 phases[:, i].tolist())
 
 
+def test_layer_phase_past_an_overflowing_matter_term_is_finite():
+    """A = MATTER_FACTOR * Ye * rho * E itself overflows (rho = 1e308,
+    E = 1e10), yet a 1e-310 km layer's phase is finite and at its
+    matter-dominated limit; one energy at a time gives the same bits."""
+    layer = MatterLayer(1e308, 0.5, 1e-310)
+    p = OscParams(math.radians(9.0), 2.5e-3)
+    energies = np.array([1e10, 1e12])
+    assert np.all(np.isinf(matter_potential(layer, energies)))
+    _, phases = slab_layer_params(p, SlabProfile((layer,)), energies)
+    # dx times the rest first: PHASE_FACTOR * dx is subnormal
+    limit = PHASE_FACTOR * (layer.length_km
+                            * (MATTER_FACTOR * layer.ye * layer.rho))
+    assert abs(limit - 1.9e-6) < 1e-7
+    assert np.all(np.abs(phases - limit) <= 1e-12 * limit)
+    for i, e in enumerate(energies.tolist()):
+        assert slab_layer_params(p, SlabProfile((layer,)), e)[1].tolist() == (
+            phases[:, i].tolist())
+
+
 # --- effective parameters ------------------------------------------------------
 
 def test_vacuum_limit():

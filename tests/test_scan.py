@@ -757,6 +757,7 @@ def test_every_float_field_has_a_domain():
     ({"dx1_km": 2000.0, "dx2_km": 2000.0, "periods": 50,
       "energies": [0.1, 1.0]}, "accumulated phase"),
     ({"scenario": "earth", "energies": [1e-300, 1.0]}, "layer phase"),
+    ({"rho1": 1e12}, "layer phase"),
 ])
 def test_cli_phase_without_precision_exit_3(tmp_path, capsys, fields, named):
     cfg = {"scenario": "slab", "energies": [1.0, 2.0], "shots": 8}
@@ -767,7 +768,8 @@ def test_cli_phase_without_precision_exit_3(tmp_path, capsys, fields, named):
     err = capsys.readouterr().err
     assert named in err
     assert f"at {cfg['energies'][0]!r} GeV" in err
-    names = {"slab": "'dm2_31', 'dx1_km', 'dx2_km', 'periods', 'energies'",
+    names = {"slab": "'dm2_31', 'ye', 'rho1', 'rho2', 'dx1_km', 'dx2_km', "
+                     "'periods', 'energies'",
              "earth": "'dm2_31', 'energies'"}[cfg["scenario"]]
     assert f"the fields that set the phase: {names}" in err
     assert "Traceback" not in err

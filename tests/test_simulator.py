@@ -1,6 +1,8 @@
 """Statevector backend tests: gate matrices, application, marginals, sampling."""
+import ctypes
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuqsim import scan
+from nuqsim import scan, simulator
 from nuqsim.builders import build_slab_circuit
 from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, GateOp, cnot,
                              measure, ry, rz, u, x)
@@ -450,13 +452,21 @@ def _numpy_states(seed, n):
                   for key in ("state", "inc")) for i in range(n)]
 
 
+def _states(seed, n):
+    """(state, inc) of each row of LCG words _pcg64_states returns."""
+    words = _pcg64_states(seed, n)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    return [(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+            for s_lo, s_hi, i_lo, i_hi in words.tolist()]
+
+
 # word boundaries of the seed's uint32 entropy: 1, 1, 2, 3, 4, 5 and 42 words
 @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
                                   2 ** 128 - 1, 2 ** 128, 10 ** 400],
                          ids=["0", "2^32-1", "2^32", "2^64+5", "2^128-1",
                               "2^128", "10^400"])
 def test_pcg64_states_match_numpy(seed):
-    assert list(_pcg64_states(seed, 40)) == _numpy_states(seed, 40)
+    assert _states(seed, 40) == _numpy_states(seed, 40)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -464,7 +474,7 @@ def test_pcg64_states_match_numpy(seed):
                  st.integers(0, 10 ** 400)),
        st.integers(1, 300))
 def test_pcg64_states_match_numpy_at_drawn_seeds(seed, n):
-    assert list(_pcg64_states(seed, n)) == _numpy_states(seed, n)
+    assert _states(seed, n) == _numpy_states(seed, n)
 
 
 # --- the 128-bit limb arithmetic of the seeding: Python ints are the oracle --
@@ -514,12 +524,43 @@ def test_limb_helpers_match_python_ints(products, sums):
     _check_limb_helpers(products, sums)
 
 
-@pytest.mark.parametrize("seed", [12345, 2 ** 64 + 5])
+# 10^40 takes SeedSequence's extra-entropy block
+@pytest.mark.parametrize("seed", [12345, 2 ** 64 + 5, 10 ** 40])
 def test_sample_stack_matches_per_point_generators(seed):
     p1 = np.random.Generator(np.random.PCG64(99)).random(2000)
     expected = [np.random.Generator(np.random.PCG64(seed ^ i)).binomial(4096, p)
                 for i, p in enumerate(p1.tolist())]
     assert sample(p1, 4096, seed).tolist() == expected
+    assert sample(p1[:1], 4096, seed).tolist() == expected[:1]
+
+
+@pytest.mark.parametrize("target", ["outside", "inside"])
+def test_sample_refuses_lcg_words_it_cannot_check(monkeypatch, target):
+    """Words outside the generator, or inside it but not reading back as
+    its state, raise a RuntimeError naming numpy's version before any
+    word is written or any count drawn."""
+    decoy = (ctypes.c_uint64 * 4)(1, 2, 3, 4)
+    pointers = []
+
+    def state_address(bits):
+        # a state struct whose LCG pointer aims at the decoy, or at the
+        # generator's own object header
+        pointers.append(ctypes.c_void_p(
+            ctypes.addressof(decoy) if target == "outside" else id(bits)))
+        return ctypes.addressof(pointers[-1])
+
+    seeded = []
+    monkeypatch.setattr(simulator, "_state_address", state_address)
+    monkeypatch.setattr(simulator, "_pcg64_states",
+                        lambda *args: seeded.append(args))
+    problem = {"outside": "lie outside the generator",
+               "inside": "do not read back as its state"}[target]
+    version = re.escape(np.__version__)
+    with pytest.raises(RuntimeError,
+                       match=f"^numpy {version}: the PCG64 LCG words {problem}"):
+        sample(np.full(3, 0.5), 64, 7)
+    assert list(decoy) == [1, 2, 3, 4] and seeded == []
+    assert len(pointers) == 1
 
 
 def test_grid_indices_stay_in_the_low_seed_word():

@@ -135,3 +135,31 @@ def test_oracle_imports_no_other_nuqsim_module():
     assert "numpy" in modules
     assert [m for m in modules
             if m.startswith(".") or m.split(".")[0] == "nuqsim"] == []
+
+
+def test_raw_memory_is_touched_in_one_function():
+    """Only ``simulator.py`` imports ``ctypes``, only one of its top-level
+    functions calls ``from_address`` (the checked LCG-word view that
+    ``sample`` writes), and no module imports or reads
+    ``numpy.ctypeslib``."""
+    importers, readers, ctypeslib = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{a.name}" for a in node.names]
+            if any(m.split(".")[0] == "ctypes" for m in modules):
+                importers.add(path.name)
+            if any("ctypeslib" in m.split(".") for m in modules) or (
+                    isinstance(node, ast.Attribute) and node.attr == "ctypeslib"):
+                ctypeslib.add(path.name)
+        # a call outside any function is booked to None
+        readers |= {(path.name, getattr(top, "name", None))
+                    for top in tree.body for n in ast.walk(top)
+                    if isinstance(n, ast.Attribute) and n.attr == "from_address"}
+    assert importers == {"simulator.py"}
+    assert readers == {("simulator.py", "_lcg_words")}
+    assert ctypeslib == set()
