@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from .compiler import dump_circuit
 from .oscillation import NumericalDomainError
 from .scan import (ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ConfigError,
                    ScanConfig, emit_csv, emit_plot, read_json_config,
@@ -72,6 +71,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             print("# exact mode applies this 4x4 dilation directly:")
             print(np.array2string(result.dilation[0], precision=12))
         else:
+            from .compiler import dump_circuit    # only a dump needs it
             print(dump_circuit(result.circuit.point(0)), end="")
     if result.report is not None:
         r = result.report

@@ -22,7 +22,7 @@ to a global phase.  Z-basis probabilities are preserved in every case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ def is_sx(op: GateOp) -> bool:
             and all(abs(p - r) <= _SX_TOL for p, r in zip(op.params, SX_PARAMS)))
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(NamedTuple):
     input_gate_count: int        # ops excluding MEASURE
     output_gate_count: int
     physical_pulse_count: int    # pulse_count() of the output

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy  # unused: loaded for bench/worker.py's version probe (ROADMAP 1)
@@ -64,8 +65,7 @@ class FidelityProblem:
             raise ValueError("restarts must be >= 1")
 
 
-@dataclass(frozen=True)
-class OptimResult:
+class OptimResult(NamedTuple):
     angles: np.ndarray       # (a1, b1, a2, b2, a3, b3), clipped to BOUNDS
     infidelity: float
     restarts_used: int

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +134,7 @@ class SlabProfile:
         return self.layers * (self.period_count or 1)
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(NamedTuple):
     """Matter-modified mixing angle and splitting for one layer (arrays
     over the energies when given an energy array)."""
 

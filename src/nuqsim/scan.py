@@ -23,25 +23,26 @@ byte-reproducible for a fixed config and seed.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
-import typing
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .builders import (ENCODED, build_dilation, build_msw_circuit,
                        build_slab_circuit, earth_profile, synthesis_angles)
 from .circuits import Circuit
-from .compiler import CompileReport, virtual_z_pass
 from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           SlabProfile, prob_msw_adiabatic, prob_slab,
                           slab_layer_params)
 from . import optim
 from .optim import meets_tolerance
 from .simulator import apply_matrix, init_state, probabilities, run, sample
+
+if TYPE_CHECKING:
+    from .compiler import CompileReport
 
 
 class ConfigError(ValueError):
@@ -90,6 +91,9 @@ _PHASE_FIELDS = {"slab": "'dm2_31', 'ye', 'rho1', 'rho2', 'dx1_km', 'dx2_km', "
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """One scan's settings, each field checked when the config is built;
+    ``energies`` None selects the scenario's default grid."""
+
     scenario: str
     energies: tuple[float, ...] | None = None
     shots: int = 4096
@@ -188,6 +192,7 @@ class ScanConfig:
 
 def read_json_config(path: str) -> dict:
     """The fields of a JSON config file, not yet validated."""
+    import json     # here, so that a scan driven by flags never loads it
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -203,13 +208,14 @@ def read_json_config(path: str) -> dict:
     return data
 
 
-# Value type of each field, from its annotation with any "| None" dropped,
+# Value type of each scalar field, read from its annotation, a string
+# here, with any " | None" dropped (None for energies, parsed on its own),
 # and the fields whose annotation allows None.
-_HINTS = typing.get_type_hints(ScanConfig)
-_FIELD_TYPES = {name: (typing.get_args(hint) or (hint,))[0]
-                for name, hint in _HINTS.items()}
-_NULLABLE = {name for name, hint in _HINTS.items()
-             if type(None) in typing.get_args(hint)}
+_SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
+_FIELD_TYPES = {f.name: _SCALARS.get(f.type.removesuffix(" | None"))
+                for f in fields(ScanConfig)}
+_NULLABLE = {f.name for f in fields(ScanConfig)
+             if f.type.endswith(" | None")}
 
 
 def _coerce_field(name: str, value):
@@ -377,6 +383,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
                 f"{_PHASE_FIELDS[config.scenario]}") from None
         circuit = build_slab_circuit(angles, phases)
         if config.compile:
+            from .compiler import virtual_z_pass    # only this scan needs it
             circuit, report = virtual_z_pass(circuit)
         states, measured = run(circuit)
         qubit = measured[0]

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -706,6 +707,37 @@ def test_scan_imports_neither_scipy_optimize_nor_constants(tmp_path, code):
     assert not loaded & {"scipy.optimize", "scipy.constants"}
 
 
+# The nuqsim modules every scan loads.  bench/worker.py ``setup`` reads
+# sys.modules["scipy"] (loaded by nuqsim.optim) and bench/spans.py
+# ``Tracer.install`` reads sys.modules["nuqsim.optim"] and
+# ["nuqsim.builders"], so none of these may become lazy before the bench
+# stops reading them.
+SCAN_MODULES = {"nuqsim", "nuqsim.cli", "nuqsim.scan", "nuqsim.builders",
+                "nuqsim.circuits", "nuqsim.oscillation", "nuqsim.optim",
+                "nuqsim.simulator"}
+
+
+@pytest.mark.parametrize("flags, compiler", [
+    (["--scenario", "earth"], False),
+    (["--scenario", "msw"], False),
+    (["--scenario", "msw", "--synthesis", "optimized"], False),
+    (["--scenario", "slab", "--compile"], True),
+    (["--scenario", "earth", "--dump-circuit"], True),
+], ids=["earth", "msw-exact", "msw-optimized", "slab-compile",
+        "earth-dump-circuit"])
+def test_cold_scan_loads_only_what_it_runs(tmp_path, flags, compiler):
+    """A scan driven by flags loads json never and nuqsim.compiler only
+    to compile or dump a circuit."""
+    argv = ["scan", *flags, "--energies", "1:2:3", "--shots", "8",
+            "--csv", "out.csv", "--svg", "out.svg"]
+    loaded = _modules_after(
+        f"import nuqsim.cli\nassert nuqsim.cli.main({argv!r}) == 0", tmp_path)
+    assert {m for m in loaded if m.startswith("nuqsim")} == (
+        SCAN_MODULES | ({"nuqsim.compiler"} if compiler else set()))
+    assert "scipy" in loaded
+    assert "json" not in loaded
+
+
 def test_cli_restart_budget_past_int64(tmp_path):
     """Each restart draws its start when it begins, so a budget past
     int64 runs and gives the fits of any budget they converge within."""
@@ -749,6 +781,17 @@ def test_cli_failed_fit_names_a_default_grid_energy(tmp_path, monkeypatch,
 def test_every_float_field_has_a_domain():
     floats = {name for name, kind in scan._FIELD_TYPES.items() if kind is float}
     assert set(scan._DOMAINS) == floats
+
+
+def test_field_types_match_the_resolved_annotations():
+    """The types read from ScanConfig's annotation strings are those
+    typing resolves: the value type, and whether None is allowed."""
+    for name, hint in typing.get_type_hints(ScanConfig).items():
+        args = typing.get_args(hint)
+        assert (name in scan._NULLABLE) == (type(None) in args), name
+        if name != "energies":
+            assert scan._FIELD_TYPES[name] is (args or (hint,))[0], name
+    assert scan._FIELD_TYPES["energies"] is None
 
 
 @pytest.mark.parametrize("fields, named", [
