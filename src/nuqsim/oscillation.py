@@ -110,28 +110,18 @@ class MatterLayer:
 
 @dataclass(frozen=True)
 class SlabProfile:
-    """Ordered constant-density layers, optionally one period repeated.
-
-    With ``period_count`` set, ``layers`` holds a single period (even
-    length) and the physical profile is that period repeated
-    ``period_count`` times.
-    """
+    """Ordered constant-density layers: one period of one or more
+    layers, repeated ``period_count`` times."""
 
     layers: tuple[MatterLayer, ...]
-    period_count: int | None = None
+    period_count: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("profile needs at least one layer")
-        if self.period_count is not None:
-            if self.period_count < 1:
-                raise ValueError("period_count must be >= 1")
-            if len(self.layers) % 2:
-                raise ValueError("a periodic profile needs an even layer count")
-
-    def expanded(self) -> tuple[MatterLayer, ...]:
-        return self.layers * (self.period_count or 1)
+        if self.period_count < 1:
+            raise ValueError("period_count must be >= 1")
 
 
 class EffectiveParams(NamedTuple):
@@ -228,8 +218,8 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
     """Per-layer rotation angles and phases of a profile.
 
     Returns ``(angles, phases)``, each of shape ``(layers,) +
-    shape(energy_gev)``: one row per expanded layer, one column per
-    energy.  Each distinct layer is computed once for the whole grid, and
+    shape(energy_gev)``: one row per layer of the whole profile, one
+    column per energy.  Each distinct layer is computed once for the whole grid, and
     the rows of one period repeat for every period.
     With ``theta23`` given, the per-layer angle is the atmospheric
     effective angle built from the matter-modified theta; otherwise the
@@ -246,8 +236,7 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
                 ep.theta_m if theta23 is None else
                 atmospheric_effective_angle(theta23, ep.theta_m),
                 _layer_phase(p, layer, energy_gev, ep.dm2_m))
-    rows = [unique[layer] for layer in profile.layers] * (
-        profile.period_count or 1)
+    rows = [unique[layer] for layer in profile.layers] * profile.period_count
     angles = np.array([angle for angle, _ in rows])
     phases = np.array([phi for _, phi in rows])
     _check_phase_precision(phases, energy_gev)
@@ -321,8 +310,8 @@ def prob_slab(profile: SlabProfile, angles: np.ndarray, phases: np.ndarray):
             u = layer_propagator(angles[k], phases[k])
             props[layer] = [u[..., i, j] for i in (0, 1) for j in (0, 1)]
     nu_e, nu_mu = 0.0, 1.0
-    for u00, u01, u10, u11 in [props[layer] for layer in profile.layers] * (
-            profile.period_count or 1):
+    steps = [props[layer] for layer in profile.layers] * profile.period_count
+    for u00, u01, u10, u11 in steps:
         nu_e, nu_mu = u00 * nu_e + u01 * nu_mu, u10 * nu_e + u11 * nu_mu
     return nu_e.real ** 2 + nu_e.imag ** 2
 

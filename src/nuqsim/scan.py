@@ -70,17 +70,40 @@ MAX_LAYERS = 10_000
 MAX_LAYER_POINTS = 1_000_000
 
 
-_ANGLE = (lambda v: 0.0 <= v <= 90.0, "in [0, 90]")
-_POSITIVE = (lambda v: v > 0.0, "> 0")
-_NON_NEGATIVE = (lambda v: v >= 0.0, ">= 0")
-# Physical domain (test, description) of every float field of ScanConfig.
-_DOMAINS = {
+def _finite(inside, rule: str):
+    """The (test, rule) of a float field: finite, and ``inside``."""
+    return (lambda v: math.isfinite(v) and inside(v)), f"finite and {rule}"
+
+
+def _is_path(value) -> bool:
+    """None, or a non-empty path that the file system encoding takes and
+    that holds no NUL byte."""
+    try:
+        return value is None or value != "" and b"\0" not in os.fsencode(value)
+    except (TypeError, ValueError):     # not a path, or a lone surrogate
+        return False
+
+
+_ANGLE = _finite(lambda v: 0.0 <= v <= 90.0, "in [0, 90]")
+_POSITIVE = _finite(lambda v: v > 0.0, "> 0")
+_NON_NEGATIVE = _finite(lambda v: v >= 0.0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_PATH = (_is_path, "a file path")
+# (test, rule) of every ScanConfig field but scenario, energies and the
+# two bool flags, checked in this order: "field <name>: must be <rule>".
+_RULES = {
+    "shots": (lambda v: 1 <= v <= _MAX_SHOTS, f"in [1, {_MAX_SHOTS}]"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "synthesis": (lambda v: v in SYNTHESIS_MODES, f"one of {SYNTHESIS_MODES}"),
+    "angle_mode": (lambda v: v in ANGLE_MODES, f"one of {ANGLE_MODES}"),
+    "periods": _AT_LEAST_1, "restarts": _AT_LEAST_1,
     "theta12_deg": _ANGLE, "theta13_deg": _ANGLE, "theta23_deg": _ANGLE,
     "dm2_21": _POSITIVE, "dm2_31": _POSITIVE,
-    "ye": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "ye": _finite(lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "rho1": _NON_NEGATIVE, "rho2": _NON_NEGATIVE,
     "production_rho": _NON_NEGATIVE,
     "dx1_km": _NON_NEGATIVE, "dx2_km": _NON_NEGATIVE,
+    "csv": _PATH, "svg": _PATH,
 }
 
 # The fields that set a single-qubit scan's phases, for its precision error
@@ -136,19 +159,11 @@ class ScanConfig:
                               "and positive")
         if (grid[1:] <= grid[:-1]).any():
             raise ConfigError("field 'energies': must be strictly ascending")
-        if not 1 <= self.shots <= _MAX_SHOTS:
-            raise ConfigError(f"field 'shots': must be in [1, {_MAX_SHOTS}], "
-                              f"got {self.shots}")
-        if self.seed < 0:
-            raise ConfigError(f"field 'seed': must be >= 0, got {self.seed}")
-        if self.synthesis not in SYNTHESIS_MODES:
-            raise ConfigError(f"field 'synthesis': must be one of "
-                              f"{SYNTHESIS_MODES}, got {self.synthesis!r}")
-        if self.angle_mode not in ANGLE_MODES:
-            raise ConfigError(f"field 'angle_mode': must be one of "
-                              f"{ANGLE_MODES}, got {self.angle_mode!r}")
-        if self.periods < 1:
-            raise ConfigError(f"field 'periods': must be >= 1, got {self.periods}")
+        for name, (valid, rule) in _RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ConfigError(f"field {name!r}: must be {rule}, "
+                                  f"got {value!r}")
         layers, n = 2 * self.periods, len(self.energies)
         if self.scenario == "slab" and (layers > MAX_LAYERS or
                                         layers * n > MAX_LAYER_POINTS):
@@ -156,17 +171,6 @@ class ScanConfig:
                 f"field 'periods': {layers} layers x {n} energies exceed the "
                 f"work budget of {MAX_LAYERS} layers and {MAX_LAYER_POINTS} "
                 "layer-points")
-        if self.restarts < 1:
-            raise ConfigError(f"field 'restarts': must be >= 1, got {self.restarts}")
-        for name, (inside, rule) in _DOMAINS.items():
-            value = getattr(self, name)
-            if not (math.isfinite(value) and inside(value)):
-                raise ConfigError(f"field {name!r}: must be finite and {rule}, "
-                                  f"got {value!r}")
-        for name in ("csv", "svg"):
-            if getattr(self, name) == "":
-                raise ConfigError(f"field {name!r}: must be a file path, "
-                                  "got ''")
         if self.svg is not None and len(self.energies) < 2:
             raise ConfigError("field 'svg': a plot needs at least 2 energies")
         if (self.csv and self.svg and
@@ -201,7 +205,8 @@ def read_json_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:    # not UTF-8, or an integer past 4300 digits
+    # not UTF-8, an integer past 4300 digits, or nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: top level must be an object")
@@ -300,7 +305,6 @@ class ScanResult:
     """One ``(n,)`` float64 column per quantity over the ascending grid;
     an msw scan's hold the ``ee`` channel (``channels`` derives ``emu``)."""
     scenario: str
-    shots: int
     energy_gev: np.ndarray
     p_theory: np.ndarray
     p_exact: np.ndarray
@@ -404,7 +408,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
     # Python-int division, correctly rounded past 2**53 shots
     p_sampled = np.array([(shots - k) / shots for k in
                           sample(p1, shots, config.seed).tolist()])
-    return ScanResult(config.scenario, shots, energies, theory, exact,
+    return ScanResult(config.scenario, energies, theory, exact,
                       p_sampled, np.sqrt(p_sampled * (1.0 - p_sampled) / shots),
                       circuit=circuit, report=report, dilation=dilation)
 

@@ -8,10 +8,10 @@ angles) evolves one ``(dim,)`` state, and both run the same code.
 ``_entries`` is the only place gate entries are formed; ``gate_matrix``
 assembles them into ``(n, 2, 2)`` stacks for array angles and plain 2x2
 / 4x4 matrices otherwise; ``apply_matrix`` takes ``(n, 4, 4)`` dilation
-stacks.  ``run`` and ``apply`` hold a state stack as its ``dim``
-amplitude columns, arrays of the batch shape, and share one kernel,
-``_gate``: a one-qubit gate sends the amplitudes (a, b) of each index
-pair (k, k | bit) to (m00 a + m01 b, m10 a + m11 b), a column sum's
+stacks.  ``run`` holds a state stack as its ``dim`` amplitude columns,
+arrays of the batch shape, and evolves them with one kernel, ``_gate``:
+a one-qubit gate sends the amplitudes (a, b) of each index pair
+(k, k | bit) to (m00 a + m01 b, m10 a + m11 b), a column sum's
 multiply-then-add order, and a CNOT swaps the pairs whose control bit
 is set.  It calls ``np.multiply`` and ``np.add``, never scalar
 arithmetic, which skips the FMA of numpy's array loop: a single
@@ -141,25 +141,6 @@ def init_state(width: int) -> np.ndarray:
     return state
 
 
-def apply(state: np.ndarray, op: GateOp) -> np.ndarray:
-    """Apply one gate op to a state or a stack of states; an op on a
-    qubit the state does not have raises."""
-    width = _state_width(state)
-    if max(op.qubits) >= width:
-        raise ValueError(f"{op.kind.value} on qubit {max(op.qubits)} does "
-                         f"not fit a width-{width} register")
-    columns = _columns(state)
-    _gate(columns, _pairs(op.kind, op.qubits, width),
-          _entries(op.kind, op.params))
-    return np.stack(columns, axis=-1)
-
-
-def _columns(state) -> list:
-    """A state stack ``(..., dim)`` as its ``dim`` complex amplitude columns."""
-    state = np.asarray(state, dtype=complex)
-    return [state[..., k] for k in range(state.shape[-1])]
-
-
 def apply_matrix(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Apply a raw full-dimension unitary (e.g. a dilation matrix) or a
     stack of them."""
@@ -192,7 +173,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None
         initial, dtype=complex)
     if state.shape[-1:] != (2 ** circuit.width,):
         raise ValueError("initial state does not match circuit width")
-    columns = _columns(state)
+    columns = [state[..., k] for k in range(state.shape[-1])]
     limit = max(1, BLOCK_POINTS // max(1, int(np.prod(circuit.batch_shape))))
     row = 0             # the block's first row of circuit.angles
     for (kind, qubits), same in groupby(circuit.gate_layout):

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nuqsim.cli as cli
@@ -61,8 +61,11 @@ TYPED = {
     "angle_mode": st.sampled_from(ANGLE_MODES),
     "periods": st.integers(0, 60),
     "restarts": st.integers(1, 10 ** 400),
-    "csv": st.sampled_from(["{tmp}/out.csv", "{tmp}/no/dir.csv"]),
-    "svg": st.sampled_from(["{tmp}/out.svg", "{tmp}/no/dir.svg"]),
+    # a NUL byte and a lone surrogate, which no file system path holds
+    "csv": st.sampled_from(["{tmp}/out.csv", "{tmp}/no/dir.csv",
+                            "{tmp}/a\x00.csv", "{tmp}/x\ud800.csv"]),
+    "svg": st.sampled_from(["{tmp}/out.svg", "{tmp}/no/dir.svg",
+                            "{tmp}/b\x00.svg", "{tmp}/y\ud800.svg"]),
     "dump_circuit": st.booleans(),
 }
 for _name in ("theta12_deg", "theta13_deg", "theta23_deg"):
@@ -85,8 +88,16 @@ def configs(draw):
     return cfg
 
 
+# The examples: an output path that no file system takes, in a config
+# valid otherwise, so that the scan gets as far as the path, which few of
+# the drawn configs do.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
+@example({"scenario": "earth", "csv": "{tmp}/a\x00.csv"})
+@example({"scenario": "earth", "csv": "{tmp}/a\x00.csv",
+          "svg": "{tmp}/out.svg"})
+@example({"scenario": "slab", "svg": "{tmp}/b\x00.svg"})
+@example({"scenario": "msw", "csv": "{tmp}/x\ud800.csv"})
 @given(configs())
 def test_every_config_exits_0_2_or_3(cfg):
     out, err = io.StringIO(), io.StringIO()

@@ -57,7 +57,7 @@ def results(n):
     steps = arrays(np.float64, n, elements=st.floats(1e-3, 1e3))
     return st.builds(
         lambda scenario, steps, *cols: ScanResult(
-            scenario, 64, np.cumsum(steps), *cols),
+            scenario, np.cumsum(steps), *cols),
         st.sampled_from(["slab", "msw"]), steps, column, column, column,
         column)
 

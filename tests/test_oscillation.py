@@ -6,6 +6,7 @@ import pytest
 import scipy.constants as sc
 
 from nuqsim import oscillation
+from nuqsim.builders import earth_profile
 from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, MatterLayer,
                                 NumericalDomainError, OscParams, SlabProfile,
                                 atmospheric_effective_angle, effective_params,
@@ -269,12 +270,31 @@ def test_slab_propagator_unitary():
 def test_periodic_profile_expansion():
     layers = (MatterLayer(5.0, 0.5, 500.0), MatterLayer(10.0, 0.5, 1000.0))
     profile = SlabProfile(layers, period_count=5)
-    assert len(profile.expanded()) == 10
     flat = SlabProfile(layers * 5)
     p = OscParams(math.radians(9.0), 2.5e-3)
     for e in (1.5, 6.0, 20.0):
         assert prob_slab(profile, *slab_layer_params(p, profile, e)) == (
             prob_slab(flat, *slab_layer_params(p, flat, e)))
+
+
+def test_an_odd_length_period_repeats_as_its_flat_profile():
+    """Earth's three layers repeated twice give the layer rows and the
+    oracle values of the flat six-layer profile, bit for bit, over a grid
+    and at one energy: no period length is special."""
+    earth = earth_profile()
+    assert len(earth.layers) == 3 and earth.period_count == 1
+    twice = SlabProfile(earth.layers, period_count=2)
+    flat = SlabProfile(earth.layers * 2)
+    p = OscParams(math.radians(9.0), 2.5e-3)
+    for energy in (np.linspace(1.0, 25.0, 7), 6.0):
+        for theta23 in (None, math.radians(45.0)):
+            rows = slab_layer_params(p, twice, energy, theta23)
+            flat_rows = slab_layer_params(p, flat, energy, theta23)
+            assert [r.shape for r in rows] == [(6,) + np.shape(energy)] * 2
+            for got, want in zip(rows, flat_rows):
+                assert got.tobytes() == want.tobytes()
+            assert np.asarray(prob_slab(twice, *rows)).tobytes() == (
+                np.asarray(prob_slab(flat, *flat_rows)).tobytes())
 
 
 # --- adiabatic MSW oracle ------------------------------------------------------
@@ -335,7 +355,7 @@ def test_type_validation():
     with pytest.raises(ValueError):
         SlabProfile(())
     with pytest.raises(ValueError):
-        SlabProfile((MatterLayer(1.0, 0.5, 1.0),), period_count=3)
+        SlabProfile((MatterLayer(1.0, 0.5, 1.0),), period_count=0)
 
 
 VALID_FIELDS = {OscParams: {"theta": 0.5, "dm2": 1e-3},

@@ -158,6 +158,28 @@ def test_from_json_undecodable_values(tmp_path):
             ScanConfig.from_json(str(path))
 
 
+def test_cli_config_nested_too_deeply_exit_2(tmp_path, capsys):
+    """A config nested past the interpreter's recursion limit is a
+    config error naming the file, not a RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"scenario": "earth", "energies": '
+                    + "[" * 5000 + "]" * 5000 + "}")
+    assert cli.main(["scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {path}: ") and (
+        err.count("\n") == 1), err
+
+
+def test_cli_writes_to_a_surrogate_escaped_path(tmp_path, monkeypatch):
+    """A file name that is not UTF-8 reaches argv surrogate-escaped, and
+    the scan writes to it."""
+    monkeypatch.chdir(tmp_path)
+    name = os.fsdecode(b"y\x80.csv")
+    assert cli.main(["scan", "--scenario", "earth", "--energies", "1:2:2",
+                     "--csv", name]) == 0
+    assert os.listdir(tmp_path) == [name]
+
+
 # --- run_scan -----------------------------------------------------------------
 
 def test_scan_results_compare_as_a_bool():
@@ -264,22 +286,21 @@ def test_a_closed_form_miss_ends_the_scan_without_a_fit(monkeypatch):
 
 # --- CSV ------------------------------------------------------------------------
 
-def _columns_result(scenario, shots, *columns):
+def _columns_result(scenario, *columns):
     """A ScanResult built from the energy, theory, exact, sampled and
     stderr columns given as lists."""
-    return ScanResult(scenario, shots, *(np.array(c, dtype=float)
-                                         for c in columns))
+    return ScanResult(scenario, *(np.array(c, float) for c in columns))
 
 
 def _tiny_result():
-    return _columns_result("slab", 16, [1.0, 2.0, 3.0], [0.1, 0.5, 0.9],
+    return _columns_result("slab", [1.0, 2.0, 3.0], [0.1, 0.5, 0.9],
                            [0.1000000000000001, 0.5, 0.9],
                            [0.125, 0.4375, 0.875], [0.02, 0.06, 0.04])
 
 
 def test_csv_header_only_for_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(_columns_result("slab", 16, *[[]] * 5), str(path))
+    emit_csv(_columns_result("slab", *[[]] * 5), str(path))
     assert path.read_text() == "energy_gev,p_theory,p_exact,p_sampled,stderr\n"
 
 
@@ -302,7 +323,7 @@ def test_csv_round_trip_exact(tmp_path):
     assert lines[0] == "energy_gev,p_theory,p_exact,p_sampled,stderr"
     parsed = np.array([[float(tok) for tok in line.split(",")]
                        for line in lines[1:]])
-    rebuilt = _columns_result("earth", cfg.shots, *parsed.T)
+    rebuilt = _columns_result("earth", *parsed.T)
     for name in ("energy_gev", "p_theory", "p_exact", "p_sampled", "stderr"):
         assert getattr(rebuilt, name).tobytes() == \
             getattr(result, name).tobytes(), name
@@ -371,7 +392,7 @@ def test_scan_independent_of_other_points():
 # --- SVG ------------------------------------------------------------------------
 
 def test_plot_needs_two_points(tmp_path):
-    r = _columns_result("slab", 16, [1.0], [0.1], [0.1], [0.125], [0.02])
+    r = _columns_result("slab", [1.0], [0.1], [0.1], [0.125], [0.02])
     with pytest.raises(ValueError):
         emit_plot(r, str(tmp_path / "one.svg"))
 
@@ -407,7 +428,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 def _hand_built_result():
     """An msw result on an uneven grid, with error bars clipped at 0 (two
     emu points) and at 1 (two ee points)."""
-    return _columns_result("msw", 64, [0.5, 1.0, 2.5, 4.0],
+    return _columns_result("msw", [0.5, 1.0, 2.5, 4.0],
                            [0.8125, 0.5, 0.8125, 0.375],
                            [0.75, 0.4375, 0.75, 0.5],
                            [0.96875, 0.46875, 0.96875, 0.4375],
@@ -600,6 +621,12 @@ BAD_INPUTS = [
     # an empty path is no output file, not an output left out
     ({"csv": ""}, "field 'csv': must be a file path"),
     ({"svg": ""}, "field 'svg': must be a file path"),
+    # a path no file system takes: a NUL byte, or a lone surrogate
+    ({"csv": "{tmp}/a\x00.csv"}, "field 'csv': must be a file path, got '"),
+    ({"csv": "{tmp}/a\x00.csv", "svg": "{tmp}/b.svg"},
+     "field 'csv': must be a file path, got '"),
+    ({"svg": "{tmp}/b\x00.svg"}, "field 'svg': must be a file path, got '"),
+    ({"csv": "{tmp}/x\ud800.csv"}, "field 'csv': must be a file path, got '"),
 ]
 
 
@@ -779,8 +806,12 @@ def test_cli_failed_fit_names_a_default_grid_energy(tmp_path, monkeypatch,
 
 
 def test_every_float_field_has_a_domain():
+    """One rule table covers every field but the scenario, the grid and
+    the two flags, the float fields among them."""
     floats = {name for name, kind in scan._FIELD_TYPES.items() if kind is float}
-    assert set(scan._DOMAINS) == floats
+    assert set(scan._RULES) == set(scan._FIELD_TYPES) - {
+        "scenario", "energies", "compile", "dump_circuit"}
+    assert set(scan._RULES) >= floats
 
 
 def test_field_types_match_the_resolved_annotations():

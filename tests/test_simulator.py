@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from nuqsim import scan, simulator
 from nuqsim.builders import build_slab_circuit
-from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, GateOp, cnot,
+from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, cnot,
                              measure, ry, rz, u, x)
 from nuqsim.oscillation import (PHASE_LIMIT, layer_propagator,
                                 slab_layer_params)
 from nuqsim.compiler import virtual_z_pass
 from nuqsim.simulator import (BLOCK_POINTS, _add128, _mul64, _pcg64_states,
-                              apply, apply_matrix, circuit_unitary,
+                              apply_matrix, circuit_unitary,
                               gate_matrix, init_state,
                               probabilities, run, sample,
                               unitaries_equal_up_to_phase)
@@ -81,58 +81,61 @@ def test_equal_up_to_phase_sees_a_small_angle_error():
         m, gate_matrix(u(0.3, 0.2, -0.5 + 1e-7)))
 
 
-# --- apply -------------------------------------------------------------------
+# --- one-gate runs -----------------------------------------------------------
 
 def test_x_flips_zero():
-    state = apply(init_state(1), x())
+    state, _ = run(Circuit(1, [x()]))
     assert np.allclose(state, [0, 1], atol=0)
 
 
 def test_ry_rotates_zero():
     theta = 0.7
-    state = apply(init_state(1), ry(2 * theta))
+    state, _ = run(Circuit(1, [ry(2 * theta)]))
     assert np.allclose(state, [math.cos(theta), math.sin(theta)], atol=1e-15)
 
 
 def test_apply_embeds_by_target_qubit():
     state = random_state(2)
     m = gate_matrix(ry(0.9))
-    assert np.allclose(apply(state, ry(0.9, 0)), np.kron(m, np.eye(2)) @ state)
-    assert np.allclose(apply(state, ry(0.9, 1)), np.kron(np.eye(2), m) @ state)
+    on_q0, _ = run(Circuit(2, [ry(0.9, 0)]), state)
+    on_q1, _ = run(Circuit(2, [ry(0.9, 1)]), state)
+    assert np.allclose(on_q0, np.kron(m, np.eye(2)) @ state)
+    assert np.allclose(on_q1, np.kron(np.eye(2), m) @ state)
 
 
 def test_apply_dimension_mismatch():
-    """An op on a qubit the state does not have is refused, naming the
-    op, not run on another qubit."""
-    with pytest.raises(ValueError, match="CNOT on qubit 1 does not fit a "
-                                         "width-1 register"):
-        apply(init_state(1), cnot(0, 1))
-    with pytest.raises(ValueError, match="RY on qubit 1 does not fit a "
-                                         "width-1 register"):
-        apply(init_state(1), ry(math.pi, 1))
-    # no factory builds an op beyond the widest register
-    beyond = GateOp(GateKind.RY, (5,), (math.pi,))
-    with pytest.raises(ValueError, match="RY on qubit 5 does not fit a "
-                                         "width-2 register"):
-        apply(init_state(2), beyond)
+    """A state of another width than the circuit's is refused, by
+    ``run`` and by ``apply_matrix``; a circuit refuses an op on a qubit it
+    does not have (``test_circuits``)."""
+    with pytest.raises(ValueError, match="initial state does not match "
+                                         "circuit width"):
+        run(Circuit(2, [cnot(0, 1)]), init_state(1))
+    with pytest.raises(ValueError, match="initial state does not match "
+                                         "circuit width"):
+        run(Circuit(1, [ry(math.pi)]), init_state(2))
     with pytest.raises(ValueError):
         apply_matrix(init_state(2), np.eye(2))
 
 
 def test_apply_rejects_measure():
+    """A MEASURE has no matrix, and ``run`` evolves no state by one: a
+    measure-only circuit returns its initial state and the measured qubit."""
     with pytest.raises(ValueError, match="MEASURE"):
-        apply(init_state(1), measure(0))
+        gate_matrix(measure(0))
+    state = random_state(1)
+    got, measured = run(Circuit(1, [measure(0)]), state)
+    assert got.tobytes() == state.tobytes() and measured == (0,)
 
 
 def test_norm_preserved():
     for _ in range(300):
         a, b, c = RNG.uniform(-2 * math.pi, 2 * math.pi, 3)
         op = [x(), ry(a), rz(a), u(a, b, c)][int(RNG.integers(4))]
-        state = apply(random_state(1), op)
+        state, _ = run(Circuit(1, [op]), random_state(1))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
     for _ in range(100):
         op = [cnot(0, 1), cnot(1, 0), ry(RNG.uniform(-6, 6), 1)][int(RNG.integers(3))]
-        state = apply(random_state(2), op)
+        state, _ = run(Circuit(2, [op]), random_state(2))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
@@ -150,7 +153,7 @@ def test_compiled_slab_sequence_matches_matrix_product():
         compiled, _ = virtual_z_pass(Circuit(1, tuple(ops)))
         state = np.array([0, 1], dtype=complex)
         for op in compiled.ops:
-            state = apply(state, op)
+            state, _ = run(Circuit(1, [op]), state)
         # amplitudes agree exactly with the trailing RZ kept
         assert np.max(np.abs(state - expected)) < 1e-12
 
@@ -158,7 +161,7 @@ def test_compiled_slab_sequence_matches_matrix_product():
 # --- probabilities -----------------------------------------------------------
 
 def test_probabilities_basis_states():
-    one = apply(init_state(1), x())
+    one, _ = run(Circuit(1, [x()]))
     assert probabilities(one, 0) == (0.0, 1.0)
     plus = np.array([1, 1]) / math.sqrt(2)
     p0, p1 = probabilities(plus, 0)
@@ -213,10 +216,10 @@ def test_circuit_unitary_matches_column_runs():
 # --- blocked execution ---------------------------------------------------------
 
 def _per_gate(circuit):
-    """Reference: one ``apply`` call per gate."""
+    """Reference: one ``run`` of a one-gate circuit per gate."""
     state = init_state(circuit.width)
     for op in circuit.gates:
-        state = apply(state, op)
+        state, _ = run(Circuit(circuit.width, [op]), state)
     return state
 
 
@@ -408,7 +411,7 @@ def test_sample_deterministic_outcome():
 
 
 def test_sample_same_seed_identical():
-    _, p1 = probabilities(apply(init_state(1), ry(1.1)), 0)
+    _, p1 = probabilities(run(Circuit(1, [ry(1.1)]))[0], 0)
     assert sample(p1, 4096, seed=42) == sample(p1, 4096, seed=42)
 
 

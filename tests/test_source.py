@@ -1,8 +1,10 @@
 """Static checks on the package source."""
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "nuqsim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nuqsim"
 
 # (module file, bound name) imports kept although the module never reads them
 ALLOWED_UNUSED = {("optim.py", "scipy")}
@@ -87,31 +89,30 @@ def callers(source: str, names: set[str]) -> dict[str, set[str]]:
 
 def test_gate_matrices_are_built_only_by_the_simulators_matrix():
     """Every gate's entries come from ``simulator._entries``, which
-    ``gate_matrix`` (the only caller of ``_matrix2``), ``apply`` and
-    ``run`` call, so the pulse-form shortcut and the gate conventions live
-    in one place."""
+    ``gate_matrix`` (the only caller of ``_matrix2``) and ``run`` call, so
+    the pulse-form shortcut and the gate conventions live in one place."""
     names = {"_entries", "_matrix2"}
     assert callers((SRC / "simulator.py").read_text(), names) == {
-        "_entries": {"gate_matrix", "apply", "run"},
+        "_entries": {"gate_matrix", "run"},
         "_matrix2": {"gate_matrix"}}
     assert {path.name for path in sorted(SRC.glob("*.py"))
             if path.name != "simulator.py"
             and callers(path.read_text(), names)} == set()
 
 
-def test_run_and_apply_share_one_pair_update_kernel():
-    """``run`` and ``apply`` both evolve amplitude columns with
-    ``simulator._gate``, which nothing else calls, and neither it nor they
-    reshape or swap axes: no second kernel sits beside it."""
+def test_run_holds_the_one_pair_update_kernel():
+    """``run`` is the one executor: it evolves amplitude columns with
+    ``simulator._gate``, which nothing else calls, and neither of them
+    reshapes or swaps axes: no second kernel sits beside it."""
     source = (SRC / "simulator.py").read_text()
-    assert callers(source, {"_gate"}) == {"_gate": {"apply", "run"}}
+    assert callers(source, {"_gate"}) == {"_gate": {"run"}}
     functions = {fn.name: fn for fn in ast.parse(source).body
                  if isinstance(fn, ast.FunctionDef)}
-    for name in ("_gate", "apply", "run"):
+    for name in ("_gate", "run"):
         attributes = {n.attr for n in ast.walk(functions[name])
                       if isinstance(n, ast.Attribute)}
         assert attributes & {"reshape", "swapaxes", "moveaxis"} == set(), name
-    assert "_apply" not in functions
+    assert {"_apply", "apply"} & set(functions) == set()
 
 
 def test_only_circuits_decides_how_angles_are_stored():
@@ -163,3 +164,65 @@ def test_raw_memory_is_touched_in_one_function():
     assert importers == {"simulator.py"}
     assert readers == {("simulator.py", "_lcg_words")}
     assert ctypeslib == set()
+
+
+# Functions that need no reference from the program: the public gate
+# factory ``cnot``, and the package's PEP 562 hooks, which Python calls.
+NEEDS_NO_REFERENCE = {"cnot", "__getattr__", "__dir__"}
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def defined_functions(source: str) -> set[str]:
+    """Top-level functions, and the methods of top-level classes as
+    ``Class.method``, less the data-model methods (``__init__``,
+    ``__eq__``, ...) that Python calls."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, FUNCTION_DEFS):
+            found.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{fn.name}" for fn in node.body
+                      if isinstance(fn, FUNCTION_DEFS)
+                      and not re.fullmatch(r"__\w+__", fn.name)}
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, imports or spells out in a string, each
+    part of a dotted string on its own (the bench tracer names what it
+    wraps as ``("nuqsim.scan", "run")``)."""
+    names = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.update(n.value.split("."))
+    return names
+
+
+def program_sources() -> list[str]:
+    """The package, the demos, the bench and the README's Python blocks:
+    all the code that runs outside the tests."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "bench").glob("*.py")]
+    readme = (ROOT / "README.md").read_text()
+    return ([path.read_text() for path in sorted(paths)]
+            + re.findall(r"```python\n(.*?)```", readme, re.S))
+
+
+def test_every_function_is_reached_from_outside_the_tests():
+    """Each function and method of the package is named somewhere in the
+    program, so that no code path is kept for the tests alone; only
+    NEEDS_NO_REFERENCE is exempt, and each of its entries is still
+    unreferenced, so the list stays no longer than it has to be."""
+    defined = set().union(*(defined_functions(path.read_text())
+                            for path in SRC.glob("*.py")))
+    assert {"run", "sample", "ScanConfig.from_dict", "Circuit.point"} <= defined
+    read = set().union(*map(referenced_names, program_sources()))
+    unreferenced = {name for name in defined
+                    if name.rpartition(".")[2] not in read}
+    assert unreferenced == NEEDS_NO_REFERENCE
