@@ -55,12 +55,18 @@ _PARSER = build_parser()
 
 
 def _build_config(args: argparse.Namespace) -> ScanConfig:
-    """The config file's fields with the given flags on top, validated
-    once."""
+    """The config file's fields, the given flags on top, checked once."""
     data = read_json_config(args.config) if args.config else {}
     data.update({k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None})
     return ScanConfig.from_dict(data)
+
+
+def _say(line: str) -> None:
+    try:
+        print(line)
+    except UnicodeEncodeError as exc:   # show what stdout refuses escaped
+        print(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -85,10 +91,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if config.csv:
         emit_csv(result, config.csv)
         rows = len(result.energy_gev) * len(result.channels())
-        print(f"wrote {config.csv} ({rows} rows)")
+        _say(f"wrote {config.csv} ({rows} rows)")
     if config.svg:
         emit_plot(result, config.svg)
-        print(f"wrote {config.svg}")
+        _say(f"wrote {config.svg}")
     if not config.csv and not config.svg:
         # no outputs requested: show a compact table
         print("energy_gev  p_theory    p_exact     p_sampled" +

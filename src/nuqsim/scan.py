@@ -1,7 +1,7 @@
 """Energy scans: theory vs exact-circuit vs shot-sampled probabilities.
 
-A ScanConfig (JSON file and/or CLI flags) selects one of three
-scenarios:
+A ScanConfig, from a JSON file, CLI flags or Python alike, types and
+checks each field in ``__post_init__``.  It selects one of three scenarios:
 
 - ``slab``: periodic two-density profile, single-qubit circuit;
 - ``earth``: mantle-core-mantle crossing, single-qubit circuit;
@@ -15,11 +15,11 @@ shot-sampled estimate with its binomial standard error.  A scan runs
 its whole energy grid as one batch: one pass of layer parameters,
 which a slab or earth scan's circuit and oracle share, one template
 circuit (or one stack of dilations) for all points, one simulator
-pass, one oracle pass, one ``sample`` call; msw optimized mode checks the closed-form
-angles of all points in one pass, and a point they miss ends the scan
-with ``NumericalDomainError``.  ``sample`` draws point i from seed XOR
-i, so results do not depend on evaluation order and CSV output is
-byte-reproducible for a fixed config and seed.
+pass, one oracle pass, one ``sample`` call; msw optimized mode checks
+the closed-form angles of all points in one pass, and a point they
+miss ends the scan with ``NumericalDomainError``.  ``sample`` draws
+point i from seed XOR i, so results do not depend on evaluation order
+and CSV output is byte-reproducible for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,11 +77,10 @@ def _finite(inside, rule: str):
 
 
 def _is_path(value) -> bool:
-    """None, or a non-empty path that the file system encoding takes and
-    that holds no NUL byte."""
+    """None, or a non-empty path with no NUL that the file system encodes."""
     try:
         return value is None or value != "" and b"\0" not in os.fsencode(value)
-    except (TypeError, ValueError):     # not a path, or a lone surrogate
+    except ValueError:      # a lone surrogate
         return False
 
 
@@ -89,21 +89,21 @@ _POSITIVE = _finite(lambda v: v > 0.0, "> 0")
 _NON_NEGATIVE = _finite(lambda v: v >= 0.0, ">= 0")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _PATH = (_is_path, "a file path")
-# (test, rule) of every ScanConfig field but scenario, energies and the
-# two bool flags, checked in this order: "field <name>: must be <rule>".
+# (test, rule) of every ScanConfig field but energies and the two bool
+# flags, checked in field order: "field <name>: must be <rule>".
 _RULES = {
+    "scenario": (lambda v: v in SCENARIOS, f"one of {SCENARIOS}"),
     "shots": (lambda v: 1 <= v <= _MAX_SHOTS, f"in [1, {_MAX_SHOTS}]"),
     "seed": (lambda v: v >= 0, ">= 0"),
     "synthesis": (lambda v: v in SYNTHESIS_MODES, f"one of {SYNTHESIS_MODES}"),
     "angle_mode": (lambda v: v in ANGLE_MODES, f"one of {ANGLE_MODES}"),
-    "periods": _AT_LEAST_1, "restarts": _AT_LEAST_1,
     "theta12_deg": _ANGLE, "theta13_deg": _ANGLE, "theta23_deg": _ANGLE,
     "dm2_21": _POSITIVE, "dm2_31": _POSITIVE,
     "ye": _finite(lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "rho1": _NON_NEGATIVE, "rho2": _NON_NEGATIVE,
-    "production_rho": _NON_NEGATIVE,
     "dx1_km": _NON_NEGATIVE, "dx2_km": _NON_NEGATIVE,
-    "csv": _PATH, "svg": _PATH,
+    "periods": _AT_LEAST_1, "production_rho": _NON_NEGATIVE,
+    "restarts": _AT_LEAST_1, "csv": _PATH, "svg": _PATH,
 }
 
 # The fields that set a single-qubit scan's phases, for its precision error
@@ -144,13 +144,15 @@ class ScanConfig:
     dump_circuit: bool = False
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"field 'scenario': must be one of {SCENARIOS}, "
-                              f"got {self.scenario!r}")
-        energies = (np.linspace(*DEFAULT_GRIDS[self.scenario])
-                    if self.energies is None else self.energies)
-        grid = np.fromiter(map(float, energies), float)
-        object.__setattr__(self, "energies", tuple(grid.tolist()))
+        for name in _FIELD_TYPES:
+            value = _coerce_field(name, getattr(self, name))
+            if value is None and name == "energies":
+                value = _linspace(*DEFAULT_GRIDS[self.scenario])
+            object.__setattr__(self, name, value)
+            if name in _RULES and not _RULES[name][0](value):
+                raise ConfigError(f"field {name!r}: must be {_RULES[name][1]}"
+                                  f", got {value!r}")
+        grid = np.array(self.energies)
         if not 1 <= grid.size <= MAX_POINTS:
             raise ConfigError(f"field 'energies': needs 1 to {MAX_POINTS} "
                               f"points, got {grid.size}")
@@ -159,19 +161,14 @@ class ScanConfig:
                               "and positive")
         if (grid[1:] <= grid[:-1]).any():
             raise ConfigError("field 'energies': must be strictly ascending")
-        for name, (valid, rule) in _RULES.items():
-            value = getattr(self, name)
-            if not valid(value):
-                raise ConfigError(f"field {name!r}: must be {rule}, "
-                                  f"got {value!r}")
-        layers, n = 2 * self.periods, len(self.energies)
+        layers, n = 2 * self.periods, grid.size
         if self.scenario == "slab" and (layers > MAX_LAYERS or
                                         layers * n > MAX_LAYER_POINTS):
             raise ConfigError(
                 f"field 'periods': {layers} layers x {n} energies exceed the "
                 f"work budget of {MAX_LAYERS} layers and {MAX_LAYER_POINTS} "
                 "layer-points")
-        if self.svg is not None and len(self.energies) < 2:
+        if self.svg is not None and n < 2:
             raise ConfigError("field 'svg': a plot needs at least 2 energies")
         if (self.csv and self.svg and
                 os.path.realpath(self.csv) == os.path.realpath(self.svg)):
@@ -180,11 +177,9 @@ class ScanConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-        data = {k: _coerce_field(k, v) for k, v in data.items()}
         if "scenario" not in data:
             raise ConfigError("field 'scenario': required")
         return cls(**data)
@@ -213,9 +208,8 @@ def read_json_config(path: str) -> dict:
     return data
 
 
-# Value type of each scalar field, read from its annotation, a string
-# here, with any " | None" dropped (None for energies, parsed on its own),
-# and the fields whose annotation allows None.
+# Value type of each field, from its annotation string without " | None"
+# (None for energies, parsed on its own), and the fields that allow None.
 _SCALARS = {"int": int, "float": float, "bool": bool, "str": str}
 _FIELD_TYPES = {f.name: _SCALARS.get(f.type.removesuffix(" | None"))
                 for f in fields(ScanConfig)}
@@ -236,26 +230,23 @@ def _coerce_field(name: str, value):
         return _json_int(value, f"field {name!r}")
     if kind is float:
         return _json_float(value, f"field {name!r}")
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"field {name!r}: expected true/false, "
-                              f"got {value!r}")
-        return value
-    if kind is str and not isinstance(value, str):
-        raise ConfigError(f"field {name!r}: expected a string, got {value!r}")
+    if not isinstance(value, kind):     # a bool or a str field
+        expected = "true/false" if kind is bool else "a string"
+        raise ConfigError(f"field {name!r}: expected {expected}, got {value!r}")
     return value
 
 
+# int and float are tested before the ABCs, whose isinstance is ~10x slower
 def _json_int(value, where: str) -> int:
-    """A JSON integer (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """An integer of any integral type but bool, as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _json_float(value, where: str) -> float:
-    """A JSON number (not a bool or string) that fits a double."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number of any type but bool that fits a double, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -264,7 +255,7 @@ def _json_float(value, where: str) -> float:
 
 
 def _parse_energies(spec) -> tuple[float, ...]:
-    """Energy grid from a list, a {min,max,points} object, or 'min:max:n'."""
+    """Grid from 'min:max:n', a {min,max,points} dict, or real numbers."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -285,9 +276,12 @@ def _parse_energies(spec) -> tuple[float, ...]:
         return _linspace(_json_float(lo, "field 'energies' min"),
                          _json_float(hi, "field 'energies' max"),
                          _json_int(n, "field 'energies' points"))
-    if isinstance(spec, (list, tuple)):
-        return tuple(_json_float(e, "field 'energies' entry") for e in spec)
-    raise ConfigError("field 'energies': expected list, object, or 'min:max:n'")
+    try:
+        entries = iter(spec)
+    except TypeError:
+        raise ConfigError("field 'energies': expected list, object, or "
+                          "'min:max:n'") from None
+    return tuple(_json_float(e, "field 'energies' entry") for e in entries)
 
 
 def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:

@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nuqsim.cli as cli
-from nuqsim.scan import (ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ScanConfig,
-                         run_scan)
+from nuqsim.scan import (ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ConfigError,
+                         ScanConfig, run_scan)
 
 FIELDS = [f.name for f in dataclasses.fields(ScanConfig)]
 PATHS = ("csv", "svg")
@@ -88,6 +88,12 @@ def configs(draw):
     return cfg
 
 
+def _in_dir(cfg, tmp):
+    """The config with ``{tmp}`` in its path fields replaced by ``tmp``."""
+    return {k: v.replace("{tmp}", tmp) if k in PATHS and isinstance(v, str)
+            else v for k, v in cfg.items()}
+
+
 # The examples: an output path that no file system takes, in a config
 # valid otherwise, so that the scan gets as far as the path, which few of
 # the drawn configs do.
@@ -102,8 +108,7 @@ def configs(draw):
 def test_every_config_exits_0_2_or_3(cfg):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = {k: v.replace("{tmp}", tmp) if k in PATHS and
-               isinstance(v, str) else v for k, v in cfg.items()}
+        cfg = _in_dir(cfg, tmp)
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
@@ -117,6 +122,38 @@ def test_every_config_exits_0_2_or_3(cfg):
     if code == 3:
         assert " GeV" in message, message
         assert any(repr(name) in message for name in FIELDS), message
+
+
+def _built(build, cfg):
+    """The config ``build`` returns, or the message of its ConfigError."""
+    try:
+        return build(cfg)
+    except ConfigError as exc:
+        return str(exc)
+
+
+# The examples: the values a Python call took otherwise than JSON did
+# (accepted, refused with another exception, or parsed differently).
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example({"scenario": "slab", "energies": [1.0, 2.0], "shots": 3.5})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "shots": True})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "compile": "no"})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "rho1": True})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "periods": 2.0})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "seed": 1.5})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "periods": "3"})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "ye": "0.5"})
+@example({"scenario": "slab", "energies": [1.0, 2.0], "shots": None})
+@example({"scenario": "slab", "energies": "1:25:3"})
+@example({"scenario": "slab", "energies": ["4.25"]})
+@given(configs())
+def test_a_python_config_takes_the_json_path(cfg):
+    """``ScanConfig(**cfg)`` and ``ScanConfig.from_dict(cfg)`` both raise
+    a ConfigError with the same message, or build equal configs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _in_dir(cfg, tmp)
+        assert (_built(lambda fields: ScanConfig(**fields), cfg) ==
+                _built(ScanConfig.from_dict, cfg))
 
 
 # Valid configs whose matter term, beta, layer phase or accumulated phase

@@ -1,4 +1,5 @@
 """Scan configuration, CSV/SVG emission, CLI behavior."""
+import io
 import json
 import math
 import os
@@ -72,10 +73,15 @@ def test_energy_checks_give_their_message(energies, message):
 
 
 def test_energies_take_any_iterable_of_float_convertibles():
+    """Any iterable of real numbers, each stored as a float; a string
+    entry is refused from Python as from JSON."""
     cfg = ScanConfig(scenario="slab", energies=iter(
-        [Fraction(1, 2), np.float32(2.5), 3, "4.25"]))
-    assert cfg.energies == (0.5, 2.5, 3.0, 4.25)
+        [Fraction(1, 2), np.float32(2.5), 3]))
+    assert cfg.energies == (0.5, 2.5, 3.0)
     assert all(type(e) is float for e in cfg.energies)
+    with pytest.raises(ConfigError, match="'energies' entry: expected a "
+                                          "number, got '4.25'"):
+        ScanConfig(scenario="slab", energies=iter([1.0, "4.25"]))
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -86,19 +92,43 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_from_dict_rejects_wrong_types():
-    with pytest.raises(ConfigError, match="shots"):
-        ScanConfig.from_dict({"scenario": "slab", "shots": "many"})
-    with pytest.raises(ConfigError, match="shots"):
-        ScanConfig.from_dict({"scenario": "slab", "shots": True})
-    with pytest.raises(ConfigError, match="ye"):
-        ScanConfig.from_dict({"scenario": "slab", "ye": "half"})
-    with pytest.raises(ConfigError, match="compile"):
-        ScanConfig.from_dict({"scenario": "slab", "compile": 1})
-    with pytest.raises(ConfigError, match="energies"):
-        ScanConfig.from_dict({"scenario": "slab", "energies": [1.0, "two"]})
-    with pytest.raises(ConfigError, match="energies"):
-        ScanConfig.from_dict({"scenario": "slab",
-                              "energies": {"min": "a", "max": 2, "points": 3}})
+    """Each wrong type is a ConfigError naming its field, through
+    ``from_dict`` and through ``ScanConfig(...)`` alike."""
+    for build in (ScanConfig.from_dict, lambda data: ScanConfig(**data)):
+        with pytest.raises(ConfigError, match="shots"):
+            build({"scenario": "slab", "shots": "many"})
+        with pytest.raises(ConfigError, match="shots"):
+            build({"scenario": "slab", "shots": True})
+        with pytest.raises(ConfigError, match="ye"):
+            build({"scenario": "slab", "ye": "half"})
+        with pytest.raises(ConfigError, match="compile"):
+            build({"scenario": "slab", "compile": 1})
+        with pytest.raises(ConfigError, match="energies"):
+            build({"scenario": "slab", "energies": [1.0, "two"]})
+        with pytest.raises(ConfigError, match="energies"):
+            build({"scenario": "slab",
+                   "energies": {"min": "a", "max": 2, "points": 3}})
+
+
+# Values a Python caller can pass that a JSON config refuses; energies
+# (1.0, 2.0) keep the rest of the config valid.
+MISTYPED = [("shots", 3.5), ("shots", True), ("compile", "no"),
+            ("rho1", True), ("periods", 2.0), ("seed", 1.5), ("periods", "3"),
+            ("ye", "0.5"), ("shots", None), ("energies", ["4.25"])]
+
+
+@pytest.mark.parametrize("name, value", MISTYPED)
+def test_a_mistyped_field_is_one_config_error_however_built(
+        tmp_path, capsys, name, value):
+    """From Python as from a JSON config, a wrong type ends in the same
+    ConfigError naming its field: ``nuqsim scan`` exits 2 with it."""
+    fields = {"scenario": "slab", "energies": (1.0, 2.0), name: value}
+    with pytest.raises(ConfigError, match=f"^field '{name}'") as info:
+        ScanConfig(**fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields))
+    assert cli.main(["scan", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {info.value}\n"
 
 
 def test_energy_grid_forms():
@@ -107,7 +137,9 @@ def test_energy_grid_forms():
     b = ScanConfig.from_dict({"scenario": "slab",
                               "energies": [1, 2, 3, 4, 5]})
     c = ScanConfig.from_dict({"scenario": "slab", "energies": "1:5:5"})
-    assert a.energies == b.energies == c.energies == (1, 2, 3, 4, 5)
+    d = ScanConfig(scenario="slab", energies="1:5:5")
+    assert a.energies == b.energies == c.energies == d.energies == (
+        1, 2, 3, 4, 5)
     with pytest.raises(ConfigError, match="energies"):
         ScanConfig.from_dict({"scenario": "slab", "energies": "1:5"})
     with pytest.raises(ConfigError, match="energies"):
@@ -178,6 +210,24 @@ def test_cli_writes_to_a_surrogate_escaped_path(tmp_path, monkeypatch):
     assert cli.main(["scan", "--scenario", "earth", "--energies", "1:2:2",
                      "--csv", name]) == 0
     assert os.listdir(tmp_path) == [name]
+
+
+def test_cli_shows_a_written_name_stdout_cannot_encode_escaped(
+        tmp_path, monkeypatch):
+    """Where stdout's encoding is strict, a written file name it cannot
+    encode prints backslash-escaped and the scan exits 0; a name it can
+    encode prints as given."""
+    monkeypatch.chdir(tmp_path)
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        raw, encoding="utf-8", errors="strict"))
+    csv, svg = os.fsdecode(b"z\x80.csv"), "\u00e9.svg"
+    assert cli.main(["scan", "--scenario", "earth", "--energies", "1:2:2",
+                     "--csv", csv, "--svg", svg]) == 0
+    sys.stdout.flush()
+    assert raw.getvalue().splitlines()[-2:] == [
+        b"wrote z\\udc80.csv (2 rows)", "wrote \u00e9.svg".encode()]
+    assert sorted(os.listdir(tmp_path)) == sorted([csv, svg])
 
 
 # --- run_scan -----------------------------------------------------------------
@@ -806,11 +856,11 @@ def test_cli_failed_fit_names_a_default_grid_energy(tmp_path, monkeypatch,
 
 
 def test_every_float_field_has_a_domain():
-    """One rule table covers every field but the scenario, the grid and
-    the two flags, the float fields among them."""
+    """One rule table covers every field but the grid and the two flags,
+    the scenario and the float fields among them."""
     floats = {name for name, kind in scan._FIELD_TYPES.items() if kind is float}
     assert set(scan._RULES) == set(scan._FIELD_TYPES) - {
-        "scenario", "energies", "compile", "dump_circuit"}
+        "energies", "compile", "dump_circuit"}
     assert set(scan._RULES) >= floats
 
 

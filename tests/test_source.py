@@ -78,13 +78,38 @@ def test_templates_are_built_only_in_layout_form():
 
 
 def callers(source: str, names: set[str]) -> dict[str, set[str]]:
-    """For each of ``names``, the top-level functions that call it."""
+    """For each of ``names``, the top-level functions and the methods,
+    as ``Class.method``, that call it."""
     found: dict[str, set[str]] = {}
-    for fn in ast.parse(source).body:
-        for n in ast.walk(fn):
-            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in names:
-                found.setdefault(n.func.id, set()).add(getattr(fn, "name", ""))
+    for top in ast.parse(source).body:
+        scopes = ([(f"{top.name}.{getattr(fn, 'name', '')}", fn)
+                   for fn in top.body] if isinstance(top, ast.ClassDef)
+                  else [(getattr(top, "name", ""), top)])
+        for scope, fn in scopes:
+            for n in ast.walk(fn):
+                if (isinstance(n, ast.Call) and
+                        getattr(n.func, "id", None) in names):
+                    found.setdefault(n.func.id, set()).add(scope)
     return found
+
+
+def test_a_scan_config_is_typed_on_one_path():
+    """``ScanConfig.__post_init__`` alone types a config's fields, however
+    the config was built: ``_coerce_field`` runs from it and from nothing
+    else, ``from_dict`` calls no coercion helper, and no function
+    converts energies with ``map(float, ...)``."""
+    helpers = {"_coerce_field", "_json_int", "_json_float", "_parse_energies"}
+    source = (SRC / "scan.py").read_text()
+    found = callers(source, helpers)
+    assert found["_coerce_field"] == {"ScanConfig.__post_init__"}
+    assert not any("ScanConfig.from_dict" in scopes
+                   for scopes in found.values()), found
+    assert {path.name for path in sorted(SRC.glob("*.py"))
+            if path.name != "scan.py"
+            and callers(path.read_text(), helpers)} == set()
+    assert [n for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "map"
+            and getattr(n.args[0], "id", None) == "float"] == []
 
 
 def test_gate_matrices_are_built_only_by_the_simulators_matrix():
