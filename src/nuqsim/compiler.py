@@ -133,19 +133,15 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
 
 # --- native lowering ---------------------------------------------------------
 
-def _expand_u(theta: float, phi: float, lam: float, qubit: int) -> list[GateOp]:
-    """U(theta, phi, lam) as RZ(lam), SX, RZ(theta+pi), SX, RZ(phi+pi)."""
-    ops = [rz(lam, qubit), sx(qubit), rz(theta + math.pi, qubit),
-           sx(qubit), rz(phi + math.pi, qubit)]
-    return [op for op in ops if not (op.kind is GateKind.RZ and op.params[0] == 0.0)]
-
-
 def lower_to_native(circuit: Circuit) -> Circuit:
     """Rewrite a single-qubit circuit onto {RZ, sqrt(X), X}.
 
-    The total unitary is preserved up to global phase.  Collapses the
-    trivial cases: RZ and X pass through, a pulse-form sqrt(X) stays a
-    single gate, and a zero-angle U reduces to one RZ.
+    The total unitary is preserved up to global phase.  RY(t) is lowered
+    as the U(t, 0, 0) it equals.  RZ and X pass through, a pulse-form
+    sqrt(X) stays a single gate, a U with zero theta becomes
+    RZ(phi + lam), any other U becomes RZ(lam), SX, RZ(theta + pi), SX,
+    RZ(phi + pi), and every RZ(0) is dropped: a zero-angle RY or U
+    reduces to nothing.
     """
     if circuit.width != 1:
         raise ValueError("two-qubit lowering is not supported")
@@ -153,22 +149,16 @@ def lower_to_native(circuit: Circuit) -> Circuit:
 
     out: list[GateOp] = []
     for op in circuit.ops:
-        kind = op.kind
-        if kind in (GateKind.RZ, GateKind.X, GateKind.MEASURE):
-            if not (kind is GateKind.RZ and op.params[0] == 0.0):
-                out.append(op)
-        elif kind is GateKind.RY:
-            out.extend(_expand_u(op.params[0], 0.0, 0.0, op.qubits[0]))
-        else:
-            theta, phi, lam = op.params
-            if is_sx(op):
-                out.append(op)
-            elif theta == 0.0:
-                if phi + lam != 0.0:
-                    out.append(rz(phi + lam, op.qubits[0]))
-            else:
-                out.extend(_expand_u(theta, phi, lam, op.qubits[0]))
-    return Circuit(circuit.width, tuple(out))
+        if op.kind is GateKind.RY:
+            op = u(op.params[0], 0.0, 0.0)
+        if op.kind is not GateKind.U or is_sx(op):
+            out.append(op)
+            continue
+        theta, phi, lam = op.params
+        out += ([rz(phi + lam)] if theta == 0.0 else
+                [rz(lam), sx(), rz(theta + math.pi), sx(), rz(phi + math.pi)])
+    return Circuit(1, tuple(op for op in out if not (
+        op.kind is GateKind.RZ and op.params[0] == 0.0)))
 
 
 def _require_single(circuit: Circuit) -> None:

@@ -171,7 +171,11 @@ def effective_params(p: OscParams, layer: MatterLayer,
     a = matter_potential(layer, energy_gev)
     with np.errstate(over="ignore"):
         beta = a / p.dm2
-    return effective_params_from_beta(p, beta)
+    try:
+        return effective_params_from_beta(p, beta)
+    except NumericalDomainError as exc:    # theta = 0: resonance at beta = 1
+        at = np.ravel(energy_gev)[np.argmax(np.ravel(beta) == 1.0)]
+        raise NumericalDomainError(f"{exc}, at {float(at)!r} GeV") from None
 
 
 def phase(dm2_m, length_km: float, energy_gev):

@@ -106,10 +106,14 @@ _RULES = {
     "restarts": _AT_LEAST_1, "csv": _PATH, "svg": _PATH,
 }
 
-# The fields that set a single-qubit scan's phases, for its precision error
-_PHASE_FIELDS = {"slab": "'dm2_31', 'ye', 'rho1', 'rho2', 'dx1_km', 'dx2_km', "
-                         "'periods', 'energies'",
-                 "earth": "'dm2_31', 'energies'"}
+# The fields that set each scan's theta_m and phases, for its domain errors
+_DOMAIN_FIELDS = {
+    "slab": "theta_m and the phase: 'theta13_deg', 'dm2_31', 'ye', 'rho1', "
+            "'rho2', 'dx1_km', 'dx2_km', 'periods', 'energies'",
+    "earth": "theta_m and the phase: 'theta13_deg', 'dm2_31', 'ye', "
+             "'energies'",
+    "msw": "theta_m: 'theta12_deg', 'dm2_21', 'ye', 'production_rho', "
+           "'energies'"}
 
 
 @dataclass(frozen=True)
@@ -147,21 +151,13 @@ class ScanConfig:
         for name in _FIELD_TYPES:
             value = _coerce_field(name, getattr(self, name))
             if value is None and name == "energies":
-                value = _linspace(*DEFAULT_GRIDS[self.scenario])
+                value = tuple(np.linspace(*DEFAULT_GRIDS[self.scenario])
+                              .tolist())
             object.__setattr__(self, name, value)
             if name in _RULES and not _RULES[name][0](value):
                 raise ConfigError(f"field {name!r}: must be {_RULES[name][1]}"
                                   f", got {value!r}")
-        grid = np.array(self.energies)
-        if not 1 <= grid.size <= MAX_POINTS:
-            raise ConfigError(f"field 'energies': needs 1 to {MAX_POINTS} "
-                              f"points, got {grid.size}")
-        if not (np.isfinite(grid) & (grid > 0)).all():
-            raise ConfigError("field 'energies': all energies must be finite "
-                              "and positive")
-        if (grid[1:] <= grid[:-1]).any():
-            raise ConfigError("field 'energies': must be strictly ascending")
-        layers, n = 2 * self.periods, grid.size
+        layers, n = 2 * self.periods, len(self.energies)
         if self.scenario == "slab" and (layers > MAX_LAYERS or
                                         layers * n > MAX_LAYER_POINTS):
             raise ConfigError(
@@ -255,7 +251,10 @@ def _json_float(value, where: str) -> float:
 
 
 def _parse_energies(spec) -> tuple[float, ...]:
-    """Grid from 'min:max:n', a {min,max,points} dict, or real numbers."""
+    """The grid of a 'min:max:n' string, a {min, max, points} object, or a
+    list, tuple or 1-d numpy array of real numbers: its count checked
+    before any energy is converted, then each energy finite, positive and
+    above the one before."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -264,8 +263,7 @@ def _parse_energies(spec) -> tuple[float, ...]:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"field 'energies': cannot parse {spec!r}") from None
-        return _linspace(lo, hi, n)
-    if isinstance(spec, dict):
+    elif isinstance(spec, dict):
         extra = set(spec) - {"min", "max", "points"}
         if extra:
             raise ConfigError(f"field 'energies': unknown keys {sorted(extra)}")
@@ -273,25 +271,32 @@ def _parse_energies(spec) -> tuple[float, ...]:
             lo, hi, n = spec["min"], spec["max"], spec["points"]
         except KeyError as exc:
             raise ConfigError(f"field 'energies': missing key {exc}") from None
-        return _linspace(_json_float(lo, "field 'energies' min"),
-                         _json_float(hi, "field 'energies' max"),
-                         _json_int(n, "field 'energies' points"))
-    try:
-        entries = iter(spec)
-    except TypeError:
-        raise ConfigError("field 'energies': expected list, object, or "
-                          "'min:max:n'") from None
-    return tuple(_json_float(e, "field 'energies' entry") for e in entries)
-
-
-def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    """n evenly spaced energies, with n checked before they are allocated."""
+        lo, hi, n = (_json_float(lo, "field 'energies' min"),
+                     _json_float(hi, "field 'energies' max"),
+                     _json_int(n, "field 'energies' points"))
+    elif isinstance(spec, (list, tuple)) or (isinstance(spec, np.ndarray)
+                                             and spec.ndim == 1):
+        n = len(spec)
+    else:
+        raise ConfigError("field 'energies': expected 'min:max:n', an object "
+                          "{min, max, points}, or a list, tuple or 1-d array "
+                          f"of numbers, got {type(spec).__name__}")
     if not 1 <= n <= MAX_POINTS:
-        raise ConfigError(f"field 'energies': n must be in [1, {MAX_POINTS}], "
-                          f"got {n}")
-    # an infinite or overflowing span's inf/nan energies fail ScanConfig
-    with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(np.linspace(lo, hi, n).tolist())
+        raise ConfigError(f"field 'energies': needs 1 to {MAX_POINTS} "
+                          f"points, got {n}")
+    if isinstance(spec, (str, dict)):
+        # an infinite or overflowing span gives inf/nan energies, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = tuple(np.linspace(lo, hi, n).tolist())
+    else:
+        grid = tuple([_json_float(e, "field 'energies' entry") for e in spec])
+    checked = np.array(grid)
+    if not (np.isfinite(checked) & (checked > 0)).all():
+        raise ConfigError("field 'energies': all energies must be finite "
+                          "and positive")
+    if (checked[1:] <= checked[:-1]).any():
+        raise ConfigError("field 'energies': must be strictly ascending")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)    # array columns: compare by identity
@@ -371,14 +376,18 @@ def run_scan(config: ScanConfig) -> ScanResult:
     energies = np.array(config.energies)
     msw = config.scenario == "msw"
     report = dilation = None
-    if not msw:
-        p, profile, th23 = _single_qubit_setup(config)
-        try:
+    try:
+        if msw:
+            p, layer = msw_setup(config)
+            u2q = build_dilation(p, layer, energies)
+        else:
+            p, profile, th23 = _single_qubit_setup(config)
             angles, phases = slab_layer_params(p, profile, energies, th23)
-        except NumericalDomainError as exc:
-            raise NumericalDomainError(
-                f"{exc}; the fields that set the phase: "
-                f"{_PHASE_FIELDS[config.scenario]}") from None
+    except NumericalDomainError as exc:
+        raise NumericalDomainError(
+            f"{exc}; the fields that set {_DOMAIN_FIELDS[config.scenario]}"
+        ) from None
+    if not msw:
         circuit = build_slab_circuit(angles, phases)
         if config.compile:
             from .compiler import virtual_z_pass    # only this scan needs it
@@ -387,16 +396,13 @@ def run_scan(config: ScanConfig) -> ScanResult:
         qubit = measured[0]
         theory = prob_slab(profile, angles, phases)
     else:
-        p, layer = msw_setup(config)
-        u2q = build_dilation(p, layer, energies)
         if config.synthesis == "exact":
             circuit, dilation = None, u2q
             states = apply_matrix(init_state(2), dilation)
         else:
             circuit = build_msw_circuit(_fitted_angles(config, u2q))
             states, _ = run(circuit)
-        qubit = ENCODED
-        theory = prob_msw_adiabatic(p, layer, energies)[0]
+        qubit, theory = ENCODED, prob_msw_adiabatic(p, layer, energies)[0]
     exact, p1 = probabilities(states, qubit)
     shots = config.shots
     # Python-int division, correctly rounded past 2**53 shots

@@ -219,6 +219,29 @@ def test_lower_zero_theta_becomes_rz():
     assert out.ops == (rz(0.7),)
 
 
+def test_lower_zero_angle_ry_and_u_to_nothing():
+    for zero in (0.0, -0.0):
+        assert lower_to_native(Circuit(1, [ry(zero)])).ops == ()
+        assert lower_to_native(Circuit(1, [u(zero, 0.0, 0.0)])).ops == ()
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2,
+                     -math.pi / 2]),
+    st.floats(-1e6, 1e6))
+OPS = st.one_of(st.just(x()), st.just(sx()), st.builds(ry, ANGLES),
+                st.builds(rz, ANGLES), st.builds(u, ANGLES, ANGLES, ANGLES))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ANGLES, st.lists(OPS, max_size=3), st.lists(OPS, max_size=3))
+def test_lower_ry_as_the_u_it_equals_bit_for_bit(t, before, after):
+    """RY(t) lowers to the same dump as U(t, 0, 0), among any other ops."""
+    lowered = [dump_circuit(lower_to_native(Circuit(1, [*before, op, *after])))
+               for op in (ry(t), u(t, 0.0, 0.0))]
+    assert lowered[0] == lowered[1]
+
+
 def test_lower_random_circuits_equivalent():
     native_kinds = {GateKind.RZ, GateKind.X, GateKind.MEASURE}
     for _ in range(200):

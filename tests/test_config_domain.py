@@ -124,6 +124,71 @@ def test_every_config_exits_0_2_or_3(cfg):
         assert any(repr(name) in message for name in FIELDS), message
 
 
+# Every field's valid range, bounded only where a scan's cost grows with
+# the value (periods, and the grid of at most 4 points, as a list).
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+IN_RANGE = {
+    "scenario": st.sampled_from(SCENARIOS),
+    "shots": st.integers(1, 2 ** 63 - 1),
+    "seed": st.integers(0, 10 ** 40),
+    "compile": st.booleans(),
+    "synthesis": st.sampled_from(SYNTHESIS_MODES),
+    "angle_mode": st.sampled_from(ANGLE_MODES),
+    "dm2_21": POSITIVE, "dm2_31": POSITIVE,
+    "ye": st.floats(0.0, 1.0, exclude_min=True),
+    "periods": st.integers(1, 60),
+    "restarts": st.integers(1, 10 ** 40),
+    "csv": st.just("{tmp}/out.csv"),
+    "dump_circuit": st.booleans(),
+}
+for _name in ("theta12_deg", "theta13_deg", "theta23_deg"):
+    IN_RANGE[_name] = _floats(0.0, 90.0)
+for _name in ("rho1", "rho2", "production_rho", "dx1_km", "dx2_km"):
+    IN_RANGE[_name] = st.floats(0.0, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """A config with every field in its range: a few fields drawn, the
+    others left at their defaults, and an ascending grid; an SVG only
+    for a grid of at least 2 points."""
+    cfg = draw(st.fixed_dictionaries({}, optional=IN_RANGE))
+    cfg.setdefault("scenario", draw(IN_RANGE["scenario"]))
+    cfg["energies"] = sorted(draw(st.lists(POSITIVE, min_size=1, max_size=4,
+                                           unique=True)))
+    if len(cfg["energies"]) > 1 and draw(st.booleans()):
+        cfg["svg"] = "{tmp}/out.svg"
+    return cfg
+
+
+# The examples: exact resonance at zero mixing, where theta_m is undefined
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example({"scenario": "slab", "theta13_deg": 0,
+          "energies": [6.607726044341603]})
+@example({"scenario": "earth", "theta13_deg": 0,
+          "energies": [6.607726044341603]})
+@example({"scenario": "msw", "theta12_deg": 0,
+          "energies": [0.006607726044341601]})
+@given(valid_configs())
+def test_every_valid_config_exits_0_or_3(cfg):
+    """A config inside every field's range is never a config error: it
+    scans (exit 0) or leaves the numerical domain (exit 3), naming the
+    energy and the fields to change."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(_in_dir(cfg, tmp), fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["scan", "--config", path])
+    message = err.getvalue()
+    assert code in (0, 3), message
+    if code == 3:
+        assert " GeV" in message, message
+        assert any(repr(name) in message for name in FIELDS), message
+
+
 def _built(build, cfg):
     """The config ``build`` returns, or the message of its ConfigError."""
     try:

@@ -1,5 +1,6 @@
 """Scan configuration, CSV/SVG emission, CLI behavior."""
 import io
+import itertools
 import json
 import math
 import os
@@ -55,7 +56,7 @@ def test_bad_fields_are_named():
 
 @pytest.mark.parametrize("energies, message", [
     ((), f"needs 1 to {scan.MAX_POINTS} points, got 0"),
-    (range(1, scan.MAX_POINTS + 2),
+    ([1.0] * (scan.MAX_POINTS + 1),
      f"needs 1 to {scan.MAX_POINTS} points, got {scan.MAX_POINTS + 1}"),
     ((-1.0, 2.0), "all energies must be finite and positive"),
     ((0.0, 2.0), "all energies must be finite and positive"),
@@ -72,16 +73,68 @@ def test_energy_checks_give_their_message(energies, message):
     assert str(info.value) == f"field 'energies': {message}"
 
 
-def test_energies_take_any_iterable_of_float_convertibles():
-    """Any iterable of real numbers, each stored as a float; a string
-    entry is refused from Python as from JSON."""
-    cfg = ScanConfig(scenario="slab", energies=iter(
-        [Fraction(1, 2), np.float32(2.5), 3]))
-    assert cfg.energies == (0.5, 2.5, 3.0)
-    assert all(type(e) is float for e in cfg.energies)
+def test_energies_take_a_list_tuple_or_1d_array_of_real_numbers():
+    """A list, a tuple or a 1-d numpy array of real numbers of any type,
+    each stored as a float; an iterator is refused, and a string entry
+    is refused from Python as from JSON."""
+    mixed = [Fraction(1, 2), np.float32(2.5), 3]
+    for energies in (mixed, tuple(mixed), np.array(mixed, dtype=object),
+                     np.array([0.5, 2.5, 3.0])):
+        cfg = ScanConfig(scenario="slab", energies=energies)
+        assert cfg.energies == (0.5, 2.5, 3.0)
+        assert all(type(e) is float for e in cfg.energies)
+    with pytest.raises(ConfigError, match="^field 'energies': expected "):
+        ScanConfig(scenario="slab", energies=iter(mixed))
     with pytest.raises(ConfigError, match="'energies' entry: expected a "
                                           "number, got '4.25'"):
-        ScanConfig(scenario="slab", energies=iter([1.0, "4.25"]))
+        ScanConfig(scenario="slab", energies=(1.0, "4.25"))
+
+
+@pytest.mark.parametrize("energies", [
+    b"\x01\x02", bytearray(b"\x01\x05"), {3.0, 1.0, 2.0}, range(1, 4),
+    iter([1.0, 2.0]), itertools.count(1), np.ones((2, 2)), np.array(2.0),
+    2.0], ids=["bytes", "bytearray", "set", "range", "iterator", "count",
+               "2d-array", "0d-array", "float"])
+def test_energies_refuse_every_other_form_naming_the_field(energies):
+    """Only a 'min:max:n' string, a {min, max, points} object, a list, a
+    tuple or a 1-d array is a grid: bytes, sets, ranges, iterators (an
+    endless one too), 2-d and 0-d arrays and scalars are refused."""
+    with pytest.raises(ConfigError, match="^field 'energies': expected "):
+        ScanConfig(scenario="slab", energies=energies)
+
+
+class _CountingEnergy(float):
+    """A real number that counts its conversions to float."""
+    calls = 0
+
+    def __float__(self):
+        type(self).calls += 1
+        return super().__float__()
+
+
+def test_a_grid_is_counted_before_any_energy_is_converted(monkeypatch):
+    monkeypatch.setattr(_CountingEnergy, "calls", 0)
+    one = _CountingEnergy(1.0)
+    with pytest.raises(ConfigError, match=f"got {scan.MAX_POINTS + 1}$"):
+        ScanConfig(scenario="slab", energies=[one] * (scan.MAX_POINTS + 1))
+    assert _CountingEnergy.calls == 0
+    assert ScanConfig(scenario="slab", energies=[one]).energies == (1.0,)
+    assert _CountingEnergy.calls == 1
+
+
+def test_the_grid_is_checked_in_field_order(tmp_path, capsys):
+    """A bad grid and a bad later field: the grid, checked in its field's
+    place, is the one named, however the config was built."""
+    fields = {"scenario": "slab", "energies": [3, 2], "shots": 0}
+    for build in (ScanConfig.from_dict, lambda data: ScanConfig(**data)):
+        with pytest.raises(ConfigError, match="^field 'energies': must be "
+                                              "strictly ascending$"):
+            build(fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields))
+    assert cli.main(["scan", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'energies': must be strictly ascending\n")
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -892,11 +945,36 @@ def test_cli_phase_without_precision_exit_3(tmp_path, capsys, fields, named):
     err = capsys.readouterr().err
     assert named in err
     assert f"at {cfg['energies'][0]!r} GeV" in err
-    names = {"slab": "'dm2_31', 'ye', 'rho1', 'rho2', 'dx1_km', 'dx2_km', "
-                     "'periods', 'energies'",
-             "earth": "'dm2_31', 'energies'"}[cfg["scenario"]]
-    assert f"the fields that set the phase: {names}" in err
+    names = {"slab": "'theta13_deg', 'dm2_31', 'ye', 'rho1', 'rho2', "
+                     "'dx1_km', 'dx2_km', 'periods', 'energies'",
+             "earth": "'theta13_deg', 'dm2_31', 'ye', 'energies'"
+             }[cfg["scenario"]]
+    assert f"the fields that set theta_m and the phase: {names}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg, fields", [
+    ({"scenario": "slab", "theta13_deg": 0,
+      "energies": [1.0, 6.607726044341603]},
+     "theta_m and the phase: 'theta13_deg', 'dm2_31', 'ye', 'rho1', 'rho2', "
+     "'dx1_km', 'dx2_km', 'periods', 'energies'"),
+    ({"scenario": "earth", "theta13_deg": 0,
+      "energies": [1.0, 6.607726044341603]},
+     "theta_m and the phase: 'theta13_deg', 'dm2_31', 'ye', 'energies'"),
+    ({"scenario": "msw", "theta12_deg": 0,
+      "energies": [0.001, 0.006607726044341601]},
+     "theta_m: 'theta12_deg', 'dm2_21', 'ye', 'production_rho', 'energies'"),
+], ids=["slab", "earth", "msw"])
+def test_cli_resonance_at_zero_mixing_exit_3(tmp_path, capsys, cfg, fields):
+    """At theta = 0 theta_m is undefined at exact resonance (beta = 1):
+    the scan exits 3 naming that energy and the fields that set theta_m."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["scan", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical-domain error: theta_m undefined: beta = cos 2theta with "
+        f"sin 2theta = 0, at {cfg['energies'][1]!r} GeV; the fields that "
+        f"set {fields}\n")
 
 
 def test_cli_dump_reuses_the_scans_fit(tmp_path, monkeypatch, capsys):

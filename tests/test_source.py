@@ -112,6 +112,20 @@ def test_a_scan_config_is_typed_on_one_path():
             and getattr(n.args[0], "id", None) == "float"] == []
 
 
+def test_the_energy_grid_is_checked_on_one_path():
+    """Every message of ``scan.py`` that names ``field 'energies'`` is a
+    string literal of ``_parse_energies``: no other function sizes,
+    converts or checks a grid."""
+    tree = ast.parse((SRC / "scan.py").read_text())
+    parser, = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+               and n.name == "_parse_energies"]
+
+    def naming(node):
+        return {id(n) for n in ast.walk(node) if isinstance(n, ast.Constant)
+                and "field 'energies'" in str(n.value)}
+    assert naming(parser) and naming(tree) == naming(parser)
+
+
 def test_gate_matrices_are_built_only_by_the_simulators_matrix():
     """Every gate's entries come from ``simulator._entries``, which
     ``gate_matrix`` (the only caller of ``_matrix2``) and ``run`` call, so
