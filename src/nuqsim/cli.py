@@ -5,24 +5,27 @@
                 [--synthesis exact|optimized] [--angle-mode atmospheric|plain]
                 [--csv out.csv] [--svg out.svg] [--dump-circuit]
 
-Flags win over config-file values.  Exit codes: 0 success, 2 config
-or output-file error, 3 numerical-domain error.
+Flags win over config-file values, and their numbers are JSON numbers.
+Exit codes: 0 success, 2 config or output-file error, 3 numerical-domain
+error, 141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .oscillation import NumericalDomainError
 from .scan import (ANGLE_MODES, SCENARIOS, SYNTHESIS_MODES, ConfigError,
-                   ScanConfig, emit_csv, emit_plot, read_json_config,
-                   run_scan)
+                   ScanConfig, emit_csv, emit_plot, json_number,
+                   read_json_config, run_scan)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--scenario", choices=SCENARIOS)
     scan.add_argument("--config", help="JSON config file")
     scan.add_argument("--energies", help="grid as min:max:n (GeV)")
-    scan.add_argument("--shots", type=int)
-    scan.add_argument("--seed", type=int)
+    # JSON numbers, which the config then checks as it does a file's
+    scan.add_argument("--shots", type=json_number)
+    scan.add_argument("--seed", type=json_number)
     scan.add_argument("--compile", action="store_true", default=None,
                       help="apply the virtual-Z pass to scan circuits")
     scan.add_argument("--synthesis", choices=SYNTHESIS_MODES,
@@ -103,6 +107,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             line = (f"{energy:<11.5g} {theory:<11.6f} {exact:<11.6f} "
                     f"{sampled:<11.6f}")
             print(line if channel is None else f"{line} {channel}")
+    sys.stdout.flush()          # a closed pipe shows here, not at exit
     return EXIT_OK
 
 
@@ -110,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return cmd_scan(args)
+    except BrokenPipeError:     # quietly; the exit's own flush hits devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,13 +6,14 @@ the realized circuit unitary matches the target up to a global phase.
 U_R is the builders' gate list ``MSW_ANSATZ`` run by the simulator, and
 the gradient comes from its six copies with one angle shifted by pi
 (parameter shift: dRY(a)/da = RY(a + pi)/2), all seven run as one
-template of angle rows ``rows.T``.  ``meets_tolerance`` takes the same
-trace over a stack of targets in one run, each row's 1 - F; with it a
-scan checks the closed-form angles (``builders.synthesis_angles``) of
-its whole grid.  ``optimize``, a library fit no scan calls, runs
-box-constrained L-BFGS-B with that gradient (``scipy.optimize``,
-imported on first use), restarted from random draws as it can fall into
-local minima.  The draws are uniform on ``INIT_RANGE``, from
+template.  ``meets_tolerance`` takes the same trace of a stack of
+targets against a stack of unitaries, each row's 1 - F; with it a scan
+checks the unitary of the template it builds from the closed-form
+angles (``builders.synthesis_angles``) of its whole grid.  ``optimize``,
+a library fit no scan calls, runs box-constrained L-BFGS-B with that
+gradient (``scipy.optimize``, imported on first use), restarted from
+random draws as it can fall into local minima.  The draws are uniform
+on ``INIT_RANGE``, from
 ``PCG64(SeedSequence(seed, spawn_key=(0x6F7074,)))``, a seed domain apart
 from measurement sampling (``simulator.sample`` seeds ``PCG64(seed)``),
 so they never share a stream.
@@ -82,10 +83,8 @@ def minimize(fun, x0, **kwargs):
     return optimize.minimize(fun, x0, **kwargs)
 
 
-def _traces(u_t: np.ndarray, rows) -> np.ndarray:
-    """Tr(U_T^H U) of the ansatz at each column of its angle rows, ``(6,
-    n)``, against the targets ``(n, 4, 4)``, broadcast: one template run."""
-    u = circuit_unitary(Circuit(2, layout=MSW_ANSATZ, angles=rows))
+def _traces(u_t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Tr(U_T^H U) of each pair of the broadcast 4x4 stacks."""
     return np.einsum("...ij,...ij->...", np.conj(u_t), u)
 
 
@@ -95,19 +94,21 @@ def infidelity_and_grad(u_t: np.ndarray, angles: np.ndarray
     any reals: one run of the ansatz at ``angles`` and at each angle
     shifted by pi, t_k = Tr(U_T^H U_k), d(1 - F)/da_k = -Re(t_0* t_k+1)/16.
     """
-    t = _traces(u_t, (angles + _SHIFTS).T)
+    t = _traces(u_t, circuit_unitary(
+        Circuit(2, layout=MSW_ANSATZ, angles=(angles + _SHIFTS).T)))
     return (float(1.0 - abs(t[0]) ** 2 / _DIM ** 2),
             -(t[0].conjugate() * t[1:]).real / _DIM ** 2)
 
 
-def meets_tolerance(targets, angles) -> np.ndarray:
-    """1 - F of each row of ``angles`` ``(n, 6)`` against its target of the
-    ``(n, 4, 4)`` stack, ``(n,)``, from one run of an n-circuit template:
-    a row meets the tolerance where it is at most ``TOL_INFIDELITY``."""
+def meets_tolerance(targets, unitaries) -> np.ndarray:
+    """1 - F of each unitary of the ``(n, 4, 4)`` stack ``unitaries``
+    against its target of the same-shaped stack ``targets``, ``(n,)``: a
+    row meets the tolerance where it is at most ``TOL_INFIDELITY``."""
     targets = _unitary_targets(targets, stack=True)
-    if np.shape(angles) != (len(targets), 6):
-        raise ValueError(f"angles of shape {np.shape(angles)}, not (n, 6)")
-    return 1.0 - np.abs(_traces(targets, np.transpose(angles))) ** 2 / _DIM ** 2
+    if np.shape(unitaries) != targets.shape:
+        raise ValueError(f"unitaries of shape {np.shape(unitaries)}, not "
+                         f"{targets.shape}")
+    return 1.0 - np.abs(_traces(targets, unitaries)) ** 2 / _DIM ** 2
 
 
 def optimize(problem: FidelityProblem, seed: int) -> OptimResult:

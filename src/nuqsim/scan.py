@@ -15,9 +15,10 @@ shot-sampled estimate with its binomial standard error.  A scan runs
 its whole energy grid as one batch: one pass of layer parameters,
 which a slab or earth scan's circuit and oracle share, one template
 circuit (or one stack of dilations) for all points, one simulator
-pass, one oracle pass, one ``sample`` call; msw optimized mode checks
-the closed-form angles of all points in one pass, and a point they
-miss ends the scan with ``NumericalDomainError``.  ``sample`` draws
+pass, one oracle pass, one ``sample`` call.  Both msw modes apply one
+``(n, 4, 4)`` stack: the dilations, or the unitary of the closed-form
+template, checked against them in one pass (a point that misses ends
+the scan with ``NumericalDomainError``).  ``sample`` draws
 point i from seed XOR i, so results do not depend on evaluation order
 and CSV output is byte-reproducible for a fixed config and seed.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from numbers import Integral, Real
@@ -40,7 +42,8 @@ from .oscillation import (MatterLayer, NumericalDomainError, OscParams,
                           slab_layer_params)
 from . import optim
 from .optim import meets_tolerance
-from .simulator import apply_matrix, init_state, probabilities, run, sample
+from .simulator import (apply_matrix, circuit_unitary, init_state,
+                        probabilities, run, sample)
 
 if TYPE_CHECKING:
     from .compiler import CompileReport
@@ -250,20 +253,34 @@ def _json_float(value, where: str) -> float:
         raise ConfigError(f"{where}: too large for a double") from None
 
 
+# the JSON number grammar (RFC 8259): ASCII digits, '-' the only sign
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)")
+
+
+def json_number(text: str) -> int | float:
+    """``text`` as a JSON parser reads it: an int without a fraction or
+    exponent (ValueError past 4300 digits), else a float (+-inf past a
+    double's range); ValueError if it is no JSON number."""
+    match = _JSON_NUMBER.fullmatch(text)
+    if not match:
+        raise ValueError(f"not a JSON number: {text!r}")
+    return float(text) if match[1] else int(text)
+
+
 def _parse_energies(spec) -> tuple[float, ...]:
-    """The grid of a 'min:max:n' string, a {min, max, points} object, or a
-    list, tuple or 1-d numpy array of real numbers: its count checked
-    before any energy is converted, then each energy finite, positive and
-    above the one before."""
+    """The grid of a {min, max, points} object, a 'min:max:n' string (the
+    object of its JSON numbers), or a list, tuple or 1-d numpy array of
+    real numbers: its count checked before any energy is converted, then
+    each energy finite, positive and above the one before."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError("field 'energies': expected 'min:max:n'")
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        try:    # the {min, max, points} object of its three JSON numbers
+            spec = dict(zip(("min", "max", "points"), map(json_number, parts)))
         except ValueError:
             raise ConfigError(f"field 'energies': cannot parse {spec!r}") from None
-    elif isinstance(spec, dict):
+    if isinstance(spec, dict):
         extra = set(spec) - {"min", "max", "points"}
         if extra:
             raise ConfigError(f"field 'energies': unknown keys {sorted(extra)}")
@@ -284,7 +301,7 @@ def _parse_energies(spec) -> tuple[float, ...]:
     if not 1 <= n <= MAX_POINTS:
         raise ConfigError(f"field 'energies': needs 1 to {MAX_POINTS} "
                           f"points, got {n}")
-    if isinstance(spec, (str, dict)):
+    if isinstance(spec, dict):
         # an infinite or overflowing span gives inf/nan energies, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             grid = tuple(np.linspace(lo, hi, n).tolist())
@@ -348,21 +365,6 @@ def msw_setup(config: ScanConfig) -> tuple[OscParams, MatterLayer]:
             MatterLayer(config.production_rho, config.ye, 0.0))
 
 
-def _fitted_angles(config: ScanConfig, u2q: np.ndarray) -> np.ndarray:
-    """Closed-form two-CNOT angles of a dilation stack, ``(n, 6)``, checked
-    for the whole grid in one pass; a point whose 1 - F exceeds
-    ``optim.TOL_INFIDELITY`` raises."""
-    angles = synthesis_angles(u2q)
-    infidelity = meets_tolerance(u2q, angles)
-    miss = np.flatnonzero(~(infidelity <= optim.TOL_INFIDELITY))
-    if miss.size:
-        i = int(miss[0])
-        raise NumericalDomainError(
-            f"optimized synthesis at {config.energies[i]!r} GeV misses the "
-            f"tolerance: 1-F = {infidelity[i]:.3g} > {optim.TOL_INFIDELITY:g}")
-    return angles
-
-
 def _single_qubit_setup(config: ScanConfig):
     p = OscParams(math.radians(config.theta13_deg), config.dm2_31)
     profile = (earth_profile(config.ye) if config.scenario == "earth"
@@ -375,7 +377,7 @@ def _single_qubit_setup(config: ScanConfig):
 def run_scan(config: ScanConfig) -> ScanResult:
     energies = np.array(config.energies)
     msw = config.scenario == "msw"
-    report = dilation = None
+    circuit = report = dilation = None
     try:
         if msw:
             p, layer = msw_setup(config)
@@ -396,12 +398,20 @@ def run_scan(config: ScanConfig) -> ScanResult:
         qubit = measured[0]
         theory = prob_slab(profile, angles, phases)
     else:
-        if config.synthesis == "exact":
-            circuit, dilation = None, u2q
-            states = apply_matrix(init_state(2), dilation)
-        else:
-            circuit = build_msw_circuit(_fitted_angles(config, u2q))
-            states, _ = run(circuit)
+        unitary = dilation = u2q
+        if config.synthesis == "optimized":
+            # the closed-form template's unitary, checked for every point
+            circuit = build_msw_circuit(synthesis_angles(u2q))
+            unitary, dilation = circuit_unitary(circuit), None
+            infidelity = meets_tolerance(u2q, unitary)
+            miss = np.flatnonzero(~(infidelity <= optim.TOL_INFIDELITY))
+            if miss.size:
+                i = int(miss[0])
+                raise NumericalDomainError(
+                    f"optimized synthesis at {config.energies[i]!r} GeV misses "
+                    f"the tolerance: 1-F = {infidelity[i]:.3g} > "
+                    f"{optim.TOL_INFIDELITY:g}")
+        states = apply_matrix(init_state(2), unitary)
         qubit, theory = ENCODED, prob_msw_adiabatic(p, layer, energies)[0]
     exact, p1 = probabilities(states, qubit)
     shots = config.shots

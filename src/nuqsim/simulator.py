@@ -5,15 +5,17 @@ most significant bit.  Every function works on a stack of them: a
 template circuit (angles of shape ``(n,)``) evolves an ``(n, dim)``
 array of states in one pass over its gates, a single circuit (float
 angles) evolves one ``(dim,)`` state, and both run the same code.
-``_entries`` is the only place gate entries are formed; ``gate_matrix``
-assembles them into ``(n, 2, 2)`` stacks for array angles and plain 2x2
-/ 4x4 matrices otherwise; ``apply_matrix`` takes ``(n, 4, 4)`` dilation
-stacks.  ``run`` holds a state stack as its ``dim`` amplitude columns,
-arrays of the batch shape, and evolves them with one kernel, ``_gate``:
-a one-qubit gate sends the amplitudes (a, b) of each index pair
-(k, k | bit) to (m00 a + m01 b, m10 a + m11 b), a column sum's
-multiply-then-add order, and a CNOT swaps the pairs whose control bit
-is set.  It calls ``np.multiply`` and ``np.add``, never scalar
+``_entries`` is the only place gate entries are formed, and ``run`` its
+only caller.  Every unitary is ``circuit_unitary``'s, the basis states
+run through ``run``: a gate list's ``(n, 4, 4)`` stack, or through
+``gate_matrix`` one op's (2x2, or 4x4 for CNOT, stacked over array
+angles), which ``apply_matrix`` applies to a state as it does a
+dilation.  ``run`` holds a state stack as its ``dim``
+amplitude columns, arrays of the batch shape, and evolves them with one
+kernel, ``_gate``: a one-qubit gate sends the amplitudes (a, b) of each
+index pair (k, k | bit) to (m00 a + m01 b, m10 a + m11 b), a column
+sum's multiply-then-add order, and a CNOT swaps the pairs whose control
+bit is set.  It calls ``np.multiply`` and ``np.add``, never scalar
 arithmetic, which skips the FMA of numpy's array loop: a single
 circuit's 0-d entries round as its template's points do.  ``run``
 forms the entries of each same-kind run of ``Circuit.layout`` from row
@@ -52,29 +54,20 @@ _NORM_TOL = 1e-9
 BLOCK_POINTS = 2 ** 10
 
 
-def _matrix2(a, b, c, d) -> np.ndarray:
-    """[[a, b], [c, d]] over the broadcast shape of the entries."""
-    m = np.empty(np.broadcast(a, b, c, d).shape + (2, 2),
-                 np.result_type(a, b, c, d))
-    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
-    return m
-
-
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Exact unitary of a gate op (2x2, or 4x4 for CNOT), stacked over
-    the op's angle arrays.
+    the op's angle arrays: ``circuit_unitary`` of the op alone, a
+    one-qubit op taken on qubit 0 of a width-1 circuit.
 
     U(theta, phi, lam) = [[cos(t/2),            -e^{i lam} sin(t/2)],
                           [e^{i phi} sin(t/2),  e^{i(phi+lam)} cos(t/2)]]
     RY(a) = exp(-i a Y/2), RZ(a) = exp(-i a Z/2).
     """
-    entries = _entries(op.kind, op.params)
-    if entries is not None:
-        return _matrix2(*entries)
-    m = np.eye(4, dtype=complex)
-    for k, j in _pairs(op.kind, op.qubits, 2):
-        m[[k, j]] = m[[j, k]]
-    return m
+    if op.kind is GateKind.MEASURE:
+        raise ValueError("MEASURE has no unitary matrix")
+    qubits = op.qubits if op.kind is GateKind.CNOT else (0,)
+    return circuit_unitary(Circuit(len(qubits), layout=((op.kind, qubits),),
+                                   angles=op.params))
 
 
 def _entries(kind: GateKind, params):
@@ -94,19 +87,17 @@ def _entries(kind: GateKind, params):
         m00 = np.exp(-1j * half)
         zero = np.zeros_like(m00)
         return m00, zero, zero, np.exp(1j * half)
-    if kind is GateKind.U:
-        theta, phi, lam = params
-        c, s = np.cos(theta / 2), np.sin(theta / 2)
-        tilt = phi + lam
-        if not np.count_nonzero(tilt):
-            # pulse form: e^{i phi} is the conjugate of e^{i lam} (libm's
-            # sin is odd, its cos even), and e^{i tilt} c is c
-            es = np.exp(1j * lam) * s
-            c = np.asarray(c, complex)
-            return c, -es, es.conj(), c
-        return (np.asarray(c, complex), -np.exp(1j * lam) * s,
-                np.exp(1j * phi) * s, np.exp(1j * tilt) * c)
-    raise ValueError(f"{kind.value} has no unitary matrix")
+    theta, phi, lam = params                    # U
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    tilt = phi + lam
+    if not np.count_nonzero(tilt):
+        # pulse form: e^{i phi} is the conjugate of e^{i lam} (libm's
+        # sin is odd, its cos even), and e^{i tilt} c is c
+        es = np.exp(1j * lam) * s
+        c = np.asarray(c, complex)
+        return c, -es, es.conj(), c
+    return (np.asarray(c, complex), -np.exp(1j * lam) * s,
+            np.exp(1j * phi) * s, np.exp(1j * tilt) * c)
 
 
 def _pairs(kind: GateKind, qubits: tuple[int, ...], width: int) -> list:
@@ -142,21 +133,17 @@ def init_state(width: int) -> np.ndarray:
 
 
 def apply_matrix(state: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply a raw full-dimension unitary (e.g. a dilation matrix) or a
-    stack of them."""
+    """Apply a full-dimension unitary (a dilation, a circuit's unitary) or
+    a stack of them, as the sum of its columns in column order: a few
+    whole-array operations per matrix, not one per point."""
     matrix = np.asarray(matrix)
     dim = state.shape[-1]
     if matrix.shape[-2:] != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not match "
                          f"state dimension {dim}")
-    return _matvec(np.moveaxis(matrix, -1, 0), state)
-
-
-def _matvec(cols: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Matrix stack times state stack, from its columns, summed in column
-    order: a few whole-array operations per matrix, not one per point."""
+    cols = np.moveaxis(matrix, -1, 0)
     out = cols[0] * state[..., None, 0]
-    for k in range(1, len(cols)):
+    for k in range(1, dim):
         out = out + cols[k] * state[..., None, k]
     return out
 
@@ -210,7 +197,10 @@ def probabilities(state: np.ndarray, qubit: int):
     the diagonal of the reduced density matrix.  A stack of states
     gives arrays over the stack; every row must be normalized.
     """
-    width = _state_width(state)
+    width = {(2,): 1, (4,): 2}.get(np.shape(state)[-1:])
+    if width is None:
+        raise ValueError(f"state must have dimension 2 or 4, got shape "
+                         f"{np.shape(state)}")
     probs = np.abs(state) ** 2
     norm2 = probs.sum(axis=-1)
     bad = ~(np.abs(norm2 - 1.0) <= _NORM_TOL)
@@ -425,13 +415,3 @@ def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray,
     phase of tr(a^H b)."""
     phase = np.exp(1j * np.angle(np.trace(a.conj().T @ b)))
     return bool(np.abs(b - phase * a).max() <= tol)
-
-
-def _state_width(state: np.ndarray) -> int:
-    dim = np.shape(state)[-1:]
-    if dim == (2,):
-        return 1
-    if dim == (4,):
-        return 2
-    raise ValueError(f"state must have dimension 2 or 4, got shape "
-                     f"{np.shape(state)}")

@@ -416,20 +416,19 @@ def test_compiled_slab_scan_builds_no_gate_op(monkeypatch):
 
 
 def test_optimized_msw_scan_builds_no_gate_op(monkeypatch):
-    """An optimized MSW scan builds its template and checks its angles
-    with ``meets_tolerance`` from the ansatz's gate list and an angle
-    matrix: no GateOp, no gate factory call, and the tracer's counts
-    (circuits.ops_built, simulator.gates_applied) of 9 and 8."""
+    """An optimized MSW scan builds its template from the ansatz's gate
+    list and an angle matrix and checks the template's unitary with
+    ``meets_tolerance``: no GateOp, no gate factory call, and the
+    tracer's count of ops built (circuits.ops_built) of 9."""
     built = record_gate_builds(monkeypatch)
     cfg = ScanConfig(scenario="msw", synthesis="optimized")
     result = run_scan(cfg)
     assert built == []
     p, layer = msw_setup(cfg)
     targets = build_dilation(p, layer, np.array(cfg.energies))
-    angles = builders.synthesis_angles(targets)
-    assert np.all(optim.meets_tolerance(targets, angles)
+    circuit = builders.build_msw_circuit(builders.synthesis_angles(targets))
+    assert np.all(optim.meets_tolerance(targets, circuit_unitary(circuit))
                   <= optim.TOL_INFIDELITY)
-    circuit = builders.build_msw_circuit(angles)
     assert built == [] and circuit == result.circuit
     assert (len(circuit.ops), len(circuit.gates)) == (9, 8)
 

@@ -232,7 +232,8 @@ def test_meets_tolerance_agrees_with_the_objective_row_by_row(points):
     targets = dilation_from_angles(theta, theta_m)
     angles = synthesis_angles(targets)
     angles[:, 0] += offset
-    infidelity = meets_tolerance(targets, angles)
+    infidelity = meets_tolerance(
+        targets, circuit_unitary(build_msw_circuit(angles)))
     assert infidelity.shape == (len(points),)
     for i, row in enumerate(infidelity.tolist()):
         value, _ = infidelity_and_grad(targets[i], angles[i])
@@ -247,7 +248,8 @@ EDGES = [0.0, 5e-324, math.pi / 4 - 1e-12, math.pi / 4, math.pi / 4 + 1e-12,
 
 def closed_form_infidelity(theta, theta_m) -> np.ndarray:
     u2q = dilation_from_angles(theta, theta_m)
-    return meets_tolerance(u2q, synthesis_angles(u2q))
+    return meets_tolerance(
+        u2q, circuit_unitary(build_msw_circuit(synthesis_angles(u2q))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -270,15 +272,16 @@ def test_closed_form_angles_realize_the_dilations_of_the_edges():
 def test_meets_tolerance_validates_the_stack():
     """The stack passes the check FidelityProblem makes of one target."""
     good = dilation_from_angles(np.array([0.6, 0.3]), 0.2)
-    angles = synthesis_angles(good)
+    unitaries = circuit_unitary(build_msw_circuit(synthesis_angles(good)))
     for bad in (math.nan, math.inf, 2.0):
         targets = good.copy()
         targets[1, 0, 0] = bad
         with pytest.raises(ValueError, match="unitary"):
-            meets_tolerance(targets, angles)
+            meets_tolerance(targets, unitaries)
     for targets in (good[0], good[:, :3, :3], good[None]):
         with pytest.raises(ValueError, match="target"):
-            meets_tolerance(targets, angles)
-    for rows in (angles[:1], angles[:, :5], angles[0]):
-        with pytest.raises(ValueError, match="angles"):
-            meets_tolerance(good, rows)
+            meets_tolerance(targets, unitaries)
+    for stack in (unitaries[:1], unitaries[:, :3, :3], unitaries[0],
+                  synthesis_angles(good)):
+        with pytest.raises(ValueError, match="unitaries of shape"):
+            meets_tolerance(good, stack)

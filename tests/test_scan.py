@@ -66,11 +66,35 @@ def test_bad_fields_are_named():
     ((3.0, -1.0), "all energies must be finite and positive"),
     ((3.0, 2.0), "must be strictly ascending"),
     ((1.0, 2.0, 2.0), "must be strictly ascending"),
+    ({"min": 1.0, "points": 3}, "missing key 'max'"),
+    # each part of a 'min:max:n' string is a JSON number: ASCII digits,
+    # no '_', space, '+', bare '.', leading zero, hex, inf or nan
+    *((text, f"cannot parse {text!r}") for text in (
+        "1_0:2_0:3", "1:2: 3 ", "inf:2:3", "1:nan:3", ".5:1:2", "+1:2:3",
+        "1.:2:3", "01:2:3", "1:2:0x3", "1:2:\u0663", "1:2:")),
 ])
 def test_energy_checks_give_their_message(energies, message):
     with pytest.raises(ConfigError) as info:
         ScanConfig(scenario="slab", energies=energies)
     assert str(info.value) == f"field 'energies': {message}"
+
+
+@pytest.mark.parametrize("text", [
+    "1:25:50", "0.001:0.050:50", "1e-4:5:2000", "1E0:2.5e+1:3", "2:1:3",
+    "-0:1:2", "1:2:0", "1:2:3.0", "1:2:3e0", "-1e400:1e400:3",
+    "1:2:100001"])
+def test_an_energies_string_takes_what_the_object_of_its_numbers_takes(text):
+    """'min:max:n' gives the grid, or the error, of the {min, max,
+    points} object of its parts as a JSON parser reads them."""
+    numbers = dict(zip(("min", "max", "points"), map(json.loads,
+                                                      text.split(":"))))
+    outcomes = []
+    for spec in (text, numbers):
+        try:
+            outcomes.append(ScanConfig(scenario="slab", energies=spec).energies)
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_energies_take_a_list_tuple_or_1d_array_of_real_numbers():
@@ -229,6 +253,10 @@ def test_from_json_errors(tmp_path):
     bad.write_text("{\n  broken\n}")
     with pytest.raises(ConfigError, match="line 2"):
         ScanConfig.from_json(str(bad))
+    bad.write_text('["scenario", "slab"]')
+    with pytest.raises(ConfigError, match=f"^config {bad}: top level must "
+                                          "be an object$"):
+        ScanConfig.from_json(str(bad))
 
 
 def test_from_json_undecodable_values(tmp_path):
@@ -349,17 +377,22 @@ def test_msw_optimized_mode_close_to_theory():
 
 
 def test_default_msw_grid_fits_on_the_first_restart(tmp_path, monkeypatch):
-    """One batched pass accepts the closed-form angles of every point, so
-    the scan never calls the optimizer (its one-restart budget is never
-    drawn on) and the circuit matches the oracle to 1e-12."""
-    calls = _count_calls(monkeypatch, ["meets_tolerance", "optimize",
-                                       "minimize"])
+    """One batched pass accepts the closed-form template of every point,
+    so the scan never calls the optimizer (its one-restart budget is never
+    drawn on) and the circuit matches the oracle to 1e-12.  The template
+    is built once and run once, for its unitary, which the check reads
+    and one ``apply_matrix`` call applies."""
+    calls = _count_calls(monkeypatch, [
+        "meets_tolerance", "optimize", "minimize", "build_msw_circuit",
+        "circuit_unitary", "run", "apply_matrix"])
     csv = tmp_path / "out.csv"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "msw", "synthesis": "optimized",
                                 "restarts": 1, "shots": 64, "csv": str(csv)}))
     assert cli.main(["scan", "--config", str(path)]) == 0
-    assert calls == {"meets_tolerance": 1, "optimize": 0, "minimize": 0}
+    assert calls == {"meets_tolerance": 1, "optimize": 0, "minimize": 0,
+                     "build_msw_circuit": 1, "circuit_unitary": 1, "run": 1,
+                     "apply_matrix": 1}
     rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
     assert len(rows) == 2 * 50
     for row in rows:
@@ -369,7 +402,8 @@ def test_default_msw_grid_fits_on_the_first_restart(tmp_path, monkeypatch):
 def test_a_closed_form_miss_ends_the_scan_without_a_fit(monkeypatch):
     """A point whose closed-form angles miss the tolerance ends the scan
     with NumericalDomainError naming its energy and 1 - F; no optimizer
-    call is made and no circuit is built."""
+    call is made, and the template that the check reads is the one
+    circuit built."""
     closed_form = scan.synthesis_angles
 
     def one_row_wrong(u2q):
@@ -384,7 +418,7 @@ def test_a_closed_form_miss_ends_the_scan_without_a_fit(monkeypatch):
     with pytest.raises(NumericalDomainError,
                        match=r"at 0\.01 GeV misses the tolerance: 1-F = "):
         run_scan(cfg)
-    assert calls == {"optimize": 0, "minimize": 0, "build_msw_circuit": 0}
+    assert calls == {"optimize": 0, "minimize": 0, "build_msw_circuit": 1}
 
 
 # --- CSV ------------------------------------------------------------------------
@@ -824,6 +858,45 @@ def test_cli_scan_writes_nothing_to_stderr(tmp_path, argv):
         cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stderr == ""
+
+
+def test_a_closed_stdout_ends_the_scan_quietly_with_141(tmp_path):
+    """A reader that takes one line of a 5000-point table and closes the
+    pipe ends the scan with exit 141 (128 + SIGPIPE) and an empty stderr:
+    no 'output error', and no 'Exception ignored' from the last flush."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys, nuqsim.cli\n"
+         "sys.exit(nuqsim.cli.main(sys.argv[1:]))", "scan", "--scenario",
+         "earth", "--energies", "1:25:5000", "--shots", "8"],
+        cwd=tmp_path, env=_env_with_src(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first == b"earth: 5000 energies, 8 shots, seed 0\n" and err == b""
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    *((flag, value, f"argument {flag}: invalid json_number value: {value!r}")
+      for flag, value in (("--shots", " 1_6"), ("--seed", "\u0667"),
+                          ("--shots", "+16"), ("--seed", "007"),
+                          ("--seed", "0x7"), ("--shots", "inf"))),
+    ("--seed", "7.0", "config error: field 'seed': expected an integer, "
+                      "got 7.0"),
+    ("--shots", "1e3", "config error: field 'shots': expected an integer, "
+                       "got 1000.0")])
+def test_integer_flags_take_json_integers_only(capsys, flag, value, error):
+    """--shots and --seed are JSON numbers, which the config checks as it
+    does a config file's: a refusal exits 2, naming the flag or its
+    field."""
+    argv = ["scan", "--scenario", "earth", "--energies", "1:2:2", flag, value]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:       # argparse refuses what is no number
+        code = exc.code
+    assert code == 2 and error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("code", [

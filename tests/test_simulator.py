@@ -194,6 +194,20 @@ def test_probabilities_rejects_unnormalized():
         probabilities(np.array([1.0, 1.0]), 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: init_state(3), "width must be 1 or 2"),
+    (lambda: probabilities(init_state(1), 1),
+     "qubit 1 out of range for width 1"),
+    (lambda: probabilities(init_state(2), -1),
+     "qubit -1 out of range for width 2"),
+    (lambda: probabilities(np.ones(8) / math.sqrt(8), 0),
+     "state must have dimension 2 or 4, got shape (8,)"),
+], ids=["init-width", "qubit-past-width", "negative-qubit", "state-dimension"])
+def test_state_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # --- run / circuit_unitary ----------------------------------------------------
 
 def test_run_returns_measured_qubits():

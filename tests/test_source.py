@@ -126,17 +126,34 @@ def test_the_energy_grid_is_checked_on_one_path():
     assert naming(parser) and naming(tree) == naming(parser)
 
 
-def test_gate_matrices_are_built_only_by_the_simulators_matrix():
-    """Every gate's entries come from ``simulator._entries``, which
-    ``gate_matrix`` (the only caller of ``_matrix2``) and ``run`` call, so
-    the pulse-form shortcut and the gate conventions live in one place."""
-    names = {"_entries", "_matrix2"}
-    assert callers((SRC / "simulator.py").read_text(), names) == {
-        "_entries": {"gate_matrix", "run"},
-        "_matrix2": {"gate_matrix"}}
+def call_counts(source: str, function: str) -> dict[str, int]:
+    """How many calls of each plain name the top-level ``function`` makes."""
+    fn, = [n for n in ast.parse(source).body
+           if getattr(n, "name", None) == function]
+    counts: dict[str, int] = {}
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
+            counts[n.func.id] = counts.get(n.func.id, 0) + 1
+    return counts
+
+
+def test_unitaries_are_formed_and_applied_on_one_path():
+    """Gate entries come from ``simulator._entries``, which only ``run``
+    calls, so the pulse-form shortcut and the gate conventions live in one
+    place; ``gate_matrix`` is the ``circuit_unitary`` of its op, and a
+    scan forms its msw template's unitary with ``circuit_unitary``,
+    applies both msw modes' stack with one ``apply_matrix`` call and runs
+    its slab or earth template with one ``run`` call."""
+    simulator = (SRC / "simulator.py").read_text()
+    assert callers(simulator, {"_entries"}) == {"_entries": {"run"}}
+    assert "_matrix2" not in simulator
     assert {path.name for path in sorted(SRC.glob("*.py"))
             if path.name != "simulator.py"
-            and callers(path.read_text(), names)} == set()
+            and callers(path.read_text(), {"_entries"})} == set()
+    assert call_counts(simulator, "gate_matrix")["circuit_unitary"] == 1
+    counts = call_counts((SRC / "scan.py").read_text(), "run_scan")
+    assert [counts.get(name) for name in (
+        "circuit_unitary", "apply_matrix", "run")] == [1, 1, 1]
 
 
 def test_run_holds_the_one_pair_update_kernel():
