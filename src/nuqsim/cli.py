@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "1-2 qubit device")
     sub = parser.add_subparsers(dest="command", required=True)
     scan = sub.add_parser("scan", help="run an energy scan")
-    scan.add_argument("--scenario", choices=SCENARIOS)
+    # choice flags are checked by the config, as a file's values are
+    scan.add_argument("--scenario", metavar="|".join(SCENARIOS))
     scan.add_argument("--config", help="JSON config file")
     scan.add_argument("--energies", help="grid as min:max:n (GeV)")
     # JSON numbers, which the config then checks as it does a file's
@@ -43,13 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seed", type=json_number)
     scan.add_argument("--compile", action="store_true", default=None,
                       help="apply the virtual-Z pass to scan circuits")
-    scan.add_argument("--synthesis", choices=SYNTHESIS_MODES,
+    scan.add_argument("--synthesis", metavar="|".join(SYNTHESIS_MODES),
                       help="msw: exact 4x4 dilation or optimized circuit")
-    scan.add_argument("--angle-mode", choices=ANGLE_MODES, dest="angle_mode")
+    scan.add_argument("--angle-mode", metavar="|".join(ANGLE_MODES))
     scan.add_argument("--csv", help="write per-point results here")
     scan.add_argument("--svg", help="write a plot here")
     scan.add_argument("--dump-circuit", action="store_true", default=None,
-                      dest="dump_circuit",
                       help="print the first grid point's circuit")
     return parser
 
@@ -103,10 +103,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         # no outputs requested: show a compact table
         print("energy_gev  p_theory    p_exact     p_sampled" +
               ("   channel" if config.scenario == "msw" else ""))
-        for energy, channel, theory, exact, sampled, _ in result.rows():
-            line = (f"{energy:<11.5g} {theory:<11.6f} {exact:<11.6f} "
-                    f"{sampled:<11.6f}")
-            print(line if channel is None else f"{line} {channel}")
+        for block in result.blocks("%-11.5g %-11.6f %-11.6f %-11.6f", " ", 3):
+            print(block)
     sys.stdout.flush()          # a closed pipe shows here, not at exit
     return EXIT_OK
 

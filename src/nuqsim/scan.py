@@ -28,7 +28,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
@@ -333,6 +333,15 @@ class ScanResult:
     # the (n, 4, 4) dilation stack msw exact mode applied
     dilation: np.ndarray | None = None
 
+    def __post_init__(self):
+        """Refuse a column that is not 1-D with one value per energy."""
+        grid = np.shape(self.energy_gev)
+        for name in "energy_gev p_theory p_exact p_sampled stderr".split():
+            got = np.shape(getattr(self, name))
+            if len(got) != 1 or got != grid:
+                raise ValueError(f"column {name!r}: must be 1-D, of the "
+                                 f"grid's shape {grid}, got {got}")
+
     def channels(self) -> list[tuple]:
         """``(channel, p_theory, p_exact, p_sampled, stderr)`` columns per
         channel: ``None`` for slab/earth; for msw ``"ee"``, then ``"emu"``,
@@ -343,13 +352,18 @@ class ScanResult:
         return [("ee", *ee, self.stderr),
                 ("emu", *(1.0 - col for col in ee), self.stderr)]
 
-    def rows(self):
-        """``(energy, channel, p_theory, p_exact, p_sampled, stderr)`` as
-        Python floats, per energy one row per channel."""
-        energy = self.energy_gev.tolist()
-        return chain.from_iterable(zip(*(
-            zip(energy, repeat(channel), *(col.tolist() for col in cols))
-            for channel, *cols in self.channels())))
+    def blocks(self, row: str, sep: str, values: int):
+        """Every row as text, in blocks of EMIT_ROWS energies: the %-template
+        ``row`` filled with the energy and the first ``values`` columns of
+        each channel; an msw row ends in ``sep`` and its channel."""
+        channels = self.channels()
+        template = "\n".join(row if channel is None else f"{row}{sep}{channel}"
+                             for channel, *_ in channels)
+        columns = [col for _, *cols in channels
+                   for col in (self.energy_gev, *cols[:values])]
+        for start in range(0, len(self.energy_gev), EMIT_ROWS):
+            yield _fill(template, [col[start:start + EMIT_ROWS].tolist()
+                                   for col in columns])
 
 
 def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
@@ -426,29 +440,16 @@ def run_scan(config: ScanConfig) -> ScanResult:
 # --- CSV ----------------------------------------------------------------------
 
 CSV_HEADER = "energy_gev,p_theory,p_exact,p_sampled,stderr"
-# Rows of a CSV or SVG block: one %-format each, written one at a time,
-# so a wide scan's text is never held whole.
+# Energies per block of CSV, table or SVG-marker rows, each block one
+# %-format written as it is formed (an SVG polyline is formed whole).
 EMIT_ROWS = 256
 
 
 def emit_csv(result: ScanResult, path: str) -> str:
-    """One row per energy and channel; repr() floats round-trip exactly.
-
-    Each block of EMIT_ROWS energies is one %r template filled from
-    column slices, its channels interleaved per energy.
-    """
-    channels = result.channels()
-    with_channel = result.scenario == "msw"
-    row = ",".join(["%r"] * 5)
-    template = "\n".join(f"{row},{channel}" if with_channel else row
-                         for channel, *_ in channels)
-    columns = [col for _, *cols in channels
-               for col in (result.energy_gev, *cols)]
-    blocks = (_fill(template, [col[start:start + EMIT_ROWS].tolist()
-                               for col in columns])
-              for start in range(0, len(result.energy_gev), EMIT_ROWS))
+    """The header, then ``result.blocks`` of repr() floats (exact)."""
+    header = CSV_HEADER + (",channel" if result.scenario == "msw" else "")
     return _write(path, chain(
-        [CSV_HEADER + (",channel" if with_channel else "")], blocks), "CSV")
+        [header], result.blocks(",".join(["%r"] * 5), ",", 4)), "CSV")
 
 
 def _fill(template: str, columns: list) -> str:

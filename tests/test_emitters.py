@@ -26,9 +26,11 @@ PROBS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1 + 0.2]),
 def reference_csv(result, path):
     with_channel = result.scenario == "msw"
     lines = [CSV_HEADER + (",channel" if with_channel else "")]
-    for energy, channel, *values in result.rows():
-        line = ",".join(map(repr, (energy, *values)))
-        lines.append(f"{line},{channel}" if with_channel else line)
+    for i, energy in enumerate(result.energy_gev.tolist()):
+        for channel, *columns in result.channels():
+            line = ",".join(map(repr, (energy, *(float(col[i])
+                                                 for col in columns))))
+            lines.append(f"{line},{channel}" if with_channel else line)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -435,6 +435,18 @@ def _tiny_result():
                            [0.125, 0.4375, 0.875], [0.02, 0.06, 0.04])
 
 
+@pytest.mark.parametrize("name, energies, size", [
+    ("p_theory", [1.0, 2.0, 3.0], 5),       # more values than energies
+    ("p_theory", [1.0, 2.0, 3.0], 2),       # fewer values than energies
+    ("energy_gev", [[1.0, 2.0], [3.0, 4.0]], 2)])   # a 2-d grid
+def test_scan_result_refuses_columns_off_its_grid(name, energies, size):
+    """A result's columns are one value per energy of its 1-D grid; any
+    other shape is refused when the result is built, naming the column,
+    before an emitter writes a byte."""
+    with pytest.raises(ValueError, match=f"column '{name}'"):
+        ScanResult("slab", np.array(energies), *[np.full(size, 0.25)] * 4)
+
+
 def test_csv_header_only_for_empty(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv(_columns_result("slab", *[[]] * 5), str(path))
@@ -477,7 +489,9 @@ def test_csv_round_trip_msw_channel_column(tmp_path):
                 float(t[4]))
                for t in (line.split(",") for line in lines[1:])]
     assert [row[1] for row in rebuilt] == ["ee", "emu", "ee", "emu"]
-    assert rebuilt == list(result.rows())
+    assert rebuilt == [(energy, channel, *(float(col[i]) for col in columns))
+                       for i, energy in enumerate(result.energy_gev.tolist())
+                       for channel, *columns in result.channels()]
 
 
 def test_csv_byte_identical_across_runs(tmp_path):
@@ -897,6 +911,19 @@ def test_integer_flags_take_json_integers_only(capsys, flag, value, error):
     except SystemExit as exc:       # argparse refuses what is no number
         code = exc.code
     assert code == 2 and error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--scenario", "scenario"), ("--synthesis", "synthesis"),
+    ("--angle-mode", "angle_mode")])
+def test_choice_flags_are_checked_by_the_config(capsys, flag, field):
+    """A bad choice flag is refused as a config file's value is: exit 2,
+    naming its field, not argparse's SystemExit."""
+    argv = ["scan", "--scenario", "earth", "--energies", "1:2:2", flag, "foo"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field {field!r}: must be one of" in err
+    assert "got 'foo'" in err
 
 
 @pytest.mark.parametrize("code", [

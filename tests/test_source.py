@@ -156,6 +156,27 @@ def test_unitaries_are_formed_and_applied_on_one_path():
         "circuit_unitary", "apply_matrix", "run")] == [1, 1, 1]
 
 
+def test_scan_rows_have_one_writer():
+    """Every CSV and table row comes from ``ScanResult.blocks``: ``_fill``
+    runs only from it and from ``_channel_svg`` (whose markers reuse each
+    coordinate's text), ``ScanResult.rows`` is gone, and the one loop of
+    ``cli.cmd_scan`` prints the blocks of ``blocks`` as they come, with
+    no formatting of its own and so no call per row."""
+    source = (SRC / "scan.py").read_text()
+    assert callers(source, {"_fill"}) == {
+        "_fill": {"ScanResult.blocks", "_channel_svg"}}
+    defined = defined_functions(source)
+    assert "ScanResult.blocks" in defined and "ScanResult.rows" not in defined
+    cmd_scan, = [n for n in ast.parse((SRC / "cli.py").read_text()).body
+                 if getattr(n, "name", None) == "cmd_scan"]
+    loops = [n for n in ast.walk(cmd_scan) if isinstance(
+        n, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1 and loops[0].iter.func.attr == "blocks"
+    body = [n for stmt in loops[0].body for n in ast.walk(stmt)]
+    assert not [n for n in body if isinstance(n, (ast.JoinedStr, ast.BinOp))
+                or getattr(n, "attr", None) == "format"]
+
+
 def test_run_holds_the_one_pair_update_kernel():
     """``run`` is the one executor: it evolves amplitude columns with
     ``simulator._gate``, which nothing else calls, and neither of them
