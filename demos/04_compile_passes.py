@@ -1,9 +1,10 @@
 """The two circuit-rewriting passes, step by step.
 
 1. virtual-Z folding: every RZ(phi) becomes a software phase offset on
-   the rotations that follow it, so a slab of three gates costs two
-   pulses.  The trailing RZ is elided when the circuit ends in a
-   Z-basis measurement.
+   the rotations that follow it, and the two rotations that meet at a
+   slab boundary share one offset, so they merge into one pulse: N
+   slabs cost N + 2 pulses.  The trailing RZ is elided when the circuit
+   ends in a Z-basis measurement.
 2. native lowering: X/RY/RZ/U gates are rewritten onto {RZ, sqrt(X), X},
    the usual fixed-frequency-transmon gate set, preserving the unitary
    up to a global phase.
@@ -29,6 +30,7 @@ print("after virtual-Z folding (note the cumulative offsets):")
 print(dump_circuit(compiled))
 print(f"physical pulses now: {report.physical_pulse_count} "
       f"({report.folded_rz_count} RZ folded, "
+      f"{report.merged_ry_count} RY merged, "
       f"residual frame angle {report.residual_rz:.4f} rad elided)\n")
 
 lowered = lower_to_native(Circuit(1, (u(0.9, -0.3, 1.4), ry(0.5))))

@@ -43,8 +43,9 @@ def build_slab_circuit(angles: np.ndarray, phases: np.ndarray) -> Circuit:
     for ``(layers, n)`` rows.
 
     ``virtual_z_pass`` of the result folds every RZ(phi_k) into the
-    phase offsets of the following rotations, leaving 2N+1 pulses for N
-    layers.
+    phase offsets of the following rotations and merges the two
+    rotations that meet at each layer boundary, leaving N+2 pulses for
+    N layers.
     """
     rows = np.empty((3 * len(angles),) + angles.shape[1:])
     rows[0::3], rows[1::3], rows[2::3] = -2.0 * angles, phases, 2.0 * angles

@@ -88,7 +88,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"virtual-Z: {r.input_gate_count} gates -> "
               f"{r.output_gate_count} gates, "
               f"{r.physical_pulse_count} physical pulses "
-              f"({r.folded_rz_count} RZ folded)")
+              f"({r.folded_rz_count} RZ folded, "
+              f"{r.merged_ry_count} RY merged)")
 
     print(f"{config.scenario}: {len(config.energies)} energies, "
           f"{config.shots} shots, seed {config.seed}")

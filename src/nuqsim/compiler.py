@@ -5,10 +5,13 @@ Two passes:
 - ``virtual_z_pass`` removes every RZ by folding its angle into the
   phase offset of subsequent rotations (each RY(t) under a pending
   offset L becomes the pulse-form gate U(t, -L, L), a rotation about
-  the equatorial axis (sin L, cos L, 0)).  A trailing RZ carries the
-  total offset unless the circuit ends in a Z-basis measurement, where
-  it is irrelevant and elided.  The pass is one walk over the gate list
-  and angle rows; on a template the offset is an array over the grid.
+  the equatorial axis (sin L, cos L, 0)), and merges each RY into the
+  RY or pulse just emitted before it, which shares its offset: the two
+  rotations that meet at a slab layer boundary become one pulse.  A
+  trailing RZ carries the total offset unless the circuit ends in a
+  Z-basis measurement, where it is irrelevant and elided.  The pass is
+  one walk over the gate list and angle rows; on a template the offset
+  is an array over the grid.
 - ``lower_to_native`` rewrites X/RY/RZ/U circuits onto the native set
   {RZ, sqrt(X), X}, with sqrt(X) represented in pulse form as
   U(pi/2, -pi/2, pi/2).
@@ -44,11 +47,15 @@ def is_sx(op: GateOp) -> bool:
 
 
 class CompileReport(NamedTuple):
+    """Gate counts of a ``virtual_z_pass``: every input gate is kept,
+    folded or merged, so with a measure tail (no trailing RZ emitted)
+    input = output + folded + merged."""
     input_gate_count: int        # ops excluding MEASURE
     output_gate_count: int
     physical_pulse_count: int    # pulse_count() of the output
     folded_rz_count: int
     residual_rz: float | np.ndarray  # angle of the (kept or elided) trailing RZ
+    merged_ry_count: int         # RYs added into the rotation before them
 
 
 def pulse_count(circuit: Circuit) -> int:
@@ -66,12 +73,18 @@ def pulse_count(circuit: Circuit) -> int:
 
 
 def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
-    """Fold all RZ gates of a single-qubit circuit into phase offsets.
+    """Fold all RZ gates of a single-qubit circuit into phase offsets,
+    and merge each pair of rotations about one axis into one.
 
     Walks the circuit keeping a running offset L: RZ(a) adds a to L and
     is dropped; RY(t) becomes U(t, -L, L) once L is nonzero; U(t, phi, lam) is
     emitted as U(t, -(L+lam), L+lam) and then adds lam + phi to L;
-    X flips the sign of L.  A final RZ(L) is appended unless the next
+    X flips the sign of L.  An RY right after a gate the walk emitted
+    from an RY (a plain RY or a pulse U(t, -L, L), with no RZ, X or U
+    between them) adds its angle row to that gate's theta row and is
+    dropped: RY(a) RY(b) = RY(a + b) and U(a, -L, L) U(b, -L, L) =
+    U(a + b, -L, L), point by point on a template, whose two gates
+    share one offset row.  A final RZ(L) is appended unless the next
     op is a measurement (elided) or L is zero.  On a template, L is an
     array over the grid, which counts as zero only if every entry is;
     ``residual_rz`` is then that array.  The walk builds no op; it
@@ -84,9 +97,15 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
     # (CPython 3.11), so the walk reads the kinds from locals
     RZ, X, RY, U = GateKind.RZ, GateKind.X, GateKind.RY, GateKind.U
     rows, layout, out, phis = iter(circuit.rows()), [], [], []
-    offset, nonzero, folded = 0.0, False, 0
+    offset, nonzero, folded, merged = 0.0, False, 0, 0
+    last = None         # theta row index of the gate an RY just emitted
     for i, gate in enumerate(circuit.layout):
         kind = gate[0]
+        if kind is RY and last is not None:   # same axis: one rotation
+            out[last] = out[last] + next(rows)
+            merged += 1
+            continue
+        last = len(out) if kind is RY else None
         if kind is RZ:
             offset = offset + next(rows)
             nonzero = bool(np.count_nonzero(offset))
@@ -99,7 +118,7 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
             out.append(next(rows))
         elif kind is RY:
             layout.append(_U)
-            phis.append(len(out) + 1)           # negated below
+            phis.append(last + 1)               # negated below
             out += (next(rows), offset, offset)
         elif kind is U:
             theta, phi, lam = next(rows), next(rows), next(rows)
@@ -127,6 +146,7 @@ def virtual_z_pass(circuit: Circuit) -> tuple[Circuit, CompileReport]:
         physical_pulse_count=pulse_count(compiled),
         folded_rz_count=folded,
         residual_rz=offset if nonzero else 0.0,
+        merged_ry_count=merged,
     )
     return compiled, report
 

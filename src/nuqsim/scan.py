@@ -334,13 +334,21 @@ class ScanResult:
     dilation: np.ndarray | None = None
 
     def __post_init__(self):
-        """Refuse a column that is not 1-D with one value per energy."""
+        """Refuse a column that is not a 1-D float64 array with one value
+        per energy, and a grid that is not strictly ascending."""
         grid = np.shape(self.energy_gev)
         for name in "energy_gev p_theory p_exact p_sampled stderr".split():
-            got = np.shape(getattr(self, name))
+            column = getattr(self, name)
+            got = np.shape(column)
             if len(got) != 1 or got != grid:
                 raise ValueError(f"column {name!r}: must be 1-D, of the "
                                  f"grid's shape {grid}, got {got}")
+            dtype = getattr(column, "dtype", type(column).__name__)
+            if dtype != np.float64:
+                raise ValueError(f"column {name!r}: must be a float64 array, "
+                                 f"got {dtype}")
+        if not (self.energy_gev[1:] > self.energy_gev[:-1]).all():
+            raise ValueError("column 'energy_gev': must be strictly ascending")
 
     def channels(self) -> list[tuple]:
         """``(channel, p_theory, p_exact, p_sampled, stderr)`` columns per

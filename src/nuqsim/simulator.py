@@ -37,9 +37,10 @@ seed becomes a PCG64 state; a test checks the pass against
 words are written in place before each draw, through a view that
 ``_lcg_words`` takes from numpy's ctypes interface and checks on every
 call (inside the generator, reading back as its state), since numpy
-does not freeze how the generator stores them.  Optimizer restarts draw
-from a SeedSequence spawn of the seed (``optim``), so sampling and
-optimization never share a stream.
+does not freeze how the generator stores them; where the check fails,
+each point's state is set through ``bits.state`` instead.  Optimizer
+restarts draw from a SeedSequence spawn of the seed (``optim``), so
+sampling and optimization never share a stream.
 """
 from __future__ import annotations
 
@@ -224,8 +225,9 @@ def sample(p1, shots: int, seed: int):
     as an int; an ``(n,)`` array gives ``(n,)`` counts, point i drawn
     from PCG64(seed XOR i).  p1 is clipped to [0, 1] against rounding;
     bit-reproducible.  One fresh generator draws every point, its LCG
-    words set to the point's row of ``_pcg64_states`` before the draw;
-    RuntimeError if ``_lcg_words`` cannot check where they sit.
+    words set to the point's row of ``_pcg64_states`` before the draw:
+    written in place, or, where ``_lcg_words`` cannot check where they
+    sit, set through ``bits.state`` (the same counts, only slower).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -234,13 +236,21 @@ def sample(p1, shots: int, seed: int):
     p1 = np.clip(p1, 0.0, 1.0)
     bits = np.random.PCG64()       # each draw runs from words written before it
     binomial = np.random.Generator(bits).binomial
-    # memoryviews: a 4-word slice copies in a third of a numpy row's time
-    words = memoryview(_lcg_words(bits))
-    states = memoryview(_pcg64_states(seed, p1.size).ravel())
-    ones = []
-    for i, p in enumerate(p1.ravel().tolist()):
-        words[:] = states[4 * i:4 * i + 4]
-        ones.append(binomial(shots, p))
+    words, states, ones = _lcg_words(bits), _pcg64_states(seed, p1.size), []
+    if words is None:              # numpy's own setter, from the same words
+        state = bits.state
+        for (s_lo, s_hi, i_lo, i_hi), p in zip(states.tolist(),
+                                               p1.ravel().tolist()):
+            state["state"] = {"state": s_hi << 64 | s_lo,
+                              "inc": i_hi << 64 | i_lo}
+            bits.state = state
+            ones.append(binomial(shots, p))
+    else:
+        # memoryviews: a 4-word slice copies in a third of a numpy row's time
+        words, states = memoryview(words), memoryview(states.ravel())
+        for i, p in enumerate(p1.ravel().tolist()):
+            words[:] = states[4 * i:4 * i + 4]
+            ones.append(binomial(shots, p))
     return np.array(ones, np.int64).reshape(p1.shape) if p1.ndim else ones[0]
 
 
@@ -250,15 +260,15 @@ def _state_address(bits: np.random.PCG64) -> int:
     return bits.ctypes.state_address
 
 
-def _lcg_words(bits: np.random.PCG64) -> np.ndarray:
+def _lcg_words(bits: np.random.PCG64) -> np.ndarray | None:
     """A uint64 view of the four words (state low, state high, inc low,
     inc high) of the LCG that ``bits`` draws from, checked before use.
 
     numpy's compatibility policy freezes how a seed becomes a PCG64
-    state, not how the generator stores it, so the view is accepted only
+    state, not how the generator stores it, so the view is returned only
     if its 32 bytes lie inside ``bits`` and read back as ``bits.state``;
-    otherwise RuntimeError, before any word is written.  The view is valid
-    while ``bits`` lives; the caller keeps it no longer.
+    otherwise None, and no word is written.  The view is valid while
+    ``bits`` lives; the caller keeps it no longer.
     """
     address = ctypes.c_void_p.from_address(_state_address(bits)).value or 0
     start = id(bits)
@@ -269,11 +279,7 @@ def _lcg_words(bits: np.random.PCG64) -> np.ndarray:
         if words.tobytes() == (lcg["inc"] << 128 | lcg["state"]).to_bytes(
                 32, "little"):
             return words
-        problem = "do not read back as its state"
-    else:
-        problem = "lie outside the generator"
-    raise RuntimeError(f"numpy {np.__version__}: the PCG64 LCG words {problem}, "
-                       "so sample cannot set its grid points' states")
+    return None
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)

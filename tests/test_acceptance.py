@@ -58,7 +58,7 @@ def test_criterion_1_slab_oracle_equivalence():
 
 
 def test_criterion_2_virtual_z_soundness_and_pulse_count():
-    """Compiled == uncompiled outcomes (1e-12); pulses 2N+1 vs 3N+1."""
+    """Compiled == uncompiled outcomes (1e-12); pulses N+2 vs 3N+1."""
     budget = 1.0
     t0 = time.perf_counter()
     for n in (1, 2, 3, 5, 8, 10, 16, 20):
@@ -71,8 +71,8 @@ def test_criterion_2_virtual_z_soundness_and_pulse_count():
         raw = build_slab_circuit(*slab_layer_params(p, profile, energy))
         compiled, report = virtual_z_pass(raw)
         assert pulse_count(raw) == 3 * n + 1
-        assert pulse_count(compiled) == 2 * n + 1
-        assert report.physical_pulse_count == 2 * n + 1
+        assert pulse_count(compiled) == n + 2
+        assert report.physical_pulse_count == n + 2
         assert abs(_exact_p0(raw) - _exact_p0(compiled)) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < budget

@@ -405,13 +405,13 @@ def test_compiled_slab_scan_builds_no_gate_op(monkeypatch):
     built = record_gate_builds(monkeypatch)
     cfg = ScanConfig(scenario="slab", compile=True, periods=50)
     result = run_scan(cfg)
-    assert built == [] and result.report.output_gate_count == 201
+    assert built == [] and result.report.output_gate_count == 102
     p, profile, th23 = _single_qubit_setup(cfg)
     raw = build_slab_circuit(
         *slab_layer_params(p, profile, np.array(cfg.energies), th23))
     compiled, _ = virtual_z_pass(raw)
     assert built == [] and compiled == result.circuit
-    assert (len(raw.ops), len(raw.gates), len(compiled.gates)) == (302, 301, 201)
+    assert (len(raw.ops), len(raw.gates), len(compiled.gates)) == (302, 301, 102)
     assert set(built) == {"GateOp"}      # the views, built on request
 
 

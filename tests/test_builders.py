@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuqsim import optim
@@ -43,12 +43,12 @@ def test_single_vacuum_layer_structure():
 
 
 def test_ten_slab_compiled_pulse_count():
-    """Five periods of two slabs compile to 2N+1 = 21 physical pulses."""
+    """Five periods of two slabs compile to N+2 = 12 physical pulses."""
     profile = SlabProfile((MatterLayer(5.0, 0.5, 500.0),
                            MatterLayer(10.0, 0.5, 1000.0)), period_count=5)
     circ, _ = virtual_z_pass(
         build_slab_circuit(*slab_layer_params(P13, profile, 5.0, TH23)))
-    assert pulse_count(circ) == 21
+    assert pulse_count(circ) == 12
     raw = build_slab_circuit(*slab_layer_params(P13, profile, 5.0, TH23))
     assert pulse_count(raw) == 31
 
@@ -64,6 +64,65 @@ def test_compiled_equals_uncompiled_probability():
         raw = build_slab_circuit(*slab_layer_params(p, profile, e))
         compiled, _ = virtual_z_pass(raw)
         assert abs(exact_p0(raw) - exact_p0(compiled)) < 1e-12
+
+
+# a layer of any density up to 15 g/cm^3, zero lengths and equal
+# densities among the draws
+LAYERS = st.builds(MatterLayer, st.sampled_from([0.0, 5.0]) | st.floats(0, 15),
+                   st.just(0.5), st.sampled_from([0.0]) | st.floats(0, 2000))
+
+
+@st.composite
+def compiled_profiles(draw):
+    """The earth's three layers, or 1 to 4 layers repeated up to a
+    profile of at most 200 layers (a slab when there are two)."""
+    if draw(st.booleans()):
+        return earth_profile(draw(st.floats(0.3, 0.7)))
+    layers = tuple(draw(st.lists(LAYERS, min_size=1, max_size=4)))
+    return SlabProfile(layers, period_count=draw(
+        st.integers(1, 200 // len(layers))))
+
+
+DEEP = SlabProfile((MatterLayer(5.0, 0.5, 900.0),
+                    MatterLayer(12.0, 0.5, 1200.0)), period_count=100)
+ZERO_LENGTH = SlabProfile((MatterLayer(5.0, 0.5, 0.0),
+                           MatterLayer(10.0, 0.5, 1000.0)), period_count=4)
+EQUAL_DENSITIES = SlabProfile((MatterLayer(7.0, 0.5, 300.0),
+                               MatterLayer(7.0, 0.5, 800.0)), period_count=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(compiled_profiles(), st.sampled_from([None, TH23]),
+       st.lists(st.floats(1.0, 25.0), min_size=1, max_size=4,
+                unique=True).map(sorted))
+@example(DEEP, TH23, [1.0, 7.5, 25.0])
+@example(SlabProfile((MatterLayer(3.0, 0.5, 700.0),)), None, [2.0])
+@example(ZERO_LENGTH, TH23, [3.0, 4.0])
+@example(EQUAL_DENSITIES, None, [5.0])
+def test_a_compiled_template_runs_one_pulse_per_layer_boundary(
+        profile, th23, energies):
+    """An n-layer slab or earth template compiles to n + 2 gates (X, the
+    first RY, one pulse per layer boundary, the last pulse); every input
+    gate is kept, folded or merged; and the compiled probabilities are
+    the raw ones within 1e-12."""
+    raw = build_slab_circuit(
+        *slab_layer_params(P13, profile, np.array(energies), th23))
+    compiled, report = virtual_z_pass(raw)
+    layers = len(profile.layers) * profile.period_count
+    assert len(compiled.gate_layout) == report.output_gate_count == layers + 2
+    assert report.input_gate_count == (report.output_gate_count
+                                       + report.folded_rz_count
+                                       + report.merged_ry_count)
+    assert np.max(np.abs(exact_p0(raw) - exact_p0(compiled))) <= 1e-12
+
+
+def test_equal_densities_merge_into_zero_angle_pulses_that_stay():
+    """Two layers of one density have one angle, so the rotations that
+    meet at each boundary sum to exactly 0; the pulse is kept."""
+    compiled, report = virtual_z_pass(build_slab_circuit(
+        *slab_layer_params(P13, EQUAL_DENSITIES, 5.0, TH23)))
+    assert len(compiled.gates) == 6 + 2 and report.merged_ry_count == 5
+    assert [op.params[0] for op in compiled.ops[2:7]] == [0.0] * 5
 
 
 def test_slab_circuit_matches_oracle_both_modes():
@@ -86,21 +145,23 @@ def test_earth_profile_layers():
 
 
 def test_earth_compiled_cumulative_offsets():
-    """Compiled earth circuit: X, RY, then five pulse gates whose offsets
-    accumulate as phi1, phi1, phi1+phi2, phi1+phi2, 2*phi1+phi2."""
+    """Compiled earth circuit: X, RY, then three pulse gates, one per
+    layer boundary and the last, whose offsets accumulate as phi1,
+    phi1+phi2, 2*phi1+phi2; each boundary pulse is the sum of the two
+    rotations that meet there."""
     e = 6.0
     circ, _ = virtual_z_pass(build_slab_circuit(
         *slab_layer_params(P13, earth_profile(), e, TH23)))
     (t1, t2, _), (f1, f2, _) = slab_layer_params(P13, earth_profile(), e, TH23)
     kinds = [op.kind for op in circ.ops]
-    assert kinds == [GateKind.X, GateKind.RY] + [GateKind.U] * 5 + \
+    assert kinds == [GateKind.X, GateKind.RY] + [GateKind.U] * 3 + \
         [GateKind.MEASURE]
     assert circ.ops[1].params == (-2 * t1,)
-    offsets = [op.params[2] for op in circ.ops[2:7]]
-    expected = [f1, f1, f1 + f2, f1 + f2, 2 * f1 + f2]
+    offsets = [op.params[2] for op in circ.ops[2:5]]
+    expected = [f1, f1 + f2, 2 * f1 + f2]
     assert np.allclose(offsets, expected, rtol=0, atol=1e-12)
-    thetas = [op.params[0] for op in circ.ops[2:7]]
-    assert np.allclose(thetas, [2 * t1, -2 * t2, 2 * t2, -2 * t1, 2 * t1],
+    thetas = [op.params[0] for op in circ.ops[2:5]]
+    assert np.allclose(thetas, [2 * t1 - 2 * t2, 2 * t2 - 2 * t1, 2 * t1],
                        rtol=0, atol=1e-12)
 
 

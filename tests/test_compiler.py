@@ -51,29 +51,56 @@ def test_pulse_matches_axis_angle_rotation():
 # --- virtual-Z pass -----------------------------------------------------------
 
 def test_fold_produces_slab_pulse_sequence():
-    """Alternating RY/RZ layers fold into the cumulative-offset U gates."""
+    """Alternating RY/RZ layers fold into the cumulative-offset U gates;
+    the two rotations that meet at the layer boundary become one."""
     t1, t2, f1, f2 = 0.31, 0.87, 1.21, 0.44
     circ = Circuit(1, (ry(-2 * t1), rz(f1), ry(2 * t1),
                        ry(-2 * t2), rz(f2), ry(2 * t2)))
     out, report = virtual_z_pass(circ)
     kinds = [op.kind for op in out.ops]
-    assert kinds == [GateKind.RY, GateKind.U, GateKind.U, GateKind.U,
-                     GateKind.RZ]
+    assert kinds == [GateKind.RY, GateKind.U, GateKind.U, GateKind.RZ]
     assert out.ops[0].params == (-2 * t1,)
-    assert out.ops[1].params == (2 * t1, -f1, f1)
-    assert out.ops[2].params == (-2 * t2, -f1, f1)
-    assert out.ops[3].params == (2 * t2, -(f1 + f2), f1 + f2)
-    assert out.ops[4].params == (f1 + f2,)
-    assert report.folded_rz_count == 2
+    assert out.ops[1].params == (2 * t1 + -2 * t2, -f1, f1)
+    assert out.ops[2].params == (2 * t2, -(f1 + f2), f1 + f2)
+    assert out.ops[3].params == (f1 + f2,)
+    assert report.folded_rz_count == 2 and report.merged_ry_count == 1
     assert report.residual_rz == f1 + f2
 
 
 def test_no_rz_circuit_unchanged():
-    circ = Circuit(1, (x(), ry(0.5), ry(-1.2), measure(0)))
+    circ = Circuit(1, (x(), ry(0.5), x(), ry(-1.2), measure(0)))
     out, report = virtual_z_pass(circ)
     assert out == circ
-    assert report.folded_rz_count == 0
+    assert report.folded_rz_count == report.merged_ry_count == 0
     assert report.residual_rz == 0.0
+
+
+def test_adjacent_rys_become_one():
+    circ = Circuit(1, (x(), ry(0.5), ry(-1.2), ry(0.25), measure(0)))
+    out, report = virtual_z_pass(circ)
+    assert out == Circuit(1, (x(), ry(0.5 + -1.2 + 0.25), measure(0)))
+    assert report.merged_ry_count == 2 and report.folded_rz_count == 0
+
+
+@pytest.mark.parametrize("between", [
+    x(), rz(0.0), rz(-0.0), rz(0.4), u(0.6, 0.2, -0.2), u(0.6, 0.3, 0.5),
+    u(0.0, 0.0, 0.0)])
+def test_a_merge_never_crosses_another_gate(between):
+    """Two RYs merge only when nothing stands between them: an X, an RZ
+    (even a zero one, whose offset stays zero) or a U keeps both."""
+    circ = Circuit(1, (ry(0.5), between, ry(-1.2), measure(0)))
+    out, report = virtual_z_pass(circ)
+    assert report.merged_ry_count == 0
+    assert len(out.gates) == 2 + (between.kind is not GateKind.RZ)
+    assert out.gates[0].params == (0.5,) and out.gates[-1].params[0] == -1.2
+
+
+def test_a_merge_never_crosses_a_template_rz_of_zero_rows():
+    circ = Circuit(1, layout=(_RY, _RZ, _RY), angles=[[0.3, 0.4], [0.0, -0.0],
+                                                      [0.7, 0.8]])
+    out, report = virtual_z_pass(circ)
+    assert [op.kind for op in out.ops] == [GateKind.RY, GateKind.RY]
+    assert report.merged_ry_count == 0 and report.folded_rz_count == 1
 
 
 def test_fold_exact_with_trailing_rz():
@@ -176,7 +203,8 @@ def test_pulse_count_empty():
 
 
 def test_pulse_count_slab_circuits():
-    """Uncompiled 3N+1 pulses vs 2N+1 after folding (init X included)."""
+    """Uncompiled 3N+1 pulses vs N+2 after folding and merging (init X
+    included)."""
     for n in (1, 2, 5, 10):
         ops = [x()]
         for k in range(n):
@@ -185,9 +213,10 @@ def test_pulse_count_slab_circuits():
         raw = Circuit(1, tuple(ops))
         compiled, report = virtual_z_pass(raw)
         assert pulse_count(raw) == 3 * n + 1
-        assert pulse_count(compiled) == 2 * n + 1
-        assert report.physical_pulse_count == 2 * n + 1
+        assert pulse_count(compiled) == n + 2
+        assert report.physical_pulse_count == n + 2
         assert report.input_gate_count == 3 * n + 1
+        assert (report.folded_rz_count, report.merged_ry_count) == (n, n - 1)
 
 
 def test_trailing_rz_is_free():
@@ -279,13 +308,21 @@ def test_dump_circuit_text():
 def _walk_virtual_z(circuit):
     """Reference: the virtual-Z pass as one running sum over the ops, with
     its compile report as a tuple, written apart from the pass.  It
-    collects the output's gate list and angle rows itself."""
+    collects the output's gate list and angle rows itself.  An RY right
+    after an RY of the input adds its angle to that RY's output theta."""
     layout, rows, offset, folded, elided = [], [], 0.0, 0, False
+    merged, theta_at = 0, None
 
     def is_zero(value):
         return not (value.any() if type(value) is np.ndarray else value)
 
-    for i, op in enumerate(circuit.ops):
+    ops = circuit.ops
+    for i, op in enumerate(ops):
+        if op.kind is GateKind.RY and i and ops[i - 1].kind is GateKind.RY:
+            rows[theta_at] = rows[theta_at] + op.params[0]
+            merged += 1
+            continue
+        theta_at = len(rows)
         if op.kind is GateKind.RZ:
             offset = offset + op.params[0]
             folded += 1
@@ -315,7 +352,7 @@ def _walk_virtual_z(circuit):
     compiled = Circuit(1, layout=layout, angles=rows)
     residual = offset if elided or not is_zero(offset) else 0.0
     return compiled, (len(circuit.gates), len(compiled.gates),
-                      pulse_count(compiled), folded, residual)
+                      pulse_count(compiled), folded, residual, merged)
 
 
 SIGNED_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -1.5]),
@@ -362,8 +399,9 @@ def test_pass_matches_the_reference_walk_bit_for_bit(circuit):
     assert [op.qubits for op in got.ops] == [op.qubits for op in want.ops]
     for g, w in zip(got.ops, want.ops):
         assert [_bits(p) for p in g.params] == [_bits(p) for p in w.params]
-    *counts, residual = want_report
+    *counts, residual, merged = want_report
     assert [report.input_gate_count, report.output_gate_count,
             report.physical_pulse_count, report.folded_rz_count] == counts
+    assert report.merged_ry_count == merged
     assert _bits(report.residual_rz) == _bits(residual)
     assert got.batch_shape == want.batch_shape

@@ -98,7 +98,7 @@ def _records():
     return [(ep, EffectiveParams, ("theta_m", "dm2_m", "beta")),
             (report, CompileReport,
              ("input_gate_count", "output_gate_count", "physical_pulse_count",
-              "folded_rz_count", "residual_rz")),
+              "folded_rz_count", "residual_rz", "merged_ry_count")),
             (fit, OptimResult,
              ("angles", "infidelity", "restarts_used", "converged"))]
 
@@ -117,6 +117,6 @@ def test_records_read_by_name_and_refuse_assignment():
 def test_record_values():
     (ep, _, _), (report, _, _), (fit, _, _) = _records()
     assert ep.theta_m.shape == ep.dm2_m.shape == ep.beta.shape == (2,)
-    assert report == CompileReport(3, 2, 1, 2, 0.5)
+    assert report == CompileReport(3, 2, 1, 2, 0.5, 0)
     assert fit.converged and fit.restarts_used == 1
     assert fit.infidelity <= 1e-9 and fit.angles.shape == (6,)

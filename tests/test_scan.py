@@ -435,16 +435,30 @@ def _tiny_result():
                            [0.125, 0.4375, 0.875], [0.02, 0.06, 0.04])
 
 
-@pytest.mark.parametrize("name, energies, size", [
+@pytest.mark.parametrize("name, energies, column", [
     ("p_theory", [1.0, 2.0, 3.0], 5),       # more values than energies
     ("p_theory", [1.0, 2.0, 3.0], 2),       # fewer values than energies
-    ("energy_gev", [[1.0, 2.0], [3.0, 4.0]], 2)])   # a 2-d grid
-def test_scan_result_refuses_columns_off_its_grid(name, energies, size):
-    """A result's columns are one value per energy of its 1-D grid; any
-    other shape is refused when the result is built, naming the column,
-    before an emitter writes a byte."""
+    ("energy_gev", [[1.0, 2.0], [3.0, 4.0]], 2),    # a 2-d grid
+    # not float64 arrays: the CSV rows would read 1,0,0,0,0, (0.5+0j), '1'
+    ("energy_gev", [1, 2], np.array([0, 1])),
+    ("p_theory", [1.0, 2.0], np.full(2, 0.5 + 0j)),
+    ("energy_gev", ["1", "2"], 2),
+    ("p_theory", [1.0, 2.0], [0.5, 0.25]),
+    ("p_theory", [1.0, 2.0], np.full(2, 0.25, np.float32)),
+    # not strictly ascending: the SVG would hold nan coordinates, or a
+    # mirrored energy axis
+    ("energy_gev", [2.0, 2.0], 2),
+    ("energy_gev", [2.0, 1.0], 2),
+    ("energy_gev", [float("nan"), 1.0], 2)])
+def test_scan_result_refuses_columns_off_its_grid(name, energies, column):
+    """A result's columns are float64 arrays, one value per energy of its
+    1-D, strictly ascending grid; anything else is refused when the
+    result is built, naming the column, before an emitter writes a byte.
+    An int ``column`` is the size of float64 columns of 0.25."""
+    if isinstance(column, int):
+        column = np.full(column, 0.25)
     with pytest.raises(ValueError, match=f"column '{name}'"):
-        ScanResult("slab", np.array(energies), *[np.full(size, 0.25)] * 4)
+        ScanResult("slab", np.array(energies), *[column] * 4)
 
 
 def test_csv_header_only_for_empty(tmp_path):
@@ -712,7 +726,8 @@ def test_cli_dump_circuit(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "# nuqsim-circuit width=1" in out
-    assert "virtual-Z: 10 gates -> 7 gates, 7 physical pulses (3 RZ folded)" in out
+    assert ("virtual-Z: 10 gates -> 5 gates, 5 physical pulses "
+            "(3 RZ folded, 2 RY merged)") in out
 
 
 def test_cli_dump_msw_exact_shows_matrix(capsys):
@@ -817,9 +832,10 @@ def test_cli_compact_table_matches_its_golden(capsys, scenario, energies):
 
 
 def test_cli_dump_of_the_deep_slab_matches_its_golden(tmp_path, capsys):
-    """The golden was written by the running-offset compiler: ``repr`` of
-    all 201 compiled angles of point 0, the compile report line and the
-    compact table."""
+    """The golden was written by the running-offset compiler that merges
+    the rotations meeting at each layer boundary: ``repr`` of the angles
+    of all 102 compiled gates of point 0, the compile report line and
+    the compact table."""
     config = tmp_path / "slab_deep.json"
     config.write_text(json.dumps({"scenario": "slab", "compile": True,
                                   "periods": 50}))

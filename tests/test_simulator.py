@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuqsim import scan, simulator
+from nuqsim import cli, scan, simulator
 from nuqsim.builders import build_slab_circuit
 from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, cnot,
                              measure, ry, rz, u, x)
@@ -552,10 +552,12 @@ def test_sample_stack_matches_per_point_generators(seed):
 
 
 @pytest.mark.parametrize("target", ["outside", "inside"])
-def test_sample_refuses_lcg_words_it_cannot_check(monkeypatch, target):
+def test_sample_refuses_lcg_words_it_cannot_check(monkeypatch, capsys,
+                                                  target):
     """Words outside the generator, or inside it but not reading back as
-    its state, raise a RuntimeError naming numpy's version before any
-    word is written or any count drawn."""
+    its state, are never written: each point's state is set through
+    ``bits.state`` instead, which gives the per-point generators' counts,
+    and a scan exits 0 with the output of the checked path."""
     decoy = (ctypes.c_uint64 * 4)(1, 2, 3, 4)
     pointers = []
 
@@ -566,18 +568,19 @@ def test_sample_refuses_lcg_words_it_cannot_check(monkeypatch, target):
             ctypes.addressof(decoy) if target == "outside" else id(bits)))
         return ctypes.addressof(pointers[-1])
 
-    seeded = []
+    argv = ["scan", "--scenario", "earth", "--energies", "1:2:3"]
+    assert cli.main(argv) == 0
+    checked = capsys.readouterr()
+    p1, seed = np.random.Generator(np.random.PCG64(99)).random(300), 10 ** 40
+    expected = [np.random.Generator(np.random.PCG64(seed ^ i)).binomial(4096, p)
+                for i, p in enumerate(p1.tolist())]
     monkeypatch.setattr(simulator, "_state_address", state_address)
-    monkeypatch.setattr(simulator, "_pcg64_states",
-                        lambda *args: seeded.append(args))
-    problem = {"outside": "lie outside the generator",
-               "inside": "do not read back as its state"}[target]
-    version = re.escape(np.__version__)
-    with pytest.raises(RuntimeError,
-                       match=f"^numpy {version}: the PCG64 LCG words {problem}"):
-        sample(np.full(3, 0.5), 64, 7)
-    assert list(decoy) == [1, 2, 3, 4] and seeded == []
-    assert len(pointers) == 1
+    assert sample(p1, 4096, seed).tolist() == expected
+    assert sample(0.25, 64, 7) == \
+        np.random.Generator(np.random.PCG64(7)).binomial(64, 0.25)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == checked
+    assert list(decoy) == [1, 2, 3, 4] and len(pointers) == 3
 
 
 def test_grid_indices_stay_in_the_low_seed_word():

@@ -177,6 +177,28 @@ def test_scan_rows_have_one_writer():
                 or getattr(n, "attr", None) == "format"]
 
 
+def test_the_virtual_z_pass_walks_a_circuit_once():
+    """``virtual_z_pass`` reads a circuit's gate list in one loop, which
+    folds the RZs and merges the RYs as it goes; its other loops read
+    only the stacked phi rows, never a gate list, so the merge never
+    becomes a second pass over the compiled gates."""
+    fn, = [n for n in ast.parse((SRC / "compiler.py").read_text()).body
+           if getattr(n, "name", None) == "virtual_z_pass"]
+    loops = [n for n in ast.walk(fn)
+             if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    walk, *others = loops
+    assert ast.unparse(walk.iter) == "enumerate(circuit.layout)"
+    counted = {n.target.id for n in ast.walk(walk)
+               if isinstance(n, ast.AugAssign)}
+    assert {"folded", "merged"} <= counted
+    assert others and all(
+        not isinstance(loop, ast.While) and "phis" in ast.unparse(loop.iter)
+        and not {"layout", "ops", "gates"} & {
+            getattr(n, "id", getattr(n, "attr", None))
+            for n in ast.walk(loop.iter)}
+        for loop in others)
+
+
 def test_run_holds_the_one_pair_update_kernel():
     """``run`` is the one executor: it evolves amplitude columns with
     ``simulator._gate``, which nothing else calls, and neither of them
