@@ -370,8 +370,9 @@ class ScanResult:
         columns = [col for _, *cols in channels
                    for col in (self.energy_gev, *cols[:values])]
         for start in range(0, len(self.energy_gev), EMIT_ROWS):
-            yield _fill(template, [col[start:start + EMIT_ROWS].tolist()
-                                   for col in columns])
+            block = [col[start:start + EMIT_ROWS].tolist() for col in columns]
+            yield ("\n".join([template] * len(block[0])) %
+                   tuple(chain.from_iterable(zip(*block))))
 
 
 def slab_profile_from_config(config: ScanConfig) -> SlabProfile:
@@ -448,8 +449,8 @@ def run_scan(config: ScanConfig) -> ScanResult:
 # --- CSV ----------------------------------------------------------------------
 
 CSV_HEADER = "energy_gev,p_theory,p_exact,p_sampled,stderr"
-# Energies per block of CSV, table or SVG-marker rows, each block one
-# %-format written as it is formed (an SVG polyline is formed whole).
+# Energies per block of CSV, table or SVG-marker rows, each block formed
+# in one pass and written as it is formed (an SVG polyline is formed whole).
 EMIT_ROWS = 256
 
 
@@ -458,14 +459,6 @@ def emit_csv(result: ScanResult, path: str) -> str:
     header = CSV_HEADER + (",channel" if result.scenario == "msw" else "")
     return _write(path, chain(
         [header], result.blocks(",".join(["%r"] * 5), ",", 4)), "CSV")
-
-
-def _fill(template: str, columns: list) -> str:
-    """``template`` once per row of the equal-length ``columns``, each
-    copy filled with its row's values in column order, joined by
-    newlines."""
-    return ("\n".join([template] * len(columns[0])) %
-            tuple(chain.from_iterable(zip(*columns))))
 
 
 def _write(path: str, items, kind: str) -> str:
@@ -494,28 +487,30 @@ def _channel_svg(e, theory, p, err, color: str, sx, sy):
     """Yield a channel's theory polyline, then its markers with error
     bars in blocks of EMIT_ROWS, from its ascending-energy columns.
 
-    Each distinct coordinate column of a block (x, x +- 3, y +- 3 and
-    the clipped error-bar ends) is formatted once with %.2f, and each
-    marker's three lines are one template filled with those strings;
-    the polyline reuses the x strings.
+    Each coordinate column of a block (x, the clipped error-bar ends
+    and x +- 3, y +- 3) is formatted once with %.2f, and each marker's
+    three lines are one f-string of those strings; the polyline reuses
+    the x strings.
     """
     mx, my = sx(e), sy(p)
     xs = _fixed2(mx)
     points = " ".join(map(",".join, zip(xs, _fixed2(sy(theory)))))
     yield (f'<polyline points="{points}" fill="none" stroke="{color}" '
            'stroke-width="1.5"/>')
-    # per marker: its error bar, then the two strokes of its cross
-    marker = "\n".join(f'<line x1="%s" y1="%s" x2="%s" y2="%s" '
-                       f'stroke="{color}" stroke-width="{width}"/>'
-                       for width in ("1", "1.2", "1.2"))
-    lo, hi = sy(np.maximum(p - err, 0.0)), sy(np.minimum(p + err, 1.0))
+    ends = (sy(np.maximum(p - err, 0.0)), sy(np.minimum(p + err, 1.0)),
+            mx - 3, mx + 3, my - 3, my + 3)
     for start in range(0, len(mx), EMIT_ROWS):
         rows = slice(start, start + EMIT_ROWS)
-        x, m, y = xs[rows], mx[rows], my[rows]
-        left, right, top, bottom, low, high = map(_fixed2, (
-            m - 3, m + 3, y - 3, y + 3, lo[rows], hi[rows]))
-        yield _fill(marker, [x, low, x, high, left, top, right, bottom,
-                             left, bottom, right, top])
+        # per marker: its error bar, then the two strokes of its cross
+        yield "\n".join(
+            f'<line x1="{x}" y1="{low}" x2="{x}" y2="{high}" '
+            f'stroke="{color}" stroke-width="1"/>\n'
+            f'<line x1="{left}" y1="{top}" x2="{right}" y2="{bottom}" '
+            f'stroke="{color}" stroke-width="1.2"/>\n'
+            f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{top}" '
+            f'stroke="{color}" stroke-width="1.2"/>'
+            for x, low, high, left, right, top, bottom in zip(
+                xs[rows], *(_fixed2(col[rows]) for col in ends)))
 
 
 def _fixed2(col: np.ndarray) -> list[str]:

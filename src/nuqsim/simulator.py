@@ -234,7 +234,9 @@ def sample(p1, shots: int, seed: int):
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     p1 = np.clip(p1, 0.0, 1.0)
-    bits = np.random.PCG64()       # each draw runs from words written before it
+    # Any seed gives the same counts, as each point's draw runs from LCG
+    # words written before it; a constant one reads no OS entropy.
+    bits = np.random.PCG64(0)
     binomial = np.random.Generator(bits).binomial
     words, states, ones = _lcg_words(bits), _pcg64_states(seed, p1.size), []
     if words is None:              # numpy's own setter, from the same words

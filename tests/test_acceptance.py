@@ -196,7 +196,9 @@ def test_criterion_7_native_lowering():
 
 
 def test_criterion_8_csv_determinism(tmp_path):
-    """Identical ScanConfig + seed twice: byte-identical CSV."""
+    """Identical ScanConfig + seed twice: byte-identical CSV.  The bytes
+    hold per numpy build and SIMD dispatch level (README, Determinism):
+    both runs here share one process, and so one of each."""
     t0 = time.perf_counter()
     for scenario, energies in (("slab", "1:25:40"), ("earth", "1:25:40"),
                                ("msw", "0.001:0.05:15")):

@@ -14,6 +14,8 @@ that moves bits on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_outputs.py
 
+which prints, before it writes, each run whose recorded fields moved
+and which of them (``csv``, ``svg``, ``stdout``, ``stderr``, ``exit``),
 and lists in CHANGES.md which entries changed and why.
 """
 import contextlib
@@ -109,6 +111,24 @@ def run_matrix(root: pathlib.Path) -> dict:
     return results
 
 
+def moved_fields(old: dict, new: dict) -> dict[str, list[str]]:
+    """For each run of ``new`` whose record differs from ``old``'s, the
+    fields that differ, in record order (all of them for a new run)."""
+    return {name: [kind for kind in record
+                   if old.get(name, {}).get(kind, ...) != record[kind]]
+            for name, record in new.items() if old.get(name) != record}
+
+
+def test_moved_fields_name_each_changed_field():
+    record = {"csv": "a", "svg": None, "stdout": "b", "stderr": "c",
+              "exit": 0}
+    old = {"same": record, "moved": record, "gone": record}
+    new = {"same": record, "moved": {**record, "svg": "d", "exit": 2},
+           "added": record}
+    assert moved_fields(old, new) == {"moved": ["svg", "exit"],
+                                      "added": list(record)}
+
+
 def test_matrix_reproduces_recorded_outputs(tmp_path):
     expected = json.loads(FIXTURE.read_text())
     assert list(expected) == list(MATRIX)
@@ -119,7 +139,14 @@ def test_matrix_reproduces_recorded_outputs(tmp_path):
 
 if __name__ == "__main__":
     import tempfile
+    recorded = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        FIXTURE.write_text(json.dumps(run_matrix(pathlib.Path(tmp)),
-                                      indent=1) + "\n")
+        runs = run_matrix(pathlib.Path(tmp))
+    moved = moved_fields(recorded, runs)
+    for name, kinds in moved.items():
+        print(f"moved: {name}: {', '.join(kinds)}")
+    for name in sorted(recorded.keys() - runs.keys()):
+        print(f"dropped: {name}")
+    print(f"{len(moved)} of {len(runs)} runs moved")
+    FIXTURE.write_text(json.dumps(runs, indent=1) + "\n")
     print(f"wrote {FIXTURE}")

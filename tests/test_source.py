@@ -77,19 +77,25 @@ def test_templates_are_built_only_in_layout_form():
     assert uses["compiler.py"] == {"rz", "u"}
 
 
+def scopes(source: str):
+    """``(name, node)`` of each top-level statement and of each statement
+    of a top-level class, a method named ``Class.method``."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{getattr(fn, 'name', '')}", fn)
+                        for fn in top.body)
+        else:
+            yield getattr(top, "name", ""), top
+
+
 def callers(source: str, names: set[str]) -> dict[str, set[str]]:
     """For each of ``names``, the top-level functions and the methods,
     as ``Class.method``, that call it."""
     found: dict[str, set[str]] = {}
-    for top in ast.parse(source).body:
-        scopes = ([(f"{top.name}.{getattr(fn, 'name', '')}", fn)
-                   for fn in top.body] if isinstance(top, ast.ClassDef)
-                  else [(getattr(top, "name", ""), top)])
-        for scope, fn in scopes:
-            for n in ast.walk(fn):
-                if (isinstance(n, ast.Call) and
-                        getattr(n.func, "id", None) in names):
-                    found.setdefault(n.func.id, set()).add(scope)
+    for scope, fn in scopes(source):
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in names:
+                found.setdefault(n.func.id, set()).add(scope)
     return found
 
 
@@ -157,16 +163,28 @@ def test_unitaries_are_formed_and_applied_on_one_path():
 
 
 def test_scan_rows_have_one_writer():
-    """Every CSV and table row comes from ``ScanResult.blocks``: ``_fill``
-    runs only from it and from ``_channel_svg`` (whose markers reuse each
-    coordinate's text), ``ScanResult.rows`` is gone, and the one loop of
-    ``cli.cmd_scan`` prints the blocks of ``blocks`` as they come, with
-    no formatting of its own and so no call per row."""
+    """Every CSV and table row comes from ``ScanResult.blocks``, the one
+    function that fills a %-template (``_fixed2``, the only other ``%``,
+    formats a column's numbers one by one); ``_fill`` and
+    ``ScanResult.rows`` are gone; ``_channel_svg`` builds each marker as
+    one f-string of named coordinates, with neither a %-template nor a
+    column list; and the one loop of ``cli.cmd_scan`` prints the blocks
+    of ``blocks`` as they come, with no formatting of its own and so no
+    call per row."""
     source = (SRC / "scan.py").read_text()
-    assert callers(source, {"_fill"}) == {
-        "_fill": {"ScanResult.blocks", "_channel_svg"}}
+    functions = dict(scopes(source))
+    assert {name for name, fn in functions.items() for n in ast.walk(fn)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)} == {
+        "ScanResult.blocks", "_fixed2"}
+    svg = functions["_channel_svg"]
+    assert not [n for n in ast.walk(svg) if isinstance(n, ast.List) or (
+        isinstance(n, ast.Constant) and "%s" in str(n.value))]
+    assert "(x, low, high, left, right, top, bottom)" in [
+        ast.unparse(n.target) for n in ast.walk(svg)
+        if isinstance(n, ast.comprehension)]
     defined = defined_functions(source)
-    assert "ScanResult.blocks" in defined and "ScanResult.rows" not in defined
+    assert "ScanResult.blocks" in defined and {
+        "_fill", "ScanResult.rows"} & defined == set()
     cmd_scan, = [n for n in ast.parse((SRC / "cli.py").read_text()).body
                  if getattr(n, "name", None) == "cmd_scan"]
     loops = [n for n in ast.walk(cmd_scan) if isinstance(
