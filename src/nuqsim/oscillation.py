@@ -11,12 +11,11 @@ Three ground-truth probability oracles are provided:
 
 - ``prob_constant_density``: closed form sin^2(2 theta_m) sin^2(phi/2)
   for a single uniform layer;
-- ``prob_slab``: nu_mu propagated through the ordered per-layer 2x2
-  propagators R(theta_m) diag(e^{-i phi/2}, e^{i phi/2}) R(theta_m)^T,
-  each in its closed Pauli form cos(phi/2) I - i sin(phi/2)
-  (cos 2theta_m Z + sin 2theta_m X), for a piecewise-constant profile,
-  from the layer angles and phases of ``slab_layer_params``, which a
-  scan computes once for its circuit and its oracle;
+- ``prob_slab``: for a profile of N equal periods, from the layer angles
+  and phases of ``slab_layer_params``, which a scan computes once for
+  its circuit and its oracle, the closed form of parametric resonance
+  (Akhmedov, Nucl. Phys. B 538 (1999) 25): the N-th power of one
+  period's product of closed Pauli-form layer propagators;
 - ``prob_msw_adiabatic``: phase-averaged survival probability
   (1 + cos 2theta cos 2theta_m)/2 for adiabatic propagation from a
   dense production point to vacuum.
@@ -189,20 +188,6 @@ def phase(dm2_m, length_km: float, energy_gev):
         return PHASE_FACTOR * dm2_m * length_km / energy_gev
 
 
-def layer_propagator(theta_m, phi) -> np.ndarray:
-    """Flavor-basis propagator of one layer, stacked over angle and phase
-    arrays: R(theta_m) diag(e^{-i phi/2}, e^{i phi/2}) R(theta_m)^T in
-    closed form, cos(phi/2) I - i sin(phi/2) (cos 2theta_m Z + sin 2theta_m X).
-    """
-    c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
-    sz, sx = s * np.cos(2.0 * theta_m), s * np.sin(2.0 * theta_m)
-    u = np.zeros(np.shape(sz) + (2, 2), dtype=complex)
-    u.real[..., 0, 0] = u.real[..., 1, 1] = c
-    u.imag[..., 0, 0], u.imag[..., 1, 1] = -sz, sz
-    u.imag[..., 0, 1] = u.imag[..., 1, 0] = -sx
-    return u
-
-
 def atmospheric_effective_angle(theta23: float, theta13_m):
     """Effective two-flavor angle arcsin(sin theta23 * sin 2theta13_m)."""
     return _libm(math.asin, math.sin(theta23) * np.sin(2.0 * theta13_m))
@@ -302,22 +287,34 @@ def prob_slab(profile: SlabProfile, angles: np.ndarray, phases: np.ndarray):
     ``slab_layer_params`` rows ``(angles, phases)``, at one energy or
     over an energy array.
 
-    Starts from nu_mu = (0, 1), multiplies the exact per-layer 2x2
-    propagators (one per distinct layer, built from that layer's first
-    row, its four entries taken out once) in profile order and returns
-    the squared nu_e amplitude, re^2 + im^2: correctly rounded
-    operations, so the value does not depend on the CPU.
+    Multiplies the Pauli forms c I - i (x X + z Z) of one period's layers
+    (c = cos(phi/2), x = sin(phi/2) sin 2theta_m, z = sin(phi/2) cos
+    2theta_m; one per distinct layer, from its first row) in profile
+    order into y0 I - i (y1 X + y2 Y + y3 Z).  Its N-th power is cos(N Phi)
+    I - i sin(N Phi) y.sigma / |y| with Phi = atan2(|y|, y0), so
+    P = (y1^2 + y2^2) / |y|^2 sin^2(N Phi), 0 where y = 0, and y1^2 + y2^2
+    for one period.  Real multiplies and adds, libm's atan2 and numpy's
+    sin and cos: the value does not depend on the CPU's SIMD level.
     """
-    props = {}
+    terms = {}
     for k, layer in enumerate(profile.layers):
-        if layer not in props:
-            u = layer_propagator(angles[k], phases[k])
-            props[layer] = [u[..., i, j] for i in (0, 1) for j in (0, 1)]
-    nu_e, nu_mu = 0.0, 1.0
-    steps = [props[layer] for layer in profile.layers] * profile.period_count
-    for u00, u01, u10, u11 in steps:
-        nu_e, nu_mu = u00 * nu_e + u01 * nu_mu, u10 * nu_e + u11 * nu_mu
-    return nu_e.real ** 2 + nu_e.imag ** 2
+        if layer not in terms:
+            s, two_theta = np.sin(0.5 * phases[k]), 2.0 * angles[k]
+            terms[layer] = (np.cos(0.5 * phases[k]), s * np.sin(two_theta),
+                            s * np.cos(two_theta))
+    y0, y1, y2, y3 = 1.0, 0.0, 0.0, 0.0
+    for layer in profile.layers:
+        c, x, z = terms[layer]
+        y0, y1, y2, y3 = (c * y0 - x * y1 - z * y3, c * y1 + x * y0 - z * y2,
+                          c * y2 + z * y1 - x * y3, c * y3 + z * y0 + x * y2)
+    t = y1 * y1 + y2 * y2
+    if profile.period_count == 1:
+        return t
+    norm2 = t + y3 * y3
+    period_angle = _libm(math.atan2, np.sqrt(norm2), y0)     # Phi
+    with np.errstate(invalid="ignore"):             # 0 / 0 where y = 0
+        p = t / norm2 * np.sin(profile.period_count * period_angle) ** 2
+    return np.where(norm2 > 0.0, p, 0.0)[()]
 
 
 def msw_survival_from_angles(theta: float, theta_m):

@@ -18,7 +18,7 @@ from nuqsim.builders import (build_dilation, build_slab_circuit,
 from nuqsim import builders, circuits, compiler, optim, scan, simulator
 from nuqsim.circuits import N_PARAMS, Circuit, GateKind, GateOp, measure, ry, rz
 from nuqsim.compiler import dump_circuit, lower_to_native, virtual_z_pass
-from nuqsim.oscillation import (NumericalDomainError, layer_propagator,
+from nuqsim.oscillation import (NumericalDomainError,
                                 msw_survival_from_angles, prob_msw_adiabatic,
                                 slab_layer_params)
 from nuqsim.scan import (ANGLE_MODES, CSV_HEADER, ScanConfig,
@@ -26,6 +26,7 @@ from nuqsim.scan import (ANGLE_MODES, CSV_HEADER, ScanConfig,
 from nuqsim.simulator import (apply_matrix, circuit_unitary, gate_matrix,
                               init_state, probabilities, run,
                               unitaries_equal_up_to_phase)
+from test_oscillation import _matrix_form_propagator
 
 # deterministic examples, no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -83,10 +84,10 @@ def scan_or_reject(config):
 
 def per_point_reference(config):
     """(p_theory, p_exact, p_sampled) per energy, one energy at a time:
-    scalar layer propagators for the oracle, a batch-of-one run for the
-    circuit, and numpy's own generator PCG64(seed XOR i) for the draw, so
-    the batched seeding of ``sample`` is checked against numpy, not
-    against itself."""
+    the matrix-form layer propagators multiplied in order for the oracle,
+    a batch-of-one run for the circuit, and numpy's own generator
+    PCG64(seed XOR i) for the draw, so the batched seeding of ``sample``
+    is checked against numpy, not against itself."""
     out = []
     for i, e in enumerate(config.energies):
         one = np.array([e])
@@ -104,7 +105,7 @@ def per_point_reference(config):
             state, (qubit,) = run(circuit)
             v = np.array([0, 1], dtype=complex)
             for theta_k, phi_k in zip(*slab_layer_params(p, profile, e, th23)):
-                v = layer_propagator(theta_k, phi_k) @ v
+                v = _matrix_form_propagator(theta_k, phi_k) @ v
             theory = abs(v[0]) ** 2
         (exact,), (p1,) = probabilities(state, qubit)
         ones = np.random.Generator(np.random.PCG64(config.seed ^ i)).binomial(

@@ -1,20 +1,32 @@
 """Oscillation physics: unit factors, effective parameters, oracles."""
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.constants as sc
+from hypothesis import assume, given, settings
 
 from nuqsim import oscillation
 from nuqsim.builders import earth_profile
 from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, MatterLayer,
                                 NumericalDomainError, OscParams, SlabProfile,
                                 atmospheric_effective_angle, effective_params,
-                                effective_params_from_beta, layer_propagator,
+                                effective_params_from_beta,
                                 matter_potential, phase,
                                 prob_constant_density,
                                 prob_msw_adiabatic, prob_slab,
                                 msw_survival_from_angles, slab_layer_params)
+from nuqsim.scan import ANGLE_MODES, MAX_LAYERS, _single_qubit_setup
+from test_reference import MAX_PATH_KM, slab_configs
+from test_scan import _env_with_src
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:                     # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
 
 RNG = np.random.Generator(np.random.PCG64(2718))
 
@@ -217,7 +229,7 @@ def test_closed_form_equals_matrix_element():
         energy = RNG.uniform(0.5, 30)
         ep = effective_params(p, layer, energy)
         phi = phase(ep.dm2_m, layer.length_km, energy)
-        m = layer_propagator(ep.theta_m, phi)
+        m = _matrix_form_propagator(ep.theta_m, phi)
         matrix_form = abs(m[0, 1]) ** 2
         closed = prob_constant_density(p, layer, energy, layer.length_km)
         assert abs(closed - matrix_form) < 1e-12
@@ -263,24 +275,32 @@ def test_slab_propagator_unitary():
         for _ in range(n):
             theta_m = RNG.uniform(0, math.pi / 2)
             phi = RNG.uniform(0, 2 * math.pi)
-            total = layer_propagator(theta_m, phi) @ total
+            total = _matrix_form_propagator(theta_m, phi) @ total
         assert np.max(np.abs(total.conj().T @ total - np.eye(2))) < 1e-12
 
 
 def test_periodic_profile_expansion():
+    """Five periods give the layer rows of the flat ten-layer profile bit
+    for bit, and the closed form of the fifth power meets the flat
+    profile's one-period product within ``closed_form_bound``."""
     layers = (MatterLayer(5.0, 0.5, 500.0), MatterLayer(10.0, 0.5, 1000.0))
     profile = SlabProfile(layers, period_count=5)
     flat = SlabProfile(layers * 5)
     p = OscParams(math.radians(9.0), 2.5e-3)
     for e in (1.5, 6.0, 20.0):
-        assert prob_slab(profile, *slab_layer_params(p, profile, e)) == (
-            prob_slab(flat, *slab_layer_params(p, flat, e)))
+        rows = slab_layer_params(p, profile, e)
+        flat_rows = slab_layer_params(p, flat, e)
+        for got, want in zip(rows, flat_rows):
+            assert got.tobytes() == want.tobytes()
+        assert abs(prob_slab(profile, *rows) - prob_slab(flat, *flat_rows)) <= (
+            closed_form_bound(10))
 
 
 def test_an_odd_length_period_repeats_as_its_flat_profile():
-    """Earth's three layers repeated twice give the layer rows and the
-    oracle values of the flat six-layer profile, bit for bit, over a grid
-    and at one energy: no period length is special."""
+    """Earth's three layers repeated twice give the layer rows of the flat
+    six-layer profile bit for bit, and oracle values within
+    ``closed_form_bound``, over a grid and at one energy: no period length
+    is special."""
     earth = earth_profile()
     assert len(earth.layers) == 3 and earth.period_count == 1
     twice = SlabProfile(earth.layers, period_count=2)
@@ -293,8 +313,154 @@ def test_an_odd_length_period_repeats_as_its_flat_profile():
             assert [r.shape for r in rows] == [(6,) + np.shape(energy)] * 2
             for got, want in zip(rows, flat_rows):
                 assert got.tobytes() == want.tobytes()
-            assert np.asarray(prob_slab(twice, *rows)).tobytes() == (
-                np.asarray(prob_slab(flat, *flat_rows)).tobytes())
+            assert np.max(np.abs(prob_slab(twice, *rows)
+                                 - prob_slab(flat, *flat_rows))) <= (
+                closed_form_bound(6))
+
+
+# --- the closed form of a periodic profile against the sequential product ------
+
+def closed_form_bound(layers: int) -> float:
+    """Largest |closed form - sequential product| allowed over ``layers``
+    layers.  Both lose a few ulp of pi per period: the closed form in N Phi,
+    with Phi up to pi, the product in its 2N steps.  Measured: over about
+    12,000 random valid slab configs (1 to 10,000 layers, 4 energies, both
+    angle modes) the gap reached 5.8e-13, at 8,878 layers, 0.13 of this
+    bound; at the parametric resonance, where N Phi nears N pi, the closed
+    form reached 0.56 of it against a long-double value (1.8e-12 at 6,440
+    layers)."""
+    return 2e-14 + 5e-16 * layers
+
+
+def sequential_prob_slab(profile, angles, phases):
+    """P(nu_mu -> nu_e) with nu_mu carried through every layer's complex
+    2x2 propagator, the period's steps repeated ``period_count`` times:
+    the transfer-matrix product that ``prob_slab``'s closed form
+    replaces, in the order in which the circuit applies its gates."""
+    props = {}
+    for k, layer in enumerate(profile.layers):
+        if layer not in props:
+            c, s = np.cos(0.5 * phases[k]), np.sin(0.5 * phases[k])
+            sz, sx = s * np.cos(2.0 * angles[k]), s * np.sin(2.0 * angles[k])
+            props[layer] = (c - 1j * sz, -1j * sx, -1j * sx, c + 1j * sz)
+    nu_e, nu_mu = 0.0, 1.0
+    for u00, u01, u10, u11 in ([props[layer] for layer in profile.layers]
+                               * profile.period_count):
+        nu_e, nu_mu = u00 * nu_e + u01 * nu_mu, u10 * nu_e + u11 * nu_mu
+    return nu_e.real ** 2 + nu_e.imag ** 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(slab_configs(MAX_LAYERS, MAX_PATH_KM, compile=False))
+def test_closed_form_meets_the_sequential_product(config):
+    """Valid slab configs of up to MAX_LAYERS layers and 4 energies: the
+    closed form meets the 2N-step product within ``closed_form_bound``."""
+    p, profile, theta23 = _single_qubit_setup(config)
+    try:
+        rows = slab_layer_params(p, profile, np.array(config.energies),
+                                 theta23)
+    except NumericalDomainError:     # the theta = 0 resonance, PHASE_LIMIT
+        assume(False)
+    gap = np.max(np.abs(prob_slab(profile, *rows)
+                        - sequential_prob_slab(profile, *rows)))
+    assert gap <= closed_form_bound(len(rows[0])), gap
+
+
+def test_a_one_layer_period_is_constant_density():
+    """N periods of one layer are one layer N times as long.  N is a power
+    of two, so the long layer's phase is N times the short one's, bit for
+    bit, and the gap is the closed form's own."""
+    for _ in range(200):
+        p = OscParams(RNG.uniform(0.01, math.pi / 2 - 0.01),
+                      RNG.uniform(1e-4, 5e-3))
+        periods = 2 ** int(RNG.integers(0, 14))
+        layer = MatterLayer(RNG.uniform(0, 20), 0.5,
+                            RNG.uniform(0, 2e5 / periods))
+        energy = RNG.uniform(0.5, 50)
+        profile = SlabProfile((layer,), period_count=periods)
+        expected = prob_constant_density(p, layer, energy,
+                                         periods * layer.length_km)
+        got = prob_slab(profile, *slab_layer_params(p, profile, energy))
+        assert abs(got - expected) <= closed_form_bound(periods)
+
+
+def test_one_period_is_the_squared_entry_of_its_product():
+    """N = 1 skips Phi: y1^2 + y2^2 is |<e|P|mu>|^2 of the period's
+    matrix product, for two and for three layers."""
+    layers = tuple(MatterLayer(rho, 0.5, 0.0) for rho in (1.0, 2.0, 3.0))
+    for _ in range(300):
+        k = int(RNG.integers(2, 4))
+        angles = RNG.uniform(0.0, math.pi / 2, k)
+        phases = RNG.uniform(0.0, 100.0, k)
+        product = np.eye(2)
+        for theta, phi in zip(angles, phases):
+            product = _matrix_form_propagator(theta, phi) @ product
+        got = prob_slab(SlabProfile(layers[:k]), angles, phases)
+        assert abs(got - abs(product[0, 1]) ** 2) <= 1e-15
+
+
+def test_parametric_resonance_gives_sin_squared_n_phi():
+    """At phi1 = phi2 = pi, Akhmedov's resonance condition y3 = 0 holds:
+    the amplitude (y1^2 + y2^2)/|y|^2 is 1, and the period's product is
+    -cos 2(theta2 - theta1) I - i sin 2(theta1 - theta2) Y, so Phi is
+    pi - 2|theta1 - theta2| and P = sin^2(2N(theta1 - theta2)), taken
+    here in long double."""
+    layers = (MatterLayer(1.0, 0.5, 0.0), MatterLayer(2.0, 0.5, 0.0))
+    thetas = RNG.uniform(0.0, math.pi / 2, (2, 100))
+    for periods in (1, 2, 7, 50, 1000, MAX_LAYERS // 2):
+        profile = SlabProfile(layers, period_count=periods)
+        rows = (np.tile(thetas, (periods, 1)),
+                np.full((2 * periods, 100), math.pi))
+        expected = np.sin(2 * periods * (thetas[0].astype(np.longdouble)
+                                         - thetas[1])) ** 2
+        assert np.max(np.abs(prob_slab(profile, *rows) - expected)) <= (
+            closed_form_bound(2 * periods))
+
+
+# --- the oracle at every SIMD dispatch level -----------------------------------
+
+# numpy's run-time SIMD targets that this CPU has
+DISPATCH_TARGETS = [target for target in _umath.__cpu_dispatch__
+                    if _umath.__cpu_features__.get(target)]
+DISPATCH_SCANS = {
+    **{f"slab-{mode}-{'compiled' if compile else 'raw'}": {
+        "scenario": "slab", "periods": 50, "angle_mode": mode,
+        "compile": compile}
+       for mode in ANGLE_MODES for compile in (False, True)},
+    "slab-200-periods-plain": {"scenario": "slab", "periods": 200,
+                               "angle_mode": "plain"},
+    "earth-2000": {"scenario": "earth", "energies": "1:25:2000"},
+}
+
+
+def _p_theory_hashes(env: dict) -> dict[str, str]:
+    """sha256 of each DISPATCH_SCANS scan's p_theory bytes, from a fresh
+    interpreter whose environment adds ``env``."""
+    code = ("import hashlib, json, sys\n"
+            "from nuqsim.scan import ScanConfig, run_scan\n"
+            "print(json.dumps({name: hashlib.sha256(run_scan(\n"
+            "    ScanConfig.from_dict(fields)).p_theory.tobytes()).hexdigest()\n"
+            "    for name, fields in json.loads(sys.argv[1]).items()}))")
+    base = {k: v for k, v in _env_with_src().items()
+            if k != "NPY_DISABLE_CPU_FEATURES"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(DISPATCH_SCANS)],
+        env={**base, **env}, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_p_theory_is_the_same_at_every_dispatch_level():
+    """numpy picks its SIMD loops at import; with every dispatch target
+    disabled it runs its baseline loops, as on a CPU without them.  The
+    oracle forms real products and sums, libm's atan2 and numpy's sin and
+    cos, so its bytes do not move.  ``p_exact`` is not asserted: the
+    simulator still multiplies complex arrays, which the AVX2 and AVX-512
+    loops round differently."""
+    if not DISPATCH_TARGETS:
+        pytest.skip(f"numpy has no dispatch target here: {DISPATCH_TARGETS}")
+    baseline = _p_theory_hashes(
+        {"NPY_DISABLE_CPU_FEATURES": " ".join(DISPATCH_TARGETS)})
+    assert baseline == _p_theory_hashes({})
 
 
 # --- adiabatic MSW oracle ------------------------------------------------------
@@ -375,16 +541,17 @@ def test_non_finite_parameters_are_rejected(cls, field, value):
 
 def _matrix_form_propagator(theta, phi):
     """R(theta) diag(e^{-i phi/2}, e^{i phi/2}) R(theta)^T from explicit
-    2x2 arrays, the matrix derivation of ``layer_propagator``."""
+    2x2 arrays, the matrix derivation of a layer's closed Pauli form."""
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=complex)
     d = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
     return r @ d @ r.T
 
 
-def test_layer_propagator_matches_matrix_form():
-    """The closed Pauli form equals the rotated phase matrix entry by
-    entry, for a scalar and for arrays, over the angle range's edges."""
+def test_one_layer_oracle_matches_matrix_form():
+    """A one-layer profile's closed Pauli form gives the squared nu_e
+    entry of the rotated phase matrix, for a scalar and for arrays, over
+    the angle range's edges."""
     edge_thetas = [0.0, 5e-324, math.pi / 4, np.nextafter(math.pi / 2, 0.0),
                    math.pi / 2]
     edge_phis = [0.0, 1.0, math.pi, np.nextafter(oscillation.PHASE_LIMIT, 0.0)]
@@ -393,9 +560,10 @@ def test_layer_propagator_matches_matrix_form():
     thetas = np.concatenate((grid[0].ravel(), RNG.uniform(0.0, math.pi / 2, n)))
     phis = np.concatenate((grid[1].ravel(),
                            RNG.uniform(0.0, oscillation.PHASE_LIMIT, n)))
-    stacked = layer_propagator(thetas, phis)
-    assert stacked.shape == (1000, 2, 2)
-    for theta, phi, u in zip(thetas, phis, stacked):
-        expected = _matrix_form_propagator(theta, phi)
-        assert np.max(np.abs(u - expected)) <= 1e-15
-        assert np.array_equal(layer_propagator(float(theta), float(phi)), u)
+    one = SlabProfile((MatterLayer(0.0, 0.5, 0.0),))
+    stacked = prob_slab(one, thetas[None], phis[None])
+    assert stacked.shape == (1000,)
+    for theta, phi, got in zip(thetas, phis, stacked):
+        expected = abs(_matrix_form_propagator(theta, phi)[0, 1]) ** 2
+        assert abs(got - expected) <= 1e-15
+        assert prob_slab(one, [float(theta)], [float(phi)]) == got

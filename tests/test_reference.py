@@ -4,7 +4,8 @@
 the config fields alone.  The circuit-vs-oracle checks of
 ``test_batch.py`` compare two float64 paths that share their layer
 parameters, so an error in those parameters moves both alike; here each
-path must meet the independent value within 1e-12.
+path must meet the independent value within 1e-12, and a scan must stop
+for its phase exactly where the reference's phase reaches PHASE_LIMIT.
 
 Every field ranges over its valid domain, as in ``test_batch.py``, with
 two trims:
@@ -23,14 +24,20 @@ radians those errors add up past 1e-12 well below ``PHASE_LIMIT``
 (ROADMAP item 2), as ``test_a_deep_compiled_slab_meets_the_reference``
 pins.
 """
+import contextlib
 import dataclasses
+import io
+import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nuqsim.oscillation import NumericalDomainError
+from nuqsim import cli
+from nuqsim.oscillation import PHASE_LIMIT, NumericalDomainError
 from nuqsim.scan import ANGLE_MODES, ScanConfig, run_scan
 from reference import LONG, layer_terms, p_mu_e
 from test_config_domain import OVERFLOWING
@@ -152,3 +159,71 @@ def test_a_scan_past_an_overflowing_intermediate_meets_the_reference(cfg):
     config = ScanConfig.from_dict(cfg)
     gap = gaps(config, run_scan(config))
     assert max(gap.values()) <= TOLERANCE, gap
+
+
+# the float spacing of a phase at PHASE_LIMIT
+LIMIT_ULP = float(np.spacing(PHASE_LIMIT))
+
+
+@st.composite
+def near_the_phase_limit(draw):
+    """A slab config whose largest accumulated phase, by the reference,
+    is a drawn factor of 1/2 to 2 times PHASE_LIMIT: the layer lengths of
+    a first draw are scaled by that factor over its reference phase."""
+    fields = dict(draw(st.fixed_dictionaries(shared)), scenario="slab",
+                  periods=draw(st.integers(1, 100)),
+                  compile=draw(st.booleans()),
+                  rho1=draw(st.floats(0.0, 20.0)),
+                  rho2=draw(st.floats(0.0, 20.0)),
+                  dx1_km=1.0, dx2_km=draw(st.floats(0.0, 2.0)))
+    total = max(np.max(accumulated_phase(fields)), LONG(0))
+    assume(total > 0)                   # no length reaches the limit
+    scale = LONG(draw(st.floats(0.5, 2.0))) * LONG(PHASE_LIMIT) / total
+    return ScanConfig(**dict(fields, dx1_km=float(scale),
+                             dx2_km=float(scale * LONG(fields["dx2_km"]))))
+
+
+def accumulated_phase(fields: dict):
+    """The reference's sum of every layer phase, over the energies."""
+    period = sum(phase for _, phase, _ in layer_terms(
+        fields, np.array(fields["energies"])))
+    return fields["periods"] * period
+
+
+def scan_exit(config) -> tuple[int, str]:
+    """Exit code and stderr of ``nuqsim scan`` on ``config``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(dataclasses.asdict(config), fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["scan", "--config", path])
+    return code, err.getvalue()
+
+
+@PROPERTY
+@given(near_the_phase_limit())
+def test_a_scan_names_the_phase_only_past_the_reference_limit(config):
+    """Exit 3 naming the phase exactly where the reference's layer phase
+    or accumulated phase is at or above PHASE_LIMIT.  A layer phase is at
+    most the accumulated one, so the accumulated phase decides.  Within
+    one ulp of the limit the float64 sum and the long-double one may fall
+    on either side, and either outcome is accepted.  The drawn factor
+    lands that near only by chance: a scan's float64 phases sum to up to
+    22 ulp of the limit away from the reference's (measured on 3,000
+    random slabs scaled onto the limit), so closer draws would need a
+    wider band."""
+    fields = dataclasses.asdict(config)
+    total = accumulated_phase(fields)
+    code, err = scan_exit(config)
+    assume("theta_m undefined" not in err)      # the theta = 0 resonance
+    named = code == 3 and re.search(
+        r"(layer|accumulated) phase \S+ rad at .* is not below", err)
+    over = total >= PHASE_LIMIT
+    near = np.abs(total - PHASE_LIMIT) <= LIMIT_ULP
+    if np.any(near) and not np.any(over & ~near):
+        return
+    assert code in (0, 3), err
+    assert bool(named) == bool(np.any(over)), (err, total)

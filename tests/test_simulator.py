@@ -14,14 +14,14 @@ from nuqsim import cli, scan, simulator
 from nuqsim.builders import build_slab_circuit
 from nuqsim.circuits import (N_PARAMS, Circuit, GateKind, cnot,
                              measure, ry, rz, u, x)
-from nuqsim.oscillation import (PHASE_LIMIT, layer_propagator,
-                                slab_layer_params)
+from nuqsim.oscillation import PHASE_LIMIT, slab_layer_params
 from nuqsim.compiler import virtual_z_pass
 from nuqsim.simulator import (BLOCK_POINTS, _add128, _mul64, _pcg64_states,
                               apply_matrix, circuit_unitary,
                               gate_matrix, init_state,
                               probabilities, run, sample,
                               unitaries_equal_up_to_phase)
+from test_oscillation import _matrix_form_propagator
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -149,7 +149,7 @@ def test_compiled_slab_sequence_matches_matrix_product():
         expected = np.array([0, 1], dtype=complex)
         for t, f in zip(angles, phases):
             ops += [ry(-2 * t), rz(f), ry(2 * t)]
-            expected = layer_propagator(t, f) @ expected
+            expected = _matrix_form_propagator(t, f) @ expected
         compiled, _ = virtual_z_pass(Circuit(1, tuple(ops)))
         state = np.array([0, 1], dtype=complex)
         for op in compiled.ops:
