@@ -7,15 +7,18 @@ mass splittings in eV^2, angles in radians.  Flavor basis order is
 encoding used by the circuit builders so oracle and circuit amplitudes
 agree entry by entry).
 
-Three ground-truth probability oracles are provided:
+Three ground-truth probability oracles are provided, each called with
+the physics, ``(p, layer or profile, energy_gev, ...)``:
 
 - ``prob_constant_density``: closed form sin^2(2 theta_m) sin^2(phi/2)
   for a single uniform layer;
-- ``prob_slab``: for a profile of N equal periods, from the layer angles
-  and phases of ``slab_layer_params``, which a scan computes once for
-  its circuit and its oracle, the closed form of parametric resonance
-  (Akhmedov, Nucl. Phys. B 538 (1999) 25): the N-th power of one
-  period's product of closed Pauli-form layer propagators;
+- ``prob_slab``: for a profile of N equal periods, the closed form of
+  parametric resonance (Akhmedov, Nucl. Phys. B 538 (1999) 25): the
+  N-th power of one period's product of closed Pauli-form layer
+  propagators, whose terms it derives per distinct layer from beta
+  (sin 2theta_m = sin 2theta / C, cos 2theta_m = (cos 2theta - beta) / C;
+  Wolfenstein, Phys. Rev. D 17 (1978) 2369), never from the rows
+  ``slab_layer_params`` computes for the circuit;
 - ``prob_msw_adiabatic``: phase-averaged survival probability
   (1 + cos 2theta cos 2theta_m)/2 for adiabatic propagation from a
   dense production point to vacuum.
@@ -23,7 +26,8 @@ Three ground-truth probability oracles are provided:
 Every energy argument may be one energy or an array of them: the
 oracles then evaluate the whole grid at once, with their own propagator
 formulas.  They import no other nuqsim module, so the circuit path and
-its oracle stay independent code.
+its oracle stay independent code; what they share with the circuit's
+layer parameters is the unit factors and ``_layer_phase``.
 
 The two unit-conversion factors are module floats derived once from
 pinned CODATA 2022 values (Fermi coupling, neutron mass, hbar, c, e;
@@ -39,7 +43,7 @@ scipy.constants and against their literal values:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -179,7 +183,7 @@ def effective_params(p: OscParams, layer: MatterLayer,
 
 def phase(dm2_m, length_km: float, energy_gev):
     """Oscillation phase phi = dm2_m * dx / (2E), in radians (inf where
-    it overflows, nan for an inf dm2_m over dx = 0; ``slab_layer_params``
+    it overflows, nan for an inf dm2_m over dx = 0; ``_layer_phase``
     recomputes both)."""
     _check_energy(energy_gev)
     if length_km < 0.0:
@@ -193,11 +197,17 @@ def atmospheric_effective_angle(theta23: float, theta13_m):
     return _libm(math.asin, math.sin(theta23) * np.sin(2.0 * theta13_m))
 
 
-# Largest accumulated phase (rad) a slab profile may carry at any energy.
-# Below it the float spacing of a phase, and of the virtual-Z offset
-# summed from the phases, is at most 2**-40 ~ 9.1e-13 rad, inside the
-# 1e-12 to which circuit and oracle probabilities are stated; above it
-# the phase no longer fixes the probability to that precision.
+# Largest layer or accumulated phase (rad) a profile may carry at any
+# energy: the largest power of two below which the float spacing of a
+# phase, and of a virtual-Z offset summed from the phases, is at most
+# 2**-40 ~ 9.1e-13 rad.  Past it one ulp of phase alone can move a
+# probability by more than 1e-12.  Below it results are not thereby within
+# 1e-12: each compiled pulse's offset carries up to half its ulp, so a
+# compiled slab drifts past 1e-12 from about 1,700 rad (3.1e-12 at
+# 3,016 rad, ``DRIFTING`` in tests/test_reference.py).  The check sums
+# float64 layer phases, which near the limit lie up to 22 ulp from the
+# accumulated phase of the long-double reference (tests/reference.py),
+# so a profile within that band of the limit may fall on either side.
 PHASE_LIMIT = 2.0 ** 13
 
 
@@ -259,10 +269,13 @@ def _layer_phase(p: OscParams, layer: MatterLayer, energy_gev, dm2_m):
     return np.where(finite, phi, redone)[()]
 
 
-def _check_phase_precision(phases: np.ndarray, energy_gev) -> None:
+def _check_phase_precision(phases: np.ndarray, energy_gev,
+                           periods: int = 1) -> None:
+    """Refuse ``phases`` rows (layers, energies) whose largest layer phase,
+    or whose sum over ``periods`` repeats, is not below PHASE_LIMIT."""
     energies = np.ravel(energy_gev)
     with np.errstate(over="ignore"):            # a sum past float max is inf
-        total = phases.sum(axis=0)
+        total = periods * phases.sum(axis=0)
     for name, value in (("layer phase", phases.max(axis=0)),
                         ("accumulated phase", total)):
         bad = np.ravel(~(value < PHASE_LIMIT))
@@ -276,45 +289,96 @@ def _check_phase_precision(phases: np.ndarray, energy_gev) -> None:
 
 def prob_constant_density(p: OscParams, layer: MatterLayer, energy_gev,
                           length_km: float):
-    """P(nu_mu -> nu_e) after one uniform layer: sin^2 2theta_m sin^2(phi/2)."""
+    """P(nu_mu -> nu_e) after one uniform layer of ``length_km``:
+    sin^2 2theta_m sin^2(phi/2), with phi from ``_layer_phase``.  A phase
+    not below ``PHASE_LIMIT`` raises NumericalDomainError."""
     ep = effective_params(p, layer, energy_gev)
-    phi = phase(ep.dm2_m, length_km, energy_gev)
+    phi = _layer_phase(p, replace(layer, length_km=length_km), energy_gev,
+                       ep.dm2_m)
+    _check_phase_precision(np.array([phi]), energy_gev)
     return np.sin(2.0 * ep.theta_m) ** 2 * np.sin(0.5 * phi) ** 2
 
 
-def prob_slab(profile: SlabProfile, angles: np.ndarray, phases: np.ndarray):
-    """P(nu_mu -> nu_e) through a piecewise-constant profile, from its
-    ``slab_layer_params`` rows ``(angles, phases)``, at one energy or
-    over an energy array.
+def _layer_terms(p: OscParams, layer: MatterLayer, energy_gev,
+                 theta23: float | None):
+    """``((c, x, z), phi)`` of one layer's closed Pauli form
+    c I - i (x X + z Z): c = cos(phi/2), (x, z) = sin(phi/2) (sin 2t,
+    cos 2t), from the physics alone.
 
-    Multiplies the Pauli forms c I - i (x X + z Z) of one period's layers
-    (c = cos(phi/2), x = sin(phi/2) sin 2theta_m, z = sin(phi/2) cos
-    2theta_m; one per distinct layer, from its first row) in profile
-    order into y0 I - i (y1 X + y2 Y + y3 Z).  Its N-th power is cos(N Phi)
-    I - i sin(N Phi) y.sigma / |y| with Phi = atan2(|y|, y0), so
-    P = (y1^2 + y2^2) / |y|^2 sin^2(N Phi), 0 where y = 0, and y1^2 + y2^2
-    for one period.  Real multiplies and adds, libm's atan2 and numpy's
-    sin and cos: the value does not depend on the CPU's SIMD level.
+    With d = cos 2theta - beta and C = |(d, sin 2theta)|, formed scaled
+    by max(|d|, sin 2theta) so that it cannot overflow, sin 2theta_m =
+    sin 2theta / C and cos 2theta_m = d / C (0 and -1 where beta is inf).
+    With ``theta23`` given, t is the atmospheric angle: x' = sin theta23
+    sin 2theta_m, sin 2t = 2 x' sqrt(1 - x'^2), cos 2t = 1 - 2 x'^2.  phi
+    is ``_layer_phase`` of the splitting dm2 C.
     """
-    terms = {}
-    for k, layer in enumerate(profile.layers):
-        if layer not in terms:
-            s, two_theta = np.sin(0.5 * phases[k]), 2.0 * angles[k]
-            terms[layer] = (np.cos(0.5 * phases[k]), s * np.sin(two_theta),
-                            s * np.cos(two_theta))
+    s2, c2 = math.sin(2.0 * p.theta), math.cos(2.0 * p.theta)
+    with np.errstate(over="ignore"):
+        d = c2 - matter_potential(layer, energy_gev) / p.dm2
+    finite = np.isfinite(d)         # beta = inf: (d, s) = (-1, 0), the limit
+    d, s = np.where(finite, d, -1.0)[()], np.where(finite, s2, 0.0)[()]
+    scale = np.maximum(np.abs(d), s)
+    if np.any(scale == 0.0):                # theta = 0: resonance at beta = 1
+        at = np.ravel(energy_gev)[np.argmax(np.ravel(scale) == 0.0)]
+        raise NumericalDomainError(
+            "theta_m undefined: beta = cos 2theta with sin 2theta = 0, "
+            f"at {float(at)!r} GeV")
+    root = scale * np.sqrt((d / scale) ** 2 + (s / scale) ** 2)     # C
+    sin2, cos2 = s / root, d / root
+    if theta23 is not None:
+        x = math.sin(theta23) * sin2
+        sin2, cos2 = 2.0 * x * np.sqrt(1.0 - x * x), 1.0 - 2.0 * x * x
+    phi = _layer_phase(p, layer, energy_gev,
+                       p.dm2 * np.where(finite, root, math.inf))
+    half = 0.5 * phi
+    sn = np.sin(half)
+    return (np.cos(half), sn * sin2, sn * cos2), phi
+
+
+def _period_power(terms, periods: int):
+    """P(nu_mu -> nu_e) after ``periods`` repeats of one period whose
+    layers, in order, have the closed Pauli forms ``terms`` (c, x, z).
+
+    Multiplies the forms c I - i (x X + z Z) into y0 I - i (y1 X + y2 Y
+    + y3 Z).  Its N-th power is cos(N Phi) I - i sin(N Phi) y.sigma / |y|
+    with Phi = atan2(|y|, y0), so P = (y1^2 + y2^2) / |y|^2 sin^2(N Phi),
+    0 where y = 0, and y1^2 + y2^2 for one period.
+    """
     y0, y1, y2, y3 = 1.0, 0.0, 0.0, 0.0
-    for layer in profile.layers:
-        c, x, z = terms[layer]
+    for c, x, z in terms:
         y0, y1, y2, y3 = (c * y0 - x * y1 - z * y3, c * y1 + x * y0 - z * y2,
                           c * y2 + z * y1 - x * y3, c * y3 + z * y0 + x * y2)
     t = y1 * y1 + y2 * y2
-    if profile.period_count == 1:
+    if periods == 1:
         return t
     norm2 = t + y3 * y3
     period_angle = _libm(math.atan2, np.sqrt(norm2), y0)     # Phi
     with np.errstate(invalid="ignore"):             # 0 / 0 where y = 0
-        p = t / norm2 * np.sin(profile.period_count * period_angle) ** 2
+        p = t / norm2 * np.sin(periods * period_angle) ** 2
     return np.where(norm2 > 0.0, p, 0.0)[()]
+
+
+def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
+              theta23: float | None = None):
+    """P(nu_mu -> nu_e) through a piecewise-constant profile of N equal
+    periods, at one energy or over an energy array: the closed form of
+    parametric resonance (Akhmedov, Nucl. Phys. B 538 (1999) 25).
+
+    Each distinct layer's terms come once for the whole grid from
+    ``_layer_terms``; ``_period_power`` takes the N-th power of the
+    period's product.  Real multiplies, adds, divides and square roots,
+    libm's atan2 and numpy's sin and cos: the value does not depend on
+    the CPU's SIMD level.  A layer phase or an accumulated phase not
+    below ``PHASE_LIMIT`` raises NumericalDomainError.
+    """
+    terms = {}
+    for layer in profile.layers:
+        if layer not in terms:
+            terms[layer] = _layer_terms(p, layer, energy_gev, theta23)
+    period = [terms[layer] for layer in profile.layers]
+    _check_phase_precision(np.array([phi for _, phi in period]),
+                           energy_gev, profile.period_count)
+    return _period_power([cxz for cxz, _ in period], profile.period_count)
 
 
 def msw_survival_from_angles(theta: float, theta_m):

@@ -398,6 +398,9 @@ def _single_qubit_setup(config: ScanConfig):
 
 
 def run_scan(config: ScanConfig) -> ScanResult:
+    if not isinstance(config, ScanConfig):
+        raise TypeError("run_scan takes a ScanConfig, not a "
+                        f"{type(config).__name__}")
     energies = np.array(config.energies)
     msw = config.scenario == "msw"
     circuit = report = dilation = None
@@ -408,6 +411,7 @@ def run_scan(config: ScanConfig) -> ScanResult:
         else:
             p, profile, th23 = _single_qubit_setup(config)
             angles, phases = slab_layer_params(p, profile, energies, th23)
+            theory = prob_slab(p, profile, energies, th23)
     except NumericalDomainError as exc:
         raise NumericalDomainError(
             f"{exc}; the fields that set {_DOMAIN_FIELDS[config.scenario]}"
@@ -419,7 +423,6 @@ def run_scan(config: ScanConfig) -> ScanResult:
             circuit, report = virtual_z_pass(circuit)
         states, measured = run(circuit)
         qubit = measured[0]
-        theory = prob_slab(profile, angles, phases)
     else:
         unitary = dilation = u2q
         if config.synthesis == "optimized":

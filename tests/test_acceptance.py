@@ -51,7 +51,7 @@ def test_criterion_1_slab_oracle_equivalence():
         energy = float(RNG.uniform(0.5, 30.0))
         params = slab_layer_params(p, profile, energy)
         circuit = build_slab_circuit(*params)
-        assert abs(_exact_p0(circuit) - prob_slab(profile, *params)) <= 1e-12
+        assert abs(_exact_p0(circuit) - prob_slab(p, profile, energy)) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < budget
     _report(1, "slab oracle equivalence", elapsed, budget)
@@ -96,7 +96,7 @@ def test_criterion_3_earth_curve_and_sampling():
         circuit, _ = virtual_z_pass(build_slab_circuit(*params))
         state, measured = run(circuit)
         p_exact, p1 = probabilities(state, measured[0])
-        theory = prob_slab(profile, *params)
+        theory = prob_slab(p, profile, e, th23)
         assert abs(p_exact - theory) <= 1e-12
         points.append((p1, theory))
 

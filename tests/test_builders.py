@@ -132,7 +132,7 @@ def test_slab_circuit_matches_oracle_both_modes():
         for e in np.linspace(1.0, 25.0, 20):
             params = slab_layer_params(P13, profile, e, th23)
             circ = build_slab_circuit(*params)
-            oracle = prob_slab(profile, *params)
+            oracle = prob_slab(P13, profile, e, th23)
             assert abs(exact_p0(circ) - oracle) < 1e-12
 
 
@@ -179,7 +179,7 @@ def test_earth_circuit_matches_oracle_over_grid():
     for e in np.linspace(1.0, 25.0, 40):
         params = slab_layer_params(P13, prof, e, TH23)
         circ, _ = virtual_z_pass(build_slab_circuit(*params))
-        oracle = prob_slab(prof, *params)
+        oracle = prob_slab(P13, prof, e, TH23)
         assert abs(exact_p0(circ) - oracle) < 1e-12
 
 

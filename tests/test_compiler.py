@@ -232,6 +232,16 @@ def test_lower_rz_unchanged():
     assert out.ops == (rz(0.77),)
 
 
+def test_is_sx_refuses_a_u_1e_12_from_sqrt_x():
+    """``is_sx`` names the exact sqrt(X) pulse only: a U whose theta is
+    1e-12 off, or whose phi or lambda is, is another gate."""
+    half = math.pi / 2
+    assert is_sx(u(half, -half, half))
+    for params in ((half + 1e-12, -half, half), (half, -half - 1e-12, half),
+                   (half, -half, half + 1e-12)):
+        assert not is_sx(u(*params)), params
+
+
 def test_lower_sx_collapses():
     out = lower_to_native(Circuit(1, (sx(),)))
     assert len(out.ops) == 1 and is_sx(out.ops[0])

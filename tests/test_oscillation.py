@@ -1,6 +1,7 @@
 """Oscillation physics: unit factors, effective parameters, oracles."""
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 import scipy.constants as sc
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nuqsim import oscillation
 from nuqsim.builders import earth_profile
-from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, MatterLayer,
-                                NumericalDomainError, OscParams, SlabProfile,
+from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, PHASE_LIMIT,
+                                MatterLayer, NumericalDomainError, OscParams,
+                                SlabProfile, _period_power,
                                 atmospheric_effective_angle, effective_params,
                                 effective_params_from_beta,
                                 matter_potential, phase,
@@ -20,7 +23,7 @@ from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, MatterLayer,
                                 prob_msw_adiabatic, prob_slab,
                                 msw_survival_from_angles, slab_layer_params)
 from nuqsim.scan import ANGLE_MODES, MAX_LAYERS, _single_qubit_setup
-from test_reference import MAX_PATH_KM, slab_configs
+from test_reference import MAX_PATH_KM, earth_configs, slab_configs
 from test_scan import _env_with_src
 
 try:
@@ -133,6 +136,62 @@ def test_layer_phase_past_an_overflowing_matter_term_is_finite():
     for i, e in enumerate(energies.tolist()):
         assert slab_layer_params(p, SlabProfile((layer,)), e)[1].tolist() == (
             phases[:, i].tolist())
+
+
+@given(st.floats(0.0, PHASE_LIMIT, exclude_max=True))
+@settings(deadline=None, derandomize=True, database=None)
+def test_every_phase_below_the_limit_has_a_spacing_of_2_to_the_minus_40(phi):
+    assert np.spacing(phi) <= 2.0 ** -40
+
+
+def test_the_phase_limit_is_the_largest_such_power_of_two():
+    """PHASE_LIMIT is a power of two, the double just below it still
+    has a spacing of 2**-40 at most, and the limit itself does not: no
+    larger limit keeps the property above."""
+    assert math.frexp(PHASE_LIMIT)[0] == 0.5
+    assert np.spacing(np.nextafter(PHASE_LIMIT, 0.0)) <= 2.0 ** -40
+    assert np.spacing(PHASE_LIMIT) > 2.0 ** -40
+
+
+def test_the_oracles_refuse_a_phase_past_the_limit():
+    """The constant-density and slab oracles take their phases from
+    ``_layer_phase`` and refuse one at or past PHASE_LIMIT, as a scan
+    does, instead of returning a number with no precision left
+    (3.8e299 rad at 1e300 g/cm^3) or, past an overflowing intermediate,
+    a nan.  The phase an overflow hid is recomputed and named."""
+    p = OscParams(math.radians(9.0), 2.5e-3)
+    for rho, energy, named in (
+            (1e306, np.array([1.0, 1e3]), "3.8347e+305 rad at 1.0"),
+            (1e306, 1e3, "3.8347e+305 rad at 1000.0"),
+            (1e300, 1.0, "3.8347e+299 rad at 1.0")):
+        with pytest.raises(NumericalDomainError,
+                           match=f"^layer phase {re.escape(named)} GeV is "
+                                 "not below 8192 rad"):
+            prob_constant_density(p, MatterLayer(rho, 1.0, 1000.0), energy,
+                                  1000.0)
+    with pytest.raises(NumericalDomainError, match="^layer phase 11761.3 rad"):
+        prob_slab(p, SlabProfile((MatterLayer(5.0, 0.5, 1e6),)), 0.5)
+    deep = SlabProfile((MatterLayer(5.0, 0.5, 3000.0),
+                        MatterLayer(10.0, 0.5, 3000.0)), period_count=300)
+    with pytest.raises(NumericalDomainError, match="^accumulated phase"):
+        prob_slab(p, deep, np.array([5.0, 0.5]))
+    assert prob_slab(p, deep, 5.0) >= 0.0
+
+
+def test_the_slab_oracle_refuses_theta_m_where_it_is_undefined():
+    """At theta = 0 and beta = 1 exactly (A = MATTER_FACTOR = dm2), C is
+    0 and theta_m has no value: the oracle names the energy, as
+    ``effective_params`` does, rather than dividing 0 by 0."""
+    p = OscParams(0.0, MATTER_FACTOR)
+    profile = SlabProfile((MatterLayer(2.0, 0.5, 100.0),))
+    assert matter_potential(profile.layers[0], 1.0) / p.dm2 == 1.0
+    message = "^theta_m undefined: beta = cos 2theta with sin 2theta = 0, at "
+    for energy in (np.array([2.0, 1.0]), 1.0):
+        with pytest.raises(NumericalDomainError, match=message + r"1\.0 GeV$"):
+            prob_slab(p, profile, energy)
+        with pytest.raises(NumericalDomainError, match=message + r"1\.0 GeV$"):
+            effective_params(p, profile.layers[0], energy)
+    assert prob_slab(p, profile, 2.0) == 0.0
 
 
 # --- effective parameters ------------------------------------------------------
@@ -252,7 +311,7 @@ def test_single_layer_reduces_to_constant_density():
     p = OscParams(0.25, 2.5e-3)
     layer = MatterLayer(7.0, 0.5, 1234.0)
     profile = SlabProfile((layer,))
-    a = prob_slab(profile, *slab_layer_params(p, profile, 4.0))
+    a = prob_slab(p, profile, 4.0)
     b = prob_constant_density(p, layer, 4.0, layer.length_km)
     assert abs(a - b) < 1e-14
 
@@ -261,7 +320,7 @@ def test_vacuum_slabs_concatenate():
     p = OscParams(0.6, 2.5e-3)
     lengths = [300.0, 700.0, 1500.0]
     profile = SlabProfile(tuple(MatterLayer(0.0, 0.5, L) for L in lengths))
-    got = prob_slab(profile, *slab_layer_params(p, profile, 3.0))
+    got = prob_slab(p, profile, 3.0)
     phi_total = phase(p.dm2, sum(lengths), 3.0)
     expected = math.sin(2 * p.theta) ** 2 * math.sin(phi_total / 2) ** 2
     assert abs(got - expected) < 1e-12
@@ -292,7 +351,7 @@ def test_periodic_profile_expansion():
         flat_rows = slab_layer_params(p, flat, e)
         for got, want in zip(rows, flat_rows):
             assert got.tobytes() == want.tobytes()
-        assert abs(prob_slab(profile, *rows) - prob_slab(flat, *flat_rows)) <= (
+        assert abs(prob_slab(p, profile, e) - prob_slab(p, flat, e)) <= (
             closed_form_bound(10))
 
 
@@ -313,8 +372,8 @@ def test_an_odd_length_period_repeats_as_its_flat_profile():
             assert [r.shape for r in rows] == [(6,) + np.shape(energy)] * 2
             for got, want in zip(rows, flat_rows):
                 assert got.tobytes() == want.tobytes()
-            assert np.max(np.abs(prob_slab(twice, *rows)
-                                 - prob_slab(flat, *flat_rows))) <= (
+            assert np.max(np.abs(prob_slab(p, twice, energy, theta23)
+                                 - prob_slab(p, flat, energy, theta23))) <= (
                 closed_form_bound(6))
 
 
@@ -350,6 +409,60 @@ def sequential_prob_slab(profile, angles, phases):
     return nu_e.real ** 2 + nu_e.imag ** 2
 
 
+def pauli_terms(angle, phi):
+    """(c, x, z) of the closed Pauli form c I - i (x X + z Z) of a layer
+    of rotation angle ``angle`` and phase ``phi``, the form the oracle took
+    before it derived its terms from the physics."""
+    s, two_angle = np.sin(0.5 * phi), 2.0 * angle
+    return np.cos(0.5 * phi), s * np.sin(two_angle), s * np.cos(two_angle)
+
+
+def rows_prob_slab(profile, angles, phases):
+    """The oracle's closed form over a profile's ``slab_layer_params`` rows
+    ``(angles, phases)``: the terms of each distinct layer from its first
+    row, then the program's own period power."""
+    terms = {}
+    for k, layer in enumerate(profile.layers):
+        if layer not in terms:
+            terms[layer] = pauli_terms(angles[k], phases[k])
+    return _period_power([terms[layer] for layer in profile.layers],
+                         profile.period_count)
+
+
+def derivation_bound(layers: int, total_phase):
+    """Largest |prob_slab - rows form| allowed over ``layers`` layers whose
+    phases sum to ``total_phase`` rad.  The two forms take each layer's
+    phase up to 4 ulp apart (dm2 C against dm2 hypot), and |dP/dphi_k| <= 1;
+    each layer's (sin 2t, cos 2t) a few ulp apart, and |dP/dn_k| <= 2; and
+    each side carries the closed form's own rounding.  Measured: over 2,000
+    random valid configs (up to 10,000 layers, 4 energies, both angle
+    modes, one in five earth) the gap reached 0.27 of this bound, 7.4e-14
+    over two layers; the 1.3e-13 of 10,000 layers on 100 energies
+    (7,265 rad) is 0.0067 of it."""
+    return 2.0 ** -51 * (total_phase + 2 * layers) + 2 * closed_form_bound(
+        layers)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(slab_configs(MAX_LAYERS, MAX_PATH_KM, compile=False),
+                 earth_configs))
+def test_the_oracle_meets_its_rows_form(config):
+    """Valid slab configs of up to MAX_LAYERS layers and earth configs,
+    4 energies at most: the oracle, which derives its own layer terms,
+    meets the closed form over the circuit's rows within
+    ``derivation_bound``."""
+    p, profile, theta23 = _single_qubit_setup(config)
+    energies = np.array(config.energies)
+    try:
+        rows = slab_layer_params(p, profile, energies, theta23)
+    except NumericalDomainError:     # the theta = 0 resonance, PHASE_LIMIT
+        assume(False)
+    gap = np.abs(prob_slab(p, profile, energies, theta23)
+                 - rows_prob_slab(profile, *rows))
+    assert np.all(gap <= derivation_bound(len(rows[0]),
+                                          rows[1].sum(axis=0))), gap
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(slab_configs(MAX_LAYERS, MAX_PATH_KM, compile=False))
 def test_closed_form_meets_the_sequential_product(config):
@@ -361,7 +474,7 @@ def test_closed_form_meets_the_sequential_product(config):
                                  theta23)
     except NumericalDomainError:     # the theta = 0 resonance, PHASE_LIMIT
         assume(False)
-    gap = np.max(np.abs(prob_slab(profile, *rows)
+    gap = np.max(np.abs(rows_prob_slab(profile, *rows)
                         - sequential_prob_slab(profile, *rows)))
     assert gap <= closed_form_bound(len(rows[0])), gap
 
@@ -380,14 +493,13 @@ def test_a_one_layer_period_is_constant_density():
         profile = SlabProfile((layer,), period_count=periods)
         expected = prob_constant_density(p, layer, energy,
                                          periods * layer.length_km)
-        got = prob_slab(profile, *slab_layer_params(p, profile, energy))
+        got = prob_slab(p, profile, energy)
         assert abs(got - expected) <= closed_form_bound(periods)
 
 
 def test_one_period_is_the_squared_entry_of_its_product():
     """N = 1 skips Phi: y1^2 + y2^2 is |<e|P|mu>|^2 of the period's
     matrix product, for two and for three layers."""
-    layers = tuple(MatterLayer(rho, 0.5, 0.0) for rho in (1.0, 2.0, 3.0))
     for _ in range(300):
         k = int(RNG.integers(2, 4))
         angles = RNG.uniform(0.0, math.pi / 2, k)
@@ -395,7 +507,7 @@ def test_one_period_is_the_squared_entry_of_its_product():
         product = np.eye(2)
         for theta, phi in zip(angles, phases):
             product = _matrix_form_propagator(theta, phi) @ product
-        got = prob_slab(SlabProfile(layers[:k]), angles, phases)
+        got = _period_power(list(map(pauli_terms, angles, phases)), 1)
         assert abs(got - abs(product[0, 1]) ** 2) <= 1e-15
 
 
@@ -405,15 +517,12 @@ def test_parametric_resonance_gives_sin_squared_n_phi():
     -cos 2(theta2 - theta1) I - i sin 2(theta1 - theta2) Y, so Phi is
     pi - 2|theta1 - theta2| and P = sin^2(2N(theta1 - theta2)), taken
     here in long double."""
-    layers = (MatterLayer(1.0, 0.5, 0.0), MatterLayer(2.0, 0.5, 0.0))
     thetas = RNG.uniform(0.0, math.pi / 2, (2, 100))
+    terms = [pauli_terms(theta, math.pi) for theta in thetas]
     for periods in (1, 2, 7, 50, 1000, MAX_LAYERS // 2):
-        profile = SlabProfile(layers, period_count=periods)
-        rows = (np.tile(thetas, (periods, 1)),
-                np.full((2 * periods, 100), math.pi))
         expected = np.sin(2 * periods * (thetas[0].astype(np.longdouble)
                                          - thetas[1])) ** 2
-        assert np.max(np.abs(prob_slab(profile, *rows) - expected)) <= (
+        assert np.max(np.abs(_period_power(terms, periods) - expected)) <= (
             closed_form_bound(2 * periods))
 
 
@@ -560,10 +669,9 @@ def test_one_layer_oracle_matches_matrix_form():
     thetas = np.concatenate((grid[0].ravel(), RNG.uniform(0.0, math.pi / 2, n)))
     phis = np.concatenate((grid[1].ravel(),
                            RNG.uniform(0.0, oscillation.PHASE_LIMIT, n)))
-    one = SlabProfile((MatterLayer(0.0, 0.5, 0.0),))
-    stacked = prob_slab(one, thetas[None], phis[None])
+    stacked = _period_power([pauli_terms(thetas, phis)], 1)
     assert stacked.shape == (1000,)
     for theta, phi, got in zip(thetas, phis, stacked):
         expected = abs(_matrix_form_propagator(theta, phi)[0, 1]) ** 2
         assert abs(got - expected) <= 1e-15
-        assert prob_slab(one, [float(theta)], [float(phi)]) == got
+        assert _period_power([pauli_terms(float(theta), float(phi))], 1) == got

@@ -19,8 +19,7 @@ from nuqsim.builders import (build_dilation, build_msw_circuit, earth_profile,
                              synthesis_angles)
 from nuqsim.compiler import dump_circuit
 from nuqsim.oscillation import (MatterLayer, NumericalDomainError, OscParams,
-                                prob_msw_adiabatic, prob_slab,
-                                slab_layer_params)
+                                prob_msw_adiabatic, prob_slab)
 from nuqsim.scan import (ConfigError, ScanConfig, ScanResult, emit_csv,
                          emit_plot, run_scan, slab_profile_from_config)
 
@@ -323,6 +322,36 @@ def test_scan_results_compare_as_a_bool():
     assert (first != second) is True
 
 
+def test_a_wrong_angle_row_reaches_the_circuit_alone(monkeypatch):
+    """The oracle derives its own layer terms, so a fault in the rows of
+    ``slab_layer_params`` moves ``p_exact`` and leaves ``p_theory``: angle
+    rows scaled by 1 + 1e-9 open a gap past 1e-12, raw and compiled, slab
+    and earth."""
+    rows = scan.slab_layer_params
+
+    def scaled(*args):
+        angles, phases = rows(*args)
+        return angles * (1.0 + 1e-9), phases
+    for fields in ({"scenario": "slab"}, {"scenario": "slab", "compile": True},
+                   {"scenario": "earth"}):
+        cfg = ScanConfig.from_dict(dict(fields, shots=64))
+        right = run_scan(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "slab_layer_params", scaled)
+            wrong = run_scan(cfg)
+        assert np.max(np.abs(right.p_exact - right.p_theory)) <= 1e-12
+        assert np.max(np.abs(wrong.p_exact - wrong.p_theory)) > 1e-12, fields
+        assert wrong.p_theory.tobytes() == right.p_theory.tobytes()
+
+
+@pytest.mark.parametrize("config", [{"scenario": "slab"}, None, "slab"],
+                         ids=["dict", "none", "str"])
+def test_run_scan_refuses_what_is_not_a_scan_config(config):
+    with pytest.raises(TypeError, match=(
+            f"^run_scan takes a ScanConfig, not a {type(config).__name__}$")):
+        run_scan(config)
+
+
 def test_earth_scan_exact_matches_oracle():
     cfg = ScanConfig(scenario="earth", energies=tuple(np.linspace(1, 25, 25)),
                      shots=64)
@@ -335,7 +364,7 @@ def test_earth_scan_exact_matches_oracle():
                    result.stderr):
         assert column.shape == (25,) and column.dtype == np.float64
     for e, exact, theory in zip(cfg.energies, result.p_exact, result.p_theory):
-        oracle = prob_slab(prof, *slab_layer_params(p, prof, e, th23))
+        oracle = prob_slab(p, prof, e, th23)
         assert abs(exact - oracle) < 1e-12
         assert abs(exact - theory) < 1e-9
     assert np.all((0.0 <= result.p_sampled) & (result.p_sampled <= 1.0))
@@ -348,7 +377,7 @@ def test_slab_scan_plain_mode():
     p = OscParams(math.radians(cfg.theta13_deg), cfg.dm2_31)
     prof = slab_profile_from_config(cfg)
     for e, theory in zip(cfg.energies, result.p_theory):
-        oracle = prob_slab(prof, *slab_layer_params(p, prof, e))
+        oracle = prob_slab(p, prof, e)
         assert abs(theory - oracle) < 1e-15
 
 

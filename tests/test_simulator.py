@@ -194,6 +194,19 @@ def test_probabilities_rejects_unnormalized():
         probabilities(np.array([1.0, 1.0]), 0)
 
 
+def test_probabilities_refuses_a_norm_off_by_1e_6():
+    """The norm check holds near the scale at which results are stated,
+    not only for a grossly wrong state: |psi|^2 = 1 + 1e-6 is refused,
+    for one state and for one row of a stack, while 1 + 1e-12 passes."""
+    off = np.array([math.sqrt(1.0 + 1e-6), 0.0])
+    with pytest.raises(ValueError, match="^state 0 is not normalized"):
+        probabilities(off, 0)
+    with pytest.raises(ValueError, match="^state 1 is not normalized"):
+        probabilities(np.stack([init_state(1), off]), 0)
+    p0, _ = probabilities(np.array([math.sqrt(1.0 + 1e-12), 0.0]), 0)
+    assert abs(p0 - 1.0) < 2e-12
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: init_state(3), "width must be 1 or 2"),
     (lambda: probabilities(init_state(1), 1),

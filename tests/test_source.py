@@ -255,6 +255,47 @@ def test_oracle_imports_no_other_nuqsim_module():
             if m.startswith(".") or m.split(".")[0] == "nuqsim"] == []
 
 
+def test_the_slab_oracle_derives_its_own_layer_terms():
+    """``prob_slab(p, profile, energy_gev, theta23=None)`` is the one slab
+    oracle, and it takes the physics, not the circuit's rows: ``run_scan``
+    calls it once, with the ``p``, ``profile``, ``energies`` and ``th23``
+    it holds; neither it nor any ``oscillation`` function it reaches calls
+    ``slab_layer_params``, ``effective_params`` or
+    ``atmospheric_effective_angle``; and its only atan2 is Phi's, in
+    ``_period_power``, with no asin anywhere on its path."""
+    run_scan, = [fn for name, fn in scopes((SRC / "scan.py").read_text())
+                 if name == "run_scan"]
+    assert [ast.unparse(n) for n in ast.walk(run_scan)
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == "prob_slab"] == [
+        "prob_slab(p, profile, energies, th23)"]
+    assert {name for path in SRC.glob("*.py")
+            for name in defined_functions(path.read_text())
+            if name.startswith("prob_slab")} == {"prob_slab"}
+    functions = dict(scopes((SRC / "oscillation.py").read_text()))
+    assert ast.unparse(functions["prob_slab"].args) == (
+        "p: OscParams, profile: SlabProfile, energy_gev, "
+        "theta23: float | None=None")
+    reached, pending = set(), ["prob_slab"]
+    while pending:
+        name = pending.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            pending += [n.func.id for n in ast.walk(functions[name])
+                        if isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Name)]
+    assert {"_layer_terms", "_layer_phase", "_period_power"} <= reached
+    assert reached & {"slab_layer_params", "effective_params",
+                      "effective_params_from_beta",
+                      "atmospheric_effective_angle"} == set()
+    inverse = sorted((name, n.attr) for name in reached
+                     for n in ast.walk(functions[name])
+                     if isinstance(n, ast.Attribute) and n.attr in (
+                         "atan2", "arctan2", "atan", "arctan", "asin",
+                         "arcsin", "acos", "arccos"))
+    assert inverse == [("_period_power", "atan2")]
+
+
 def test_raw_memory_is_touched_in_one_function():
     """Only ``simulator.py`` imports ``ctypes``, only one of its top-level
     functions calls ``from_address`` (the checked LCG-word view that
