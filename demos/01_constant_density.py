@@ -37,7 +37,7 @@ print(f"\nresonance at E = {e_res:.3f} GeV "
 
 # cross-check one point: closed form vs the X, RY, RZ, RY circuit
 e = 5.0
-closed = prob_constant_density(p, layer, e, layer.length_km)
+closed = prob_constant_density(p, layer, e)
 circuit = build_slab_circuit(*slab_layer_params(p, SlabProfile((layer,)), e))
 state, measured = run(circuit)
 from_circuit = probabilities(state, measured[0])[0]

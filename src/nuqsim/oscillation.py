@@ -8,26 +8,29 @@ encoding used by the circuit builders so oracle and circuit amplitudes
 agree entry by entry).
 
 Three ground-truth probability oracles are provided, each called with
-the physics, ``(p, layer or profile, energy_gev, ...)``:
+the physics, ``(p, layer or profile, energy_gev[, theta23])``, and each
+taking matter mixing from ``_mixing``: sin 2theta_m = sin 2theta / C,
+cos 2theta_m = (cos 2theta - beta) / C (Wolfenstein, Phys. Rev. D 17
+(1978) 2369):
 
-- ``prob_constant_density``: closed form sin^2(2 theta_m) sin^2(phi/2)
-  for a single uniform layer;
+- ``prob_constant_density(p, layer, energy_gev)``: closed form
+  sin^2(2 theta_m) sin^2(phi/2) for a single uniform layer;
 - ``prob_slab``: for a profile of N equal periods, the closed form of
   parametric resonance (Akhmedov, Nucl. Phys. B 538 (1999) 25): the
   N-th power of one period's product of closed Pauli-form layer
-  propagators, whose terms it derives per distinct layer from beta
-  (sin 2theta_m = sin 2theta / C, cos 2theta_m = (cos 2theta - beta) / C;
-  Wolfenstein, Phys. Rev. D 17 (1978) 2369), never from the rows
-  ``slab_layer_params`` computes for the circuit;
+  propagators, whose terms it derives per distinct layer, never from
+  the rows ``slab_layer_params`` computes for the circuit;
 - ``prob_msw_adiabatic``: phase-averaged survival probability
   (1 + cos 2theta cos 2theta_m)/2 for adiabatic propagation from a
   dense production point to vacuum.
 
 Every energy argument may be one energy or an array of them: the
 oracles then evaluate the whole grid at once, with their own propagator
-formulas.  They import no other nuqsim module, so the circuit path and
-its oracle stay independent code; what they share with the circuit's
-layer parameters is the unit factors and ``_layer_phase``.
+formulas.  They import no other nuqsim module and never call
+``effective_params``, the circuits' derivation of theta_m, so the
+circuit path and its oracle stay independent code; what they share with
+the circuit's layer parameters is ``matter_potential``, ``_layer_phase``,
+``_check_phase_precision`` and the unit factors.
 
 The two unit-conversion factors are module floats derived once from
 pinned CODATA 2022 values (Fermi coupling, neutron mass, hbar, c, e;
@@ -43,7 +46,7 @@ scipy.constants and against their literal values:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -137,9 +140,16 @@ class EffectiveParams(NamedTuple):
 
 
 def _check_energy(energy_gev) -> None:
-    if np.any(np.less_equal(energy_gev, 0.0)):
-        raise ValueError(f"energy must be positive, got "
-                         f"{float(np.min(energy_gev))!r}")
+    energies = np.ravel(energy_gev)
+    bad = ~((0.0 < energies) & (energies < math.inf))
+    if bad.any():
+        raise ValueError("energy must be finite and positive, got "
+                         f"{float(energies[np.argmax(bad)])!r}")
+
+
+def _check_theta23(theta23: float | None) -> None:
+    if theta23 is not None and not 0.0 <= theta23 <= math.pi / 2:
+        raise ValueError(f"theta23 must be in [0, pi/2], got {theta23}")
 
 
 def matter_potential(layer: MatterLayer, energy_gev):
@@ -171,6 +181,9 @@ def effective_params_from_beta(p: OscParams, beta) -> EffectiveParams:
 
 def effective_params(p: OscParams, layer: MatterLayer,
                      energy_gev) -> EffectiveParams:
+    """The circuits' matter mixing of one layer, at beta =
+    ``matter_potential`` / dm2: theta_m by libm atan2 and dm2_m by libm
+    hypot.  No oracle calls it; they take theirs from ``_mixing``."""
     a = matter_potential(layer, energy_gev)
     with np.errstate(over="ignore"):
         beta = a / p.dm2
@@ -225,8 +238,10 @@ def slab_layer_params(p: OscParams, profile: SlabProfile, energy_gev,
     plain matter angle theta_m is used.  The phase always comes from
     the matter-modified splitting (``_layer_phase``).  A layer phase or
     an accumulated phase (the virtual-Z offset of the compiled circuit)
-    not below ``PHASE_LIMIT`` raises NumericalDomainError.
+    not below ``PHASE_LIMIT`` raises NumericalDomainError; a ``theta23``
+    outside [0, pi/2] raises ValueError.
     """
+    _check_theta23(theta23)
     unique = {}
     for layer in profile.layers:
         if layer not in unique:
@@ -287,30 +302,15 @@ def _check_phase_precision(phases: np.ndarray, energy_gev,
                 "where its float spacing stops resolving 1e-12")
 
 
-def prob_constant_density(p: OscParams, layer: MatterLayer, energy_gev,
-                          length_km: float):
-    """P(nu_mu -> nu_e) after one uniform layer of ``length_km``:
-    sin^2 2theta_m sin^2(phi/2), with phi from ``_layer_phase``.  A phase
-    not below ``PHASE_LIMIT`` raises NumericalDomainError."""
-    ep = effective_params(p, layer, energy_gev)
-    phi = _layer_phase(p, replace(layer, length_km=length_km), energy_gev,
-                       ep.dm2_m)
-    _check_phase_precision(np.array([phi]), energy_gev)
-    return np.sin(2.0 * ep.theta_m) ** 2 * np.sin(0.5 * phi) ** 2
-
-
-def _layer_terms(p: OscParams, layer: MatterLayer, energy_gev,
-                 theta23: float | None):
-    """``((c, x, z), phi)`` of one layer's closed Pauli form
-    c I - i (x X + z Z): c = cos(phi/2), (x, z) = sin(phi/2) (sin 2t,
-    cos 2t), from the physics alone.
+def _mixing(p: OscParams, layer: MatterLayer, energy_gev):
+    """The oracles' matter mixing of one layer: ``(sin 2theta_m,
+    cos 2theta_m, C)``, C = dm2_m / dm2, from the physics alone.
 
     With d = cos 2theta - beta and C = |(d, sin 2theta)|, formed scaled
     by max(|d|, sin 2theta) so that it cannot overflow, sin 2theta_m =
-    sin 2theta / C and cos 2theta_m = d / C (0 and -1 where beta is inf).
-    With ``theta23`` given, t is the atmospheric angle: x' = sin theta23
-    sin 2theta_m, sin 2t = 2 x' sqrt(1 - x'^2), cos 2t = 1 - 2 x'^2.  phi
-    is ``_layer_phase`` of the splitting dm2 C.
+    sin 2theta / C and cos 2theta_m = d / C; where beta is inf they are
+    the limits 0 and -1, and C is inf.  Where C = 0 (theta = 0 at beta =
+    1) theta_m has no value, and NumericalDomainError names the energy.
     """
     s2, c2 = math.sin(2.0 * p.theta), math.cos(2.0 * p.theta)
     with np.errstate(over="ignore"):
@@ -324,12 +324,35 @@ def _layer_terms(p: OscParams, layer: MatterLayer, energy_gev,
             "theta_m undefined: beta = cos 2theta with sin 2theta = 0, "
             f"at {float(at)!r} GeV")
     root = scale * np.sqrt((d / scale) ** 2 + (s / scale) ** 2)     # C
-    sin2, cos2 = s / root, d / root
+    return s / root, d / root, np.where(finite, root, math.inf)[()]
+
+
+def prob_constant_density(p: OscParams, layer: MatterLayer, energy_gev):
+    """P(nu_mu -> nu_e) after one uniform layer: sin^2 2theta_m
+    sin^2(phi/2), with sin 2theta_m and C from ``_mixing`` and phi from
+    ``_layer_phase`` of the splitting dm2 C.  A phase not below
+    ``PHASE_LIMIT`` raises NumericalDomainError."""
+    sin2, _, root = _mixing(p, layer, energy_gev)
+    phi = _layer_phase(p, layer, energy_gev, p.dm2 * root)
+    _check_phase_precision(np.array([phi]), energy_gev)
+    return sin2 ** 2 * np.sin(0.5 * phi) ** 2
+
+
+def _layer_terms(p: OscParams, layer: MatterLayer, energy_gev,
+                 theta23: float | None):
+    """``((c, x, z), phi)`` of one layer's closed Pauli form
+    c I - i (x X + z Z): c = cos(phi/2), (x, z) = sin(phi/2) (sin 2t,
+    cos 2t), from ``_mixing``.
+
+    Without ``theta23``, t is theta_m.  With it, t is the atmospheric
+    angle: x' = sin theta23 sin 2theta_m, sin 2t = 2 x' sqrt(1 - x'^2),
+    cos 2t = 1 - 2 x'^2.  phi is ``_layer_phase`` of the splitting dm2 C.
+    """
+    sin2, cos2, root = _mixing(p, layer, energy_gev)
     if theta23 is not None:
         x = math.sin(theta23) * sin2
         sin2, cos2 = 2.0 * x * np.sqrt(1.0 - x * x), 1.0 - 2.0 * x * x
-    phi = _layer_phase(p, layer, energy_gev,
-                       p.dm2 * np.where(finite, root, math.inf))
+    phi = _layer_phase(p, layer, energy_gev, p.dm2 * root)
     half = 0.5 * phi
     sn = np.sin(half)
     return (np.cos(half), sn * sin2, sn * cos2), phi
@@ -369,8 +392,10 @@ def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
     period's product.  Real multiplies, adds, divides and square roots,
     libm's atan2 and numpy's sin and cos: the value does not depend on
     the CPU's SIMD level.  A layer phase or an accumulated phase not
-    below ``PHASE_LIMIT`` raises NumericalDomainError.
+    below ``PHASE_LIMIT`` raises NumericalDomainError; a ``theta23``
+    outside [0, pi/2] raises ValueError.
     """
+    _check_theta23(theta23)
     terms = {}
     for layer in profile.layers:
         if layer not in terms:
@@ -381,18 +406,14 @@ def prob_slab(p: OscParams, profile: SlabProfile, energy_gev,
     return _period_power([cxz for cxz, _ in period], profile.period_count)
 
 
-def msw_survival_from_angles(theta: float, theta_m):
-    """Adiabatic, phase-averaged P(nu_e -> nu_e) from the two angles."""
-    return 0.5 * (1.0 + math.cos(2.0 * theta) * np.cos(2.0 * theta_m))
-
-
 def prob_msw_adiabatic(p: OscParams, production_layer: MatterLayer,
                        energy_gev):
     """(P_ee, P_emu) for adiabatic propagation from a dense production point.
 
-    theta_m is evaluated at the production layer; the phase information
-    is averaged out, so probabilities (not amplitudes) combine.
+    P_ee = (1 + cos 2theta cos 2theta_m) / 2, with cos 2theta_m from
+    ``_mixing`` at the production layer; the phase information is
+    averaged out, so probabilities (not amplitudes) combine.
     """
-    ep = effective_params(p, production_layer, energy_gev)
-    pee = msw_survival_from_angles(p.theta, ep.theta_m)
+    _, cos2, _ = _mixing(p, production_layer, energy_gev)
+    pee = 0.5 * (1.0 + math.cos(2.0 * p.theta) * cos2)
     return pee, 1.0 - pee

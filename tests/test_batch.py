@@ -18,8 +18,7 @@ from nuqsim.builders import (build_dilation, build_slab_circuit,
 from nuqsim import builders, circuits, compiler, optim, scan, simulator
 from nuqsim.circuits import N_PARAMS, Circuit, GateKind, GateOp, measure, ry, rz
 from nuqsim.compiler import dump_circuit, lower_to_native, virtual_z_pass
-from nuqsim.oscillation import (NumericalDomainError,
-                                msw_survival_from_angles, prob_msw_adiabatic,
+from nuqsim.oscillation import (NumericalDomainError, prob_msw_adiabatic,
                                 slab_layer_params)
 from nuqsim.scan import (ANGLE_MODES, CSV_HEADER, ScanConfig,
                          _single_qubit_setup, emit_csv, msw_setup, run_scan)
@@ -225,7 +224,7 @@ def test_dilation_marginals(angles):
     eye = u2q @ np.swapaxes(u2q, -1, -2)
     assert np.max(np.abs(eye - np.eye(4))) <= 1e-12
     p0, p1 = probabilities(apply_matrix(init_state(2), u2q), 1)
-    expected = msw_survival_from_angles(theta, theta_m)
+    expected = 0.5 * (1.0 + math.cos(2.0 * theta) * np.cos(2.0 * theta_m))
     assert np.max(np.abs(u2q[:, 0, 0] - expected)) <= 1e-14
     assert np.max(np.abs(p0 - expected)) <= 1e-12
     assert np.max(np.abs(p1 - (1.0 - expected))) <= 1e-12

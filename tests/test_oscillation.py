@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from nuqsim.oscillation import (MATTER_FACTOR, PHASE_FACTOR, PHASE_LIMIT,
                                 matter_potential, phase,
                                 prob_constant_density,
                                 prob_msw_adiabatic, prob_slab,
-                                msw_survival_from_angles, slab_layer_params)
+                                slab_layer_params)
 from nuqsim.scan import ANGLE_MODES, MAX_LAYERS, _single_qubit_setup
 from test_reference import MAX_PATH_KM, earth_configs, slab_configs
 from test_scan import _env_with_src
@@ -167,8 +168,7 @@ def test_the_oracles_refuse_a_phase_past_the_limit():
         with pytest.raises(NumericalDomainError,
                            match=f"^layer phase {re.escape(named)} GeV is "
                                  "not below 8192 rad"):
-            prob_constant_density(p, MatterLayer(rho, 1.0, 1000.0), energy,
-                                  1000.0)
+            prob_constant_density(p, MatterLayer(rho, 1.0, 1000.0), energy)
     with pytest.raises(NumericalDomainError, match="^layer phase 11761.3 rad"):
         prob_slab(p, SlabProfile((MatterLayer(5.0, 0.5, 1e6),)), 0.5)
     deep = SlabProfile((MatterLayer(5.0, 0.5, 3000.0),
@@ -262,7 +262,7 @@ def test_resonance_is_argmax_of_mixing():
 
 def test_prob_zero_length():
     p = OscParams(0.3, 2.5e-3)
-    assert prob_constant_density(p, MatterLayer(5.0, 0.5, 0.0), 5.0, 0.0) == 0.0
+    assert prob_constant_density(p, MatterLayer(5.0, 0.5, 0.0), 5.0) == 0.0
 
 
 def test_full_conversion_at_resonance_half_period():
@@ -275,7 +275,7 @@ def test_full_conversion_at_resonance_half_period():
     layer = MatterLayer(rho, 0.5, 0.0)
     ep = effective_params(p, layer, energy)
     length = math.pi * energy / (PHASE_FACTOR * ep.dm2_m)
-    got = prob_constant_density(p, layer, energy, length)
+    got = prob_constant_density(p, replace(layer, length_km=length), energy)
     assert abs(got - 1.0) < 1e-12
 
 
@@ -290,7 +290,7 @@ def test_closed_form_equals_matrix_element():
         phi = phase(ep.dm2_m, layer.length_km, energy)
         m = _matrix_form_propagator(ep.theta_m, phi)
         matrix_form = abs(m[0, 1]) ** 2
-        closed = prob_constant_density(p, layer, energy, layer.length_km)
+        closed = prob_constant_density(p, layer, energy)
         assert abs(closed - matrix_form) < 1e-12
         assert 0.0 <= closed <= 1.0
 
@@ -300,8 +300,7 @@ def test_probability_bounds_random_sweep():
         p = OscParams(RNG.uniform(0, math.pi / 2), RNG.uniform(1e-6, 1e-2))
         layer = MatterLayer(RNG.uniform(0, 20), RNG.uniform(0.1, 1.0),
                             RNG.uniform(0, 12000))
-        val = prob_constant_density(p, layer, RNG.uniform(0.1, 50),
-                                    layer.length_km)
+        val = prob_constant_density(p, layer, RNG.uniform(0.1, 50))
         assert 0.0 <= val <= 1.0
 
 
@@ -312,7 +311,7 @@ def test_single_layer_reduces_to_constant_density():
     layer = MatterLayer(7.0, 0.5, 1234.0)
     profile = SlabProfile((layer,))
     a = prob_slab(p, profile, 4.0)
-    b = prob_constant_density(p, layer, 4.0, layer.length_km)
+    b = prob_constant_density(p, layer, 4.0)
     assert abs(a - b) < 1e-14
 
 
@@ -491,8 +490,8 @@ def test_a_one_layer_period_is_constant_density():
                             RNG.uniform(0, 2e5 / periods))
         energy = RNG.uniform(0.5, 50)
         profile = SlabProfile((layer,), period_count=periods)
-        expected = prob_constant_density(p, layer, energy,
-                                         periods * layer.length_km)
+        expected = prob_constant_density(
+            p, replace(layer, length_km=periods * layer.length_km), energy)
         got = prob_slab(p, profile, energy)
         assert abs(got - expected) <= closed_form_bound(periods)
 
@@ -584,11 +583,14 @@ def test_msw_vacuum_limit():
 def test_msw_high_density_limit():
     """theta_m -> pi/2 gives P_ee -> sin^2 theta."""
     theta = math.radians(33.5)
-    assert abs(msw_survival_from_angles(theta, math.pi / 2)
+    assert abs(0.5 * (1.0 + math.cos(2.0 * theta) * math.cos(math.pi))
                - math.sin(theta) ** 2) < 1e-15
     p = OscParams(theta, 7.5e-5)
     ep = effective_params_from_beta(p, 1e9)
-    pee = msw_survival_from_angles(theta, ep.theta_m)
+    pee = 0.5 * (1.0 + math.cos(2.0 * theta) * math.cos(2.0 * ep.theta_m))
+    assert abs(pee - math.sin(theta) ** 2) < 1e-6
+    pee, _ = prob_msw_adiabatic(p, MatterLayer(1e9 * p.dm2 / MATTER_FACTOR,
+                                               1.0, 0.0), 1.0)
     assert abs(pee - math.sin(theta) ** 2) < 1e-6
 
 
@@ -596,9 +598,14 @@ def test_msw_monotone_in_beta_below_maximal_mixing():
     theta = math.radians(33.5)
     p = OscParams(theta, 7.5e-5)
     betas = np.linspace(0, 20, 400)
-    vals = [msw_survival_from_angles(
-        theta, effective_params_from_beta(p, b).theta_m) for b in betas]
+    vals = [0.5 * (1.0 + math.cos(2.0 * theta) * math.cos(
+        2.0 * effective_params_from_beta(p, b).theta_m)) for b in betas]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+    # the oracle's own derivation, at a density where beta = E
+    pee, _ = prob_msw_adiabatic(p, MatterLayer(p.dm2 / MATTER_FACTOR, 1.0,
+                                               0.0), betas[1:])
+    assert np.all(pee[1:] <= pee[:-1] + 1e-15)
+    assert np.max(np.abs(pee - vals[1:])) <= 1e-14
 
 
 # --- atmospheric effective angle ------------------------------------------------
@@ -646,6 +653,62 @@ def test_non_finite_parameters_are_rejected(cls, field, value):
     instead of turning every probability into NaN."""
     with pytest.raises(ValueError, match=field):
         cls(**dict(VALID_FIELDS[cls], **{field: value}))
+
+
+_P = OscParams(math.radians(9.0), 2.5e-3)
+_PROFILE = SlabProfile((MatterLayer(5.0, 0.5, 1000.0),))
+_ENERGY_USERS = {
+    "matter_potential": lambda e: matter_potential(_PROFILE.layers[0], e),
+    "effective_params": lambda e: effective_params(_P, _PROFILE.layers[0], e),
+    "slab_layer_params": lambda e: slab_layer_params(_P, _PROFILE, e, 0.7),
+    "prob_constant_density": lambda e: prob_constant_density(
+        _P, _PROFILE.layers[0], e),
+    "prob_slab": lambda e: prob_slab(_P, _PROFILE, e, 0.7),
+    "prob_msw_adiabatic": lambda e: prob_msw_adiabatic(
+        _P, _PROFILE.layers[0], e)}
+
+
+@pytest.mark.parametrize("name", _ENERGY_USERS)
+@pytest.mark.parametrize("energy, named", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0.0"),
+    (np.array([2.0, math.inf, math.nan]), "inf")])
+def test_a_non_finite_energy_is_refused(name, energy, named):
+    """Every oracle, ``matter_potential`` and the circuits' layer
+    parameters refuse an energy that is not finite and positive, naming
+    the first such entry, instead of returning a limit (0.0 from the
+    slab oracle at inf) or a nan."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"energy must be finite and positive, got {named}")):
+        _ENERGY_USERS[name](energy)
+
+
+@pytest.mark.parametrize("name", _ENERGY_USERS)
+def test_the_largest_finite_energy_keeps_its_overflow_handling(name):
+    """At float max, where A / dm2 overflows, each still returns finite
+    values: the beta = inf limits of theta_m and the recomputed phase."""
+    values = _ENERGY_USERS[name](np.finfo(float).max)
+    assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("theta23", [math.nan, math.inf, -math.inf, -1e-300,
+                                     math.pi / 2 + 1e-15, 2.0])
+def test_a_theta23_outside_its_domain_is_refused(theta23):
+    """The slab oracle and the layer parameters refuse a theta23 that is
+    not in [0, pi/2], naming it, as OscParams does for theta, instead of
+    returning 0.0 or nan rows for a nan."""
+    for fn in (prob_slab, slab_layer_params):
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta23 must be in [0, pi/2], got {theta23}")):
+            fn(_P, _PROFILE, 2.0, theta23)
+
+
+def test_theta23_at_its_bounds_is_taken():
+    """90 degrees, which a scan config allows, is pi/2 exactly."""
+    assert math.radians(90.0) == math.pi / 2
+    for theta23 in (0.0, math.radians(90.0)):
+        assert 0.0 <= prob_slab(_P, _PROFILE, 2.0, theta23) <= 1.0
+        assert np.all(np.isfinite(slab_layer_params(_P, _PROFILE, 2.0,
+                                                    theta23)))
 
 
 def _matrix_form_propagator(theta, phi):

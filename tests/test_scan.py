@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nuqsim.cli as cli
-from nuqsim import optim, scan, simulator
+from nuqsim import optim, oscillation, scan, simulator
 from nuqsim.builders import (build_dilation, build_msw_circuit, earth_profile,
                              synthesis_angles)
 from nuqsim.compiler import dump_circuit
@@ -338,6 +338,29 @@ def test_a_wrong_angle_row_reaches_the_circuit_alone(monkeypatch):
         right = run_scan(cfg)
         with monkeypatch.context() as patch:
             patch.setattr(scan, "slab_layer_params", scaled)
+            wrong = run_scan(cfg)
+        assert np.max(np.abs(right.p_exact - right.p_theory)) <= 1e-12
+        assert np.max(np.abs(wrong.p_exact - wrong.p_theory)) > 1e-12, fields
+        assert wrong.p_theory.tobytes() == right.p_theory.tobytes()
+
+
+def test_a_wrong_matter_angle_reaches_the_circuit_alone(monkeypatch):
+    """The oracles derive theta_m through ``_mixing``, never through the
+    circuits' ``effective_params``, so theta_m scaled by 1 + 1e-9 there
+    moves ``p_exact`` and leaves ``p_theory``: a gap past 1e-12 in slab,
+    earth and both msw syntheses."""
+    derive = oscillation.effective_params_from_beta
+
+    def scaled(*args):
+        ep = derive(*args)
+        return ep._replace(theta_m=ep.theta_m * (1.0 + 1e-9))
+    for fields in ({"scenario": "slab"}, {"scenario": "earth"},
+                   {"scenario": "msw"},
+                   {"scenario": "msw", "synthesis": "optimized"}):
+        cfg = ScanConfig.from_dict(dict(fields, shots=64))
+        right = run_scan(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(oscillation, "effective_params_from_beta", scaled)
             wrong = run_scan(cfg)
         assert np.max(np.abs(right.p_exact - right.p_theory)) <= 1e-12
         assert np.max(np.abs(wrong.p_exact - wrong.p_theory)) > 1e-12, fields
@@ -1181,10 +1204,11 @@ def test_cli_scan_builds_each_result_once(monkeypatch, capsys, argv, expected):
 @pytest.mark.parametrize("synthesis", ["optimized", "exact"])
 def test_msw_scan_derives_its_matter_angle_once_per_use(monkeypatch,
                                                         synthesis):
-    """An msw scan computes the production-layer theta_m twice in either
-    mode: once for its dilation, which the two-CNOT synthesis reads too,
-    and once in the oracle, which stays independent of the circuit."""
-    calls = _count_calls(monkeypatch, ["effective_params"])
+    """An msw scan derives the production-layer matter mixing once per
+    side in either mode: ``effective_params`` for its dilation, which the
+    two-CNOT synthesis reads too, and ``_mixing`` for the oracle, which
+    shares no derivation with the circuit."""
+    calls = _count_calls(monkeypatch, ["effective_params", "_mixing"])
     run_scan(ScanConfig(scenario="msw", energies=(0.002, 0.01, 0.02),
                         shots=64, synthesis=synthesis))
-    assert calls == {"effective_params": 2}
+    assert calls == {"effective_params": 1, "_mixing": 1}

@@ -296,6 +296,37 @@ def test_the_slab_oracle_derives_its_own_layer_terms():
     assert inverse == [("_period_power", "atan2")]
 
 
+def named(node: ast.AST) -> set[str]:
+    """The names, attributes and imported names under ``node``."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            or n.name.split(".")[-1] for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+ORACLE_FUNCTION = re.compile(r"prob_\w+|_mixing|_layer_terms|_period_power")
+CIRCUIT_MIXING = {"effective_params", "effective_params_from_beta",
+                  "atmospheric_effective_angle", "EffectiveParams"}
+
+
+def test_the_oracles_and_the_circuits_derive_matter_mixing_apart():
+    """No oracle function (``prob_*``, ``_mixing``, ``_layer_terms``,
+    ``_period_power``) names the circuits' derivation of theta_m, and
+    neither ``slab_layer_params`` nor ``builders.py`` names an oracle
+    function, so a fault on either side shows as a circuit-oracle gap."""
+    functions = dict(scopes((SRC / "oscillation.py").read_text()))
+    oracles = {name for name in functions if ORACLE_FUNCTION.fullmatch(name)}
+    assert oracles == {"prob_constant_density", "prob_slab",
+                       "prob_msw_adiabatic", "_mixing", "_layer_terms",
+                       "_period_power"}
+    assert {name: named(functions[name]) & CIRCUIT_MIXING
+            for name in oracles} == {name: set() for name in oracles}
+    circuits = (functions["slab_layer_params"],
+                ast.parse((SRC / "builders.py").read_text()))
+    for node in circuits:
+        assert "effective_params" in named(node)
+        assert {n for n in named(node) if ORACLE_FUNCTION.fullmatch(n)} == set()
+
+
 def test_raw_memory_is_touched_in_one_function():
     """Only ``simulator.py`` imports ``ctypes``, only one of its top-level
     functions calls ``from_address`` (the checked LCG-word view that
